@@ -13,7 +13,7 @@ import numpy as np
 
 from .data_io import Dataset
 from .divergence import LossSpec
-from .network import ArchitectureSpec, backward, forward
+from .network import ArchitectureSpec, _as_inputs, _backward, _forward, unflatten
 
 _CCE = LossSpec(kind="cce")
 
@@ -36,16 +36,19 @@ class AttackConfig:
 
 def input_gradient(params, arch: ArchitectureSpec, x, labels,
                    loss: LossSpec = _CCE) -> np.ndarray:
-    """Gradient of the selected loss with respect to the input features."""
-    trace = forward(params, arch, x)
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-    _, grad_logits = loss.value_and_grad_logits(labels, trace.logits)
+    """Gradient of the selected loss with respect to the input features.
+
+    Equal to backward(...)[1] for the batch-size-scaled logit gradient, but
+    computes no weight or bias gradients.
+    """
+    X, single = _as_inputs(x, arch)
+    layers = unflatten(params, arch)
+    pres, posts = _forward(layers, arch.activations, X)
+    _, grad_logits = loss.value_and_grad_logits(labels, posts[-1])
     # undo the batch averaging: per-example input gradients
-    grad_logits = grad_logits * trace.logits.shape[0]
-    if trace.single:
-        grad_logits = grad_logits[0]
-    _, grad_in = backward(trace, params, arch, grad_logits)
-    return grad_in
+    grad_in = _backward(X, pres, posts, layers, arch.activations,
+                        grad_logits * X.shape[0])
+    return grad_in[0] if single else grad_in
 
 
 def fgsm(params, arch: ArchitectureSpec, x, labels, epsilon: float,

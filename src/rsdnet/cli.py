@@ -328,7 +328,13 @@ def _add_attack(p):
     p.add_argument("--surrogate-epochs", type=int, default=20)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
+    """The rsdnet parser; config maps flag dests to config-file defaults.
+
+    argparse converts a string default with the flag's type, exactly as
+    if it had been given on the command line, and only when the flag was
+    not given, so explicit flags beat the config file.
+    """
     parser = argparse.ArgumentParser(
         prog="rsdnet",
         description="Robust divergence-based neural classification experiments",
@@ -393,19 +399,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--surrogate-epochs", type=int, default=20)
     p.set_defaults(func=cmd_attack)
+    if config:
+        for p in sub.choices.values():
+            p.set_defaults(**config)
     return parser
 
 
-def _apply_config(args):
-    """Fill unset flags from a flat key=value config file."""
-    if not getattr(args, "config", None):
-        return
+def _read_config(path, args) -> dict:
+    """Flag dests and values from a flat key=value config file.
+
+    args is the namespace parsed without the config; it decides which keys
+    the command knows.  Boolean switches take 1/true/yes as true.
+    """
     try:
-        with open(args.config, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise CliError(f"cannot read config file: {exc}", EXIT_BAD_DATA) from exc
-    parser_defaults = build_parser()
+    config = {}
     for line in lines:
         line = line.strip()
         if not line or line.startswith("#"):
@@ -413,45 +424,27 @@ def _apply_config(args):
         key, sep, value = line.partition("=")
         if not sep:
             raise CliError(f"bad config line: {line!r}")
-        dest = key.strip().replace("-", "_")
+        key, value = key.strip(), value.strip()
+        dest = key.replace("-", "_")
         if dest == "lambda":
             dest = "lam"
-        if not hasattr(args, dest):
-            raise CliError(f"unknown config key: {key.strip()!r}")
+        if dest in ("command", "config", "func") or not hasattr(args, dest):
+            raise CliError(f"unknown config key: {key!r}")
         current = getattr(args, dest)
-        default = _flag_default(parser_defaults, args.command, dest)
-        if current == default or current is None:
-            setattr(args, dest, _coerce(value.strip(), current))
-
-
-def _flag_default(parser, command, dest):
-    for action in parser._subparsers._group_actions[0].choices[command]._actions:
-        if action.dest == dest:
-            return action.default
-    return None
-
-
-def _coerce(text, current):
-    if isinstance(current, bool):
-        return text.lower() in ("1", "true", "yes")
-    if isinstance(current, int) and not isinstance(current, bool):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
-    if current is None:
-        for cast in (int, float):
-            try:
-                return cast(text)
-            except ValueError:
-                continue
-    return text
+        if isinstance(current, list):
+            raise CliError(f"config key {key!r} is a repeatable flag; "
+                           "give it on the command line")
+        if isinstance(current, bool):
+            value = value.lower() in ("1", "true", "yes")
+        config[dest] = value
+    return config
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        _apply_config(args)
+        if args.config:
+            args = build_parser(_read_config(args.config, args)).parse_args(argv)
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -18,7 +18,7 @@ RESULTS_HEADER = (
 
 
 class DataFormatError(ValueError):
-    """Malformed input file, with a machine-readable tag."""
+    """Malformed input file or data, with a machine-readable tag."""
 
     def __init__(self, tag: str, message: str):
         super().__init__(message)
@@ -43,6 +43,8 @@ class Dataset:
             self.labels.min() < 0 or self.labels.max() >= self.num_classes
         ):
             raise ValueError("labels out of range")
+        if not np.isfinite(self.features).all():
+            raise DataFormatError("non_finite", "features contain NaN or infinity")
 
     @property
     def n(self) -> int:

@@ -69,9 +69,10 @@ def clip_probs(probs: np.ndarray) -> np.ndarray:
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Numerically stable softmax over the last axis."""
     z = np.asarray(logits, dtype=np.float64)
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = z - z.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def _as_batch(labels, probs):
@@ -86,6 +87,28 @@ def _as_batch(labels, probs):
     return labels, probs, single
 
 
+def _one_hot(labels: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    onehot = np.zeros(shape)
+    onehot[np.arange(shape[0]), labels] = 1.0
+    return onehot
+
+
+def _sd_values(p: np.ndarray, p_y: np.ndarray, t: TuningPair) -> np.ndarray:
+    J = p.shape[1]
+    return (
+        np.power(p, 1.0 + t.beta).sum(axis=1)
+        - (1.0 + t.beta) / t.b * np.power(p_y, t.b)
+        + J * t.a / t.b
+    ) / t.a
+
+
+def _sd_grad_probs(p: np.ndarray, onehot: np.ndarray, t: TuningPair) -> np.ndarray:
+    pc = clip_probs(p)
+    return (1.0 + t.beta) / t.a * (
+        np.power(pc, t.beta) - onehot * np.power(pc, t.b - 1.0)
+    )
+
+
 def sd_loss(labels, probs, t: TuningPair):
     """Per-example S-divergence loss between one-hot labels and probs.
 
@@ -95,26 +118,14 @@ def sd_loss(labels, probs, t: TuningPair):
     (J-1)/B rather than 0.
     """
     labels, p, single = _as_batch(labels, probs)
-    n, J = p.shape
-    p_y = p[np.arange(n), labels]
-    vals = (
-        np.power(p, 1.0 + t.beta).sum(axis=1)
-        - (1.0 + t.beta) / t.b * np.power(p_y, t.b)
-        + J * t.a / t.b
-    ) / t.a
+    vals = _sd_values(p, p[np.arange(p.shape[0]), labels], t)
     return float(vals[0]) if single else vals
 
 
 def sd_loss_grad_probs(labels, probs, t: TuningPair):
     """Gradient of sd_loss with respect to the probability vector."""
     labels, p, single = _as_batch(labels, probs)
-    n, J = p.shape
-    pc = clip_probs(p)
-    onehot = np.zeros((n, J))
-    onehot[np.arange(n), labels] = 1.0
-    g = (1.0 + t.beta) / t.a * (
-        np.power(pc, t.beta) - onehot * np.power(pc, t.b - 1.0)
-    )
+    g = _sd_grad_probs(p, _one_hot(labels, p.shape), t)
     return g[0] if single else g
 
 
@@ -166,11 +177,26 @@ def loss_bounds(t: TuningPair, J: int) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
+def _cce_values(p_y: np.ndarray) -> np.ndarray:
+    return -np.log(clip_probs(p_y))
+
+
+def _gce_values(p_y: np.ndarray, q: float) -> np.ndarray:
+    return (1.0 - np.power(clip_probs(p_y), q)) / q
+
+
+def _trimmed_mean(per: np.ndarray, delta: float) -> tuple[float, int]:
+    """Mean of per without its ceil(delta * n) largest entries, and that count."""
+    n = per.shape[0]
+    n_drop = int(np.ceil(delta * n))
+    kept = np.sort(per)[: n - n_drop] if n_drop > 0 else per
+    return float(kept.mean()), n_drop
+
+
 def cce_loss(labels, probs):
     """Categorical cross-entropy, -log p_y, per example."""
     labels, p, single = _as_batch(labels, probs)
-    p_y = clip_probs(p[np.arange(p.shape[0]), labels])
-    vals = -np.log(p_y)
+    vals = _cce_values(p[np.arange(p.shape[0]), labels])
     return float(vals[0]) if single else vals
 
 
@@ -186,8 +212,7 @@ def gce_loss(labels, probs, q: float):
     if not 0.0 < q <= 1.0:
         raise ValueError(f"gce exponent q must lie in (0, 1], got {q}")
     labels, p, single = _as_batch(labels, probs)
-    p_y = clip_probs(p[np.arange(p.shape[0]), labels])
-    vals = (1.0 - np.power(p_y, q)) / q
+    vals = _gce_values(p[np.arange(p.shape[0]), labels], q)
     return float(vals[0]) if single else vals
 
 
@@ -201,10 +226,7 @@ def tcce_loss(labels, probs, delta: float):
     if not 0.0 <= delta < 1.0:
         raise ValueError(f"trimming proportion delta must lie in [0, 1), got {delta}")
     per = np.atleast_1d(cce_loss(labels, probs))
-    n = per.shape[0]
-    n_drop = int(np.ceil(delta * n))
-    kept = np.sort(per)[: n - n_drop] if n_drop > 0 else per
-    return per, float(kept.mean())
+    return per, _trimmed_mean(per, delta)[0]
 
 
 def baseline_loss(kind: str, labels, probs, *, q: float | None = None,
@@ -269,33 +291,37 @@ class LossSpec:
         yields the gradient of the batch aggregate.
         """
         logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-        labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-        p = softmax(logits)
-        n, J = p.shape
-        onehot = np.zeros((n, J))
-        onehot[np.arange(n), labels] = 1.0
+        labels, p, _ = _as_batch(labels, softmax(logits))
+        return self.value_and_grad_probs(labels, p)
 
+    def value_and_grad_probs(self, labels: np.ndarray, probs: np.ndarray):
+        """value_and_grad_logits from probs = softmax(logits) instead.
+
+        Trusts its inputs: labels is an (n,) intp array of classes in
+        [0, J) and probs an (n, J) float64 array of softmax rows, as a
+        forward pass produces them.
+        """
+        n, J = probs.shape
+        p_y = probs[np.arange(n), labels]
+        onehot = _one_hot(labels, (n, J))
         if self.kind == "sd":
-            per = sd_loss(labels, p, self.tuning)
-            grad = sd_loss_grad_logits(labels, logits, self.tuning) / n
-            return float(np.mean(per)), grad
+            per = _sd_values(probs, p_y, self.tuning)
+            grad_p = _sd_grad_probs(probs, onehot, self.tuning)
+            return float(np.mean(per)), _chain_softmax(grad_p, probs) / n
         if self.kind == "cce":
-            per = cce_loss(labels, p)
-            return float(np.mean(per)), (p - onehot) / n
+            return float(np.mean(_cce_values(p_y))), (probs - onehot) / n
         if self.kind == "mae":
-            per = mae_loss(labels, p)
-            grad = _chain_softmax(1.0 - 2.0 * onehot, p) / n
-            return float(np.mean(per)), grad
+            grad = _chain_softmax(1.0 - 2.0 * onehot, probs) / n
+            return float(np.mean(2.0 * (1.0 - p_y))), grad
         if self.kind == "gce":
-            per = gce_loss(labels, p, self.q)
-            p_y = clip_probs(p[np.arange(n), labels])
-            grad_p = -onehot * np.power(p_y, self.q - 1.0)[:, None]
-            return float(np.mean(per)), _chain_softmax(grad_p, p) / n
+            per = _gce_values(p_y, self.q)
+            grad_p = -onehot * np.power(clip_probs(p_y), self.q - 1.0)[:, None]
+            return float(np.mean(per)), _chain_softmax(grad_p, probs) / n
         # tcce: gradient of the trimmed mean; dropped examples contribute 0
-        per, agg = tcce_loss(labels, p, self.delta)
-        n_drop = int(np.ceil(self.delta * n))
+        per = _cce_values(p_y)
+        agg, n_drop = _trimmed_mean(per, self.delta)
         keep = np.ones(n, dtype=bool)
         if n_drop > 0:
             keep[np.argsort(per)[n - n_drop:]] = False
-        grad = (p - onehot) * keep[:, None] / keep.sum()
+        grad = (probs - onehot) * keep[:, None] / keep.sum()
         return agg, grad

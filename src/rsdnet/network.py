@@ -3,6 +3,14 @@
 Parameters live in a single flat float64 vector; per-layer weight and bias
 views are recovered from the architecture.  forward/backward operate on
 batches (rows are examples) and are pure functions of their inputs.
+
+Both are thin validating wrappers over two private kernels that work on
+per-layer (W, b) views built once by the caller: _forward returns the
+pre- and post-activations, and _backward writes weight and bias gradients
+in place into gradient views and computes the input gradient only when
+asked.  The training loop and the attacks call the kernels directly, so a
+training step builds no views and skips the input-gradient matmul, and an
+attack step skips the weight and bias gradients.
 """
 
 from __future__ import annotations
@@ -121,8 +129,8 @@ def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
 
 def _activation_deriv(pre: np.ndarray, post: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
-        # subgradient at exactly 0 is fixed to 0
-        return (pre > 0.0).astype(np.float64)
+        # subgradient at exactly 0 is fixed to 0; a 0/1 mask multiplies as 0.0/1.0
+        return pre > 0.0
     if kind == "tanh":
         return 1.0 - post * post
     return np.ones_like(pre)
@@ -140,30 +148,64 @@ class ForwardTrace:
     single: bool
 
 
-def forward(params: np.ndarray, arch: ArchitectureSpec, x) -> ForwardTrace:
-    """Affine + activation composition ending in linear logits and softmax."""
+def _as_inputs(x, arch: ArchitectureSpec) -> tuple[np.ndarray, bool]:
+    """(2-D float64 batch, whether x was a single example), width-checked."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
     X = np.atleast_2d(x)
     if X.shape[1] != arch.input_dim:
         raise ValueError(
             f"expected inputs of width {arch.input_dim}, got {X.shape[1]}"
         )
-    acts = arch.activations
+    return X, x.ndim == 1
+
+
+def _forward(layers, acts, X: np.ndarray) -> tuple[list, list]:
+    """Per-layer pre- and post-activations of batch X; the last post is the
+    logits.  layers are (W, b) views, acts the activation names."""
     pres, posts = [], []
     h = X
-    for (W, b), act in zip(unflatten(params, arch), acts):
-        pre = h @ W + b
+    for (W, b), act in zip(layers, acts):
+        pre = h @ W
+        pre += b
         h = _activate(pre, act)
         pres.append(pre)
         posts.append(h)
-    logits = posts[-1]
+    return pres, posts
+
+
+def _backward(X: np.ndarray, pres, posts, layers, acts, delta: np.ndarray,
+              grads=None, want_input: bool = True):
+    """Backpropagate delta, the gradient at the logits, through the layers.
+
+    With grads, a list of per-layer (gW, gb) views, the batch-summed weight
+    and bias gradients are written into them in place.  Returns the
+    per-example input gradient, or None when want_input is false, in which
+    case the first layer's delta is not propagated.
+    """
+    for i in range(len(layers) - 1, -1, -1):
+        if grads is not None:
+            gW, gb = grads[i]
+            np.matmul((X if i == 0 else posts[i - 1]).T, delta, out=gW)
+            np.add.reduce(delta, axis=0, out=gb)
+        if i == 0 and not want_input:
+            return None
+        back = delta @ layers[i][0].T
+        if i > 0:
+            back *= _activation_deriv(pres[i - 1], posts[i - 1], acts[i - 1])
+        delta = back
+    return delta
+
+
+def forward(params: np.ndarray, arch: ArchitectureSpec, x) -> ForwardTrace:
+    """Affine + activation composition ending in linear logits and softmax."""
+    X, single = _as_inputs(x, arch)
+    pres, posts = _forward(unflatten(params, arch), arch.activations, X)
     return ForwardTrace(
         inputs=X,
         pre_activations=pres,
         activations=posts,
-        logits=logits,
-        probs=softmax(logits),
+        logits=posts[-1],
+        probs=softmax(posts[-1]),
         single=single,
     )
 
@@ -179,24 +221,11 @@ def backward(trace: ForwardTrace, params: np.ndarray, arch: ArchitectureSpec,
     g = np.atleast_2d(grad_logits)
     if g.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match the trace")
-    pairs = unflatten(params, arch)
-    acts = arch.activations
-    grads = [None] * len(pairs)
-    delta = g
-    for i in range(len(pairs) - 1, -1, -1):
-        W, _ = pairs[i]
-        h_prev = trace.inputs if i == 0 else trace.activations[i - 1]
-        gW = h_prev.T @ delta
-        gb = delta.sum(axis=0)
-        grads[i] = (gW, gb)
-        back = delta @ W.T
-        if i > 0:
-            back = back * _activation_deriv(
-                trace.pre_activations[i - 1], trace.activations[i - 1], acts[i - 1]
-            )
-        delta = back
-    grad_input = delta if not trace.single else delta[0]
-    return flatten(grads, arch), grad_input
+    grad = np.empty(arch.n_params)
+    grad_input = _backward(trace.inputs, trace.pre_activations,
+                           trace.activations, unflatten(params, arch),
+                           arch.activations, g, unflatten(grad, arch))
+    return grad, grad_input[0] if trace.single else grad_input
 
 
 # ---------------------------------------------------------------------------

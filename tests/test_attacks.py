@@ -12,8 +12,8 @@ from rsdnet.attacks import (
     pgd,
 )
 from rsdnet.data_io import synthetic_blobs
-from rsdnet.divergence import LossSpec
-from rsdnet.network import ArchitectureSpec, init_params
+from rsdnet.divergence import LossSpec, make_tuning
+from rsdnet.network import ArchitectureSpec, backward, forward, init_params
 from rsdnet.optimizer import TrainConfig, accuracy, train
 
 ARCH = ArchitectureSpec(2, ((16, "tanh"),), 2)
@@ -49,6 +49,29 @@ class TestInputGradient:
                 dn[i, j] -= h
                 fd[i, j] = (per_example_losses(up)[i] - per_example_losses(dn)[i]) / (2 * h)
         np.testing.assert_allclose(fd, an, rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("loss", [
+        LossSpec(kind="cce"),
+        LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8)),
+    ], ids=LossSpec.describe)
+    @pytest.mark.parametrize("arch", [
+        ARCH, ArchitectureSpec(2, ((7, "relu"), (5, "relu")), 3),
+    ], ids=["tanh", "relu"])
+    def test_equals_public_backward(self, arch, loss):
+        params = init_params(arch, "glorot_normal", 3)
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0, 1, (6, 2))
+        y = rng.integers(0, arch.output_classes, 6)
+        trace = forward(params, arch, X)
+        _, grad_logits = loss.value_and_grad_logits(y, trace.logits)
+        _, expected = backward(trace, params, arch, grad_logits * 6)
+        assert np.array_equal(input_gradient(params, arch, X, y, loss), expected)
+        # a single example gives the matching row, unbatched
+        single = forward(params, arch, X[2])
+        _, g1 = loss.value_and_grad_logits(y[2], single.logits)
+        _, expected1 = backward(single, params, arch, g1[0])
+        got = input_gradient(params, arch, X[2], y[2], loss)
+        assert got.shape == (2,) and np.array_equal(got, expected1)
 
 
 class TestConstraints:

@@ -6,6 +6,7 @@ import pytest
 from rsdnet.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FLAGS,
+    EXIT_NUMERIC,
     EXIT_OK,
     CliError,
     main,
@@ -111,6 +112,43 @@ class TestTrainCommand:
                     "--folds", 2, "--epochs", 1, "--batch", 16])
         assert code == EXIT_OK
         assert ds.n == 40  # keep the unused fixture honest
+
+
+def csv_dataset(tmp_path, features, labels) -> str:
+    """Write a two-feature CSV pair as load_dataset reads it; returns the
+    csv: selector."""
+    feat, lab = tmp_path / "f.csv", tmp_path / "l.csv"
+    feat.write_text("x0,x1\n" + "".join(f"{a!r},{b!r}\n"
+                                         for a, b in features.tolist()))
+    lab.write_text("label\n" + "".join(f"{y}\n" for y in labels.tolist()))
+    return f"csv:{feat},{lab}"
+
+
+class TestInputHardening:
+    @pytest.mark.parametrize("poison", ["nan", "inf", "-inf"])
+    def test_non_finite_features_are_bad_data(self, tmp_path, poison):
+        ds = synthetic_blobs(40, seed=0)
+        features = ds.features.copy()
+        features[3, 1] = float(poison)
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--loss", "cce",
+                    "--dataset", csv_dataset(tmp_path, features, ds.labels),
+                    "--folds", 2, "--epochs", 1, "--batch", 16])
+        assert code == EXIT_BAD_DATA
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_training_is_numeric_failure(self, tmp_path):
+        # gradients of order 1e200 overflow the Adam second moment
+        ds = synthetic_blobs(40, seed=0)
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--loss", "cce",
+                    "--dataset", csv_dataset(tmp_path, ds.features * 1e200,
+                                             ds.labels),
+                    "--arch", "blob-mlp", "--folds", 2, "--epochs", 2,
+                    "--batch", 16])
+        assert code == EXIT_NUMERIC
+        assert not out.exists()
 
 
 class TestBoundCommand:
@@ -226,6 +264,38 @@ class TestConfigFile:
         assert code == EXIT_OK
         rows = read_results(out)
         assert rows[0]["eta"] == pytest.approx(0.1)
+
+    def test_flag_equal_to_default_beats_config(self, tmp_path):
+        # --epochs 50 is also the parser default; it must still win over
+        # the config file's epochs=2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=2\n")
+        out = str(tmp_path / "e.csv")
+        code = run(["epochs", "--seed", 0, "--out", out, "--n", 40,
+                    "--batch", 40, "--loss", "cce", "--epochs", 50,
+                    "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert len(np.genfromtxt(out, delimiter=",", skip_header=1)) == 50
+
+    def test_bool_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        out = str(tmp_path / "if.csv")
+        argv = ["influence", "--seed", 0, "--out", out, "--model", "M1",
+                "--beta", 0.5, "--lambda", 0.0, "--grid=-1,1,3",
+                "--sample-size", 20, "--config", str(cfg)]
+        for text, zero in (("true", True), ("no", False)):
+            cfg.write_text(f"correctly-specified={text}\n")
+            assert run(argv) == EXIT_OK
+            values = np.genfromtxt(out, delimiter=",", skip_header=1)[:, 2]
+            assert bool(np.all(np.abs(values) < 1e-9)) == zero
+
+    def test_bad_line(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs 2\n")
+        out = str(tmp_path / "res.csv")
+        code = run(["train", "--seed", 0, "--out", out, "--loss", "cce",
+                    "--config", str(cfg)])
+        assert code == EXIT_BAD_FLAGS
 
     def test_unknown_key(self, tmp_path):
         cfg = tmp_path / "run.cfg"

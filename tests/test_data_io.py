@@ -108,6 +108,15 @@ class TestDataset:
             Dataset(features=np.zeros((3, 2)),
                     labels=np.array([0, 1, 2], dtype=np.intp), num_classes=2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        features = np.zeros((3, 2))
+        features[1, 0] = bad
+        with pytest.raises(DataFormatError) as err:
+            Dataset(features=features, labels=np.zeros(3, dtype=np.intp),
+                    num_classes=2)
+        assert err.value.tag == "non_finite"
+
     def test_subset(self):
         ds = synthetic_blobs(20, seed=0)
         sub = ds.subset(np.array([1, 3, 5]))

@@ -263,6 +263,35 @@ class TestLossSpec:
                             - spec.value_and_grad_logits(labels, dn)[0]) / (2 * h)
         np.testing.assert_allclose(fd, grad, rtol=1e-4, atol=1e-8)
 
+    @pytest.mark.parametrize("spec", [
+        LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8)),
+        LossSpec(kind="cce"),
+        LossSpec(kind="mae"),
+        LossSpec(kind="gce", q=0.7),
+        LossSpec(kind="tcce", delta=0.2),
+    ], ids=LossSpec.describe)
+    def test_agrees_with_per_kind_functions_bit_for_bit(self, spec):
+        rng = np.random.default_rng(7)
+        z = rng.normal(0.0, 2.0, (9, 4))
+        labels = rng.integers(0, 4, 9)
+        p = softmax(z)
+        val, grad = spec.value_and_grad_logits(labels, z)
+        p_val, p_grad = spec.value_and_grad_probs(labels, p)
+        assert val == p_val and np.array_equal(grad, p_grad)
+        if spec.kind == "sd":
+            assert val == float(np.mean(sd_loss(labels, p, spec.tuning)))
+            assert np.array_equal(grad, sd_loss_grad_logits(labels, z, spec.tuning) / 9)
+        elif spec.kind == "tcce":
+            assert val == tcce_loss(labels, p, spec.delta)[1]
+        else:
+            assert val == baseline_loss(spec.kind, labels, p, q=spec.q)[1]
+
+    def test_bad_labels_rejected(self):
+        z = np.zeros((3, 2))
+        for labels in ([0, 1, 2], [0, -1, 1], [0, 1]):
+            with pytest.raises(ValueError):
+                LossSpec(kind="cce").value_and_grad_logits(labels, z)
+
     def test_describe(self):
         assert LossSpec(kind="cce").describe() == "cce"
         spec = LossSpec(kind="sd", tuning=make_tuning(0.05, -1.0))

@@ -158,6 +158,43 @@ class TestBackward:
                 fd[i, j] = (lu - ld) / (2 * h)
         np.testing.assert_allclose(fd, an, rtol=1e-5, atol=1e-9)
 
+    @pytest.mark.parametrize("arch", [TANH_NET, DEEP_NET])
+    def test_bit_identical_to_textbook_loop(self, arch):
+        rng = np.random.default_rng(5)
+        params = init_params(arch, "glorot_normal", 2)
+        trace = forward(params, arch, rng.normal(size=(7, arch.input_dim)))
+        grad_logits = rng.normal(size=(7, arch.output_classes))
+        grad, grad_in = backward(trace, params, arch, grad_logits)
+        pairs = unflatten(params, arch)
+        grads = [None] * len(pairs)
+        delta = grad_logits
+        for i in range(len(pairs) - 1, -1, -1):
+            h_prev = trace.inputs if i == 0 else trace.activations[i - 1]
+            grads[i] = (h_prev.T @ delta, delta.sum(axis=0))
+            delta = delta @ pairs[i][0].T
+            if i > 0:
+                pre, post = trace.pre_activations[i - 1], trace.activations[i - 1]
+                if arch.activations[i - 1] == "relu":
+                    delta = delta * (pre > 0.0).astype(np.float64)
+                else:
+                    delta = delta * (1.0 - post * post)
+        assert np.array_equal(grad, flatten(grads, arch))
+        assert np.array_equal(grad_in, delta)
+
+    def test_inputs_untouched(self):
+        rng = np.random.default_rng(4)
+        params = init_params(DEEP_NET, "glorot_normal", 1)
+        trace = forward(params, DEEP_NET, rng.normal(size=(5, 4)))
+        grad_logits = rng.normal(size=(5, 3))
+        arrays = [params, grad_logits, trace.inputs, trace.logits, trace.probs,
+                  *trace.pre_activations, *trace.activations]
+        before = [a.copy() for a in arrays]
+        grad, grad_in = backward(trace, params, DEEP_NET, grad_logits)
+        for a, b in zip(arrays, before):
+            np.testing.assert_array_equal(a, b)
+        assert not any(np.shares_memory(grad, a) or np.shares_memory(grad_in, a)
+                       for a in arrays)
+
     def test_shape_mismatch_rejected(self):
         params = init_params(TANH_NET, "glorot_normal", 0)
         trace = forward(params, TANH_NET, np.zeros((2, 3)))

@@ -5,7 +5,7 @@ import pytest
 
 from rsdnet.data_io import Dataset, synthetic_blobs
 from rsdnet.divergence import LossSpec, make_tuning
-from rsdnet.network import ArchitectureSpec
+from rsdnet.network import ArchitectureSpec, backward, forward, init_params
 from rsdnet.optimizer import (
     AdamConfig,
     AdamState,
@@ -40,6 +40,23 @@ class TestAdamStep:
             np.testing.assert_allclose(params, ref, rtol=1e-12)
             assert state.t == t
 
+    def test_bit_identical_to_textbook_expressions(self):
+        cfg = AdamConfig(alpha=0.01)
+        rng = np.random.default_rng(3)
+        params = rng.normal(size=50)
+        state = init_adam(50)
+        m, v, ref = np.zeros(50), np.zeros(50), params.copy()
+        for t in range(1, 20):
+            g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=50)
+            params, state = adam_step(state, cfg, params, g)
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
+            m_hat = m / (1.0 - cfg.beta1 ** t)
+            v_hat = v / (1.0 - cfg.beta2 ** t)
+            ref = ref - cfg.alpha * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            assert np.array_equal(params, ref)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
     def test_first_step_size_is_alpha(self):
         # bias correction makes the first update approximately alpha * sign(g)
         cfg = AdamConfig(alpha=0.1)
@@ -56,6 +73,20 @@ class TestAdamStep:
         np.testing.assert_array_equal(params, 1.0)
         np.testing.assert_array_equal(state.m, 0.0)
         assert state.t == 0
+
+    def test_nonzero_inputs_untouched(self):
+        rng = np.random.default_rng(1)
+        params, grad, m = rng.normal(size=(3, 7))
+        v = rng.uniform(0.1, 1.0, 7)
+        state = AdamState(m=m, v=v, t=3)
+        before = [a.copy() for a in (params, grad, m, v)]
+        new, new_state = adam_step(state, AdamConfig(), params, grad)
+        for a, b in zip((params, grad, m, v), before):
+            np.testing.assert_array_equal(a, b)
+        assert state.t == 3 and new_state.t == 4
+        assert not np.shares_memory(new, params)
+        assert not np.shares_memory(new_state.m, m)
+        assert not np.shares_memory(new_state.v, v)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
@@ -130,3 +161,69 @@ class TestTrain:
         cfg = TrainConfig(loss=LossSpec(kind="cce"), epochs=1, batch_size=8)
         _, metrics = train(ds, TOY, 0, cfg)
         assert np.isfinite(metrics[0][1])
+
+
+def reference_train(dataset, arch, init_seed, cfg, adam_cfg, eval_set):
+    """train() spelled out with the public pure functions, one call each."""
+    params = init_params(arch, "glorot_normal", init_seed)
+    state = init_adam(params.shape[0])
+    metrics = []
+    n = dataset.n
+    for epoch in range(1, cfg.epochs + 1):
+        order = np.random.default_rng(cfg.shuffle_seed + epoch).permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            trace = forward(params, arch, dataset.features[idx])
+            loss, grad_logits = cfg.loss.value_and_grad_logits(
+                dataset.labels[idx], trace.logits)
+            grad, _ = backward(trace, params, arch, grad_logits)
+            params, state = adam_step(state, adam_cfg, params, grad)
+            loss_sum += loss * len(idx)
+        metrics.append((epoch, loss_sum / n, accuracy(params, arch, eval_set)))
+    return params, metrics
+
+
+THREE_BLOBS = ((0.2, 0.2), (0.5, 0.8), (0.8, 0.2))
+RELU_NET = ArchitectureSpec(2, ((12, "relu"), (8, "relu")), 3)
+FUSED_LOSSES = [
+    LossSpec(kind="cce"),
+    LossSpec(kind="mae"),
+    LossSpec(kind="gce", q=0.7),
+    LossSpec(kind="tcce", delta=0.2),
+    LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8)),
+    LossSpec(kind="sd", tuning=make_tuning(0.5, -0.5)),
+]
+
+
+class TestFusedTrain:
+    @pytest.mark.parametrize("loss", FUSED_LOSSES, ids=LossSpec.describe)
+    @pytest.mark.parametrize("arch", [RELU_NET, TOY], ids=["relu", "tanh"])
+    def test_matches_reference_bit_for_bit(self, arch, loss):
+        centers = THREE_BLOBS if arch.output_classes == 3 else THREE_BLOBS[:2]
+        ds = synthetic_blobs(50, seed=5, centers=centers)
+        ev = synthetic_blobs(30, seed=6, centers=centers)
+        # batch 16 over 50 examples leaves a short final batch of 2
+        cfg = TrainConfig(loss=loss, epochs=3, batch_size=16, shuffle_seed=2)
+        adam_cfg = AdamConfig(alpha=0.01)
+        params, metrics = train(ds, arch, 4, cfg, adam_cfg, eval_set=ev)
+        ref_params, ref_metrics = reference_train(ds, arch, 4, cfg, adam_cfg, ev)
+        assert np.array_equal(params, ref_params)
+        assert np.array_equal(np.array(metrics), np.array(ref_metrics))
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflow_raises_naming_the_epoch(self):
+        ds = synthetic_blobs(40, seed=0)
+        ds = Dataset(features=ds.features * 1e200, labels=ds.labels,
+                     num_classes=2)
+        net = ArchitectureSpec(2, ((8, "relu"),), 2)
+        cfg = TrainConfig(loss=LossSpec(kind="cce"), epochs=3, batch_size=16)
+        with pytest.raises(FloatingPointError, match="epoch 1"):
+            train(ds, net, 0, cfg)
+
+    def test_width_mismatch_rejected(self):
+        ds = Dataset(features=np.zeros((4, 3)), labels=np.zeros(4, dtype=np.intp),
+                     num_classes=2)
+        cfg = TrainConfig(loss=LossSpec(kind="cce"), epochs=1)
+        with pytest.raises(ValueError):
+            train(ds, TOY, 0, cfg)
