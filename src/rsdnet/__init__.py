@@ -4,7 +4,6 @@ from .divergence import (
     InvalidTuningError,
     LossSpec,
     TuningPair,
-    baseline_loss,
     conditional_sd_risk,
     loss_bounds,
     make_tuning,

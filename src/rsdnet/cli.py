@@ -10,18 +10,17 @@ command is deterministic given its flags and seeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from . import data_io
-from .attacks import AttackConfig, adversarial_trainset, attack as run_attack
+from .attacks import AttackConfig, adversarial_trainset
 from .contamination import NoiseConfig, corrupt_labels
 from .data_io import DataFormatError, Dataset
 from .divergence import InvalidTuningError, LossSpec, make_tuning
-from .network import ArchitectureSpec
-from .optimizer import AdamConfig, TrainConfig, accuracy, train
+from .network import ArchitectureSpec, example_model
+from .optimizer import TrainConfig, accuracy, train
 from .theory import IFRequest, bound_grid, default_feature_sample, influence_function
 
 EXIT_OK = 0
@@ -108,21 +107,22 @@ def resolve_arch(name: str, dataset: Dataset) -> ArchitectureSpec:
     return arch
 
 
-def surrogate_arch(dataset: Dataset) -> ArchitectureSpec:
-    # single hidden layer of 64 ReLU nodes, sized to the data at hand
-    return ArchitectureSpec(dataset.features.shape[1], ((64, "relu"),),
+def _surrogate(args, dataset: Dataset, init_seed: int, shuffle_seed: int):
+    """(params, arch) of a CCE-trained surrogate for the attacks: one hidden
+    layer of 64 ReLU nodes, sized to the data at hand."""
+    arch = ArchitectureSpec(dataset.features.shape[1], ((64, "relu"),),
                             dataset.num_classes)
+    params, _ = train(
+        dataset, arch, init_seed,
+        TrainConfig(loss=LossSpec(kind="cce"), epochs=args.surrogate_epochs,
+                    batch_size=args.batch, shuffle_seed=shuffle_seed),
+    )
+    return params, arch
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _fmt(x) -> str:
-    return format(float(x), ".6g")
+def _attack_config(args) -> AttackConfig:
+    return AttackConfig(kind=args.attack, epsilon=args.epsilon,
+                        step_size=args.step, max_iters=args.iters)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +134,7 @@ def cmd_train(args) -> int:
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
     arch = resolve_arch(args.arch, dataset)
     loss = parse_loss(args.loss, args.beta, args.lam)
-    attack_cfg = None
-    if args.attack:
-        attack_cfg = AttackConfig(kind=args.attack, epsilon=args.epsilon,
-                                  step_size=args.step, max_iters=args.iters)
+    attack_cfg = _attack_config(args) if args.attack else None
     plan = data_io.make_folds(dataset.n, args.folds, args.seed)
     records = []
     saved = []
@@ -151,14 +148,8 @@ def cmd_train(args) -> int:
             train_ds, _ = corrupt_labels(
                 train_ds, NoiseConfig(eta=args.eta, seed=args.seed + 1000 + fold))
         if attack_cfg is not None:
-            sarch = surrogate_arch(dataset)
-            sparams, _ = train(
-                train_ds, sarch, args.seed + 2000 + fold,
-                TrainConfig(loss=LossSpec(kind="cce"),
-                            epochs=args.surrogate_epochs,
-                            batch_size=args.batch,
-                            shuffle_seed=args.seed + 3000 + fold),
-            )
+            sparams, sarch = _surrogate(args, train_ds, args.seed + 2000 + fold,
+                                        args.seed + 3000 + fold)
             train_ds = adversarial_trainset(sparams, sarch, train_ds, attack_cfg)
             adv_val = adversarial_trainset(sparams, sarch, val_ds, attack_cfg)
         params, _ = train(
@@ -201,19 +192,20 @@ def cmd_bound(args) -> int:
                       (args.beta_min, args.beta_max),
                       (args.lambda_min, args.lambda_max),
                       args.resolution)
-    rows = []
-    for i, beta in enumerate(grid.betas):
-        for j, lam in enumerate(grid.lambdas):
-            ok = grid.admissible[i, j]
-            rows.append([_fmt(beta), _fmt(lam), int(ok),
-                         _fmt(grid.values[i, j]) if ok else ""])
-    _write_csv(args.out, ("beta", "lambda", "admissible", "value"), rows)
+    # plain Python floats and bools from .tolist() format fastest
+    rows = [
+        (beta, lam, ok, value if ok else None)
+        for beta, values, admissible in zip(grid.betas.tolist(),
+                                            grid.values.tolist(),
+                                            grid.admissible.tolist())
+        for lam, value, ok in zip(grid.lambdas.tolist(), values, admissible)
+    ]
+    data_io.write_csv(args.out, ("beta", "lambda", "admissible", "value"), rows)
     return EXIT_OK
 
 
 def cmd_influence(args) -> int:
     tuning = make_tuning(args.beta, args.lam)
-    from .network import example_model
     model = example_model(args.model)
     if args.theta:
         theta = np.array([float(v) for v in args.theta.split(",")])
@@ -232,11 +224,11 @@ def cmd_influence(args) -> int:
                     p_star_fn=p_star_fn)
     curves = influence_function(req)
     rows = [
-        [_fmt(x_t), str(p), _fmt(curves[i, p])]
-        for i, x_t in enumerate(x_grid)
-        for p in range(curves.shape[1])
+        (x_t, p, value)
+        for x_t, values in zip(x_grid.tolist(), curves.tolist())
+        for p, value in enumerate(values)
     ]
-    _write_csv(args.out, ("x_t", "param_index", "value"), rows)
+    data_io.write_csv(args.out, ("x_t", "param_index", "value"), rows)
     return EXIT_OK
 
 
@@ -260,10 +252,9 @@ def cmd_epochs(args) -> int:
                         shuffle_seed=args.seed + 100),
             eval_set=test_ds,
         )
-        for epoch, train_loss, test_acc in metrics:
-            rows.append([loss.describe(), str(epoch), _fmt(train_loss),
-                         _fmt(test_acc)])
-    _write_csv(args.out, ("loss", "epoch", "train_loss", "test_accuracy"), rows)
+        rows += [(loss.describe(), *row) for row in metrics]
+    data_io.write_csv(args.out, ("loss", "epoch", "train_loss", "test_accuracy"),
+                      rows)
     return EXIT_OK
 
 
@@ -278,15 +269,8 @@ def cmd_corrupt(args) -> int:
 
 def cmd_attack(args) -> int:
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
-    cfg = AttackConfig(kind=args.attack, epsilon=args.epsilon,
-                       step_size=args.step, max_iters=args.iters)
-    sarch = surrogate_arch(dataset)
-    sparams, _ = train(
-        dataset, sarch, args.seed,
-        TrainConfig(loss=LossSpec(kind="cce"), epochs=args.surrogate_epochs,
-                    batch_size=args.batch, shuffle_seed=args.seed + 100),
-    )
-    attacked = adversarial_trainset(sparams, sarch, dataset, cfg)
+    sparams, sarch = _surrogate(args, dataset, args.seed, args.seed + 100)
+    attacked = adversarial_trainset(sparams, sarch, dataset, _attack_config(args))
     data_io.dump_dataset(attacked, args.out + ".features.csv",
                          args.out + ".labels.csv")
     return EXIT_OK
@@ -305,10 +289,14 @@ def _add_common(p):
                    help="flat key=value config file; flags override it")
 
 
-def _add_data(p):
+def _add_dataset(p):
     p.add_argument("--dataset", default="blobs",
                    help="blobs | example1 | idx:IMAGES,LABELS | csv:FEAT,LAB")
     p.add_argument("--n", type=int, default=400, help="synthetic dataset size")
+
+
+def _add_data(p):
+    _add_dataset(p)
     p.add_argument("--arch", default="toy", choices=sorted(ARCH_PRESETS))
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--epochs", type=int, default=50)
@@ -320,8 +308,8 @@ def _add_loss(p):
     p.add_argument("--lambda", dest="lam", type=float, default=None)
 
 
-def _add_attack(p):
-    p.add_argument("--attack", default=None, choices=["fgsm", "pgd"])
+def _add_attack(p, required=False):
+    p.add_argument("--attack", required=required, choices=["fgsm", "pgd"])
     p.add_argument("--epsilon", type=float, default=0.3)
     p.add_argument("--step", type=float, default=0.01)
     p.add_argument("--iters", type=int, default=100)
@@ -383,21 +371,15 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
 
     p = sub.add_parser("corrupt", help="standalone label corruption dump")
     _add_common(p)
-    p.add_argument("--dataset", default="blobs")
-    p.add_argument("--n", type=int, default=400)
+    _add_dataset(p)
     p.add_argument("--eta", type=float, required=True)
     p.set_defaults(func=cmd_corrupt)
 
     p = sub.add_parser("attack", help="standalone adversarial perturbation dump")
     _add_common(p)
-    p.add_argument("--dataset", default="blobs")
-    p.add_argument("--n", type=int, default=400)
+    _add_dataset(p)
     p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--attack", required=True, choices=["fgsm", "pgd"])
-    p.add_argument("--epsilon", type=float, default=0.3)
-    p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--surrogate-epochs", type=int, default=20)
+    _add_attack(p, required=True)
     p.set_defaults(func=cmd_attack)
     if config:
         for p in sub.choices.values():

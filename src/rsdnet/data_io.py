@@ -50,12 +50,12 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, idx: np.ndarray, source: str | None = None) -> "Dataset":
+    def subset(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
             features=self.features[idx],
             labels=self.labels[idx],
             num_classes=self.num_classes,
-            source=source or self.source,
+            source=self.source,
         )
 
 
@@ -201,6 +201,9 @@ def fold_split(plan: FoldPlan, i: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fmt(value) -> str:
+    # float first: it is by far the most common cell (np.float64 included)
+    if isinstance(value, float):
+        return format(value, ".6g")
     if value is None:
         return ""
     if isinstance(value, str):
@@ -210,14 +213,23 @@ def _fmt(value) -> str:
     return format(float(value), ".6g")
 
 
+def write_csv(path, header, rows):
+    """Plot-ready CSV: the header row, then one line per row of cells.
+
+    Cells are formatted by _fmt: None as empty, str as is, integers and
+    bools as integers, other numbers with 6 significant digits.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(value) for value in row] for row in rows)
+
+
 def write_results(records, path):
     """Long-format results CSV with a fixed header and 6-significant-digit
     numeric fields.  Each record is a mapping over RESULTS_HEADER keys."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULTS_HEADER)
-        for rec in records:
-            writer.writerow([_fmt(rec.get(key)) for key in RESULTS_HEADER])
+    write_csv(path, RESULTS_HEADER,
+              ([rec.get(key) for key in RESULTS_HEADER] for rec in records))
 
 
 def read_results(path):
@@ -263,16 +275,44 @@ def dump_dataset(dataset: Dataset, features_path, labels_path,
                 writer.writerow([int(y), int(m)])
 
 
+def _read_table(path, parse) -> list:
+    """Data rows of a CSV dump, each cell parsed by parse; every row must
+    have as many cells as the header."""
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        width = len(next(reader, []))
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != width:
+                raise DataFormatError(
+                    "ragged", f"{where}: {len(row)} cells, header has {width}")
+            try:
+                rows.append([parse(v) for v in row])
+            except ValueError:
+                raise DataFormatError("bad_value", f"{where}: {row!r}") from None
+    if not (width and rows):
+        raise DataFormatError("empty", f"{path}: no columns or no data rows")
+    return rows
+
+
 def load_dataset(features_path, labels_path, num_classes: int | None = None) -> Dataset:
-    with open(features_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        features = np.array([[float(v) for v in row] for row in reader])
-    with open(labels_path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        labels = np.array([int(row[0]) for row in reader], dtype=np.intp)
+    """Read a dump_dataset pair back; raises DataFormatError (tags empty,
+    ragged, bad_value, count_mismatch, bad_label) on malformed files."""
+    features = np.array(_read_table(features_path, float))
+    try:
+        labels = np.array([row[0] for row in _read_table(labels_path, int)],
+                          dtype=np.intp)
+    except OverflowError:
+        raise DataFormatError("bad_label", f"{labels_path}: label too large") from None
+    if features.shape[0] != labels.shape[0]:
+        raise DataFormatError(
+            "count_mismatch",
+            f"{features.shape[0]} feature rows but {labels.shape[0]} labels")
     if num_classes is None:
-        num_classes = int(labels.max()) + 1 if len(labels) else 2
+        num_classes = int(labels.max()) + 1
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise DataFormatError(
+            "bad_label", f"{labels_path}: labels must lie in [0, {num_classes})")
     return Dataset(features=features, labels=labels, num_classes=num_classes,
                    source="csv")

@@ -145,21 +145,25 @@ def sd_loss_grad_logits(labels, logits, t: TuningPair):
     return g[0] if single else g
 
 
-def conditional_sd_risk(p_star, probs, t: TuningPair) -> float:
+def conditional_sd_risk(p_star, probs, t: TuningPair):
     """S-divergence between a reference distribution p_star and probs.
 
     A genuine divergence: non-negative, and zero iff probs == p_star.
+    p_star is a (J,) distribution; probs is either one (J,) distribution,
+    giving a float, or an (n, J) batch of them, giving an (n,) array.
     """
     p_star = np.asarray(p_star, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
-    if p_star.shape != p.shape:
-        raise ValueError("p_star and probs have mismatched shapes")
+    if p_star.ndim != 1 or p.ndim not in (1, 2) or p.shape[-1] != p_star.shape[0]:
+        raise ValueError(
+            f"need a (J,) p_star with (J,) or (n, J) probs, got shapes "
+            f"{p_star.shape} and {p.shape}")
     val = (
         np.power(p, 1.0 + t.beta)
         - (1.0 + t.beta) / t.b * np.power(p, t.b) * np.power(p_star, t.a)
         + t.a / t.b * np.power(p_star, 1.0 + t.beta)
-    ).sum() / t.a
-    return float(val)
+    ).sum(axis=-1) / t.a
+    return float(val) if p.ndim == 1 else val
 
 
 def loss_bounds(t: TuningPair, J: int) -> tuple[float, float]:
@@ -227,23 +231,6 @@ def tcce_loss(labels, probs, delta: float):
         raise ValueError(f"trimming proportion delta must lie in [0, 1), got {delta}")
     per = np.atleast_1d(cce_loss(labels, probs))
     return per, _trimmed_mean(per, delta)[0]
-
-
-def baseline_loss(kind: str, labels, probs, *, q: float | None = None,
-                  delta: float | None = None):
-    """Dispatch on loss kind; returns (per_example_losses, batch_mean)."""
-    if kind == "cce":
-        per = np.atleast_1d(cce_loss(labels, probs))
-        return per, float(per.mean())
-    if kind == "mae":
-        per = np.atleast_1d(mae_loss(labels, probs))
-        return per, float(per.mean())
-    if kind == "gce":
-        per = np.atleast_1d(gce_loss(labels, probs, q))
-        return per, float(per.mean())
-    if kind == "tcce":
-        return tcce_loss(labels, probs, delta)
-    raise ValueError(f"unknown baseline loss kind: {kind}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Minimal feed-forward network engine with exact backpropagation.
 
-Parameters live in a single flat float64 vector; per-layer weight and bias
-views are recovered from the architecture.  forward/backward operate on
-batches (rows are examples) and are pure functions of their inputs.
+Parameters live in a single flat float64 vector.  unflatten is the only
+code that knows its layout: it returns per-layer (W, b) views, and
+init_params fills such views of a zero vector.  forward/backward operate
+on batches (rows are examples) and are pure functions of their inputs.
 
 Both are thin validating wrappers over two private kernels that work on
 per-layer (W, b) views built once by the caller: _forward returns the
@@ -57,45 +58,26 @@ class ArchitectureSpec:
         return sum(d[i] * d[i + 1] + d[i + 1] for i in range(len(d) - 1))
 
 
-def shape_map(arch: ArchitectureSpec) -> list[tuple[int, tuple[int, int], int, int]]:
-    """Per-layer (weight offset, weight shape, bias offset, bias length)."""
-    out = []
-    offset = 0
-    d = arch.dims
-    for i in range(len(d) - 1):
-        w_shape = (d[i], d[i + 1])
-        w_off = offset
-        offset += d[i] * d[i + 1]
-        b_off = offset
-        offset += d[i + 1]
-        out.append((w_off, w_shape, b_off, d[i + 1]))
-    return out
-
-
 def unflatten(params: np.ndarray, arch: ArchitectureSpec):
-    """Views of the flat vector as per-layer (W, b) pairs."""
+    """Views of the flat vector as per-layer (W, b) pairs.
+
+    This is the one statement of the flat layout: layer by layer, the
+    (fan_in, fan_out) weight matrix in row-major order, then its bias.
+    """
     params = np.asarray(params, dtype=np.float64)
     if params.shape != (arch.n_params,):
         raise ValueError(
             f"expected {arch.n_params} parameters, got {params.shape}"
         )
     pairs = []
-    for w_off, w_shape, b_off, b_len in shape_map(arch):
-        W = params[w_off:w_off + w_shape[0] * w_shape[1]].reshape(w_shape)
-        b = params[b_off:b_off + b_len]
-        pairs.append((W, b))
+    offset = 0
+    d = arch.dims
+    for fan_in, fan_out in zip(d[:-1], d[1:]):
+        W = params[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        pairs.append((W, params[offset:offset + fan_out]))
+        offset += fan_out
     return pairs
-
-
-def flatten(pairs, arch: ArchitectureSpec) -> np.ndarray:
-    parts = []
-    for W, b in pairs:
-        parts.append(np.asarray(W, dtype=np.float64).ravel())
-        parts.append(np.asarray(b, dtype=np.float64).ravel())
-    flat = np.concatenate(parts)
-    if flat.shape != (arch.n_params,):
-        raise ValueError("layer shapes do not match the architecture")
-    return flat
 
 
 def init_params(arch: ArchitectureSpec, scheme: str, seed: int) -> np.ndarray:
@@ -104,19 +86,17 @@ def init_params(arch: ArchitectureSpec, scheme: str, seed: int) -> np.ndarray:
     glorot_normal: N(0, 2/(fan_in+fan_out)); he_uniform: U(+-sqrt(6/fan_in)).
     """
     rng = np.random.default_rng(seed)
-    pairs = []
-    d = arch.dims
-    for i in range(len(d) - 1):
-        fan_in, fan_out = d[i], d[i + 1]
+    params = np.zeros(arch.n_params)
+    for W, _ in unflatten(params, arch):
+        fan_in, fan_out = W.shape
         if scheme == "glorot_normal":
-            W = rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), (fan_in, fan_out))
+            W[...] = rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), W.shape)
         elif scheme == "he_uniform":
             limit = np.sqrt(6.0 / fan_in)
-            W = rng.uniform(-limit, limit, (fan_in, fan_out))
+            W[...] = rng.uniform(-limit, limit, W.shape)
         else:
             raise ValueError(f"unknown init scheme: {scheme}")
-        pairs.append((W, np.zeros(fan_out)))
-    return flatten(pairs, arch)
+    return params
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:

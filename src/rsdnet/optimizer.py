@@ -94,8 +94,7 @@ def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset) -> fl
 
 def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
           train_cfg: TrainConfig, adam_cfg: AdamConfig = AdamConfig(),
-          eval_set: Dataset | None = None,
-          init_scheme: str = "glorot_normal"):
+          eval_set: Dataset | None = None):
     """Mini-batch Adam training; returns (params, per-epoch metrics).
 
     Each epoch reshuffles the example order from a per-epoch derived seed
@@ -114,7 +113,7 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
         raise ValueError("dataset classes do not match the architecture output")
     if dataset.features.shape[1] != arch.input_dim:
         raise ValueError("dataset features do not match the architecture input")
-    params = init_params(arch, init_scheme, init_seed)
+    params = init_params(arch, "glorot_normal", init_seed)
     grad = np.empty_like(params)
     m, v = np.zeros_like(params), np.zeros_like(params)
     s1, s2 = np.empty_like(params), np.empty_like(params)

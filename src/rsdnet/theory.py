@@ -10,7 +10,9 @@ from typing import Callable
 
 import numpy as np
 
-from .divergence import InvalidTuningError, TuningPair, clip_probs, make_tuning
+from .data_io import posterior_example1
+from .divergence import (InvalidTuningError, TuningPair, clip_probs,
+                         conditional_sd_risk, make_tuning)
 from .network import ExampleModel, example_model
 
 RELU_KINK_TOL = 1e-6
@@ -146,8 +148,6 @@ def influence_function(req: IFRequest) -> np.ndarray:
         )
     p_star_fn = req.p_star_fn
     if p_star_fn is None:
-        from .data_io import posterior_example1
-
         def p_star_fn(x):
             p1 = float(posterior_example1(x))
             return np.array([p1, 1.0 - p1])
@@ -188,16 +188,6 @@ def simplex_grid(J: int, step: float) -> np.ndarray:
     return np.array(list(compositions(m, J)), dtype=np.float64) / m
 
 
-def _risk_rows(p_star: np.ndarray, grid: np.ndarray, t: TuningPair) -> np.ndarray:
-    # vectorized conditional SD-risk of each grid row against p_star
-    term = (
-        np.power(grid, 1.0 + t.beta)
-        - (1.0 + t.beta) / t.b * np.power(grid, t.b) * np.power(p_star, t.a)
-        + t.a / t.b * np.power(p_star, 1.0 + t.beta)
-    )
-    return term.sum(axis=1) / t.a
-
-
 @dataclass(frozen=True)
 class CalibrationResult:
     argmin_point: np.ndarray
@@ -216,7 +206,7 @@ def calibration_check(p_star, t: TuningPair, step: float = 0.01) -> CalibrationR
     if J > 4:
         raise ValueError("grid search supported only for J <= 4")
     grid = simplex_grid(J, step)
-    risks = _risk_rows(p_star, grid, t)
+    risks = conditional_sd_risk(p_star, grid, t)
     order = np.argsort(risks)
     best = grid[order[0]]
     gap = float(risks[order[1]] - risks[order[0]]) if len(order) > 1 else np.inf

@@ -137,6 +137,24 @@ class TestInputHardening:
         assert code == EXIT_BAD_DATA
         assert not out.exists()
 
+    @pytest.mark.parametrize("features, labels", [
+        ("x0,x1\n0.1,abc\n", "label\n0\n"),
+        ("x0,x1\n0.1,0.2\n0.3\n", "label\n0\n1\n"),
+        ("x0,x1\n0.1,0.2\n", "label\n-1\n"),
+        ("x0,x1\n0.1,0.2\n", "label\n0\n1\n"),
+        ("x0,x1\n0.1,0.2\n0.3,0.4\n", "label\n0\n\n1\n"),
+        ("", "label\n0\n"),
+    ], ids=["non_numeric", "ragged", "negative_label", "count_mismatch",
+            "blank_label_line", "empty_features"])
+    def test_malformed_csv_dataset_is_bad_data(self, tmp_path, features, labels):
+        feat, lab = tmp_path / "f.csv", tmp_path / "l.csv"
+        feat.write_text(features, encoding="utf-8")
+        lab.write_text(labels, encoding="utf-8")
+        out = tmp_path / "noisy"
+        code = run(["corrupt", "--seed", 0, "--out", out, "--eta", 0.2,
+                    "--dataset", f"csv:{feat},{lab}"])
+        assert code == EXIT_BAD_DATA
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_training_is_numeric_failure(self, tmp_path):
         # gradients of order 1e200 overflow the Adam second moment

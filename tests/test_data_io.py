@@ -18,6 +18,7 @@ from rsdnet.data_io import (
     read_results,
     synthetic_blobs,
     synthetic_example1,
+    write_csv,
     write_idx,
     write_results,
 )
@@ -220,6 +221,17 @@ class TestResultsCsv:
             assert fh.readline().strip() == ",".join(RESULTS_HEADER)
 
 
+class TestWriteCsv:
+    def test_cell_formatting(self, tmp_path):
+        path = tmp_path / "cells.csv"
+        write_csv(path, ("a", "b", "c", "d", "e", "f", "g", "h", "i"),
+                  [(None, "sd(0.1,-0.8)", 7, np.intp(-3), True, 0.1234567,
+                    np.float64(2.5e-7), float("nan"), False)])
+        assert path.read_text(encoding="utf-8") == (
+            "a,b,c,d,e,f,g,h,i\n"
+            ',"sd(0.1,-0.8)",7,-3,1,0.123457,2.5e-07,nan,0\n')
+
+
 class TestDumpLoad:
     def test_roundtrip_exact(self, tmp_path):
         ds = synthetic_blobs(30, seed=4)
@@ -243,3 +255,35 @@ class TestDumpLoad:
         assert lines[0] == "label,flipped"
         assert lines[3].endswith(",1")
         assert lines[1].endswith(",0")
+
+    @pytest.mark.parametrize("features, labels, tag", [
+        ("x0,x1\n0.1,abc\n", "label\n0\n", "bad_value"),
+        ("x0,x1\n0.1,0.2\n", "label\nzero\n", "bad_value"),
+        ("x0,x1\n0.1,0.2\n0.3\n", "label\n0\n1\n", "ragged"),
+        ("x0,x1\n0.1,0.2\n0.3,0.4\n", "label\n0\n\n1\n", "ragged"),
+        ("", "label\n0\n", "empty"),
+        ("x0,x1\n", "label\n", "empty"),
+        ("x0,x1\n0.1,0.2\n", "", "empty"),
+        ("x0,x1\n0.1,0.2\n", "\n\n", "empty"),
+        ("x0,x1\n0.1,0.2\n0.3,0.4\n", "label\n0\n1\n1\n", "count_mismatch"),
+        ("x0,x1\n0.1,0.2\n0.3,0.4\n", "label\n0\n-1\n", "bad_label"),
+        ("x0,x1\n0.1,0.2\n", "label\n" + "9" * 30 + "\n", "bad_label"),
+    ], ids=["bad_feature", "bad_label_value", "ragged_features",
+            "blank_label_line", "no_features_header", "no_feature_rows",
+            "no_labels_header", "blank_labels_header", "count_mismatch",
+            "negative_label", "huge_label"])
+    def test_malformed_files_rejected(self, tmp_path, features, labels, tag):
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        fpath.write_text(features, encoding="utf-8")
+        lpath.write_text(labels, encoding="utf-8")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(fpath, lpath)
+        assert err.value.tag == tag
+
+    def test_label_beyond_num_classes_rejected(self, tmp_path):
+        fpath, lpath = tmp_path / "f.csv", tmp_path / "l.csv"
+        fpath.write_text("x0\n0.1\n0.2\n", encoding="utf-8")
+        lpath.write_text("label\n0\n2\n", encoding="utf-8")
+        with pytest.raises(DataFormatError) as err:
+            load_dataset(fpath, lpath, num_classes=2)
+        assert err.value.tag == "bad_label"

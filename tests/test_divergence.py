@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from rsdnet.divergence import (
     InvalidTuningError,
     LossSpec,
-    baseline_loss,
     cce_loss,
     conditional_sd_risk,
     gce_loss,
@@ -145,7 +145,54 @@ class TestSdLoss:
             np.testing.assert_allclose(fd, an, rtol=1e-5, atol=1e-7)
 
 
+@st.composite
+def admissible_tunings(draw):
+    beta = draw(st.floats(0.0, 1.0))
+    lam = draw(st.floats(-3.0, 3.0))
+    try:
+        return make_tuning(beta, lam)
+    except InvalidTuningError:
+        assume(False)
+
+
+@st.composite
+def simplex_batches(draw):
+    """(p_star, probs): one simplex row and an (n, J) batch of them."""
+    J = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 8))
+    raw = draw(st.lists(st.lists(st.floats(1e-3, 1.0), min_size=J, max_size=J),
+                        min_size=n + 1, max_size=n + 1))
+    rows = np.array(raw)
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows[0], rows[1:]
+
+
 class TestConditionalRisk:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair=simplex_batches(), t=admissible_tunings())
+    def test_batch_property(self, pair, t):
+        p_star, probs = pair
+        # rounding error grows with the (1+beta)/(A*B) scale of the terms
+        tol = 1e-12 * (1.0 + 2.0 / (t.a * t.b))
+        risks = conditional_sd_risk(p_star, probs, t)
+        assert risks.shape == (probs.shape[0],)
+        assert np.all(risks >= -tol)
+        for row, risk in zip(probs, risks):
+            assert conditional_sd_risk(p_star, row, t) == risk
+        at_ref = conditional_sd_risk(p_star, np.vstack([probs, p_star]), t)
+        assert abs(at_ref[-1]) <= tol
+        assert isinstance(conditional_sd_risk(p_star, p_star, t), float)
+
+    @pytest.mark.parametrize("p_star_shape, probs_shape", [
+        ((3,), (2,)), ((3,), (4, 2)), ((2, 3), (2, 3)), ((2, 3), (3,)),
+        ((3,), (1, 4, 3)), ((), ()),
+    ])
+    def test_other_shapes_rejected(self, p_star_shape, probs_shape):
+        t = make_tuning(0.5, 0.0)
+        with pytest.raises(ValueError):
+            conditional_sd_risk(np.full(p_star_shape, 0.5),
+                                np.full(probs_shape, 0.5), t)
+
     def test_zero_at_reference(self):
         t = make_tuning(0.5, 0.0)
         p = np.array([0.2, 0.3, 0.5])
@@ -227,15 +274,6 @@ class TestBaselines:
         with pytest.raises(ValueError):
             tcce_loss(labels, probs, 1.0)
 
-    def test_dispatcher(self):
-        probs = np.array([[0.6, 0.4], [0.2, 0.8]])
-        labels = np.array([0, 1])
-        per, mean = baseline_loss("cce", labels, probs)
-        np.testing.assert_allclose(per, -np.log([0.6, 0.8]))
-        assert mean == pytest.approx(per.mean())
-        with pytest.raises(ValueError):
-            baseline_loss("huber", labels, probs)
-
 
 class TestLossSpec:
     @pytest.mark.parametrize("spec", [
@@ -283,8 +321,11 @@ class TestLossSpec:
             assert np.array_equal(grad, sd_loss_grad_logits(labels, z, spec.tuning) / 9)
         elif spec.kind == "tcce":
             assert val == tcce_loss(labels, p, spec.delta)[1]
+        elif spec.kind == "gce":
+            assert val == float(np.mean(gce_loss(labels, p, spec.q)))
         else:
-            assert val == baseline_loss(spec.kind, labels, p, q=spec.q)[1]
+            per_kind = {"cce": cce_loss, "mae": mae_loss}[spec.kind]
+            assert val == float(np.mean(per_kind(labels, p)))
 
     def test_bad_labels_rejected(self):
         z = np.zeros((3, 2))

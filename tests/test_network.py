@@ -8,10 +8,8 @@ from rsdnet.network import (
     ArchitectureSpec,
     backward,
     example_model,
-    flatten,
     forward,
     init_params,
-    shape_map,
     unflatten,
 )
 
@@ -36,21 +34,8 @@ class TestArchitecture:
         with pytest.raises(ValueError):
             ArchitectureSpec(2, ((4, "sigmoid"),), 2)
 
-    def test_shape_map_covers_vector(self):
-        covered = 0
-        for w_off, w_shape, b_off, b_len in shape_map(DEEP_NET):
-            assert b_off == w_off + w_shape[0] * w_shape[1]
-            covered += w_shape[0] * w_shape[1] + b_len
-        assert covered == DEEP_NET.n_params
-
 
 class TestFlatten:
-    def test_roundtrip(self):
-        rng = np.random.default_rng(0)
-        params = rng.normal(size=DEEP_NET.n_params)
-        pairs = unflatten(params, DEEP_NET)
-        np.testing.assert_array_equal(flatten(pairs, DEEP_NET), params)
-
     def test_views_share_memory(self):
         params = np.zeros(TANH_NET.n_params)
         W0, _ = unflatten(params, TANH_NET)[0]
@@ -91,8 +76,7 @@ class TestForward:
     def test_manual_identity_net(self):
         # no hidden layers: logits are W.T x + b
         arch = ArchitectureSpec(2, (), 2)
-        params = flatten([(np.array([[1.0, 0.0], [0.0, 2.0]]),
-                           np.array([0.5, -0.5]))], arch)
+        params = np.concatenate([[1.0, 0.0, 0.0, 2.0], [0.5, -0.5]])
         trace = forward(params, arch, np.array([1.0, 1.0]))
         np.testing.assert_allclose(trace.logits, [[1.5, 1.5]])
         np.testing.assert_allclose(trace.probs, [[0.5, 0.5]])
@@ -178,7 +162,8 @@ class TestBackward:
                     delta = delta * (pre > 0.0).astype(np.float64)
                 else:
                     delta = delta * (1.0 - post * post)
-        assert np.array_equal(grad, flatten(grads, arch))
+        assert np.array_equal(
+            grad, np.concatenate([a.ravel() for pair in grads for a in pair]))
         assert np.array_equal(grad_in, delta)
 
     def test_inputs_untouched(self):
