@@ -70,11 +70,14 @@ def parse_loss(text: str, beta=None, lam=None) -> LossSpec:
     raise CliError(f"unknown loss spec: {text!r}")
 
 
-def load_dataset_arg(text: str, n: int, seed: int) -> Dataset:
+def load_dataset_arg(text: str, n: int, seed: int,
+                     num_classes: int | None = None) -> Dataset:
     """Resolve a --dataset selector.
 
     "blobs" and "example1" are synthetic (size n, seeded); "idx:IMG,LAB"
-    reads an IDX pair; "csv:FEATURES,LABELS" reads a CSV dump.
+    reads an IDX pair; "csv:FEATURES,LABELS" reads a CSV dump, with
+    num_classes classes if given (a dump does not record its class
+    count) and max label + 1 otherwise.
     """
     if text == "blobs":
         return data_io.synthetic_blobs(n, seed)
@@ -85,7 +88,7 @@ def load_dataset_arg(text: str, n: int, seed: int) -> Dataset:
     if kind == "idx" and len(paths) == 2:
         return data_io.read_idx(paths[0], paths[1])
     if kind == "csv" and len(paths) == 2:
-        return data_io.load_dataset(paths[0], paths[1])
+        return data_io.load_dataset(paths[0], paths[1], num_classes)
     raise CliError(f"unknown dataset selector: {text!r}")
 
 
@@ -131,7 +134,8 @@ def _attack_config(args) -> AttackConfig:
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset_arg(args.dataset, args.n, args.seed)
+    dataset = load_dataset_arg(args.dataset, args.n, args.seed,
+                               ARCH_PRESETS[args.arch].output_classes)
     arch = resolve_arch(args.arch, dataset)
     loss = parse_loss(args.loss, args.beta, args.lam)
     attack_cfg = _attack_config(args) if args.attack else None
@@ -233,7 +237,8 @@ def cmd_influence(args) -> int:
 
 
 def cmd_epochs(args) -> int:
-    dataset = load_dataset_arg(args.dataset, args.n, args.seed)
+    dataset = load_dataset_arg(args.dataset, args.n, args.seed,
+                               ARCH_PRESETS[args.arch].output_classes)
     arch = resolve_arch(args.arch, dataset)
     losses = [parse_loss(text, args.beta, args.lam) for text in args.loss]
     # single fixed train/test split (3:1)

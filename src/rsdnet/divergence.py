@@ -3,7 +3,9 @@
 The family is indexed by a pair (beta, lambda) with derived constants
 A = 1 + lambda*(1-beta) and B = beta - lambda*(1-beta).  Only pairs with
 A > 0 and B > 0 are admissible; the beta = 1 line collapses to the squared
-L2 distance for every lambda.
+L2 distance for every lambda.  In float64 "positive" means at least
+MIN_CONSTANT, the smallest normal number: below it 1/A or (1+beta)/B
+overflows and every loss value is infinite or NaN.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import numpy as np
 # negative power p**(B-1) (B < 1) or a logarithm; the plain loss values are
 # finite on the closed simplex and are left unclamped.
 PROB_CLIP = 1e-7
+
+MIN_CONSTANT = float(np.finfo(np.float64).tiny)
 
 
 class InvalidTuningError(ValueError):
@@ -36,6 +40,29 @@ class TuningPair:
     b: float
 
 
+def _admissibility(beta, lam):
+    """(A, B, rules) of (beta, lambda), elementwise on arrays too.
+
+    rules are make_tuning's admissibility rules in the order it checks
+    them, as (reason tag, whether the rule holds) pairs.
+    """
+    a = 1.0 + lam * (1.0 - beta)
+    b = beta - lam * (1.0 - beta)
+    return a, b, (
+        ("beta_out_of_range", np.isfinite(beta) & np.isfinite(lam)
+         & (beta >= 0.0) & (beta <= 1.0)),
+        ("a_nonpositive", a >= MIN_CONSTANT),
+        ("b_nonpositive", b >= MIN_CONSTANT),
+    )
+
+
+_REJECTIONS = {
+    "beta_out_of_range": "beta must lie in [0, 1], got {beta}",
+    "a_nonpositive": "A = 1 + lambda*(1-beta) = {a} must be positive",
+    "b_nonpositive": "B = beta - lambda*(1-beta) = {b} must be positive",
+}
+
+
 def make_tuning(beta: float, lam: float) -> TuningPair:
     """Validate (beta, lambda) and compute the derived constants.
 
@@ -45,20 +72,11 @@ def make_tuning(beta: float, lam: float) -> TuningPair:
     """
     beta = float(beta)
     lam = float(lam)
-    if not np.isfinite(beta) or not np.isfinite(lam) or beta < 0 or beta > 1:
-        raise InvalidTuningError(
-            "beta_out_of_range", f"beta must lie in [0, 1], got {beta}"
-        )
-    a = 1.0 + lam * (1.0 - beta)
-    b = beta - lam * (1.0 - beta)
-    if a <= 0:
-        raise InvalidTuningError(
-            "a_nonpositive", f"A = 1 + lambda*(1-beta) = {a} must be positive"
-        )
-    if b <= 0:
-        raise InvalidTuningError(
-            "b_nonpositive", f"B = beta - lambda*(1-beta) = {b} must be positive"
-        )
+    a, b, rules = _admissibility(beta, lam)
+    for reason, holds in rules:
+        if not holds:
+            raise InvalidTuningError(
+                reason, _REJECTIONS[reason].format(beta=beta, a=a, b=b))
     return TuningPair(beta=beta, lam=lam, a=a, b=b)
 
 

@@ -17,6 +17,7 @@ attack step skips the weight and bias gradients.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -220,7 +221,10 @@ class ExampleModel:
     """Binary classifier on one feature; second logit pinned to 0.
 
     logit, grad and hess give the free logit z1 and its first and second
-    derivatives in the parameter vector at a scalar input x.
+    derivatives in the parameter vector.  Every method takes a scalar x
+    or an (n,) array of them: a scalar gives a float logit and prob1, a
+    (2,) probs, a (P,) gradient and a (P, P) Hessian; an array adds a
+    leading (n,) axis to each.
     """
 
     name: str
@@ -229,24 +233,27 @@ class ExampleModel:
     grad: Callable
     hess: Callable
 
-    def prob1(self, theta: np.ndarray, x: float) -> float:
+    def prob1(self, theta: np.ndarray, x):
         z = self.logit(theta, x)
         # sigmoid via stable softmax over (z1, 0)
-        return float(softmax(np.array([z, 0.0]))[0])
+        p1 = softmax(np.stack([z, np.zeros_like(z)], axis=-1))[..., 0]
+        return float(p1) if p1.ndim == 0 else p1
 
-    def probs(self, theta: np.ndarray, x: float) -> np.ndarray:
+    def probs(self, theta: np.ndarray, x) -> np.ndarray:
         p1 = self.prob1(theta, x)
-        return np.array([p1, 1.0 - p1])
+        return np.stack([p1, 1.0 - p1], axis=-1)
 
-    def grad_prob1(self, theta: np.ndarray, x: float) -> np.ndarray:
+    def grad_prob1(self, theta: np.ndarray, x) -> np.ndarray:
         p1 = self.prob1(theta, x)
-        return p1 * (1.0 - p1) * self.grad(theta, x)
+        return np.asarray(p1 * (1.0 - p1))[..., None] * self.grad(theta, x)
 
-    def hess_prob1(self, theta: np.ndarray, x: float) -> np.ndarray:
+    def hess_prob1(self, theta: np.ndarray, x) -> np.ndarray:
         p1 = self.prob1(theta, x)
         s = p1 * (1.0 - p1)
         g = self.grad(theta, x)
-        return s * (1.0 - 2.0 * p1) * np.outer(g, g) + s * self.hess(theta, x)
+        gg = g[..., :, None] * g[..., None, :]
+        c = np.asarray(s * (1.0 - 2.0 * p1))[..., None, None]
+        return c * gg + np.asarray(s)[..., None, None] * self.hess(theta, x)
 
 
 def _m1_logit(theta, x):
@@ -254,90 +261,75 @@ def _m1_logit(theta, x):
 
 
 def _m1_grad(theta, x):
-    return np.array([1.0, x])
+    x = np.asarray(x, dtype=np.float64)
+    return np.stack([np.ones_like(x), x], axis=-1)
 
 
 def _m1_hess(theta, x):
-    return np.zeros((2, 2))
+    return np.zeros(np.shape(x) + (2, 2))
 
 
-def _two_unit_logit(theta, x, act):
-    a1 = theta[0] + theta[1] * x
-    a2 = theta[2] + theta[3] * x
-    return theta[4] + theta[5] * act(a1) + theta[6] * act(a2)
+# M2 and M3 share one shape: z1 = t4 + t5 act(t0 + t1 x) + t6 act(t2 + t3 x).
+# Each unit gives act, act' and act'' (None where act'' is identically 0) at
+# the pre-activations; at the ReLU kink the derivative is taken as 0.
+
+def _relu_unit(a):
+    return np.maximum(a, 0.0), np.where(a > 0, 1.0, 0.0), None
 
 
-def _m2_logit(theta, x):
-    return _two_unit_logit(theta, x, lambda s: max(s, 0.0))
+def _tanh_unit(a):
+    h = np.tanh(a)
+    d = 1.0 - h * h
+    return h, d, -2.0 * h * d
 
 
-def _m2_grad(theta, x):
-    a1 = theta[0] + theta[1] * x
-    a2 = theta[2] + theta[3] * x
-    d1 = 1.0 if a1 > 0 else 0.0
-    d2 = 1.0 if a2 > 0 else 0.0
-    return np.array([
+def _two_unit(theta, x, unit):
+    x = np.asarray(x, dtype=np.float64)
+    return (x, unit(theta[0] + theta[1] * x), unit(theta[2] + theta[3] * x))
+
+
+def _two_unit_logit(theta, x, unit):
+    _, (h1, _, _), (h2, _, _) = _two_unit(theta, x, unit)
+    return theta[4] + theta[5] * h1 + theta[6] * h2
+
+
+def _two_unit_grad(theta, x, unit):
+    x, (h1, d1, _), (h2, d2, _) = _two_unit(theta, x, unit)
+    return np.stack([
         theta[5] * d1, theta[5] * d1 * x,
         theta[6] * d2, theta[6] * d2 * x,
-        1.0, max(a1, 0.0), max(a2, 0.0),
-    ])
+        np.ones_like(x), h1, h2,
+    ], axis=-1)
 
 
-def _m2_hess(theta, x):
-    a1 = theta[0] + theta[1] * x
-    a2 = theta[2] + theta[3] * x
-    d1 = 1.0 if a1 > 0 else 0.0
-    d2 = 1.0 if a2 > 0 else 0.0
-    H = np.zeros((7, 7))
-    # only cross terms between hidden-unit parameters and their output weight
-    H[0, 5] = H[5, 0] = d1
-    H[1, 5] = H[5, 1] = d1 * x
-    H[2, 6] = H[6, 2] = d2
-    H[3, 6] = H[6, 3] = d2 * x
+def _two_unit_hess(theta, x, unit):
+    x, (_, d1, dd1), (_, d2, dd2) = _two_unit(theta, x, unit)
+    H = np.zeros(x.shape + (7, 7))
+    if dd1 is not None:
+        H[..., 0, 0] = theta[5] * dd1
+        H[..., 0, 1] = H[..., 1, 0] = theta[5] * dd1 * x
+        H[..., 1, 1] = theta[5] * dd1 * x * x
+        H[..., 2, 2] = theta[6] * dd2
+        H[..., 2, 3] = H[..., 3, 2] = theta[6] * dd2 * x
+        H[..., 3, 3] = theta[6] * dd2 * x * x
+    # cross terms between hidden-unit parameters and their output weight
+    H[..., 0, 5] = H[..., 5, 0] = d1
+    H[..., 1, 5] = H[..., 5, 1] = d1 * x
+    H[..., 2, 6] = H[..., 6, 2] = d2
+    H[..., 3, 6] = H[..., 6, 3] = d2 * x
     return H
 
 
-def _m3_logit(theta, x):
-    return _two_unit_logit(theta, x, np.tanh)
-
-
-def _m3_grad(theta, x):
-    h1 = np.tanh(theta[0] + theta[1] * x)
-    h2 = np.tanh(theta[2] + theta[3] * x)
-    d1 = 1.0 - h1 * h1
-    d2 = 1.0 - h2 * h2
-    return np.array([
-        theta[5] * d1, theta[5] * d1 * x,
-        theta[6] * d2, theta[6] * d2 * x,
-        1.0, h1, h2,
-    ])
-
-
-def _m3_hess(theta, x):
-    h1 = np.tanh(theta[0] + theta[1] * x)
-    h2 = np.tanh(theta[2] + theta[3] * x)
-    d1 = 1.0 - h1 * h1
-    d2 = 1.0 - h2 * h2
-    dd1 = -2.0 * h1 * d1   # second derivative of tanh
-    dd2 = -2.0 * h2 * d2
-    H = np.zeros((7, 7))
-    H[0, 0] = theta[5] * dd1
-    H[0, 1] = H[1, 0] = theta[5] * dd1 * x
-    H[1, 1] = theta[5] * dd1 * x * x
-    H[2, 2] = theta[6] * dd2
-    H[2, 3] = H[3, 2] = theta[6] * dd2 * x
-    H[3, 3] = theta[6] * dd2 * x * x
-    H[0, 5] = H[5, 0] = d1
-    H[1, 5] = H[5, 1] = d1 * x
-    H[2, 6] = H[6, 2] = d2
-    H[3, 6] = H[6, 3] = d2 * x
-    return H
+def _two_unit_model(name, unit):
+    return ExampleModel(name, 7, partial(_two_unit_logit, unit=unit),
+                        partial(_two_unit_grad, unit=unit),
+                        partial(_two_unit_hess, unit=unit))
 
 
 _EXAMPLE_MODELS = {
     "M1": ExampleModel("M1", 2, _m1_logit, _m1_grad, _m1_hess),
-    "M2": ExampleModel("M2", 7, _m2_logit, _m2_grad, _m2_hess),
-    "M3": ExampleModel("M3", 7, _m3_logit, _m3_grad, _m3_hess),
+    "M2": _two_unit_model("M2", _relu_unit),
+    "M3": _two_unit_model("M3", _tanh_unit),
 }
 
 

@@ -1,7 +1,19 @@
 """Evaluators for population-level quantities of the S-divergence framework:
 the label-noise excess-risk bound and its heatmap grid, influence functions
 of the minimum-divergence functional for the small example models, and the
-classification-calibration check."""
+classification-calibration check.
+
+Each evaluator works on whole arrays, with no per-point Python loop.
+bound_grid applies make_tuning's admissibility rules (_admissibility) and
+the bound formula _bound to the whole (beta, lambda) mesh at once;
+excess_risk_bound evaluates the same formula at one tuning pair.  The
+influence-function kernels _weights and _psi take a scalar x or a whole
+feature sample or x grid with its (n, 2) reference posteriors
+(_reference): psi is their one-point wrapper, big_psi sums the sample in
+two matrix products, and influence_function computes the psi rows of
+every grid point at once and multiplies them by pinv(Psi) in one product.
+simplex_grid builds its compositions level by level.
+"""
 
 from __future__ import annotations
 
@@ -11,23 +23,34 @@ from typing import Callable
 import numpy as np
 
 from .data_io import posterior_example1
-from .divergence import (InvalidTuningError, TuningPair, clip_probs,
-                         conditional_sd_risk, make_tuning)
+from .divergence import (TuningPair, _admissibility, clip_probs,
+                         conditional_sd_risk)
 from .network import ExampleModel, example_model
 
 RELU_KINK_TOL = 1e-6
 PINV_RCOND = 1e-10
 
 
-def excess_risk_bound(t: TuningPair, eta: float, J: int) -> float:
-    """Upper bound on the clean-risk gap of the noise-trained minimizer."""
+def _check_eta(eta: float, J: int) -> None:
+    if J < 2:
+        raise ValueError(f"J must be at least 2, got {J}")
     if not 0.0 <= eta < (J - 1) / J:
         raise ValueError(f"eta must lie in [0, (J-1)/J), got {eta}")
+
+
+def _bound(beta, a, b, eta: float, J: int):
+    """The bound at tuning constants (beta, A, B), scalars or arrays."""
     inner = (
-        J - J ** (1.0 - t.beta)
-        + (1.0 + t.beta) / t.b * abs(1.0 - J ** (1.0 - t.b))
+        J - np.power(J, 1.0 - beta)
+        + (1.0 + beta) / b * np.abs(1.0 - np.power(J, 1.0 - b))
     )
-    return eta / (J - 1 - J * eta) * inner / t.a
+    return eta / (J - 1 - J * eta) * inner / a
+
+
+def excess_risk_bound(t: TuningPair, eta: float, J: int) -> float:
+    """Upper bound on the clean-risk gap of the noise-trained minimizer."""
+    _check_eta(eta, J)
+    return float(_bound(t.beta, t.a, t.b, eta, J))
 
 
 @dataclass(frozen=True)
@@ -45,19 +68,17 @@ def bound_grid(eta: float, J: int, beta_range=(0.0, 1.0),
     """Evaluate the excess-risk bound over a (beta, lambda) grid.
 
     Grid points outside the admissible set are marked, not evaluated.
+    eta and J are checked before the grid is built.
     """
+    _check_eta(eta, J)
     betas = np.linspace(beta_range[0], beta_range[1], resolution)
     lambdas = np.linspace(lambda_range[0], lambda_range[1], resolution)
+    beta, lam = np.meshgrid(betas, lambdas, indexing="ij")
+    a, b, rules = _admissibility(beta, lam)
+    admissible = np.logical_and.reduce([holds for _, holds in rules])
     values = np.full((resolution, resolution), np.nan)
-    admissible = np.zeros((resolution, resolution), dtype=bool)
-    for i, beta in enumerate(betas):
-        for j, lam in enumerate(lambdas):
-            try:
-                t = make_tuning(beta, lam)
-            except InvalidTuningError:
-                continue
-            admissible[i, j] = True
-            values[i, j] = excess_risk_bound(t, eta, J)
+    values[admissible] = _bound(beta[admissible], a[admissible],
+                                b[admissible], eta, J)
     return BoundGrid(betas=betas, lambdas=lambdas, eta=eta, J=J,
                      values=values, admissible=admissible)
 
@@ -72,9 +93,18 @@ def default_feature_sample(n: int = 100, seed: int = 0) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(n)
 
 
-def _weights(model: ExampleModel, theta, x, t: TuningPair, p_star_fn):
+def _reference(p_star_fn, xs: np.ndarray) -> np.ndarray:
+    """(n, 2) reference posteriors at the (n,) points xs: p_star_fn called
+    point by point, or the example-1 posterior on the whole array if None."""
+    if p_star_fn is None:
+        p1 = posterior_example1(xs)
+        return np.column_stack([p1, 1.0 - p1])
+    return np.array([p_star_fn(x) for x in xs], dtype=np.float64).reshape(-1, 2)
+
+
+def _weights(model: ExampleModel, theta, x, t: TuningPair, p_star):
+    """u_j and du_j/dp_j at scalar x or (n,) x, class axis last."""
     p = clip_probs(model.probs(theta, x))
-    p_star = np.asarray(p_star_fn(x), dtype=np.float64)
     u = np.power(p, t.beta) - np.power(p_star, t.a) * np.power(p, t.b - 1.0)
     du = (
         t.beta * np.power(p, t.beta - 1.0)
@@ -83,48 +113,64 @@ def _weights(model: ExampleModel, theta, x, t: TuningPair, p_star_fn):
     return u, du
 
 
+def _psi(model: ExampleModel, theta, x, t: TuningPair, p_star) -> np.ndarray:
+    u, _ = _weights(model, theta, x, t, p_star)
+    # grad p2 = -grad p1 for the pinned-logit binary models
+    return (u[..., 0] - u[..., 1])[..., None] * model.grad_prob1(theta, x)
+
+
 def psi(model: ExampleModel, theta, x: float, t: TuningPair,
         p_star_fn) -> np.ndarray:
     """Score-like vector sum_j u_j grad_theta p_j at one feature value."""
     theta = np.asarray(theta, dtype=np.float64)
-    u, _ = _weights(model, theta, x, t, p_star_fn)
-    # grad p2 = -grad p1 for the pinned-logit binary models
-    return (u[0] - u[1]) * model.grad_prob1(theta, x)
+    return _psi(model, theta, x, t, np.asarray(p_star_fn(x), dtype=np.float64))
 
 
 def _nudge_off_kinks(model: ExampleModel, theta, sample: np.ndarray) -> np.ndarray:
-    """Shift sample points sitting on a ReLU kink of M2 by +1e-6."""
+    """Shift sample points sitting on a ReLU kink of M2 by +1e-6, at most
+    5 times each."""
     if model.name != "M2":
         return sample
     sample = sample.copy()
-    for i, x in enumerate(sample):
-        for _ in range(5):
-            a1 = theta[0] + theta[1] * sample[i]
-            a2 = theta[2] + theta[3] * sample[i]
-            if min(abs(a1), abs(a2)) >= RELU_KINK_TOL:
-                break
-            sample[i] += RELU_KINK_TOL
+    for _ in range(5):
+        a1 = np.abs(theta[0] + theta[1] * sample)
+        a2 = np.abs(theta[2] + theta[3] * sample)
+        # not (min(a1, a2) >= tol), with Python's min and its NaN handling
+        on_kink = ~(np.where(a2 < a1, a2, a1) >= RELU_KINK_TOL)
+        if not on_kink.any():
+            break
+        sample[on_kink] += RELU_KINK_TOL
     return sample
 
 
 def big_psi(model: ExampleModel, theta, t: TuningPair, feature_sample,
             p_star_fn) -> np.ndarray:
-    """Empirical average of grad_theta psi over the feature sample."""
+    """Empirical average of grad_theta psi over the feature sample.
+
+    p_star_fn is called once per sample point; None means the default
+    reference of IFRequest.
+    """
     theta = np.asarray(theta, dtype=np.float64)
     sample = _nudge_off_kinks(model, theta, np.asarray(feature_sample, dtype=np.float64))
     if sample.size == 0:
         raise ValueError("feature sample must be non-empty")
-    total = np.zeros((model.n_params, model.n_params))
-    for x in sample:
-        u, du = _weights(model, theta, x, t, p_star_fn)
-        g1 = model.grad_prob1(theta, x)
-        h1 = model.hess_prob1(theta, x)
-        total += (du[0] + du[1]) * np.outer(g1, g1) + (u[0] - u[1]) * h1
+    u, du = _weights(model, theta, sample, t, _reference(p_star_fn, sample))
+    g1 = model.grad_prob1(theta, sample)
+    h1 = model.hess_prob1(theta, sample)
+    total = g1.T @ ((du[:, 0] + du[:, 1])[:, None] * g1)
+    total += np.tensordot(u[:, 0] - u[:, 1], h1, axes=1)
     return total / sample.size
 
 
 @dataclass(frozen=True)
 class IFRequest:
+    """Inputs of influence_function.
+
+    p_star_fn maps one feature value to its length-2 reference posterior;
+    it is called once per point of the feature sample and of x_grid.  The
+    default, None, uses the example-1 posterior posterior_example1.
+    """
+
     model: str
     theta_g: np.ndarray
     tuning: TuningPair
@@ -146,19 +192,13 @@ def influence_function(req: IFRequest) -> np.ndarray:
         raise ValueError(
             f"{req.model} expects {model.n_params} parameters, got {theta.shape}"
         )
-    p_star_fn = req.p_star_fn
-    if p_star_fn is None:
-        def p_star_fn(x):
-            p1 = float(posterior_example1(x))
-            return np.array([p1, 1.0 - p1])
-
-    big = big_psi(model, theta, req.tuning, req.feature_sample, p_star_fn)
+    big = big_psi(model, theta, req.tuning, req.feature_sample, req.p_star_fn)
     big_pinv = np.linalg.pinv(big, rcond=PINV_RCOND)
-    rows = [
-        -big_pinv @ psi(model, theta, x_t, req.tuning, p_star_fn)
-        for x_t in np.asarray(req.x_grid, dtype=np.float64)
-    ]
-    return np.array(rows)
+    x_grid = np.asarray(req.x_grid, dtype=np.float64)
+    rows = _psi(model, theta, x_grid, req.tuning, _reference(req.p_star_fn, x_grid))
+    # -pinv, not a negated product, so that an exact 0 stays +0 as in a
+    # matrix-vector product per point
+    return rows @ -big_pinv.T
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +211,24 @@ class CalibrationError(RuntimeError):
 
 
 def simplex_grid(J: int, step: float) -> np.ndarray:
-    """All points of the uniform simplex grid with the given step."""
+    """All points of the uniform simplex grid with the given step.
+
+    Rows are the compositions (k_1, ..., k_J) of m = round(1/step), divided
+    by m, in lexicographic order.
+    """
+    if J < 1:
+        raise ValueError(f"J must be at least 1, got {J}")
     m = int(round(1.0 / step))
-    if J == 2:
-        k = np.arange(m + 1)
-        return np.column_stack([k, m - k]) / m
-
-    def compositions(total, parts):
-        if parts == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for tail in compositions(total - head, parts - 1):
-                yield (head, *tail)
-
-    return np.array(list(compositions(m, J)), dtype=np.float64) / m
+    # one level per leading coordinate: each row with r left to distribute
+    # gets r + 1 children, with heads 0..r in order
+    cols, rest = [], np.array([m])
+    for _ in range(J - 1):
+        counts = rest + 1
+        parent = np.repeat(np.arange(rest.size), counts)
+        head = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        cols = [c[parent] for c in cols] + [head]
+        rest = rest[parent] - head
+    return np.column_stack(cols + [rest]) / m
 
 
 @dataclass(frozen=True)

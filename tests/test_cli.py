@@ -12,7 +12,8 @@ from rsdnet.cli import (
     main,
     parse_loss,
 )
-from rsdnet.data_io import read_results, write_idx, synthetic_blobs
+from rsdnet.data_io import (Dataset, dump_dataset, read_results, synthetic_blobs,
+                            write_idx)
 
 
 def run(args):
@@ -155,6 +156,33 @@ class TestInputHardening:
                     "--dataset", f"csv:{feat},{lab}"])
         assert code == EXIT_BAD_DATA
 
+    @pytest.mark.parametrize("command", ["train", "epochs"])
+    def test_csv_class_count_comes_from_the_arch_preset(self, tmp_path, command):
+        # a 10-class dump whose labels miss class 9 loads as 10 classes
+        rng = np.random.default_rng(0)
+        ds = Dataset(features=rng.random((12, 784)),
+                     labels=np.array([0, 1, 2, 8] * 3), num_classes=10)
+        feat, lab = tmp_path / "f.csv", tmp_path / "l.csv"
+        dump_dataset(ds, feat, lab)
+        out = tmp_path / "res.csv"
+        code = run([command, "--seed", 0, "--out", out, "--loss", "cce",
+                    "--dataset", f"csv:{feat},{lab}", "--arch", "mnist-mlp",
+                    "--epochs", 1, "--batch", 8]
+                   + (["--folds", 2] if command == "train" else []))
+        assert code == EXIT_OK
+        assert out.exists()
+
+    def test_csv_label_beyond_the_arch_preset_is_bad_data(self, tmp_path):
+        ds = synthetic_blobs(40, seed=0)
+        labels = ds.labels.copy()
+        labels[5] = 2  # blob-mlp has 2 classes
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--loss", "cce",
+                    "--dataset", csv_dataset(tmp_path, ds.features, labels),
+                    "--arch", "blob-mlp", "--folds", 2, "--epochs", 1])
+        assert code == EXIT_BAD_DATA
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_training_is_numeric_failure(self, tmp_path):
         # gradients of order 1e200 overflow the Adam second moment
@@ -189,6 +217,19 @@ class TestBoundCommand:
         out = str(tmp_path / "bound.csv")
         code = run(["bound", "--seed", 0, "--out", out, "--eta", 0.95])
         assert code != EXIT_OK
+
+    @pytest.mark.parametrize("extra", [
+        [],
+        # no admissible cell: only an up-front check sees the bad eta
+        ["--beta-min=-2", "--beta-max=-1", "--resolution", 5],
+        ["--eta", 0.2, "--classes", 1],
+        ["--eta", 0.2, "--classes", 0],
+    ], ids=["eta", "eta_empty_grid", "one_class", "no_classes"])
+    def test_bad_eta_or_classes_exit_2_without_output(self, tmp_path, extra):
+        out = tmp_path / "bound.csv"
+        code = run(["bound", "--seed", 0, "--out", out, "--eta", 0.95] + extra)
+        assert code == EXIT_BAD_FLAGS
+        assert not out.exists()
 
 
 class TestInfluenceCommand:

@@ -1,10 +1,13 @@
 """Tests for the divergence loss family and the baseline losses."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rsdnet.divergence import (
+    MIN_CONSTANT,
     InvalidTuningError,
     LossSpec,
     cce_loss,
@@ -69,11 +72,37 @@ class TestTuning:
         (-0.1, 0.0, "beta_out_of_range"),
         (0.5, 3.0, "b_nonpositive"),
         (0.5, -2.5, "a_nonpositive"),
+        # B positive but subnormal: (1 + beta)/B overflows
+        (1e-320, 0.0, "b_nonpositive"),
     ])
     def test_rejections(self, beta, lam, reason):
         with pytest.raises(InvalidTuningError) as err:
             make_tuning(beta, lam)
         assert err.value.reason == reason
+
+    @given(beta=st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf, -math.inf]),
+           lam=st.floats(-5.0, 5.0) | st.sampled_from([math.nan, math.inf, -math.inf]))
+    @example(beta=0.0, lam=-1.0)   # A = 0
+    @example(beta=0.5, lam=1.0)    # B = 0
+    @example(beta=2.0, lam=-5.0)   # every rule fails
+    @example(beta=5e-324, lam=0.0)  # B subnormal
+    def test_reason_tag_is_first_failing_rule(self, beta, lam):
+        a = 1.0 + lam * (1.0 - beta)
+        b = beta - lam * (1.0 - beta)
+        if not (math.isfinite(beta) and math.isfinite(lam) and 0.0 <= beta <= 1.0):
+            expected = "beta_out_of_range"
+        elif a < MIN_CONSTANT:
+            expected = "a_nonpositive"
+        elif b < MIN_CONSTANT:
+            expected = "b_nonpositive"
+        else:
+            t = make_tuning(beta, lam)
+            assert t.a > 0 and t.b > 0
+            assert (t.a, t.b) == (a, b)
+            return
+        with pytest.raises(InvalidTuningError) as err:
+            make_tuning(beta, lam)
+        assert err.value.reason == expected
 
 
 class TestSdLoss:
@@ -243,6 +272,18 @@ class TestLossBounds:
                 assert np.all(totals >= lower - 1e-9)
                 assert np.all(totals <= upper + 1e-9)
 
+    @given(t=admissible_tunings(),
+           raw=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=6))
+    def test_bounds_bracket_sum_over_labels(self, t, raw):
+        assume(sum(raw) > 1e-3)
+        p = np.array(raw) / sum(raw)
+        J = p.shape[0]
+        lower, upper = loss_bounds(t, J)
+        total = sd_loss(np.arange(J), np.tile(p, (J, 1)), t).sum()
+        # rounding error of the sum scales with its largest terms
+        tol = 1e-12 * (J * J / t.b + J * (1.0 + t.beta) / (t.a * t.b) + J / t.a)
+        assert lower - tol <= total <= upper + tol
+
 
 class TestBaselines:
     def test_cce(self):
@@ -275,6 +316,30 @@ class TestBaselines:
             tcce_loss(labels, probs, 1.0)
 
 
+LOSS_KINDS = ("sd", "cce", "mae", "gce", "tcce")
+
+
+@st.composite
+def loss_specs(draw, kind):
+    if kind == "sd":
+        return LossSpec(kind="sd", tuning=draw(admissible_tunings()))
+    if kind == "gce":
+        return LossSpec(kind="gce", q=draw(st.floats(0.05, 1.0)))
+    if kind == "tcce":
+        return LossSpec(kind="tcce", delta=draw(st.floats(0.0, 0.9)))
+    return LossSpec(kind=kind)
+
+
+@st.composite
+def logit_batches(draw):
+    """(labels, logits) with logits in [-3, 3], so no probability is clipped."""
+    n = draw(st.integers(1, 6))
+    J = draw(st.integers(2, 4))
+    z = draw(st.lists(st.floats(-3.0, 3.0), min_size=n * J, max_size=n * J))
+    labels = draw(st.lists(st.integers(0, J - 1), min_size=n, max_size=n))
+    return np.array(labels), np.array(z).reshape(n, J)
+
+
 class TestLossSpec:
     @pytest.mark.parametrize("spec", [
         LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8)),
@@ -300,6 +365,35 @@ class TestLossSpec:
                 fd[i, j] = (spec.value_and_grad_logits(labels, up)[0]
                             - spec.value_and_grad_logits(labels, dn)[0]) / (2 * h)
         np.testing.assert_allclose(fd, grad, rtol=1e-4, atol=1e-8)
+
+    @pytest.mark.parametrize("kind", LOSS_KINDS)
+    @given(data=st.data(), batch=logit_batches())
+    def test_grad_matches_central_differences(self, kind, data, batch):
+        spec = data.draw(loss_specs(kind))
+        labels, z = batch
+        n = z.shape[0]
+        per = -np.log(softmax(z)[np.arange(n), labels])
+        if kind == "tcce":
+            n_drop = int(np.ceil(spec.delta * n))
+            assume(n_drop < n)
+            if n_drop > 0:
+                # a step of h moves each cce by at most 2h: keep the
+                # trimming cut well clear of a tie
+                cut = np.sort(per)[n - n_drop - 1:n - n_drop + 1]
+                assume(cut[1] - cut[0] > 1e-3)
+        val, grad = spec.value_and_grad_logits(labels, z)
+        h = 1e-6
+        fd = np.zeros_like(z)
+        for i in range(n):
+            for j in range(z.shape[1]):
+                up, dn = z.copy(), z.copy()
+                up[i, j] += h
+                dn[i, j] -= h
+                fd[i, j] = (spec.value_and_grad_logits(labels, up)[0]
+                            - spec.value_and_grad_logits(labels, dn)[0]) / (2 * h)
+        # cancellation in the difference grows with the size of the value
+        atol = 1e-7 + 1e-9 * abs(val)
+        np.testing.assert_allclose(fd, grad, rtol=1e-5, atol=atol)
 
     @pytest.mark.parametrize("spec", [
         LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8)),

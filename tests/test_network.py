@@ -257,6 +257,23 @@ class TestExampleModels:
             np.testing.assert_allclose(fd_g, g, rtol=1e-5, atol=1e-8)
             np.testing.assert_allclose(fd_H, H, rtol=1e-4, atol=1e-6)
 
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
+    def test_array_input_stacks_scalar_results(self, name):
+        m = example_model(name)
+        rng = np.random.default_rng(8)
+        theta = rng.normal(size=m.n_params)
+        x = np.concatenate([rng.normal(0.0, 3.0, 20), [0.0]])
+        P = m.n_params
+        for method, shape in [(m.logit, ()), (m.prob1, ()), (m.probs, (2,)),
+                              (m.grad, (P,)), (m.grad_prob1, (P,)),
+                              (m.hess, (P, P)), (m.hess_prob1, (P, P))]:
+            batch = method(theta, x)
+            assert batch.shape == x.shape + shape
+            scalars = [method(theta, float(v)) for v in x]
+            assert all(np.shape(v) == shape for v in scalars)
+            np.testing.assert_array_equal(batch, np.array(scalars))
+        assert isinstance(m.prob1(theta, 0.3), float)
+
     def test_probs_sum_to_one(self):
         m = example_model("M3")
         p = m.probs(np.ones(7), 0.3)

@@ -2,14 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from rsdnet.data_io import posterior_example1
-from rsdnet.divergence import conditional_sd_risk, make_tuning
+from rsdnet.divergence import (PROB_CLIP, InvalidTuningError, conditional_sd_risk,
+                               make_tuning)
 from rsdnet.network import example_model
 from rsdnet.theory import (
     BoundGrid,
     CalibrationError,
     IFRequest,
+    RELU_KINK_TOL,
+    _nudge_off_kinks,
     big_psi,
     bound_grid,
     calibration_check,
@@ -79,6 +83,79 @@ class TestBoundGrid:
         # beta = 1 is admissible for every lambda
         assert grid.admissible[-1].all()
 
+    @staticmethod
+    def assert_matches_per_cell(grid, eta, J):
+        for i, beta in enumerate(grid.betas):
+            for j, lam in enumerate(grid.lambdas):
+                try:
+                    t = make_tuning(beta, lam)
+                except InvalidTuningError:
+                    assert not grid.admissible[i, j]
+                    assert np.isnan(grid.values[i, j])
+                    continue
+                assert grid.admissible[i, j]
+                assert grid.values[i, j] == excess_risk_bound(t, eta, J)
+
+    @pytest.mark.parametrize("eta, J, beta_range, lambda_range, resolution", [
+        (0.4, 10, (0.0, 1.0), (-1.0, 1.0), 50),
+        (0.3, 4, (-0.5, 1.5), (-3.0, 2.0), 37),
+        (0.0, 2, (1.0, 0.0), (5.0, -5.0), 9),
+        (0.1, 3, (-2.0, -1.0), (-1.0, 1.0), 5),
+    ])
+    def test_matches_per_cell_reference(self, eta, J, beta_range, lambda_range,
+                                        resolution):
+        grid = bound_grid(eta, J, beta_range, lambda_range, resolution)
+        self.assert_matches_per_cell(grid, eta, J)
+
+    @given(J=st.integers(2, 12), eta_share=st.floats(0.0, 0.999),
+           beta_range=st.tuples(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0)),
+           lambda_range=st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+           resolution=st.integers(1, 8))
+    def test_matches_per_cell_reference_property(self, J, eta_share, beta_range,
+                                                 lambda_range, resolution):
+        eta = eta_share * (J - 1) / J
+        grid = bound_grid(eta, J, beta_range, lambda_range, resolution)
+        self.assert_matches_per_cell(grid, eta, J)
+
+    @pytest.mark.parametrize("eta, J", [(0.95, 10), (-0.1, 10), (0.2, 1), (0.2, 0)])
+    def test_eta_and_classes_checked_before_the_grid(self, eta, J):
+        # beta in [-2, -1] has no admissible cell, so only an up-front check
+        # can reject the call
+        with pytest.raises(ValueError):
+            bound_grid(eta, J, beta_range=(-2.0, -1.0), resolution=5)
+
+
+def psi_loop_reference(model, theta, t, sample, p_star_fn):
+    """big_psi as a per-sample loop over the scalar model calls."""
+    total = np.zeros((model.n_params, model.n_params))
+    for x in sample:
+        p = np.clip(model.probs(theta, x), PROB_CLIP, 1.0 - PROB_CLIP)
+        p_star = np.asarray(p_star_fn(x))
+        u = p ** t.beta - p_star ** t.a * p ** (t.b - 1.0)
+        du = (t.beta * p ** (t.beta - 1.0)
+              - p_star ** t.a * (t.b - 1.0) * p ** (t.b - 2.0))
+        g = model.grad_prob1(theta, x)
+        total += ((du[0] + du[1]) * np.outer(g, g)
+                  + (u[0] - u[1]) * model.hess_prob1(theta, x))
+    return total / len(sample)
+
+
+def nudge_loop_reference(theta, sample):
+    sample = sample.copy()
+    for i in range(len(sample)):
+        for _ in range(5):
+            a1 = theta[0] + theta[1] * sample[i]
+            a2 = theta[2] + theta[3] * sample[i]
+            if min(abs(a1), abs(a2)) >= RELU_KINK_TOL:
+                break
+            sample[i] += RELU_KINK_TOL
+    return sample
+
+
+def p_star_example1(x):
+    p1 = float(posterior_example1(x))
+    return np.array([p1, 1.0 - p1])
+
 
 class TestInfluenceFunction:
     def p_star_example1(self, x):
@@ -134,6 +211,56 @@ class TestInfluenceFunction:
         with pytest.raises(ValueError):
             influence_function(req)
 
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
+    def test_big_psi_matches_per_sample_loop(self, name):
+        model = example_model(name)
+        t = make_tuning(0.3, -0.4)
+        theta = np.linspace(-1.0, 1.5, model.n_params)
+        sample = default_feature_sample(200, seed=4)
+        if name == "M2":
+            # points on both ReLU kinks, nudged before evaluation
+            sample = np.concatenate([sample, [-theta[0] / theta[1],
+                                              -theta[2] / theta[3]]])
+            ref_sample = nudge_loop_reference(theta, sample)
+        else:
+            ref_sample = sample
+        for p_star_fn in (p_star_example1, None):
+            ref = psi_loop_reference(model, theta, t, ref_sample,
+                                     p_star_fn or p_star_example1)
+            np.testing.assert_allclose(
+                big_psi(model, theta, t, sample, p_star_fn), ref, rtol=1e-12,
+                atol=1e-12 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
+    def test_curves_match_per_point_loop(self, name):
+        model = example_model(name)
+        theta = np.linspace(1.2, -0.8, model.n_params)
+        t = make_tuning(0.5, -0.5)
+        sample = default_feature_sample(60, seed=2)
+        x_grid = np.linspace(-4.0, 4.0, 17)
+        pinv = np.linalg.pinv(big_psi(model, theta, t, sample, p_star_example1),
+                              rcond=1e-10)
+        ref = np.array([-pinv @ psi(model, theta, x, t, p_star_example1)
+                        for x in x_grid])
+        for p_star_fn in (p_star_example1, None):
+            req = IFRequest(model=name, theta_g=theta, tuning=t, x_grid=x_grid,
+                            feature_sample=sample, p_star_fn=p_star_fn)
+            np.testing.assert_allclose(influence_function(req), ref, rtol=1e-12,
+                                       atol=1e-12 * np.max(np.abs(ref)))
+
+    def test_nudge_matches_per_element_loop(self):
+        model = example_model("M2")
+        # kinks at x = -0.5 (a nudge moves a1 by only 1e-7, so the five
+        # passes run out) and x = 0.25 (one nudge clears it)
+        theta = np.array([0.05, 0.1, -1.0, 4.0, 0.0, 1.0, 1.0])
+        sample = np.array([-0.5, 0.25, -0.5 + 3e-6, 0.0, 1.0, np.nan])
+        nudged = _nudge_off_kinks(model, theta, sample)
+        np.testing.assert_array_equal(nudged, nudge_loop_reference(theta, sample))
+        np.testing.assert_allclose(nudged[:2] - sample[:2],
+                                   [5 * RELU_KINK_TOL, RELU_KINK_TOL], rtol=1e-6)
+        assert nudged[3] == sample[3]
+        assert _nudge_off_kinks(example_model("M3"), theta, sample) is sample
+
     def test_empty_sample_rejected(self):
         model = example_model("M1")
         with pytest.raises(ValueError):
@@ -152,6 +279,34 @@ class TestSimplexGrid:
         # compositions of 2 into 3 parts: C(4,2) = 6
         assert grid.shape == (6, 3)
         np.testing.assert_allclose(grid.sum(axis=1), 1.0)
+
+    @staticmethod
+    def recursive_reference(J, step):
+        m = int(round(1.0 / step))
+
+        def compositions(total, parts):
+            if parts == 1:
+                yield (total,)
+                return
+            for head in range(total + 1):
+                for tail in compositions(total - head, parts - 1):
+                    yield (head, *tail)
+
+        return np.array(list(compositions(m, J)), dtype=np.float64) / m
+
+    @pytest.mark.parametrize("J", [1, 2, 3, 4])
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.25, 0.1, 0.05, 1 / 3])
+    def test_matches_recursive_order(self, J, step):
+        np.testing.assert_array_equal(simplex_grid(J, step),
+                                      self.recursive_reference(J, step))
+
+    def test_fine_ternary_matches_recursive_order(self):
+        np.testing.assert_array_equal(simplex_grid(3, 0.01),
+                                      self.recursive_reference(3, 0.01))
+
+    def test_no_classes_rejected(self):
+        with pytest.raises(ValueError):
+            simplex_grid(0, 0.1)
 
 
 class TestCalibration:
