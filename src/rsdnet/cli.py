@@ -18,7 +18,7 @@ from . import data_io
 from .attacks import AttackConfig, adversarial_trainset
 from .contamination import NoiseConfig, corrupt_labels
 from .data_io import DataFormatError, Dataset
-from .divergence import InvalidTuningError, LossSpec, make_tuning
+from .divergence import LossSpec, clip_probs, make_tuning
 from .network import ArchitectureSpec, example_model
 from .optimizer import TrainConfig, accuracy, train
 from .theory import IFRequest, bound_grid, default_feature_sample, influence_function
@@ -65,7 +65,7 @@ def parse_loss(text: str, beta=None, lam=None) -> LossSpec:
             return LossSpec(kind="tcce", delta=float(arg))
         if kind in ("cce", "mae") and not arg:
             return LossSpec(kind=kind)
-    except (ValueError, InvalidTuningError) as exc:
+    except ValueError as exc:
         raise CliError(f"bad loss spec {text!r}: {exc}") from exc
     raise CliError(f"unknown loss spec: {text!r}")
 
@@ -92,22 +92,25 @@ def load_dataset_arg(text: str, n: int, seed: int,
     raise CliError(f"unknown dataset selector: {text!r}")
 
 
-def resolve_arch(name: str, dataset: Dataset) -> ArchitectureSpec:
+def resolve_arch(args) -> tuple[ArchitectureSpec, Dataset]:
+    """The --arch preset and the --dataset, read with the preset's class
+    count and checked against its feature width and class count."""
     try:
-        arch = ARCH_PRESETS[name]
+        arch = ARCH_PRESETS[args.arch]
     except KeyError:
-        raise CliError(f"unknown architecture preset: {name!r}") from None
+        raise CliError(f"unknown architecture preset: {args.arch!r}") from None
+    dataset = load_dataset_arg(args.dataset, args.n, args.seed, arch.output_classes)
     if arch.input_dim != dataset.features.shape[1]:
         raise CliError(
-            f"preset {name} expects {arch.input_dim} features, "
+            f"preset {args.arch} expects {arch.input_dim} features, "
             f"dataset has {dataset.features.shape[1]}", EXIT_BAD_DATA,
         )
     if arch.output_classes != dataset.num_classes:
         raise CliError(
-            f"preset {name} expects {arch.output_classes} classes, "
+            f"preset {args.arch} expects {arch.output_classes} classes, "
             f"dataset has {dataset.num_classes}", EXIT_BAD_DATA,
         )
-    return arch
+    return arch, dataset
 
 
 def _surrogate(args, dataset: Dataset, init_seed: int, shuffle_seed: int):
@@ -134,9 +137,7 @@ def _attack_config(args) -> AttackConfig:
 
 
 def cmd_train(args) -> int:
-    dataset = load_dataset_arg(args.dataset, args.n, args.seed,
-                               ARCH_PRESETS[args.arch].output_classes)
-    arch = resolve_arch(args.arch, dataset)
+    arch, dataset = resolve_arch(args)
     loss = parse_loss(args.loss, args.beta, args.lam)
     attack_cfg = _attack_config(args) if args.attack else None
     plan = data_io.make_folds(dataset.n, args.folds, args.seed)
@@ -220,7 +221,7 @@ def cmd_influence(args) -> int:
     p_star_fn = None
     if args.correctly_specified:
         def p_star_fn(x, _m=model, _th=theta):
-            return _m.probs(_th, x)
+            return clip_probs(_m.probs(_th, x))
     req = IFRequest(model=args.model, theta_g=theta, tuning=tuning,
                     x_grid=x_grid,
                     feature_sample=default_feature_sample(args.sample_size,
@@ -237,9 +238,7 @@ def cmd_influence(args) -> int:
 
 
 def cmd_epochs(args) -> int:
-    dataset = load_dataset_arg(args.dataset, args.n, args.seed,
-                               ARCH_PRESETS[args.arch].output_classes)
-    arch = resolve_arch(args.arch, dataset)
+    arch, dataset = resolve_arch(args)
     losses = [parse_loss(text, args.beta, args.lam) for text in args.loss]
     # single fixed train/test split (3:1)
     perm = np.random.default_rng(args.seed).permutation(dataset.n)
@@ -436,9 +435,6 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except InvalidTuningError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_FLAGS
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA

@@ -1,8 +1,15 @@
-"""Dataset ingestion, synthetic generators, fold plans, and CSV output."""
+"""Dataset ingestion, synthetic generators, fold plans, and file formats.
+
+One codec per format: IDX pairs through _read_idx and _write_idx;
+plot-ready CSV through write_csv (6 significant digits, mixed cells);
+exact CSV dumps through dump_dataset (numpy's row formatter, 17
+significant digits, so float64 round-trips), read back by load_dataset.
+"""
 
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 
@@ -64,42 +71,38 @@ class Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _read_idx_images(path) -> np.ndarray:
+def _read_idx(path, magic: int) -> np.ndarray:
+    """The uint8 body of an IDX file with the given magic, in the shape its
+    header gives (the magic's low byte counts the big-endian u32 dims)."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    if len(raw) < 16:
-        raise DataFormatError("truncated", f"{path}: header shorter than 16 bytes")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_IMAGES_MAGIC:
-        raise DataFormatError("bad_magic", f"{path}: magic {magic:#010x}")
-    expected = 16 + count * rows * cols
+    head = 4 + 4 * (magic & 0xFF)
+    if len(raw) < head:
+        raise DataFormatError("truncated", f"{path}: header shorter than {head} bytes")
+    found, *dims = struct.unpack(f">{head // 4}I", raw[:head])
+    if found != magic:
+        raise DataFormatError("bad_magic", f"{path}: magic {found:#010x}")
+    # Python ints: u32 dims can multiply past int64
+    expected = head + math.prod(dims)
     if len(raw) < expected:
         raise DataFormatError("truncated", f"{path}: expected {expected} bytes")
     if len(raw) > expected:
         raise DataFormatError("trailing_bytes", f"{path}: {len(raw) - expected} extra bytes")
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    return pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    return np.frombuffer(raw, dtype=np.uint8, offset=head).reshape(dims)
 
 
-def _read_idx_labels(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8:
-        raise DataFormatError("truncated", f"{path}: header shorter than 8 bytes")
-    magic, count = struct.unpack(">II", raw[:8])
-    if magic != IDX_LABELS_MAGIC:
-        raise DataFormatError("bad_magic", f"{path}: magic {magic:#010x}")
-    if len(raw) < 8 + count:
-        raise DataFormatError("truncated", f"{path}: expected {8 + count} bytes")
-    if len(raw) > 8 + count:
-        raise DataFormatError("trailing_bytes", f"{path}: {len(raw) - 8 - count} extra bytes")
-    return np.frombuffer(raw, dtype=np.uint8, offset=8).astype(np.intp)
+def _write_idx(path, magic: int, array: np.ndarray):
+    with open(path, "wb") as fh:
+        fh.write(struct.pack(f">{1 + array.ndim}I", magic, *array.shape))
+        fh.write(array.tobytes())
 
 
 def read_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair; strict about sizes and magics."""
-    features = _read_idx_images(images_path)
-    labels = _read_idx_labels(labels_path)
+    pixels = _read_idx(images_path, IDX_IMAGES_MAGIC)
+    count, rows, cols = pixels.shape
+    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC).astype(np.intp)
     if features.shape[0] != labels.shape[0]:
         raise DataFormatError(
             "count_mismatch",
@@ -112,16 +115,11 @@ def read_idx(images_path, labels_path) -> Dataset:
 
 def write_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int):
     """Write a dataset back to an IDX pair (pixel values snapped to bytes)."""
-    n = dataset.n
     if rows * cols != dataset.features.shape[1]:
         raise ValueError("rows * cols must equal the feature width")
     pixels = np.rint(dataset.features * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, rows, cols))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        fh.write(dataset.labels.astype(np.uint8).tobytes())
+    _write_idx(images_path, IDX_IMAGES_MAGIC, pixels.reshape(dataset.n, rows, cols))
+    _write_idx(labels_path, IDX_LABELS_MAGIC, dataset.labels.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +255,20 @@ def read_results(path):
 
 def dump_dataset(dataset: Dataset, features_path, labels_path,
                  flip_mask: np.ndarray | None = None):
-    """Features CSV plus labels CSV pair; optional 0/1 flipped column."""
-    with open(features_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([f"x{j}" for j in range(dataset.features.shape[1])])
-        for row in dataset.features:
-            writer.writerow([format(v, ".17g") for v in row])
-    with open(labels_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        if flip_mask is None:
-            writer.writerow(["label"])
-            for y in dataset.labels:
-                writer.writerow([int(y)])
-        else:
-            writer.writerow(["label", "flipped"])
-            for y, m in zip(dataset.labels, flip_mask):
-                writer.writerow([int(y), int(m)])
+    """Features CSV (17 significant digits: float64 round-trips) plus
+    labels CSV pair; optional 0/1 flipped column."""
+    label_columns = {"label": dataset.labels}
+    if flip_mask is not None:
+        label_columns["flipped"] = flip_mask
+    for path, names, table, fmt in (
+        (features_path, [f"x{j}" for j in range(dataset.features.shape[1])],
+         dataset.features, "%.17g"),
+        (labels_path, list(label_columns),
+         np.column_stack(list(label_columns.values())), "%d"),
+    ):
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(names) + "\n")  # savetxt skips an empty header
+            np.savetxt(fh, table, fmt=fmt, delimiter=",")
 
 
 def _read_table(path, parse) -> list:

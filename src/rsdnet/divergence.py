@@ -207,12 +207,16 @@ def _gce_values(p_y: np.ndarray, q: float) -> np.ndarray:
     return (1.0 - np.power(clip_probs(p_y), q)) / q
 
 
-def _trimmed_mean(per: np.ndarray, delta: float) -> tuple[float, int]:
-    """Mean of per without its ceil(delta * n) largest entries, and that count."""
+def _trimmed_mean(per: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
+    """Mean of per without its ceil(delta * n) largest entries, at most n - 1
+    of them, and the mask of the entries kept."""
     n = per.shape[0]
-    n_drop = int(np.ceil(delta * n))
-    kept = np.sort(per)[: n - n_drop] if n_drop > 0 else per
-    return float(kept.mean()), n_drop
+    n_drop = min(int(np.ceil(delta * n)), n - 1)
+    # unsorted when nothing is dropped, as the summation order sets the bits
+    order = np.argsort(per) if n_drop > 0 else np.arange(n)
+    keep = np.ones(n, dtype=bool)
+    keep[order[n - n_drop:]] = False
+    return float(per[order[: n - n_drop]].mean()), keep
 
 
 def cce_loss(labels, probs):
@@ -242,7 +246,7 @@ def tcce_loss(labels, probs, delta: float):
     """Trimmed CCE: per-example cce, aggregate drops the largest losses.
 
     Trimming is applied within the given batch; the ceil(delta * n)
-    largest per-example losses are discarded before averaging.
+    largest per-example losses, at most n - 1, are discarded first.
     Returns (per_example_cce, trimmed_mean).
     """
     if not 0.0 <= delta < 1.0:
@@ -324,9 +328,6 @@ class LossSpec:
             return float(np.mean(per)), _chain_softmax(grad_p, probs) / n
         # tcce: gradient of the trimmed mean; dropped examples contribute 0
         per = _cce_values(p_y)
-        agg, n_drop = _trimmed_mean(per, self.delta)
-        keep = np.ones(n, dtype=bool)
-        if n_drop > 0:
-            keep[np.argsort(per)[n - n_drop:]] = False
+        agg, keep = _trimmed_mean(per, self.delta)
         grad = (probs - onehot) * keep[:, None] / keep.sum()
         return agg, grad

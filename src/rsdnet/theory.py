@@ -168,7 +168,9 @@ class IFRequest:
 
     p_star_fn maps one feature value to its length-2 reference posterior;
     it is called once per point of the feature sample and of x_grid.  The
-    default, None, uses the example-1 posterior posterior_example1.
+    default, None, uses the example-1 posterior posterior_example1.  The
+    model's probabilities meet it through clip_probs: a reference meant to
+    equal the model must be clipped too, or psi is not 0 where it saturates.
     """
 
     model: str

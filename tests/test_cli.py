@@ -12,8 +12,8 @@ from rsdnet.cli import (
     main,
     parse_loss,
 )
-from rsdnet.data_io import (Dataset, dump_dataset, read_results, synthetic_blobs,
-                            write_idx)
+from rsdnet.data_io import (Dataset, dump_dataset, load_dataset, read_results,
+                            synthetic_blobs, synthetic_example1, write_idx)
 
 
 def run(args):
@@ -83,6 +83,28 @@ class TestTrainCommand:
         code = run(["train", "--seed", 0, "--out", out, "--dataset", "blobs",
                     "--arch", "mnist-mlp", "--loss", "cce"])
         assert code == EXIT_BAD_DATA
+
+    def test_idx_class_count_beyond_the_preset_is_bad_data(self, tmp_path):
+        # label 10 makes an 11-class IDX set, which mnist-mlp cannot fit
+        rng = np.random.default_rng(0)
+        ds = Dataset(features=rng.integers(0, 256, (8, 784)) / 255.0,
+                     labels=np.arange(3, 11), num_classes=11)
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(ds, img, lab, rows=28, cols=28)
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--loss", "cce",
+                    "--dataset", f"idx:{img},{lab}", "--arch", "mnist-mlp"])
+        assert code == EXIT_BAD_DATA
+        assert not out.exists()
+
+    def test_tcce_with_a_last_batch_of_one(self, tmp_path):
+        # 22 training rows per fold in batches of 21
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--n", 33, "--folds", 3,
+                    "--batch", 21, "--epochs", 2, "--arch", "toy",
+                    "--loss", "tcce:0.2"])
+        assert code == EXIT_OK
+        assert len(read_results(out)) == 4
 
     def test_bad_loss_is_bad_flags(self, tmp_path):
         out = str(tmp_path / "res.csv")
@@ -252,6 +274,31 @@ class TestInfluenceCommand:
         data = np.genfromtxt(out, delimiter=",", skip_header=1)
         np.testing.assert_allclose(data[:, 2], 0.0, atol=1e-9)
 
+    @pytest.mark.parametrize("model", ["M1", "M2", "M3"])
+    @pytest.mark.parametrize("beta, lam", [(0.1, -0.8), (0.5, -0.5)])
+    def test_correctly_specified_is_zero_where_the_model_saturates(
+            self, tmp_path, model, beta, lam):
+        # on the default grid M2's class-1 probability passes 1 - 1e-7
+        out = tmp_path / "if.csv"
+        code = run(["influence", "--seed", 7, "--out", out, "--model", model,
+                    "--beta", beta, f"--lambda={lam}", "--correctly-specified"])
+        assert code == EXIT_OK
+        values = np.genfromtxt(out, delimiter=",", skip_header=1)[:, 2]
+        assert np.abs(values).max() < 1e-12
+
+    def test_theta(self, tmp_path):
+        argv = ["influence", "--seed", 0, "--model", "M1", "--beta", 0.5,
+                "--lambda", -0.5, "--grid=-3,3,7", "--sample-size", 40]
+        paths = [tmp_path / f"{name}.csv" for name in ("default", "ones", "other")]
+        for path, theta in zip(paths, ([], ["--theta", "1,1"],
+                                       ["--theta", "0.5,-1"])):
+            assert run(argv + ["--out", path] + theta) == EXIT_OK
+        # all ones is the default theta
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        other = np.genfromtxt(paths[2], delimiter=",", skip_header=1)
+        assert np.isfinite(other).all()
+        assert paths[0].read_bytes() != paths[2].read_bytes()
+
     def test_inadmissible_tuning(self, tmp_path):
         out = str(tmp_path / "if.csv")
         code = run(["influence", "--seed", 0, "--out", out, "--model", "M1",
@@ -274,8 +321,31 @@ class TestEpochsCommand:
         assert rows[1][:2] == ["cce", "1"]
         assert rows[4][:2] == ["sd(0.1,-0.8)", "1"]
 
+    def test_label_noise(self, tmp_path):
+        argv = ["epochs", "--seed", 0, "--n", 80, "--arch", "toy", "--epochs", 3,
+                "--batch", 16, "--loss", "cce"]
+        clean, noisy = tmp_path / "clean.csv", tmp_path / "noisy.csv"
+        assert run(argv + ["--out", clean]) == EXIT_OK
+        assert run(argv + ["--out", noisy, "--eta", 0.4]) == EXIT_OK
+        clean_rows = np.genfromtxt(clean, delimiter=",", skip_header=1)[:, 1:]
+        noisy_rows = np.genfromtxt(noisy, delimiter=",", skip_header=1)[:, 1:]
+        assert noisy_rows.shape == clean_rows.shape == (3, 3)
+        assert np.isfinite(noisy_rows).all()
+        # same split and seeds: only the flipped training labels differ
+        assert not np.array_equal(noisy_rows[:, 1], clean_rows[:, 1])
+
 
 class TestCorruptCommand:
+    def test_example1_dataset(self, tmp_path):
+        out = tmp_path / "c"
+        code = run(["corrupt", "--seed", 3, "--out", out, "--n", 50,
+                    "--eta", 0.0, "--dataset", "example1"])
+        assert code == EXIT_OK
+        back = load_dataset(f"{out}.features.csv", f"{out}.labels.csv")
+        clean = synthetic_example1(50, 3)
+        np.testing.assert_array_equal(back.features, clean.features)
+        np.testing.assert_array_equal(back.labels, clean.labels)
+
     def test_dump_with_flips(self, tmp_path):
         out = str(tmp_path / "corrupt")
         code = run(["corrupt", "--seed", 0, "--out", out, "--n", 100,
@@ -363,6 +433,24 @@ class TestConfigFile:
         code = run(["train", "--seed", 0, "--out", out, "--loss", "cce",
                     "--config", str(cfg)])
         assert code == EXIT_BAD_FLAGS
+
+    @pytest.mark.parametrize("command", ["train", "epochs"])
+    def test_arch_outside_the_presets(self, tmp_path, command):
+        # argparse checks choices on the command line, not on config defaults
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("arch=nonsense\n")
+        code = run([command, "--seed", 0, "--out", tmp_path / "res.csv",
+                    "--loss", "cce", "--config", cfg])
+        assert code == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_repeatable_flag_key(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("loss=cce\n")
+        code = run(["epochs", "--seed", 0, "--out", tmp_path / "e.csv",
+                    "--loss", "mae", "--config", cfg])
+        assert code == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == [cfg]
 
     def test_missing_config_file(self, tmp_path):
         out = str(tmp_path / "res.csv")

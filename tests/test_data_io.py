@@ -1,6 +1,8 @@
 """Tests for IDX parsing, synthetic data, fold plans and CSV round trips."""
 
+import csv
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,6 +87,40 @@ class TestIdx:
         with pytest.raises(DataFormatError) as err:
             read_idx(img, lab)
         assert err.value.tag == "count_mismatch"
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    @pytest.mark.parametrize("damage, tag", [
+        (lambda raw: raw[:7], "truncated"),
+        (lambda raw: raw[:-1], "truncated"),
+        (lambda raw: raw + b"\x00", "trailing_bytes"),
+    ], ids=["short_header", "short_body", "trailing_bytes"])
+    def test_size_tags_of_either_file(self, tmp_path, which, damage, tag):
+        img, lab = write_idx_pair(tmp_path, [[0, 0, 0, 0]], [1])
+        path = Path(img if which == "images" else lab)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataFormatError) as err:
+            read_idx(img, lab)
+        assert err.value.tag == tag
+
+    def test_dims_multiplying_past_int64(self, tmp_path):
+        # (2**32 - 1)**3 images' worth of bytes: short, not an overflow
+        img, lab = write_idx_pair(tmp_path, [[0, 0, 0, 0]], [1])
+        Path(img).write_bytes(struct.pack(">IIII", 0x803, *[2**32 - 1] * 3) + bytes(4))
+        with pytest.raises(DataFormatError) as err:
+            read_idx(img, lab)
+        assert err.value.tag == "truncated"
+
+    def test_empty_pair(self, tmp_path):
+        ds = Dataset(features=np.zeros((0, 6)), labels=np.zeros(0, dtype=np.intp),
+                     num_classes=3)
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(ds, img, lab, rows=2, cols=3)
+        assert img.read_bytes() == struct.pack(">IIII", 0x803, 0, 2, 3)
+        assert lab.read_bytes() == struct.pack(">II", 0x801, 0)
+        back = read_idx(img, lab)
+        assert back.features.shape == (0, 6) and back.features.dtype == np.float64
+        assert back.labels.shape == (0,) and back.labels.dtype == np.intp
+        assert back.num_classes == 10
 
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -232,7 +268,42 @@ class TestWriteCsv:
             ',"sd(0.1,-0.8)",7,-3,1,0.123457,2.5e-07,nan,0\n')
 
 
+def dump_per_cell(dataset, features_path, labels_path, flip_mask=None):
+    """Reference dump: csv.writer fed one formatted cell at a time."""
+    with open(features_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow([f"x{j}" for j in range(dataset.features.shape[1])])
+        for row in dataset.features:
+            writer.writerow([format(v, ".17g") for v in row])
+    with open(labels_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if flip_mask is None:
+            writer.writerow(["label"])
+            for y in dataset.labels:
+                writer.writerow([int(y)])
+        else:
+            writer.writerow(["label", "flipped"])
+            for y, m in zip(dataset.labels, flip_mask):
+                writer.writerow([int(y), int(m)])
+
+
 class TestDumpLoad:
+    @pytest.mark.parametrize("rows, cols", [(7, 3), (1, 1), (0, 2), (3, 0)])
+    @pytest.mark.parametrize("flipped", [False, True])
+    def test_bytes_match_per_cell_reference(self, tmp_path, rows, cols, flipped):
+        rng = np.random.default_rng(rows * 10 + cols)
+        awkward = [0.0, -0.0, 5e-324, 1e-300, -1e300, 1 / 3, 0.1, 2.0**53 + 2]
+        features = rng.normal(0.0, 1e3, (rows, cols))
+        features.flat[:len(awkward)] = awkward[:features.size]
+        ds = Dataset(features=features,
+                     labels=rng.integers(0, 300, rows).astype(np.intp),
+                     num_classes=300)
+        mask = rng.random(rows) < 0.5 if flipped else None
+        dump_dataset(ds, tmp_path / "f.csv", tmp_path / "l.csv", flip_mask=mask)
+        dump_per_cell(ds, tmp_path / "rf.csv", tmp_path / "rl.csv", flip_mask=mask)
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "rf.csv").read_bytes()
+        assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "rl.csv").read_bytes()
+
     def test_roundtrip_exact(self, tmp_path):
         ds = synthetic_blobs(30, seed=4)
         fpath = str(tmp_path / "f.csv")

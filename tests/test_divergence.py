@@ -395,6 +395,21 @@ class TestLossSpec:
         atol = 1e-7 + 1e-9 * abs(val)
         np.testing.assert_allclose(fd, grad, rtol=1e-5, atol=atol)
 
+    @pytest.mark.parametrize("delta", [0.2, 0.5, 0.9])
+    def test_tcce_never_trims_the_whole_batch(self, delta):
+        z = np.array([[0.3, -1.2, 2.0], [1.5, 0.1, -0.4]])
+        labels = np.array([2, 1])
+        tcce = LossSpec(kind="tcce", delta=delta)
+        # a batch of one is kept whole: tcce is cce
+        val, grad = tcce.value_and_grad_logits(labels[:1], z[:1])
+        cce_val, cce_grad = LossSpec(kind="cce").value_and_grad_logits(labels[:1], z[:1])
+        assert val == cce_val and np.array_equal(grad, cce_grad)
+        # of two, the smaller loss is kept whatever delta asks
+        val, grad = tcce.value_and_grad_logits(labels, z)
+        per = -np.log(softmax(z)[[0, 1], labels])
+        assert val == per.min()
+        assert np.isfinite(grad).all() and not grad[np.argmax(per)].any()
+
     @pytest.mark.parametrize("spec", [
         LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8)),
         LossSpec(kind="cce"),

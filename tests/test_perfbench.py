@@ -1,0 +1,44 @@
+"""The benchmark's tracer must find every function it wraps in rsdnet.
+
+perfbench/run.py --trace 1 installs tracing.Tracer against the imported
+rsdnet modules; a renamed or moved function would break it there, so this
+test installs it here too.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import rsdnet.cli
+from rsdnet.cli import EXIT_OK
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    writes_bytecode = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave perfbench/ as checked out
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes_bytecode
+    return module
+
+
+def test_tracer_wraps_every_target(tmp_path):
+    tracing = load_tracing()
+    original = rsdnet.cli.data_io.dump_dataset
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert rsdnet.cli.data_io.dump_dataset is not original
+        code = rsdnet.cli.main(["corrupt", "--seed", "0", "--n", "20",
+                                "--eta", "0.2", "--out", str(tmp_path / "c")])
+    finally:
+        tracer.uninstall()
+    assert code == EXIT_OK
+    assert rsdnet.cli.data_io.dump_dataset is original
+    assert set(tracer.labels) == {"cli.main", "contamination.corrupt_labels",
+                                  "data_io.dump_dataset"}
