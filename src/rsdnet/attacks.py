@@ -96,4 +96,4 @@ def adversarial_trainset(params_surrogate, arch_surrogate: ArchitectureSpec,
         chunks.append(attack(params_surrogate, arch_surrogate, X, y, cfg))
     features = np.concatenate(chunks) if chunks else dataset.features.copy()
     return Dataset(features=features, labels=dataset.labels,
-                   num_classes=dataset.num_classes, source="attacked")
+                   num_classes=dataset.num_classes)

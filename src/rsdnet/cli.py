@@ -33,6 +33,7 @@ ARCH_PRESETS = {
     "fmnist-mlp": ArchitectureSpec(784, ((200, "relu"), (100, "relu")), 10),
     "surrogate-64": ArchitectureSpec(784, ((64, "relu"),), 10),
     "toy": ArchitectureSpec(2, ((16, "tanh"),), 2),
+    "example1-mlp": ArchitectureSpec(1, ((16, "tanh"),), 2),
     # enough capacity to memorize noisy labels on the blob set, which is what
     # makes the label-noise comparison informative at desk scale
     "blob-mlp": ArchitectureSpec(2, ((64, "relu"), (64, "relu")), 2),
@@ -77,19 +78,25 @@ def load_dataset_arg(text: str, n: int, seed: int,
     "blobs" and "example1" are synthetic (size n, seeded); "idx:IMG,LAB"
     reads an IDX pair; "csv:FEATURES,LABELS" reads a CSV dump, with
     num_classes classes if given (a dump does not record its class
-    count) and max label + 1 otherwise.
+    count) and max label + 1 otherwise.  A dataset without examples
+    raises DataFormatError (tag empty).
     """
-    if text == "blobs":
-        return data_io.synthetic_blobs(n, seed)
-    if text == "example1":
-        return data_io.synthetic_example1(n, seed)
+    if text in ("blobs", "example1"):
+        if n < 1:
+            raise CliError(f"--n must be at least 1, got {n}")
+        make = data_io.synthetic_blobs if text == "blobs" else data_io.synthetic_example1
+        return make(n, seed)
     kind, _, arg = text.partition(":")
     paths = arg.split(",")
     if kind == "idx" and len(paths) == 2:
-        return data_io.read_idx(paths[0], paths[1])
-    if kind == "csv" and len(paths) == 2:
-        return data_io.load_dataset(paths[0], paths[1], num_classes)
-    raise CliError(f"unknown dataset selector: {text!r}")
+        dataset = data_io.read_idx(paths[0], paths[1])
+    elif kind == "csv" and len(paths) == 2:
+        dataset = data_io.load_dataset(paths[0], paths[1], num_classes)
+    else:
+        raise CliError(f"unknown dataset selector: {text!r}")
+    if dataset.n == 0:
+        raise DataFormatError("empty", f"{text}: the dataset has no examples")
+    return dataset
 
 
 def resolve_arch(args) -> tuple[ArchitectureSpec, Dataset]:
@@ -197,15 +204,13 @@ def cmd_bound(args) -> int:
                       (args.beta_min, args.beta_max),
                       (args.lambda_min, args.lambda_max),
                       args.resolution)
-    # plain Python floats and bools from .tolist() format fastest
-    rows = [
-        (beta, lam, ok, value if ok else None)
-        for beta, values, admissible in zip(grid.betas.tolist(),
-                                            grid.values.tolist(),
-                                            grid.admissible.tolist())
-        for lam, value, ok in zip(grid.lambdas.tolist(), values, admissible)
-    ]
-    data_io.write_csv(args.out, ("beta", "lambda", "admissible", "value"), rows)
+    # one row per grid point, beta-major; inadmissible values are left empty
+    data_io.write_csv(args.out, ("beta", "lambda", "admissible", "value"), (
+        np.repeat(grid.betas, grid.lambdas.size),
+        np.tile(grid.lambdas, grid.betas.size),
+        grid.admissible.ravel(),
+        np.ma.masked_array(grid.values, mask=~grid.admissible).ravel(),
+    ))
     return EXIT_OK
 
 
@@ -228,12 +233,12 @@ def cmd_influence(args) -> int:
                                                           args.seed),
                     p_star_fn=p_star_fn)
     curves = influence_function(req)
-    rows = [
-        (x_t, p, value)
-        for x_t, values in zip(x_grid.tolist(), curves.tolist())
-        for p, value in enumerate(values)
-    ]
-    data_io.write_csv(args.out, ("x_t", "param_index", "value"), rows)
+    # one row per (grid point, parameter), grid-point-major
+    data_io.write_csv(args.out, ("x_t", "param_index", "value"), (
+        np.repeat(x_grid, model.n_params),
+        np.tile(np.arange(model.n_params), x_grid.size),
+        curves.ravel(),
+    ))
     return EXIT_OK
 
 
@@ -257,8 +262,9 @@ def cmd_epochs(args) -> int:
             eval_set=test_ds,
         )
         rows += [(loss.describe(), *row) for row in metrics]
-    data_io.write_csv(args.out, ("loss", "epoch", "train_loss", "test_accuracy"),
-                      rows)
+    header = ("loss", "epoch", "train_loss", "test_accuracy")
+    data_io.write_csv(args.out, header,
+                      [[row[i] for row in rows] for i in range(len(header))])
     return EXIT_OK
 
 

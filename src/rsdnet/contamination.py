@@ -38,7 +38,7 @@ def corrupt_labels(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, np.ndar
     new_labels = dataset.labels.copy()
     new_labels[flip] = (dataset.labels[flip] + offsets[flip]) % J
     corrupted = Dataset(features=dataset.features, labels=new_labels,
-                        num_classes=J, source="corrupted")
+                        num_classes=J)
     return corrupted, flip
 
 

@@ -1,7 +1,8 @@
 """Dataset ingestion, synthetic generators, fold plans, and file formats.
 
 One codec per format: IDX pairs through _read_idx and _write_idx;
-plot-ready CSV through write_csv (6 significant digits, mixed cells);
+plot-ready CSV through write_csv, column-wise (6 significant digits, one
+formatting rule per column, written in blocks of rows);
 exact CSV dumps through dump_dataset (numpy's row formatter, 17
 significant digits, so float64 round-trips), read back by load_dataset.
 """
@@ -12,11 +13,15 @@ import csv
 import math
 import struct
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
+
+# rows formatted and written at a time by write_csv: bounds the text held
+CSV_BLOCK_ROWS = 4096
 
 RESULTS_HEADER = (
     "dataset", "loss", "beta", "lambda", "eta", "attack",
@@ -39,7 +44,6 @@ class Dataset:
     features: np.ndarray   # (n, p) float64
     labels: np.ndarray     # (n,) intp
     num_classes: int
-    source: str = "synthetic"
 
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.ndim != 1:
@@ -62,7 +66,6 @@ class Dataset:
             features=self.features[idx],
             labels=self.labels[idx],
             num_classes=self.num_classes,
-            source=self.source,
         )
 
 
@@ -109,8 +112,7 @@ def read_idx(images_path, labels_path) -> Dataset:
             f"{features.shape[0]} images but {labels.shape[0]} labels",
         )
     return Dataset(features=features, labels=labels,
-                   num_classes=max(10, int(labels.max()) + 1 if len(labels) else 10),
-                   source="idx_file")
+                   num_classes=max(10, int(labels.max()) + 1 if len(labels) else 10))
 
 
 def write_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int):
@@ -211,23 +213,83 @@ def _fmt(value) -> str:
     return format(float(value), ".6g")
 
 
-def write_csv(path, header, rows):
-    """Plot-ready CSV: the header row, then one line per row of cells.
+def _quote(text: str) -> str:
+    """A cell as csv.writer's QUOTE_MINIMAL writes it: wrapped in double
+    quotes, inner quotes doubled, if it holds a comma, a quote or a line
+    break.  "\r" counts as a line break, which Python 3.11's csv.writer
+    leaves unquoted although its reader ends the row there."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
-    Cells are formatted by _fmt: None as empty, str as is, integers and
-    bools as integers, other numbers with 6 significant digits.
+
+def _column_text(column):
+    """A function from a row slice to the text of column's cells in it, by
+    one rule chosen here for the whole column (see write_csv)."""
+    kind = column.dtype.kind if isinstance(column, np.ndarray) else None
+    if kind not in ("f", "b", "i", "u"):
+        return lambda rows: [_quote(_fmt(value)) for value in column[rows]]
+    values = np.ma.getdata(column)
+    missing = np.ma.getmask(column)
+    if kind == "f":
+        values = values.astype(np.float64, copy=False)  # as _fmt's float(value)
+    elif kind == "b":
+        values = values.view(np.uint8)
+    # equal bits, not equal values: -0.0 and 0.0 format differently
+    bits = values.view(f"u{values.itemsize}")
+    spec = ".6g" if kind == "f" else ""  # format(int, "") == str(int)
+
+    def text(rows):
+        # each distinct value of the block is formatted once; plain Python
+        # numbers from .tolist() format fastest
+        distinct, where = np.unique(bits[rows], return_inverse=True)
+        words = map(format, distinct.view(values.dtype).tolist(), repeat(spec))
+        cells = np.array(list(words), dtype=object)[where]
+        if missing is not np.ma.nomask:
+            cells[missing[rows]] = ""
+        return cells.tolist()
+
+    return text
+
+
+def _lines(cells_by_column) -> str:
+    """CSV lines, each ending in a newline, from the cell texts of each
+    column; csv.writer quotes a row's only cell if it is empty."""
+    lines = map(",".join, zip(*cells_by_column))
+    if len(cells_by_column) == 1:
+        lines = (line or '""' for line in lines)
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(path, header, columns):
+    """Plot-ready CSV: the header row, then one line per row, from one
+    sequence of cells per header name.
+
+    Float arrays are written with 6 significant digits, bool and integer
+    arrays as integers, and the masked cells of a numpy masked array as
+    empty.  Any other column goes cell by cell through _fmt: None as
+    empty, str as is, integers and bools as integers, other numbers with
+    6 significant digits.  Rows are written CSV_BLOCK_ROWS at a time.
     """
+    if not header or len(columns) != len(header):
+        raise ValueError(f"need one column per header name, got {len(header)} "
+                         f"names and {len(columns)} columns")
+    n = len(columns[0])
+    if any(len(column) != n for column in columns):
+        raise ValueError("columns differ in length")
+    texts = [_column_text(column) for column in columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_fmt(value) for value in row] for row in rows)
+        fh.write(_lines([[_quote(name)] for name in header]))
+        for start in range(0, n, CSV_BLOCK_ROWS):
+            rows = slice(start, start + CSV_BLOCK_ROWS)
+            fh.write(_lines([text(rows) for text in texts]))
 
 
 def write_results(records, path):
     """Long-format results CSV with a fixed header and 6-significant-digit
     numeric fields.  Each record is a mapping over RESULTS_HEADER keys."""
     write_csv(path, RESULTS_HEADER,
-              ([rec.get(key) for key in RESULTS_HEADER] for rec in records))
+              [[rec.get(key) for rec in records] for key in RESULTS_HEADER])
 
 
 def read_results(path):
@@ -310,5 +372,4 @@ def load_dataset(features_path, labels_path, num_classes: int | None = None) -> 
     if labels.min() < 0 or labels.max() >= num_classes:
         raise DataFormatError(
             "bad_label", f"{labels_path}: labels must lie in [0, {num_classes})")
-    return Dataset(features=features, labels=labels, num_classes=num_classes,
-                   source="csv")
+    return Dataset(features=features, labels=labels, num_classes=num_classes)

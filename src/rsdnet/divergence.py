@@ -134,6 +134,12 @@ def sd_loss(labels, probs, t: TuningPair):
     ((n,) labels, (n, J) probs).  Note the loss carries the constant
     J*A/B per example, so at probs equal to the one-hot label it equals
     (J-1)/B rather than 0.
+
+    This is the training objective.  Over labels drawn from p_star its
+    expectation, sum_j p_star[j] * sd_loss(j, p), weighs p_j**B by
+    p_star[j] where conditional_sd_risk weighs it by p_star[j]**A, so it
+    is not minimised at p = p_star when A != 1 (its minimiser keeps
+    p_star's argmax).
     """
     labels, p, single = _as_batch(labels, probs)
     vals = _sd_values(p, p[np.arange(p.shape[0]), labels], t)
@@ -167,7 +173,10 @@ def conditional_sd_risk(p_star, probs, t: TuningPair):
     """S-divergence between a reference distribution p_star and probs.
 
     A genuine divergence: non-negative, and zero iff probs == p_star.
-    p_star is a (J,) distribution; probs is either one (J,) distribution,
+    This p_star**A form, minimised at p_star, is the objective of the
+    Fisher-consistency check (theory.calibration_check) and of the
+    influence functions (theory.psi); the expected one-hot sd_loss that
+    training minimises is not.  p_star is a (J,) distribution; probs is either one (J,) distribution,
     giving a float, or an (n, J) batch of them, giving an (n,) array.
     """
     p_star = np.asarray(p_star, dtype=np.float64)
@@ -265,7 +274,9 @@ class LossSpec:
     """Selected training loss with its parameters.
 
     kind is one of {"sd", "cce", "mae", "gce", "tcce"}; tuning applies to
-    "sd", q to "gce", delta to "tcce".
+    "sd", q to "gce", delta to "tcce".  For "sd" the objective is the
+    batch mean of the one-hot sd_loss, whose population minimiser is not
+    p_star when A != 1 (see sd_loss).
     """
 
     kind: str

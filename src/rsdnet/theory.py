@@ -121,7 +121,13 @@ def _psi(model: ExampleModel, theta, x, t: TuningPair, p_star) -> np.ndarray:
 
 def psi(model: ExampleModel, theta, x: float, t: TuningPair,
         p_star_fn) -> np.ndarray:
-    """Score-like vector sum_j u_j grad_theta p_j at one feature value."""
+    """Score-like vector sum_j u_j grad_theta p_j at one feature value.
+
+    u_j = p_j**beta - p_star_j**A * p_j**(B-1) is, up to the factor
+    (1+beta)/A, the gradient of conditional_sd_risk(p_star, p) in p_j: psi
+    is the estimating equation of the minimiser of that p_star**A form,
+    not of the expected one-hot sd_loss that training minimises.
+    """
     theta = np.asarray(theta, dtype=np.float64)
     return _psi(model, theta, x, t, np.asarray(p_star_fn(x), dtype=np.float64))
 
@@ -184,7 +190,8 @@ class IFRequest:
 def influence_function(req: IFRequest) -> np.ndarray:
     """Per-grid-point influence vectors, shape (len(x_grid), n_params).
 
-    Uses the minimum-norm solution: -pinv(Psi) @ psi(x_t) with an SVD
+    The functional is the minimiser of the expected conditional_sd_risk
+    (the p_star**A form, minimised at p_star; see psi).  Uses the minimum-norm solution: -pinv(Psi) @ psi(x_t) with an SVD
     cutoff of max(singular) * 1e-10; the kernel element is taken as 0.
     A singular-value decomposition failure propagates as LinAlgError.
     """
@@ -243,6 +250,9 @@ class CalibrationResult:
 def calibration_check(p_star, t: TuningPair, step: float = 0.01) -> CalibrationResult:
     """Minimize the conditional SD-risk over a uniform simplex grid.
 
+    The risk is conditional_sd_risk, the p_star**A form, whose minimiser
+    is p_star itself (Fisher consistency); the expected one-hot sd_loss
+    that training minimises is not minimised at p_star when A != 1.
     Raises CalibrationError if the minimizer's argmax class disagrees
     with the argmax of p_star (a tie in p_star is not checked).
     """

@@ -145,7 +145,6 @@ class TestPlumbing:
         cfg = AttackConfig(kind="fgsm", epsilon=0.1)
         out = adversarial_trainset(params, ARCH, ds, cfg, batch_size=64)
         np.testing.assert_array_equal(out.labels, ds.labels)
-        assert out.source == "attacked"
         assert out.features.shape == ds.features.shape
 
     def test_batched_matches_unbatched(self):

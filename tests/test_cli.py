@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -205,6 +207,28 @@ class TestInputHardening:
         assert code == EXIT_BAD_DATA
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["corrupt", "--eta", 0.2],
+        ["attack", "--attack", "fgsm", "--surrogate-epochs", 1],
+    ], ids=["corrupt", "attack"])
+    def test_empty_idx_pair_is_bad_data(self, tmp_path, command):
+        empty = Dataset(features=np.zeros((0, 4)),
+                        labels=np.zeros(0, dtype=np.intp), num_classes=10)
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(empty, img, lab, rows=2, cols=2)
+        out = tmp_path / "out"
+        code = run([command[0], "--seed", 0, "--out", out,
+                    "--dataset", f"idx:{img},{lab}"] + command[1:])
+        assert code == EXIT_BAD_DATA
+        assert not list(tmp_path.glob("out*"))
+
+    def test_synthetic_dataset_of_no_examples_is_bad_flags(self, tmp_path):
+        out = tmp_path / "out"
+        code = run(["corrupt", "--seed", 0, "--out", out, "--eta", 0.2,
+                    "--n", 0])
+        assert code == EXIT_BAD_FLAGS
+        assert not list(tmp_path.glob("out*"))
+
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_training_is_numeric_failure(self, tmp_path):
         # gradients of order 1e200 overflow the Adam second moment
@@ -333,6 +357,33 @@ class TestEpochsCommand:
         assert np.isfinite(noisy_rows).all()
         # same split and seeds: only the flipped training labels differ
         assert not np.array_equal(noisy_rows[:, 1], clean_rows[:, 1])
+
+
+class TestExample1Preset:
+    def test_train_and_epochs(self, tmp_path):
+        data = ["--seed", 2, "--dataset", "example1", "--n", 80,
+                "--arch", "example1-mlp", "--epochs", 3, "--batch", 16]
+        results = tmp_path / "res.csv"
+        assert run(["train", "--out", results, "--folds", 2] + data) == EXIT_OK
+        rows = read_results(results)
+        assert [r["fold"] for r in rows] == ["0", "1", "mean"]
+        assert np.isfinite([r["clean_accuracy"] for r in rows]).all()
+        traces = tmp_path / "e.csv"
+        assert run(["epochs", "--out", traces, "--loss", "cce",
+                    "--loss", "sd:0.1,-0.8"] + data) == EXIT_OK
+        with open(traces, newline="", encoding="utf-8") as fh:
+            table = np.array([row[1:] for row in csv.reader(fh)][1:], dtype=float)
+        assert table.shape == (6, 3)
+        assert np.isfinite(table).all()
+
+    @pytest.mark.parametrize("command", ["train", "epochs"])
+    def test_two_feature_preset_is_bad_data(self, tmp_path, command):
+        out = tmp_path / "res.csv"
+        code = run([command, "--seed", 2, "--out", out, "--loss", "cce",
+                    "--dataset", "example1", "--n", 40, "--arch", "toy",
+                    "--epochs", 1])
+        assert code == EXIT_BAD_DATA
+        assert not out.exists()
 
 
 class TestCorruptCommand:

@@ -59,11 +59,10 @@ class TestCorruptLabels:
         c, _ = corrupt_labels(ds, NoiseConfig(eta=0.3, seed=6))
         assert not np.array_equal(a.labels, c.labels)
 
-    def test_features_shared_and_source_tagged(self):
+    def test_features_shared(self):
         ds = make_dataset(50, 2)
         corrupted, _ = corrupt_labels(ds, NoiseConfig(eta=0.2, seed=7))
         assert corrupted.features is ds.features
-        assert corrupted.source == "corrupted"
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):

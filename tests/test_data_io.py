@@ -1,13 +1,16 @@
 """Tests for IDX parsing, synthetic data, fold plans and CSV round trips."""
 
 import csv
+import math
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rsdnet.data_io import (
+    CSV_BLOCK_ROWS,
     RESULTS_HEADER,
     DataFormatError,
     Dataset,
@@ -52,7 +55,6 @@ class TestIdx:
         np.testing.assert_allclose(ds.features[0], [0.0, 1.0, 128 / 255, 0.0])
         np.testing.assert_array_equal(ds.labels, [3, 7])
         assert ds.num_classes == 10
-        assert ds.source == "idx_file"
 
     def test_bad_magic(self, tmp_path):
         img, lab = write_idx_pair(tmp_path, [[0, 0, 0, 0]], [1],
@@ -257,12 +259,123 @@ class TestResultsCsv:
             assert fh.readline().strip() == ",".join(RESULTS_HEADER)
 
 
+def fmt_per_cell(value) -> str:
+    """The plot-CSV cell rule, as a reference: None empty, str as is,
+    integers and bools as integers, other numbers with 6 significant
+    digits."""
+    if isinstance(value, float):
+        return format(value, ".6g")
+    if value is None:
+        return ""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return format(float(value), ".6g")
+
+
+def write_csv_per_cell(path, header, rows):
+    """Reference plot-ready CSV: csv.writer fed one formatted cell at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt_per_cell(value) for value in row] for row in rows)
+
+
+AWKWARD_FLOATS = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+                  -5e-324, 1e300, -1e300, 0.1, 1 / 3, 2.5e-7, 123456789.0, 1e16]
+AWKWARD_TEXT = ["", "plain", "sd(0.1,-0.8)", 'say "hi"', '"', ",", "two\nlines",
+                "a,b\nc\"d", " padded ", "é"]
+COLUMN_KINDS = ("float", "float32", "longdouble", "masked", "int", "uint64", "bool",
+                "masked_int", "mixed", "text")
+
+
+def random_column(kind: str, n: int, rng):
+    """(column as write_csv takes it, its cells as a per-cell writer takes
+    them: None where a cell is missing)."""
+    def floats(size):
+        values = rng.normal(0.0, 10.0 ** rng.integers(-8, 9), size)
+        picks = rng.random(size) < 0.3
+        values[picks] = rng.choice(AWKWARD_FLOATS, picks.sum())
+        return values
+
+    if kind in ("float", "float32", "longdouble", "masked", "masked_int"):
+        values = floats(n)
+        if kind in ("float32", "longdouble"):
+            with np.errstate(over="ignore"):  # 1e300 becomes inf in float32
+                values = values.astype(kind)
+        if kind == "masked_int":
+            values = rng.integers(-1000, 1000, n)
+        if kind.startswith("masked"):
+            column = np.ma.masked_array(values, mask=rng.random(n) < 0.4)
+            return column, [None if m else v for v, m in zip(values.tolist(),
+                                                             column.mask.tolist())]
+        return values, list(values)
+    if kind == "int":
+        values = rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                              n, dtype=np.int64, endpoint=True)
+        return values, list(values)
+    if kind == "uint64":
+        values = rng.integers(0, np.iinfo(np.uint64).max, n, dtype=np.uint64,
+                              endpoint=True)
+        return values, list(values)
+    if kind == "bool":
+        values = rng.random(n) < 0.5
+        return values, values.tolist()
+    pool = [None, 7, -3, True, False, np.intp(-12), np.float64(2.5e-7),
+            np.float32(0.1)] + AWKWARD_FLOATS + AWKWARD_TEXT
+    if kind == "text":
+        pool = AWKWARD_TEXT + [None]
+    cells = [pool[i] for i in rng.integers(0, len(pool), n)]
+    return cells, cells
+
+
 class TestWriteCsv:
+    @example(seed=0, kinds=["float", "masked", "bool"], n=0)
+    @example(seed=1, kinds=["masked", "int", "mixed"], n=CSV_BLOCK_ROWS)
+    @example(seed=2, kinds=["float", "masked_int", "text", "uint64"],
+             n=CSV_BLOCK_ROWS + 1)
+    @example(seed=3, kinds=["text"], n=CSV_BLOCK_ROWS + 1)
+    @example(seed=4, kinds=["masked"], n=50)
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1),
+           kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5),
+           n=st.sampled_from([0, 1, 2, 13, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]))
+    def test_bytes_match_per_cell_reference(self, tmp_path_factory, seed, kinds, n):
+        rng = np.random.default_rng(seed)
+        tables = [random_column(kind, n, rng) for kind in kinds]
+        header = [AWKWARD_TEXT[i] for i in rng.integers(0, len(AWKWARD_TEXT),
+                                                         len(kinds))]
+        where = tmp_path_factory.mktemp("csv")
+        write_csv(where / "new.csv", header, [column for column, _ in tables])
+        write_csv_per_cell(where / "ref.csv", header,
+                           zip(*(cells for _, cells in tables)))
+        assert (where / "new.csv").read_bytes() == (where / "ref.csv").read_bytes()
+
+    def test_carriage_return_is_quoted(self, tmp_path):
+        # Python 3.11's csv.writer leaves a lone "\r" bare, and its reader
+        # then ends the row there
+        path = tmp_path / "cr.csv"
+        write_csv(path, ("a", "b"), (["x\ry"], np.array([1.5])))
+        assert path.read_bytes() == b'a,b\n"x\ry",1.5\n'
+        with open(path, newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh)) == [["a", "b"], ["x\ry", "1.5"]]
+
+    @pytest.mark.parametrize("header, columns", [
+        ((), ()),
+        (("a", "b"), ([1.0],)),
+        (("a", "b"), ([1.0], [1.0, 2.0])),
+    ], ids=["no_columns", "too_few_columns", "ragged_columns"])
+    def test_shape_checked(self, tmp_path, header, columns):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "bad.csv", header, columns)
+
     def test_cell_formatting(self, tmp_path):
         path = tmp_path / "cells.csv"
         write_csv(path, ("a", "b", "c", "d", "e", "f", "g", "h", "i"),
-                  [(None, "sd(0.1,-0.8)", 7, np.intp(-3), True, 0.1234567,
-                    np.float64(2.5e-7), float("nan"), False)])
+                  [[cell] for cell in (None, "sd(0.1,-0.8)", 7, np.intp(-3), True,
+                                       0.1234567, np.float64(2.5e-7),
+                                       float("nan"), False)])
         assert path.read_text(encoding="utf-8") == (
             "a,b,c,d,e,f,g,h,i\n"
             ',"sd(0.1,-0.8)",7,-3,1,0.123457,2.5e-07,nan,0\n')

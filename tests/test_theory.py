@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from rsdnet.data_io import posterior_example1
 from rsdnet.divergence import (PROB_CLIP, InvalidTuningError, conditional_sd_risk,
-                               make_tuning)
+                               make_tuning, sd_loss)
 from rsdnet.network import example_model
 from rsdnet.theory import (
     BoundGrid,
@@ -343,3 +343,38 @@ class TestCalibration:
     def test_large_j_rejected(self):
         with pytest.raises(ValueError):
             calibration_check(np.full(5, 0.2), make_tuning(0.5, 0.0))
+
+
+def expected_one_hot_risk(p_star, grid, t):
+    """sum_j p*_j sd_loss(j, p) at every row p of grid: the population
+    objective that training on labels drawn from p_star minimises."""
+    return sum(p_star[j] * sd_loss(np.full(len(grid), j), grid, t)
+               for j in range(len(p_star)))
+
+
+class TestTrainingObjective:
+    """The expected one-hot sd_loss, unlike conditional_sd_risk, is not
+    minimised at p_star when A != 1, but its minimiser keeps the argmax."""
+
+    @example(p_star=[0.5, 0.3, 0.2], beta=0.05, share=0.0)
+    @given(p_star=st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3),
+           beta=st.floats(0.0, 0.99), share=st.floats(0.0, 1.0))
+    def test_grid_minimiser_keeps_the_argmax(self, p_star, beta, share):
+        p_star = np.array(p_star) / np.sum(p_star)
+        top2 = np.sort(p_star)[-2:]
+        assume(top2[1] - top2[0] >= 0.1)  # a clear top class
+        # A = u (1 + beta) and B = (1 - u)(1 + beta), u in [0.02, 0.98]:
+        # every admissible tuning with A and B away from 0
+        u = 0.02 + 0.96 * share
+        t = make_tuning(beta, (u * (1.0 + beta) - 1.0) / (1.0 - beta))
+        grid = simplex_grid(3, 0.01)
+        best = grid[np.argmin(expected_one_hot_risk(p_star, grid, t))]
+        assert best.argmax() == p_star.argmax()
+
+    def test_minimiser_is_not_p_star_when_a_differs_from_one(self):
+        t = make_tuning(0.05, -1.0)  # A = 0.05
+        p_star = np.array([0.5, 0.3, 0.2])
+        grid = simplex_grid(3, 0.01)
+        best = grid[np.argmin(expected_one_hot_risk(p_star, grid, t))]
+        np.testing.assert_allclose(best, [0.99, 0.01, 0.0], atol=1e-12)
+        assert calibration_check(p_star, t).argmin_point == pytest.approx(p_star)
