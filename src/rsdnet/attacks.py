@@ -2,7 +2,8 @@
 
 Attacks always maximize the CCE loss of the attacked model, matching the
 surrogate generation protocol; both attacks are deterministic (no random
-start) and respect the L-infinity budget and box constraints exactly.
+start) and respect the L-infinity budget and the box BOX exactly.  FGSM
+is one PGD step of size epsilon: both run the same signed-step loop.
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .network import ArchitectureSpec, _as_inputs, _backward, _forward, unflatte
 
 _CCE = LossSpec(kind="cce")
 
+# Attacked features always lie in this box; where a feature's epsilon-ball
+# leaves it, the box wins.
+BOX = (0.0, 1.0)
+
 
 @dataclass(frozen=True)
 class AttackConfig:
@@ -24,8 +29,6 @@ class AttackConfig:
     epsilon: float
     step_size: float = 0.01     # pgd only
     max_iters: int = 100        # pgd only
-    clip_min: float = 0.0
-    clip_max: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("fgsm", "pgd"):
@@ -51,33 +54,37 @@ def input_gradient(params, arch: ArchitectureSpec, x, labels,
     return grad_in[0] if single else grad_in
 
 
+def _signed_steps(params, arch: ArchitectureSpec, x, labels, epsilon: float,
+                  step_size: float, iters: int, loss: LossSpec) -> np.ndarray:
+    """iters signed-gradient steps, each projected onto the epsilon-ball
+    around x intersected with BOX (the box alone where they do not meet)."""
+    x0 = np.asarray(x, dtype=np.float64)
+    lo = np.clip(x0 - epsilon, *BOX)
+    hi = np.clip(x0 + epsilon, *BOX)
+    adv = x0
+    for _ in range(iters):
+        g = input_gradient(params, arch, adv, labels, loss)
+        adv = np.clip(adv + step_size * np.sign(g), lo, hi)
+    return adv
+
+
 def fgsm(params, arch: ArchitectureSpec, x, labels, epsilon: float,
-         loss: LossSpec = _CCE, clip_min: float = 0.0,
-         clip_max: float = 1.0) -> np.ndarray:
+         loss: LossSpec = _CCE) -> np.ndarray:
     """Single signed-gradient step of size epsilon, clipped to the box."""
-    x = np.asarray(x, dtype=np.float64)
-    g = input_gradient(params, arch, x, labels, loss)
-    return np.clip(x + epsilon * np.sign(g), clip_min, clip_max)
+    return _signed_steps(params, arch, x, labels, epsilon, epsilon, 1, loss)
 
 
 def pgd(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig,
         loss: LossSpec = _CCE) -> np.ndarray:
     """Iterated signed steps projected onto the epsilon-ball and the box."""
-    x0 = np.asarray(x, dtype=np.float64)
-    lo = np.maximum(x0 - cfg.epsilon, cfg.clip_min)
-    hi = np.minimum(x0 + cfg.epsilon, cfg.clip_max)
-    adv = x0.copy()
-    for _ in range(cfg.max_iters):
-        g = input_gradient(params, arch, adv, labels, loss)
-        adv = np.clip(adv + cfg.step_size * np.sign(g), lo, hi)
-    return adv
+    return _signed_steps(params, arch, x, labels, cfg.epsilon, cfg.step_size,
+                         cfg.max_iters, loss)
 
 
 def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig,
            loss: LossSpec = _CCE) -> np.ndarray:
     if cfg.kind == "fgsm":
-        return fgsm(params, arch, x, labels, cfg.epsilon, loss,
-                    cfg.clip_min, cfg.clip_max)
+        return fgsm(params, arch, x, labels, cfg.epsilon, loss)
     return pgd(params, arch, x, labels, cfg, loss)
 
 

@@ -176,16 +176,14 @@ def synthetic_blobs(n: int, seed: int, centers=((0.35, 0.35), (0.65, 0.65)),
 class FoldPlan:
     k: int
     folds: tuple
-    seed: int
 
 
 def make_folds(n: int, k: int, seed: int) -> FoldPlan:
-    """Random partition of [0, n) into k folds with sizes differing by <= 1."""
-    if k > n or k < 1:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    """Random partition of [0, n) into k >= 2 folds, sizes differing by <= 1."""
+    if not 2 <= k <= n:
+        raise ValueError(f"need 2 <= folds <= n, got {k} folds for n = {n}")
     perm = np.random.default_rng(seed).permutation(n)
-    return FoldPlan(k=k, folds=tuple(np.sort(f) for f in np.array_split(perm, k)),
-                    seed=seed)
+    return FoldPlan(k=k, folds=tuple(np.sort(f) for f in np.array_split(perm, k)))
 
 
 def fold_split(plan: FoldPlan, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -290,29 +288,6 @@ def write_results(records, path):
     numeric fields.  Each record is a mapping over RESULTS_HEADER keys."""
     write_csv(path, RESULTS_HEADER,
               [[rec.get(key) for rec in records] for key in RESULTS_HEADER])
-
-
-def read_results(path):
-    """Parse-back of write_results output into a list of dicts."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != RESULTS_HEADER:
-            raise DataFormatError("bad_header", f"{path}: unexpected header {header}")
-        rows = []
-        for raw in reader:
-            rec = {}
-            for key, val in zip(RESULTS_HEADER, raw):
-                if val == "":
-                    rec[key] = None
-                elif key in ("dataset", "loss", "attack", "fold"):
-                    rec[key] = val
-                elif key == "epochs":
-                    rec[key] = int(val)
-                else:
-                    rec[key] = float(val)
-            rows.append(rec)
-        return rows
 
 
 def dump_dataset(dataset: Dataset, features_path, labels_path,

@@ -212,10 +212,6 @@ def _cce_values(p_y: np.ndarray) -> np.ndarray:
     return -np.log(clip_probs(p_y))
 
 
-def _gce_values(p_y: np.ndarray, q: float) -> np.ndarray:
-    return (1.0 - np.power(clip_probs(p_y), q)) / q
-
-
 def _trimmed_mean(per: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
     """Mean of per without its ceil(delta * n) largest entries, at most n - 1
     of them, and the mask of the entries kept."""
@@ -226,42 +222,6 @@ def _trimmed_mean(per: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
     keep = np.ones(n, dtype=bool)
     keep[order[n - n_drop:]] = False
     return float(per[order[: n - n_drop]].mean()), keep
-
-
-def cce_loss(labels, probs):
-    """Categorical cross-entropy, -log p_y, per example."""
-    labels, p, single = _as_batch(labels, probs)
-    vals = _cce_values(p[np.arange(p.shape[0]), labels])
-    return float(vals[0]) if single else vals
-
-
-def mae_loss(labels, probs):
-    """Mean absolute error sum_j |y_j - p_j| = 2(1 - p_y), per example."""
-    labels, p, single = _as_batch(labels, probs)
-    vals = 2.0 * (1.0 - p[np.arange(p.shape[0]), labels])
-    return float(vals[0]) if single else vals
-
-
-def gce_loss(labels, probs, q: float):
-    """Generalized cross-entropy (1 - p_y**q) / q, per example."""
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"gce exponent q must lie in (0, 1], got {q}")
-    labels, p, single = _as_batch(labels, probs)
-    vals = _gce_values(p[np.arange(p.shape[0]), labels], q)
-    return float(vals[0]) if single else vals
-
-
-def tcce_loss(labels, probs, delta: float):
-    """Trimmed CCE: per-example cce, aggregate drops the largest losses.
-
-    Trimming is applied within the given batch; the ceil(delta * n)
-    largest per-example losses, at most n - 1, are discarded first.
-    Returns (per_example_cce, trimmed_mean).
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"trimming proportion delta must lie in [0, 1), got {delta}")
-    per = np.atleast_1d(cce_loss(labels, probs))
-    return per, _trimmed_mean(per, delta)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +294,9 @@ class LossSpec:
             grad = _chain_softmax(1.0 - 2.0 * onehot, probs) / n
             return float(np.mean(2.0 * (1.0 - p_y))), grad
         if self.kind == "gce":
-            per = _gce_values(p_y, self.q)
-            grad_p = -onehot * np.power(clip_probs(p_y), self.q - 1.0)[:, None]
+            pc = clip_probs(p_y)
+            per = (1.0 - np.power(pc, self.q)) / self.q
+            grad_p = -onehot * np.power(pc, self.q - 1.0)[:, None]
             return float(np.mean(per)), _chain_softmax(grad_p, probs) / n
         # tcce: gradient of the trimmed mean; dropped examples contribute 0
         per = _cce_values(p_y)

@@ -81,22 +81,14 @@ def unflatten(params: np.ndarray, arch: ArchitectureSpec):
     return pairs
 
 
-def init_params(arch: ArchitectureSpec, scheme: str, seed: int) -> np.ndarray:
-    """Deterministic weight initialization; biases are zero.
-
-    glorot_normal: N(0, 2/(fan_in+fan_out)); he_uniform: U(+-sqrt(6/fan_in)).
-    """
+def init_params(arch: ArchitectureSpec, seed: int) -> np.ndarray:
+    """Deterministic Glorot-normal weights, N(0, 2/(fan_in+fan_out)), drawn
+    layer by layer; biases are zero."""
     rng = np.random.default_rng(seed)
     params = np.zeros(arch.n_params)
     for W, _ in unflatten(params, arch):
         fan_in, fan_out = W.shape
-        if scheme == "glorot_normal":
-            W[...] = rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), W.shape)
-        elif scheme == "he_uniform":
-            limit = np.sqrt(6.0 / fan_in)
-            W[...] = rng.uniform(-limit, limit, W.shape)
-        else:
-            raise ValueError(f"unknown init scheme: {scheme}")
+        W[...] = rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), W.shape)
     return params
 
 

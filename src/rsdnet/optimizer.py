@@ -93,9 +93,9 @@ def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset) -> fl
 
 
 def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
-          train_cfg: TrainConfig, adam_cfg: AdamConfig = AdamConfig(),
-          eval_set: Dataset | None = None):
-    """Mini-batch Adam training; returns (params, per-epoch metrics).
+          train_cfg: TrainConfig, eval_set: Dataset | None = None):
+    """Mini-batch Adam training with AdamConfig()'s defaults; returns
+    (params, per-epoch metrics).
 
     Each epoch reshuffles the example order from a per-epoch derived seed
     and visits every example exactly once; the last short batch is kept.
@@ -113,7 +113,8 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
         raise ValueError("dataset classes do not match the architecture output")
     if dataset.features.shape[1] != arch.input_dim:
         raise ValueError("dataset features do not match the architecture input")
-    params = init_params(arch, "glorot_normal", init_seed)
+    params = init_params(arch, init_seed)
+    adam = AdamConfig()
     grad = np.empty_like(params)
     m, v = np.zeros_like(params), np.zeros_like(params)
     s1, s2 = np.empty_like(params), np.empty_like(params)
@@ -135,7 +136,7 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
             _backward(X, pres, posts, layers, acts, grad_logits, grads,
                       want_input=False)
             step += 1
-            _adam_update(adam_cfg, step, grad, params, m, v, s1, s2)
+            _adam_update(adam, step, grad, params, m, v, s1, s2)
             loss_sum += loss * len(idx)
         mean_loss = loss_sum / n
         if not (np.isfinite(mean_loss) and np.isfinite(params).all()

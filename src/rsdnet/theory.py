@@ -57,8 +57,6 @@ def excess_risk_bound(t: TuningPair, eta: float, J: int) -> float:
 class BoundGrid:
     betas: np.ndarray
     lambdas: np.ndarray
-    eta: float
-    J: int
     values: np.ndarray       # (len(betas), len(lambdas)), NaN where inadmissible
     admissible: np.ndarray   # boolean mask of the same shape
 
@@ -79,8 +77,8 @@ def bound_grid(eta: float, J: int, beta_range=(0.0, 1.0),
     values = np.full((resolution, resolution), np.nan)
     values[admissible] = _bound(beta[admissible], a[admissible],
                                 b[admissible], eta, J)
-    return BoundGrid(betas=betas, lambdas=lambdas, eta=eta, J=J,
-                     values=values, admissible=admissible)
+    return BoundGrid(betas=betas, lambdas=lambdas, values=values,
+                     admissible=admissible)
 
 
 # ---------------------------------------------------------------------------

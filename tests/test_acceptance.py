@@ -136,7 +136,7 @@ class TestCriterion1Gradients:
             return spec.value_and_grad_logits(y, forward(params, arch, X).logits)[0]
 
         for case in range(1000):
-            params = init_params(arch, "glorot_normal", case)
+            params = init_params(arch, case)
             X = rng.normal(size=(2, 3))
             y = rng.integers(0, 3, 2)
             trace = forward(params, arch, X)

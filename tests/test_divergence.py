@@ -10,18 +10,16 @@ from rsdnet.divergence import (
     MIN_CONSTANT,
     InvalidTuningError,
     LossSpec,
-    cce_loss,
     conditional_sd_risk,
-    gce_loss,
     loss_bounds,
-    mae_loss,
     make_tuning,
     sd_loss,
     sd_loss_grad_logits,
     sd_loss_grad_probs,
     softmax,
-    tcce_loss,
 )
+
+from reference import cce_loss, gce_loss, mae_loss, tcce_mean
 
 
 def random_simplex(rng, n, J):
@@ -285,35 +283,42 @@ class TestLossBounds:
         assert lower - tol <= total <= upper + tol
 
 
+def loss_value(spec, labels, probs):
+    """The batch-mean loss of spec on the given probability rows."""
+    return spec.value_and_grad_probs(np.asarray(labels, dtype=np.intp),
+                                     np.atleast_2d(probs))[0]
+
+
 class TestBaselines:
     def test_cce(self):
         p = np.array([0.25, 0.75])
-        assert cce_loss(1, p) == pytest.approx(-np.log(0.75))
+        assert loss_value(LossSpec(kind="cce"), [1], p) == pytest.approx(-np.log(0.75))
 
     def test_mae(self):
         p = np.array([0.25, 0.75])
-        assert mae_loss(0, p) == pytest.approx(1.5)
+        assert loss_value(LossSpec(kind="mae"), [0], p) == pytest.approx(1.5)
 
     def test_gce_limits(self):
         p = np.array([0.3, 0.7])
-        assert gce_loss(1, p, 1.0) == pytest.approx(0.3)
+        assert loss_value(LossSpec(kind="gce", q=1.0), [1], p) == pytest.approx(0.3)
         # small q approaches cce
-        assert gce_loss(1, p, 1e-6) == pytest.approx(-np.log(0.7), abs=1e-5)
+        assert loss_value(LossSpec(kind="gce", q=1e-6), [1], p) == pytest.approx(
+            -np.log(0.7), abs=1e-5)
         with pytest.raises(ValueError):
-            gce_loss(1, p, 0.0)
+            LossSpec(kind="gce", q=0.0)
         with pytest.raises(ValueError):
-            gce_loss(1, p, 1.5)
+            LossSpec(kind="gce", q=1.5)
 
     def test_tcce_drops_largest(self):
         probs = np.array([[0.9, 0.1], [0.5, 0.5], [0.01, 0.99]])
-        labels = np.array([0, 0, 0])
-        per, trimmed = tcce_loss(labels, probs, 0.34)  # ceil(0.34*3) = 2 dropped
-        assert per.shape == (3,)
+        labels = [0, 0, 0]
+        # ceil(0.34*3) = 2 dropped
+        trimmed = loss_value(LossSpec(kind="tcce", delta=0.34), labels, probs)
         assert trimmed == pytest.approx(-np.log(0.9))
-        _, untrimmed = tcce_loss(labels, probs, 0.0)
-        assert untrimmed == pytest.approx(per.mean())
+        untrimmed = loss_value(LossSpec(kind="tcce", delta=0.0), labels, probs)
+        assert untrimmed == pytest.approx(-np.log(probs[:, 0]).mean())
         with pytest.raises(ValueError):
-            tcce_loss(labels, probs, 1.0)
+            LossSpec(kind="tcce", delta=1.0)
 
 
 LOSS_KINDS = ("sd", "cce", "mae", "gce", "tcce")
@@ -429,7 +434,7 @@ class TestLossSpec:
             assert val == float(np.mean(sd_loss(labels, p, spec.tuning)))
             assert np.array_equal(grad, sd_loss_grad_logits(labels, z, spec.tuning) / 9)
         elif spec.kind == "tcce":
-            assert val == tcce_loss(labels, p, spec.delta)[1]
+            assert val == tcce_mean(labels, p, spec.delta)
         elif spec.kind == "gce":
             assert val == float(np.mean(gce_loss(labels, p, spec.q)))
         else:

@@ -13,6 +13,8 @@ from rsdnet.network import (
     unflatten,
 )
 
+from reference import glorot_params
+
 TANH_NET = ArchitectureSpec(3, ((6, "tanh"),), 3)
 DEEP_NET = ArchitectureSpec(4, ((8, "tanh"), (5, "relu")), 3)
 
@@ -49,27 +51,21 @@ class TestFlatten:
 
 class TestInit:
     def test_deterministic(self):
-        a = init_params(DEEP_NET, "glorot_normal", 3)
-        b = init_params(DEEP_NET, "glorot_normal", 3)
+        a = init_params(DEEP_NET, 3)
+        b = init_params(DEEP_NET, 3)
         np.testing.assert_array_equal(a, b)
-        c = init_params(DEEP_NET, "glorot_normal", 4)
+        c = init_params(DEEP_NET, 4)
         assert not np.array_equal(a, c)
 
     def test_biases_zero(self):
-        params = init_params(DEEP_NET, "he_uniform", 0)
+        params = init_params(DEEP_NET, 0)
         for _, b in unflatten(params, DEEP_NET):
             np.testing.assert_array_equal(b, 0.0)
 
-    def test_he_uniform_range(self):
-        arch = ArchitectureSpec(100, ((50, "relu"),), 10)
-        params = init_params(arch, "he_uniform", 1)
-        W0, _ = unflatten(params, arch)[0]
-        limit = np.sqrt(6.0 / 100)
-        assert np.all(np.abs(W0) <= limit)
-
-    def test_unknown_scheme(self):
-        with pytest.raises(ValueError):
-            init_params(TANH_NET, "orthogonal", 0)
+    def test_matches_reference_glorot_normal(self):
+        for arch, seed in ((DEEP_NET, 0), (TANH_NET, 5),
+                           (ArchitectureSpec(100, ((50, "relu"),), 10), 1)):
+            assert np.array_equal(init_params(arch, seed), glorot_params(arch, seed))
 
 
 class TestForward:
@@ -84,14 +80,14 @@ class TestForward:
 
     def test_probs_are_softmax_of_logits(self):
         rng = np.random.default_rng(1)
-        params = init_params(DEEP_NET, "glorot_normal", 2)
+        params = init_params(DEEP_NET, 2)
         X = rng.normal(size=(7, 4))
         trace = forward(params, DEEP_NET, X)
         np.testing.assert_allclose(trace.probs, softmax(trace.logits))
         np.testing.assert_allclose(trace.probs.sum(axis=1), 1.0)
 
     def test_input_width_checked(self):
-        params = init_params(TANH_NET, "glorot_normal", 0)
+        params = init_params(TANH_NET, 0)
         with pytest.raises(ValueError):
             forward(params, TANH_NET, np.zeros((2, 5)))
 
@@ -112,7 +108,7 @@ class TestBackward:
     def test_param_grad_matches_fd(self, arch):
         rng = np.random.default_rng(2)
         spec = LossSpec(kind="sd", tuning=make_tuning(0.3, -0.5))
-        params = init_params(arch, "glorot_normal", 5)
+        params = init_params(arch, 5)
         X = rng.normal(size=(4, arch.input_dim))
         labels = rng.integers(0, arch.output_classes, 4)
         trace = forward(params, arch, X)
@@ -124,7 +120,7 @@ class TestBackward:
     def test_input_grad_matches_fd(self):
         rng = np.random.default_rng(3)
         spec = LossSpec(kind="cce")
-        params = init_params(TANH_NET, "glorot_normal", 6)
+        params = init_params(TANH_NET, 6)
         X = rng.normal(size=(3, 3))
         labels = rng.integers(0, 3, 3)
         trace = forward(params, TANH_NET, X)
@@ -145,7 +141,7 @@ class TestBackward:
     @pytest.mark.parametrize("arch", [TANH_NET, DEEP_NET])
     def test_bit_identical_to_textbook_loop(self, arch):
         rng = np.random.default_rng(5)
-        params = init_params(arch, "glorot_normal", 2)
+        params = init_params(arch, 2)
         trace = forward(params, arch, rng.normal(size=(7, arch.input_dim)))
         grad_logits = rng.normal(size=(7, arch.output_classes))
         grad, grad_in = backward(trace, params, arch, grad_logits)
@@ -168,7 +164,7 @@ class TestBackward:
 
     def test_inputs_untouched(self):
         rng = np.random.default_rng(4)
-        params = init_params(DEEP_NET, "glorot_normal", 1)
+        params = init_params(DEEP_NET, 1)
         trace = forward(params, DEEP_NET, rng.normal(size=(5, 4)))
         grad_logits = rng.normal(size=(5, 3))
         arrays = [params, grad_logits, trace.inputs, trace.logits, trace.probs,
@@ -181,7 +177,7 @@ class TestBackward:
                        for a in arrays)
 
     def test_shape_mismatch_rejected(self):
-        params = init_params(TANH_NET, "glorot_normal", 0)
+        params = init_params(TANH_NET, 0)
         trace = forward(params, TANH_NET, np.zeros((2, 3)))
         with pytest.raises(ValueError):
             backward(trace, params, TANH_NET, np.zeros((3, 3)))

@@ -163,9 +163,9 @@ class TestTrain:
         assert np.isfinite(metrics[0][1])
 
 
-def reference_train(dataset, arch, init_seed, cfg, adam_cfg, eval_set):
+def reference_train(dataset, arch, init_seed, cfg, eval_set):
     """train() spelled out with the public pure functions, one call each."""
-    params = init_params(arch, "glorot_normal", init_seed)
+    params = init_params(arch, init_seed)
     state = init_adam(params.shape[0])
     metrics = []
     n = dataset.n
@@ -178,7 +178,7 @@ def reference_train(dataset, arch, init_seed, cfg, adam_cfg, eval_set):
             loss, grad_logits = cfg.loss.value_and_grad_logits(
                 dataset.labels[idx], trace.logits)
             grad, _ = backward(trace, params, arch, grad_logits)
-            params, state = adam_step(state, adam_cfg, params, grad)
+            params, state = adam_step(state, AdamConfig(), params, grad)
             loss_sum += loss * len(idx)
         metrics.append((epoch, loss_sum / n, accuracy(params, arch, eval_set)))
     return params, metrics
@@ -205,9 +205,8 @@ class TestFusedTrain:
         ev = synthetic_blobs(30, seed=6, centers=centers)
         # batch 16 over 50 examples leaves a short final batch of 2
         cfg = TrainConfig(loss=loss, epochs=3, batch_size=16, shuffle_seed=2)
-        adam_cfg = AdamConfig(alpha=0.01)
-        params, metrics = train(ds, arch, 4, cfg, adam_cfg, eval_set=ev)
-        ref_params, ref_metrics = reference_train(ds, arch, 4, cfg, adam_cfg, ev)
+        params, metrics = train(ds, arch, 4, cfg, eval_set=ev)
+        ref_params, ref_metrics = reference_train(ds, arch, 4, cfg, ev)
         assert np.array_equal(params, ref_params)
         assert np.array_equal(np.array(metrics), np.array(ref_metrics))
 

@@ -157,6 +157,11 @@ def p_star_example1(x):
     return np.array([p1, 1.0 - p1])
 
 
+def mean_psi(model, theta, t, sample):
+    return np.mean([psi(model, theta, x, t, p_star_example1) for x in sample],
+                   axis=0)
+
+
 class TestInfluenceFunction:
     def p_star_example1(self, x):
         p1 = float(posterior_example1(x))
@@ -164,24 +169,52 @@ class TestInfluenceFunction:
 
     @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
     def test_big_psi_matches_fd_of_psi(self, name):
+        # big_psi is the Jacobian of the sample mean of psi: central
+        # differences agree to rounding, with the example-1 reference given
+        # and by default
         model = example_model(name)
         t = make_tuning(0.5, -0.5)
-        theta = np.ones(model.n_params)
-        sample = default_feature_sample(40, seed=1)
-        an = big_psi(model, theta, t, sample, self.p_star_example1)
-        np.testing.assert_allclose(an, an.T, atol=1e-12)
-        h = 1e-6
-        fd = np.zeros_like(an)
-        for k in range(model.n_params):
-            up, dn = theta.copy(), theta.copy()
-            up[k] += h
-            dn[k] -= h
-            pu = np.mean([psi(model, up, x, t, self.p_star_example1)
-                          for x in sample], axis=0)
-            pd = np.mean([psi(model, dn, x, t, self.p_star_example1)
-                          for x in sample], axis=0)
-            fd[:, k] = (pu - pd) / (2 * h)
-        np.testing.assert_allclose(fd, an, rtol=1e-4, atol=1e-8)
+        for theta, sample, p_star_fn in (
+            (np.ones(model.n_params), default_feature_sample(40, seed=1),
+             self.p_star_example1),
+            (np.full(model.n_params, 0.7), default_feature_sample(), None),
+        ):
+            an = big_psi(model, theta, t, sample, p_star_fn)
+            np.testing.assert_allclose(an, an.T, atol=1e-12)
+            h = 1e-6
+            fd = np.zeros_like(an)
+            for k in range(model.n_params):
+                step = np.zeros(model.n_params)
+                step[k] = h
+                fd[:, k] = (mean_psi(model, theta + step, t, sample)
+                            - mean_psi(model, theta - step, t, sample)) / (2 * h)
+            np.testing.assert_allclose(fd, an, rtol=0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("beta,lam", [(0.5, -0.5), (0.1, -0.8)])
+    def test_m1_matches_the_contaminated_functional(self, beta, lam):
+        # the functional solves mean psi = 0; moving a mass eps of the
+        # feature distribution to x_t moves the root by about eps * IF(x_t)
+        model = example_model("M1")
+        t = make_tuning(beta, lam)
+        sample = default_feature_sample()
+        x_t, eps = 2.0, 1e-5
+
+        def root(eps):
+            theta = np.ones(2)
+            for _ in range(20):
+                value = ((1.0 - eps) * mean_psi(model, theta, t, sample)
+                         + eps * psi(model, theta, x_t, t, p_star_example1))
+                jac = ((1.0 - eps) * big_psi(model, theta, t, sample, None)
+                       + eps * big_psi(model, theta, t, [x_t], None))
+                theta = theta - np.linalg.solve(jac, value)
+            assert np.max(np.abs(value)) < 1e-14
+            return theta
+
+        theta0 = root(0.0)
+        req = IFRequest(model="M1", theta_g=theta0, tuning=t,
+                        x_grid=np.array([x_t]), feature_sample=sample)
+        np.testing.assert_allclose((root(eps) - theta0) / eps,
+                                   influence_function(req)[0], rtol=1e-4)
 
     def test_zero_when_correctly_specified(self):
         # if the reference posterior is the model itself, psi vanishes
