@@ -55,7 +55,7 @@ def input_gradient(params, arch: ArchitectureSpec, x, labels,
 
 
 def _signed_steps(params, arch: ArchitectureSpec, x, labels, epsilon: float,
-                  step_size: float, iters: int, loss: LossSpec) -> np.ndarray:
+                  step_size: float, iters: int) -> np.ndarray:
     """iters signed-gradient steps, each projected onto the epsilon-ball
     around x intersected with BOX (the box alone where they do not meet)."""
     x0 = np.asarray(x, dtype=np.float64)
@@ -63,29 +63,26 @@ def _signed_steps(params, arch: ArchitectureSpec, x, labels, epsilon: float,
     hi = np.clip(x0 + epsilon, *BOX)
     adv = x0
     for _ in range(iters):
-        g = input_gradient(params, arch, adv, labels, loss)
+        g = input_gradient(params, arch, adv, labels)
         adv = np.clip(adv + step_size * np.sign(g), lo, hi)
     return adv
 
 
-def fgsm(params, arch: ArchitectureSpec, x, labels, epsilon: float,
-         loss: LossSpec = _CCE) -> np.ndarray:
+def fgsm(params, arch: ArchitectureSpec, x, labels, epsilon: float) -> np.ndarray:
     """Single signed-gradient step of size epsilon, clipped to the box."""
-    return _signed_steps(params, arch, x, labels, epsilon, epsilon, 1, loss)
+    return _signed_steps(params, arch, x, labels, epsilon, epsilon, 1)
 
 
-def pgd(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig,
-        loss: LossSpec = _CCE) -> np.ndarray:
+def pgd(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig) -> np.ndarray:
     """Iterated signed steps projected onto the epsilon-ball and the box."""
     return _signed_steps(params, arch, x, labels, cfg.epsilon, cfg.step_size,
-                         cfg.max_iters, loss)
+                         cfg.max_iters)
 
 
-def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig,
-           loss: LossSpec = _CCE) -> np.ndarray:
+def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig) -> np.ndarray:
     if cfg.kind == "fgsm":
-        return fgsm(params, arch, x, labels, cfg.epsilon, loss)
-    return pgd(params, arch, x, labels, cfg, loss)
+        return fgsm(params, arch, x, labels, cfg.epsilon)
+    return pgd(params, arch, x, labels, cfg)
 
 
 def adversarial_trainset(params_surrogate, arch_surrogate: ArchitectureSpec,

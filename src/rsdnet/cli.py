@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import PurePath
 
 import numpy as np
 
@@ -40,26 +41,20 @@ ARCH_PRESETS = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_FLAGS):
-        super().__init__(message)
-        self.code = code
+LOSS_GRAMMAR = "cce | mae | gce:Q | tcce:D | sd:BETA,LAMBDA"
 
 
-def parse_loss(text: str, beta=None, lam=None) -> LossSpec:
-    """Parse "cce", "mae", "sd:0.1,-0.5", "gce:0.7" or "tcce:0.2".
+class CliError(ValueError):
+    """A bad flag value; main maps it, like any ValueError, to exit 2."""
 
-    A bare "sd" takes its tuning from the --beta/--lambda flags.
-    """
+
+def parse_loss(text: str) -> LossSpec:
+    """The loss a --loss value names; LOSS_GRAMMAR is the only spelling."""
     kind, _, arg = text.partition(":")
     try:
         if kind == "sd":
-            if arg:
-                b, _, l = arg.partition(",")
-                beta, lam = float(b), float(l)
-            if beta is None or lam is None:
-                raise CliError("sd loss needs --beta and --lambda (or sd:B,L)")
-            return LossSpec(kind="sd", tuning=make_tuning(beta, lam))
+            b, _, l = arg.partition(",")
+            return LossSpec(kind="sd", tuning=make_tuning(float(b), float(l)))
         if kind == "gce":
             return LossSpec(kind="gce", q=float(arg))
         if kind == "tcce":
@@ -68,7 +63,7 @@ def parse_loss(text: str, beta=None, lam=None) -> LossSpec:
             return LossSpec(kind=kind)
     except ValueError as exc:
         raise CliError(f"bad loss spec {text!r}: {exc}") from exc
-    raise CliError(f"unknown loss spec: {text!r}")
+    raise CliError(f"unknown loss spec {text!r}; expected {LOSS_GRAMMAR}")
 
 
 def load_dataset_arg(text: str, n: int, seed: int,
@@ -108,15 +103,13 @@ def resolve_arch(args) -> tuple[ArchitectureSpec, Dataset]:
         raise CliError(f"unknown architecture preset: {args.arch!r}") from None
     dataset = load_dataset_arg(args.dataset, args.n, args.seed, arch.output_classes)
     if arch.input_dim != dataset.features.shape[1]:
-        raise CliError(
-            f"preset {args.arch} expects {arch.input_dim} features, "
-            f"dataset has {dataset.features.shape[1]}", EXIT_BAD_DATA,
-        )
+        raise DataFormatError(
+            "arch_mismatch", f"preset {args.arch} expects {arch.input_dim} "
+            f"features, dataset has {dataset.features.shape[1]}")
     if arch.output_classes != dataset.num_classes:
-        raise CliError(
-            f"preset {args.arch} expects {arch.output_classes} classes, "
-            f"dataset has {dataset.num_classes}", EXIT_BAD_DATA,
-        )
+        raise DataFormatError(
+            "arch_mismatch", f"preset {args.arch} expects {arch.output_classes} "
+            f"classes, dataset has {dataset.num_classes}")
     return arch, dataset
 
 
@@ -145,20 +138,18 @@ def _attack_config(args) -> AttackConfig:
 
 def cmd_train(args) -> int:
     arch, dataset = resolve_arch(args)
-    loss = parse_loss(args.loss, args.beta, args.lam)
+    loss = parse_loss(args.loss)
     attack_cfg = _attack_config(args) if args.attack else None
     plan = data_io.make_folds(dataset.n, args.folds, args.seed)
     records = []
     saved = []
-    clean_accs, adv_accs = [], []
     for fold in range(plan.k):
         train_idx, val_idx = data_io.fold_split(plan, fold)
         train_ds = dataset.subset(train_idx)
         val_ds = dataset.subset(val_idx)
         adv_val = None
-        if args.eta > 0:
-            train_ds, _ = corrupt_labels(
-                train_ds, NoiseConfig(eta=args.eta, seed=args.seed + 1000 + fold))
+        train_ds, _ = corrupt_labels(
+            train_ds, NoiseConfig(eta=args.eta, seed=args.seed + 1000 + fold))
         if attack_cfg is not None:
             sparams, sarch = _surrogate(args, train_ds, args.seed + 2000 + fold,
                                         args.seed + 3000 + fold)
@@ -171,13 +162,12 @@ def cmd_train(args) -> int:
         )
         clean = accuracy(params, arch, val_ds)
         adv = accuracy(params, arch, adv_val) if adv_val is not None else None
-        clean_accs.append(clean)
-        if adv is not None:
-            adv_accs.append(adv)
         saved.append(params)
         records.append(_result_row(args, loss, str(fold), clean, adv))
-    records.append(_result_row(args, loss, "mean", float(np.mean(clean_accs)),
-                               float(np.mean(adv_accs)) if adv_accs else None))
+    clean = [rec["clean_accuracy"] for rec in records]
+    adv = [rec["adv_accuracy"] for rec in records]
+    records.append(_result_row(args, loss, "mean", float(np.mean(clean)),
+                               float(np.mean(adv)) if attack_cfg else None))
     data_io.write_results(records, args.out)
     # one row per fold; .npy is byte-reproducible, unlike zip containers
     np.save(args.out + ".params.npy", np.stack(saved))
@@ -185,8 +175,10 @@ def cmd_train(args) -> int:
 
 
 def _result_row(args, loss: LossSpec, fold: str, clean, adv):
+    kind, sep, paths = args.dataset.partition(":")
     return {
-        "dataset": args.dataset,
+        # input files by name: the row does not depend on where they live
+        "dataset": kind + sep + ",".join(PurePath(p).name for p in paths.split(",")),
         "loss": loss.describe(),
         "beta": loss.tuning.beta if loss.tuning else None,
         "lambda": loss.tuning.lam if loss.tuning else None,
@@ -222,7 +214,11 @@ def cmd_influence(args) -> int:
     else:
         theta = np.ones(model.n_params)
     lo, hi, count = args.grid.split(",")
-    x_grid = np.linspace(float(lo), float(hi), int(count))
+    lo, hi, count = float(lo), float(hi), int(count)
+    if count < 1 or not np.isfinite([lo, hi]).all():
+        raise CliError(f"--grid needs finite ends and a count of at least 1, "
+                       f"got {args.grid!r}")
+    x_grid = np.linspace(lo, hi, count)
     p_star_fn = None
     if args.correctly_specified:
         def p_star_fn(x, _m=model, _th=theta):
@@ -244,15 +240,14 @@ def cmd_influence(args) -> int:
 
 def cmd_epochs(args) -> int:
     arch, dataset = resolve_arch(args)
-    losses = [parse_loss(text, args.beta, args.lam) for text in args.loss]
+    losses = [parse_loss(text) for text in args.loss]
     # single fixed train/test split (3:1)
     perm = np.random.default_rng(args.seed).permutation(dataset.n)
     cut = (3 * dataset.n) // 4
     train_ds = dataset.subset(perm[:cut])
     test_ds = dataset.subset(perm[cut:])
-    if args.eta > 0:
-        train_ds, _ = corrupt_labels(
-            train_ds, NoiseConfig(eta=args.eta, seed=args.seed + 1000))
+    train_ds, _ = corrupt_labels(
+        train_ds, NoiseConfig(eta=args.eta, seed=args.seed + 1000))
     rows = []
     for loss in losses:
         _, metrics = train(
@@ -310,12 +305,8 @@ def _add_data(p):
     p.add_argument("--arch", default="toy", choices=sorted(ARCH_PRESETS))
     p.add_argument("--batch", type=int, default=128)
     p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--eta", type=float, default=0.0, help="label-noise level")
-
-
-def _add_loss(p):
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
+    p.add_argument("--eta", type=float, default=0.0,
+                   help="label-noise level in [0, 1)")
 
 
 def _add_attack(p, required=False):
@@ -342,9 +333,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="k-fold cross-validated training run")
     _add_common(p)
     _add_data(p)
-    _add_loss(p)
     _add_attack(p)
-    p.add_argument("--loss", default="cce")
+    p.add_argument("--loss", default="cce", help=LOSS_GRAMMAR)
     p.add_argument("--folds", type=int, default=3)
     p.set_defaults(func=cmd_train)
 
@@ -374,9 +364,8 @@ def build_parser(config: dict | None = None) -> argparse.ArgumentParser:
     p = sub.add_parser("epochs", help="per-epoch accuracy trace")
     _add_common(p)
     _add_data(p)
-    _add_loss(p)
     p.add_argument("--loss", action="append", required=True,
-                   help="repeatable; e.g. --loss cce --loss sd:0.1,-0.8")
+                   help=f"repeatable: {LOSS_GRAMMAR}")
     p.set_defaults(func=cmd_epochs)
 
     p = sub.add_parser("corrupt", help="standalone label corruption dump")
@@ -403,11 +392,8 @@ def _read_config(path, args) -> dict:
     args is the namespace parsed without the config; it decides which keys
     the command knows.  Boolean switches take 1/true/yes as true.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read config file: {exc}", EXIT_BAD_DATA) from exc
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
     config = {}
     for line in lines:
         line = line.strip()
@@ -418,8 +404,6 @@ def _read_config(path, args) -> dict:
             raise CliError(f"bad config line: {line!r}")
         key, value = key.strip(), value.strip()
         dest = key.replace("-", "_")
-        if dest == "lambda":
-            dest = "lam"
         if dest in ("command", "config", "func") or not hasattr(args, dest):
             raise CliError(f"unknown config key: {key!r}")
         current = getattr(args, dest)
@@ -438,9 +422,6 @@ def main(argv=None) -> int:
         if args.config:
             args = build_parser(_read_config(args.config, args)).parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA

@@ -39,7 +39,8 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with integer labels in [0, num_classes)."""
+    """Feature matrix with integer labels in [0, num_classes); a breach of
+    either rule raises DataFormatError (count_mismatch, bad_label, non_finite)."""
 
     features: np.ndarray   # (n, p) float64
     labels: np.ndarray     # (n,) intp
@@ -48,12 +49,15 @@ class Dataset:
     def __post_init__(self):
         if self.features.ndim != 2 or self.labels.ndim != 1:
             raise ValueError("features must be 2-D and labels 1-D")
-        if self.features.shape[0] != self.labels.shape[0]:
-            raise ValueError("features and labels have mismatched lengths")
+        rows, count = self.features.shape[0], self.labels.shape[0]
+        if rows != count:
+            raise DataFormatError("count_mismatch",
+                                  f"{rows} feature rows but {count} labels")
         if len(self.labels) and (
             self.labels.min() < 0 or self.labels.max() >= self.num_classes
         ):
-            raise ValueError("labels out of range")
+            raise DataFormatError(
+                "bad_label", f"labels must lie in [0, {self.num_classes})")
         if not np.isfinite(self.features).all():
             raise DataFormatError("non_finite", "features contain NaN or infinity")
 
@@ -106,11 +110,6 @@ def read_idx(images_path, labels_path) -> Dataset:
     count, rows, cols = pixels.shape
     features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC).astype(np.intp)
-    if features.shape[0] != labels.shape[0]:
-        raise DataFormatError(
-            "count_mismatch",
-            f"{features.shape[0]} images but {labels.shape[0]} labels",
-        )
     return Dataset(features=features, labels=labels,
                    num_classes=max(10, int(labels.max()) + 1 if len(labels) else 10))
 
@@ -338,13 +337,6 @@ def load_dataset(features_path, labels_path, num_classes: int | None = None) -> 
                           dtype=np.intp)
     except OverflowError:
         raise DataFormatError("bad_label", f"{labels_path}: label too large") from None
-    if features.shape[0] != labels.shape[0]:
-        raise DataFormatError(
-            "count_mismatch",
-            f"{features.shape[0]} feature rows but {labels.shape[0]} labels")
     if num_classes is None:
         num_classes = int(labels.max()) + 1
-    if labels.min() < 0 or labels.max() >= num_classes:
-        raise DataFormatError(
-            "bad_label", f"{labels_path}: labels must lie in [0, {num_classes})")
     return Dataset(features=features, labels=labels, num_classes=num_classes)

@@ -66,9 +66,13 @@ def bound_grid(eta: float, J: int, beta_range=(0.0, 1.0),
     """Evaluate the excess-risk bound over a (beta, lambda) grid.
 
     Grid points outside the admissible set are marked, not evaluated.
-    eta and J are checked before the grid is built.
+    eta, J, the resolution (at least 1) and the range ends (finite) are
+    checked before the grid is built.
     """
     _check_eta(eta, J)
+    if resolution < 1 or not np.isfinite([*beta_range, *lambda_range]).all():
+        raise ValueError("need a resolution of at least 1 and finite range ends, "
+                         f"got {resolution}, {beta_range}, {lambda_range}")
     betas = np.linspace(beta_range[0], beta_range[1], resolution)
     lambdas = np.linspace(lambda_range[0], lambda_range[1], resolution)
     beta, lam = np.meshgrid(betas, lambdas, indexing="ij")

@@ -31,10 +31,6 @@ class TestParseLoss:
         assert spec.tuning.beta == 0.1
         assert spec.tuning.lam == -0.8
 
-    def test_sd_from_flags(self):
-        spec = parse_loss("sd", beta=0.5, lam=0.0)
-        assert spec.tuning.beta == 0.5
-
     def test_sd_without_tuning(self):
         with pytest.raises(CliError):
             parse_loss("sd")
@@ -118,6 +114,47 @@ class TestTrainCommand:
         assert code == EXIT_BAD_FLAGS
         assert "need 2 <= folds <= n" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "epochs"])
+    @pytest.mark.parametrize("flags", [["--beta", 0.5], ["--lambda", 0.0]],
+                             ids=["beta", "lambda"])
+    def test_tuning_flags_are_gone(self, tmp_path, command, flags):
+        # sd:BETA,LAMBDA is the one spelling of a tuning
+        out = tmp_path / "res.csv"
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--seed", 0, "--out", out, "--loss", "sd:0.1,-0.8",
+                 "--n", 30, "--epochs", 1] + flags)
+        assert exc.value.code == EXIT_BAD_FLAGS
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "epochs"])
+    @pytest.mark.parametrize("eta", ["-0.3", "nan", "1"])
+    def test_eta_outside_unit_interval_is_bad_flags(self, tmp_path, command, eta):
+        out = tmp_path / "res.csv"
+        code = run([command, "--seed", 0, "--out", out, "--loss", "cce",
+                    "--n", 30, "--epochs", 1, f"--eta={eta}"])
+        assert code == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == []
+
+    def test_results_name_input_files_by_file_name(self, tmp_path):
+        # the same IDX pair in two directories gives the same bytes
+        rng = np.random.default_rng(0)
+        ds = Dataset(features=rng.integers(0, 256, (30, 784)) / 255.0,
+                     labels=rng.integers(0, 10, 30).astype(np.intp),
+                     num_classes=10)
+        outputs = []
+        for where in ("a", tmp_path / "b" / "deeper"):
+            where = tmp_path / where
+            where.mkdir(parents=True)
+            img, lab = where / "img.idx", where / "lab.idx"
+            write_idx(ds, img, lab, rows=28, cols=28)
+            out = where / "res.csv"
+            assert run(["train", "--seed", 0, "--out", out, "--loss", "cce",
+                        "--dataset", f"idx:{img},{lab}", "--arch", "surrogate-64",
+                        "--folds", 2, "--epochs", 1, "--batch", 16]) == EXIT_OK
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert read_results(out)[0]["dataset"] == "idx:img.idx,lab.idx"
 
     def test_bad_loss_is_bad_flags(self, tmp_path):
         out = str(tmp_path / "res.csv")
@@ -288,6 +325,17 @@ class TestBoundCommand:
         assert code == EXIT_BAD_FLAGS
         assert not out.exists()
 
+    @pytest.mark.parametrize("extra", [
+        ["--resolution", 0],
+        ["--beta-min", "nan"],
+        ["--lambda-max", "inf"],
+    ], ids=["no_points", "nan_end", "infinite_end"])
+    def test_empty_or_non_finite_grid_exits_2_without_output(self, tmp_path, extra):
+        out = tmp_path / "bound.csv"
+        code = run(["bound", "--seed", 0, "--out", out, "--eta", 0.2] + extra)
+        assert code == EXIT_BAD_FLAGS
+        assert not out.exists()
+
 
 class TestInfluenceCommand:
     def test_m1_curve(self, tmp_path):
@@ -339,6 +387,15 @@ class TestInfluenceCommand:
         code = run(["influence", "--seed", 0, "--out", out, "--model", "M1",
                     "--beta", 0.0, "--lambda", 0.0])
         assert code == EXIT_BAD_FLAGS
+
+    @pytest.mark.parametrize("grid", ["0,1,0", "0,1,-2", "nan,1,3", "0,inf,3",
+                                      "0,1", "0,1,x"])
+    def test_bad_grid_exits_2_without_output(self, tmp_path, grid):
+        out = tmp_path / "if.csv"
+        code = run(["influence", "--seed", 0, "--out", out, "--model", "M1",
+                    "--beta", 0.5, "--lambda", -0.5, f"--grid={grid}"])
+        assert code == EXIT_BAD_FLAGS
+        assert not out.exists()
 
 
 class TestEpochsCommand:
@@ -536,16 +593,17 @@ class TestConfigFile:
                     "--config", str(tmp_path / "absent.cfg")])
         assert code == EXIT_BAD_DATA
 
-    def test_lambda_key_maps_to_lam(self, tmp_path):
+    @pytest.mark.parametrize("command", ["train", "epochs"])
+    @pytest.mark.parametrize("key", ["beta=0.1", "lambda=-0.8"])
+    def test_tuning_keys_are_unknown(self, tmp_path, command, key):
+        # sd:BETA,LAMBDA is the one spelling of a tuning
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("beta=0.1\nlambda=-0.8\n")
-        out = str(tmp_path / "res.csv")
-        code = run(["train", "--seed", 0, "--out", out, "--loss", "sd",
-                    "--folds", 2, "--n", 60, "--epochs", 2, "--batch", 16,
-                    "--config", str(cfg)])
-        assert code == EXIT_OK
-        rows = read_results(out)
-        assert rows[0]["lambda"] == pytest.approx(-0.8)
+        cfg.write_text(key + "\n")
+        code = run([command, "--seed", 0, "--out", tmp_path / "res.csv",
+                    "--loss", "sd:0.5,-0.5", "--n", 30, "--epochs", 1,
+                    "--config", cfg])
+        assert code == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestDeterminism:

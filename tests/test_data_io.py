@@ -148,6 +148,18 @@ class TestDataset:
             Dataset(features=np.zeros((3, 2)),
                     labels=np.array([0, 1, 2], dtype=np.intp), num_classes=2)
 
+    @pytest.mark.parametrize("labels, tag", [
+        ([0, 1, 1, 0], "count_mismatch"),
+        ([0, 1, 2], "bad_label"),
+        ([0, -1, 1], "bad_label"),
+    ], ids=["count_mismatch", "label_too_large", "negative_label"])
+    def test_rule_breaches_are_tagged(self, labels, tag):
+        with pytest.raises(DataFormatError) as err:
+            Dataset(features=np.zeros((3, 2)),
+                    labels=np.array(labels, dtype=np.intp), num_classes=2)
+        assert err.value.tag == tag
+        assert isinstance(err.value, ValueError)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         features = np.zeros((3, 2))

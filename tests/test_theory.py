@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
+from rsdnet.contamination import noisy_posterior
 from rsdnet.data_io import posterior_example1
 from rsdnet.divergence import (PROB_CLIP, InvalidTuningError, conditional_sd_risk,
                                make_tuning, sd_loss)
@@ -47,6 +48,23 @@ class TestExcessRiskBound:
         with pytest.raises(ValueError):
             excess_risk_bound(t, -0.1, 10)
         assert np.isfinite(excess_risk_bound(t, 0.89, 10))
+
+    def test_bounds_the_clean_risk_gap_of_the_noisy_minimiser(self):
+        # J = 3: the grid minimiser of the noisy expected one-hot loss is
+        # within the bound of the clean grid minimum, in clean risk
+        rng = np.random.default_rng(0)
+        grid = simplex_grid(3, 0.005)
+        labels = [np.full(len(grid), j) for j in range(3)]
+        for _ in range(200):
+            p_star = rng.dirichlet(np.ones(3))
+            eta = rng.uniform(0.0, 2.0 / 3.0)
+            # A = u (1 + beta), B = (1 - u)(1 + beta): an admissible tuning
+            beta, u = rng.uniform(0.0, 1.0), rng.uniform(0.02, 0.98)
+            t = make_tuning(beta, (u * (1.0 + beta) - 1.0) / (1.0 - beta))
+            losses = np.column_stack([sd_loss(y, grid, t) for y in labels])
+            clean = losses @ p_star
+            trained = np.argmin(losses @ noisy_posterior(p_star, eta))
+            assert clean[trained] - clean.min() <= excess_risk_bound(t, eta, 3)
 
     def test_monotone_in_beta_for_negative_lambda(self):
         # the bound decreases in beta at lambda = -1 and for small negative
@@ -123,6 +141,18 @@ class TestBoundGrid:
         # can reject the call
         with pytest.raises(ValueError):
             bound_grid(eta, J, beta_range=(-2.0, -1.0), resolution=5)
+
+    @pytest.mark.parametrize("beta_range, lambda_range, resolution", [
+        ((0.0, 1.0), (-1.0, 1.0), 0),
+        ((0.0, 1.0), (-1.0, 1.0), -3),
+        ((np.nan, 1.0), (-1.0, 1.0), 5),
+        ((0.0, 1.0), (-1.0, np.inf), 5),
+        ((0.0, -np.inf), (-1.0, 1.0), 5),
+    ], ids=["no_points", "negative", "nan_end", "infinite_end", "minus_inf_end"])
+    def test_empty_or_non_finite_grid_rejected(self, beta_range, lambda_range,
+                                               resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            bound_grid(0.2, 10, beta_range, lambda_range, resolution)
 
 
 def psi_loop_reference(model, theta, t, sample, p_star_fn):
