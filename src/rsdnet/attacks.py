@@ -8,6 +8,7 @@ is one PGD step of size epsilon: both run the same signed-step loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,11 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ("fgsm", "pgd"):
             raise ValueError(f"unknown attack kind: {self.kind}")
-        if self.epsilon < 0 or self.step_size <= 0 or self.max_iters < 1:
-            raise ValueError("invalid attack hyperparameters")
+        # NaN fails every comparison
+        if not (0 <= self.epsilon < math.inf and 0 < self.step_size < math.inf
+                and self.max_iters >= 1):
+            raise ValueError("invalid attack hyperparameters: need a finite "
+                             "epsilon >= 0, a finite step > 0 and iters >= 1")
 
 
 def input_gradient(params, arch: ArchitectureSpec, x, labels,
@@ -57,14 +61,21 @@ def input_gradient(params, arch: ArchitectureSpec, x, labels,
 def _signed_steps(params, arch: ArchitectureSpec, x, labels, epsilon: float,
                   step_size: float, iters: int) -> np.ndarray:
     """iters signed-gradient steps, each projected onto the epsilon-ball
-    around x intersected with BOX (the box alone where they do not meet)."""
+    around x intersected with BOX (the box alone where they do not meet).
+    Updated in place, with the bits of np.clip(adv + step_size * sign(g),
+    lo, hi): minimum then maximum is that clip, since lo <= hi."""
     x0 = np.asarray(x, dtype=np.float64)
     lo = np.clip(x0 - epsilon, *BOX)
     hi = np.clip(x0 + epsilon, *BOX)
-    adv = x0
+    adv = x0.copy()  # never write the caller's array
+    step = np.empty_like(adv)
     for _ in range(iters):
-        g = input_gradient(params, arch, adv, labels)
-        adv = np.clip(adv + step_size * np.sign(g), lo, hi)
+        # sign into its own buffer: out=g, aliasing its input, runs slower
+        np.sign(input_gradient(params, arch, adv, labels), out=step)
+        step *= step_size
+        adv += step
+        np.minimum(adv, hi, out=adv)
+        np.maximum(adv, lo, out=adv)
     return adv
 
 

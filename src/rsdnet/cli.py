@@ -211,6 +211,8 @@ def cmd_influence(args) -> int:
     model = example_model(args.model)
     if args.theta:
         theta = np.array([float(v) for v in args.theta.split(",")])
+        if not np.isfinite(theta).all():
+            raise CliError(f"--theta needs finite entries, got {args.theta!r}")
     else:
         theta = np.ones(model.n_params)
     lo, hi, count = args.grid.split(",")
@@ -273,9 +275,10 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    cfg = _attack_config(args)
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
     sparams, sarch = _surrogate(args, dataset, args.seed, args.seed + 100)
-    attacked = adversarial_trainset(sparams, sarch, dataset, _attack_config(args))
+    attacked = adversarial_trainset(sparams, sarch, dataset, cfg)
     data_io.dump_dataset(attacked, args.out + ".features.csv",
                          args.out + ".labels.csv")
     return EXIT_OK

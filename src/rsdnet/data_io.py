@@ -1,10 +1,11 @@
 """Dataset ingestion, synthetic generators, fold plans, and file formats.
 
 One codec per format: IDX pairs through _read_idx and _write_idx;
-plot-ready CSV through write_csv, column-wise (6 significant digits, one
-formatting rule per column, written in blocks of rows);
-exact CSV dumps through dump_dataset (numpy's row formatter, 17
-significant digits, so float64 round-trips), read back by load_dataset.
+plot-ready CSV through write_csv (6 significant digits, one formatting
+rule per column) and exact CSV dumps through dump_dataset (17 significant
+digits, so float64 round-trips), read back by load_dataset.  Both CSV
+writers go through _write_table: blocks of about CSV_BLOCK_CELLS cells,
+each distinct value of a block formatted once (_distinct_text).
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ import numpy as np
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
-# rows formatted and written at a time by write_csv: bounds the text held
-CSV_BLOCK_ROWS = 4096
+# cells formatted and written at a time by write_csv and dump_dataset (at
+# least one row): bounds the text held, however wide the table
+CSV_BLOCK_CELLS = 16384
 
 RESULTS_HEADER = (
     "dataset", "loss", "beta", "lambda", "eta", "attack",
@@ -220,6 +222,18 @@ def _quote(text: str) -> str:
     return text
 
 
+def _distinct_text(values: np.ndarray, spec: str) -> np.ndarray:
+    """The text of each cell of values under the %-format spec, as an
+    object array of values' shape.  Each distinct bit pattern is formatted
+    once (equal bits, not equal values: -0.0 and 0.0 format differently),
+    all of them by one % call, as savetxt formats a row."""
+    bits = values.view(f"u{values.itemsize}").ravel()
+    distinct, where = np.unique(bits, return_inverse=True)
+    words = "\n".join(repeat(spec, distinct.size)) % tuple(
+        distinct.view(values.dtype).tolist())  # plain Python numbers
+    return np.array(words.split("\n"), dtype=object)[where].reshape(values.shape)
+
+
 def _column_text(column):
     """A function from a row slice to the text of column's cells in it, by
     one rule chosen here for the whole column (see write_csv)."""
@@ -232,16 +246,10 @@ def _column_text(column):
         values = values.astype(np.float64, copy=False)  # as _fmt's float(value)
     elif kind == "b":
         values = values.view(np.uint8)
-    # equal bits, not equal values: -0.0 and 0.0 format differently
-    bits = values.view(f"u{values.itemsize}")
-    spec = ".6g" if kind == "f" else ""  # format(int, "") == str(int)
+    spec = "%.6g" if kind == "f" else "%d"
 
     def text(rows):
-        # each distinct value of the block is formatted once; plain Python
-        # numbers from .tolist() format fastest
-        distinct, where = np.unique(bits[rows], return_inverse=True)
-        words = map(format, distinct.view(values.dtype).tolist(), repeat(spec))
-        cells = np.array(list(words), dtype=object)[where]
+        cells = _distinct_text(values[rows], spec)
         if missing is not np.ma.nomask:
             cells[missing[rows]] = ""
         return cells.tolist()
@@ -249,13 +257,24 @@ def _column_text(column):
     return text
 
 
-def _lines(cells_by_column) -> str:
-    """CSV lines, each ending in a newline, from the cell texts of each
-    column; csv.writer quotes a row's only cell if it is empty."""
-    lines = map(",".join, zip(*cells_by_column))
-    if len(cells_by_column) == 1:
+def _lines(rows, width: int) -> str:
+    """CSV lines, each ending in a newline, from rows of width cell texts;
+    csv.writer quotes a row's only cell if it is empty."""
+    lines = map(",".join, rows)
+    if width == 1:
         lines = (line or '""' for line in lines)
     return "\n".join(lines) + "\n"
+
+
+def _write_table(path, header, n: int, block_rows):
+    """The header row, then n rows, taken from block_rows(row slice) in
+    blocks of about CSV_BLOCK_CELLS cells."""
+    width = len(header)
+    step = max(1, CSV_BLOCK_CELLS // max(width, 1))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(_lines([header], width))
+        for start in range(0, n, step):
+            fh.write(_lines(block_rows(slice(start, start + step)), width))
 
 
 def write_csv(path, header, columns):
@@ -266,7 +285,7 @@ def write_csv(path, header, columns):
     arrays as integers, and the masked cells of a numpy masked array as
     empty.  Any other column goes cell by cell through _fmt: None as
     empty, str as is, integers and bools as integers, other numbers with
-    6 significant digits.  Rows are written CSV_BLOCK_ROWS at a time.
+    6 significant digits.
     """
     if not header or len(columns) != len(header):
         raise ValueError(f"need one column per header name, got {len(header)} "
@@ -275,11 +294,8 @@ def write_csv(path, header, columns):
     if any(len(column) != n for column in columns):
         raise ValueError("columns differ in length")
     texts = [_column_text(column) for column in columns]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(_lines([[_quote(name)] for name in header]))
-        for start in range(0, n, CSV_BLOCK_ROWS):
-            rows = slice(start, start + CSV_BLOCK_ROWS)
-            fh.write(_lines([text(rows) for text in texts]))
+    _write_table(path, [_quote(name) for name in header], n,
+                 lambda rows: zip(*[text(rows) for text in texts]))
 
 
 def write_results(records, path):
@@ -296,15 +312,14 @@ def dump_dataset(dataset: Dataset, features_path, labels_path,
     label_columns = {"label": dataset.labels}
     if flip_mask is not None:
         label_columns["flipped"] = flip_mask
-    for path, names, table, fmt in (
+    for path, names, table, spec in (
         (features_path, [f"x{j}" for j in range(dataset.features.shape[1])],
-         dataset.features, "%.17g"),
+         dataset.features.astype(np.float64, copy=False), "%.17g"),
         (labels_path, list(label_columns),
          np.column_stack(list(label_columns.values())), "%d"),
     ):
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(",".join(names) + "\n")  # savetxt skips an empty header
-            np.savetxt(fh, table, fmt=fmt, delimiter=",")
+        _write_table(path, names, len(table),
+                     lambda rows: _distinct_text(table[rows], spec).tolist())
 
 
 def _read_table(path, parse) -> list:

@@ -62,6 +62,19 @@ def glorot_params(arch, seed):
     return np.concatenate(parts)
 
 
+def signed_steps(grad, x, epsilon, step_size, iters):
+    """iters steps adv = clip(adv + step_size * sign(grad(adv)), lo, hi)
+    from adv = x, where [lo, hi] is the epsilon-ball around x clipped to
+    the box [0, 1]: PGD, and FGSM as one step of size epsilon."""
+    x = np.asarray(x, dtype=np.float64)
+    lo = np.clip(x - epsilon, 0.0, 1.0)
+    hi = np.clip(x + epsilon, 0.0, 1.0)
+    adv = x
+    for _ in range(iters):
+        adv = np.clip(adv + step_size * np.sign(grad(adv)), lo, hi)
+    return adv
+
+
 def read_results(path):
     """Rows of a write_results CSV as dicts: "" as None, dataset, loss,
     attack and fold as text, epochs as int, anything else as float."""

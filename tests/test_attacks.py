@@ -16,7 +16,7 @@ from rsdnet.divergence import LossSpec, make_tuning
 from rsdnet.network import ArchitectureSpec, backward, forward, init_params
 from rsdnet.optimizer import TrainConfig, accuracy, train
 
-from reference import cce_loss
+from reference import cce_loss, signed_steps
 
 ARCH = ArchitectureSpec(2, ((16, "tanh"),), 2)
 
@@ -121,6 +121,51 @@ class TestConstraints:
         np.testing.assert_array_equal(adv, np.clip(ds.features, 0, 1))
 
 
+class TestAgainstReference:
+    """Bit for bit against the np.clip loop of reference.signed_steps."""
+
+    @staticmethod
+    def dead_relu_model():
+        # positive weights and a bias of -1: the hidden units of a row are
+        # all dead, and its input gradient exactly zero, where x0 + x1 is small
+        arch = ArchitectureSpec(2, ((4, "relu"),), 2)
+        params = init_params(arch, 5)
+        params[:8] = np.abs(params[:8]) + 0.5
+        params[8:12] = -1.0
+        return params, arch
+
+    @pytest.mark.parametrize("kind", ["fgsm", "pgd"])
+    @pytest.mark.parametrize("case", ["inside", "outside", "dead_relu"])
+    def test_bits_match_the_clip_loop(self, kind, case):
+        rng = np.random.default_rng(6)
+        if case == "dead_relu":
+            params, arch = self.dead_relu_model()
+            X = rng.uniform(0.0, 1.0, (200, 2))
+        else:
+            params, ds = trained_model()
+            arch = ARCH
+            X = (ds.features if case == "inside"
+                 else rng.uniform(-1.5, 2.5, ds.features.shape))
+        y = rng.integers(0, 2, X.shape[0])
+        before = X.copy()
+        if case == "dead_relu":
+            dead = (input_gradient(params, arch, X, y) == 0).all(axis=1)
+            assert 0 < dead.sum() < X.shape[0]
+
+        def grad(a):
+            return input_gradient(params, arch, a, y)
+
+        if kind == "fgsm":
+            got = fgsm(params, arch, X, y, 0.1)
+            want = signed_steps(grad, X, 0.1, 0.1, 1)
+        else:
+            cfg = AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05, max_iters=20)
+            got = pgd(params, arch, X, y, cfg)
+            want = signed_steps(grad, X, 0.3, 0.05, 20)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(X.view(np.uint64), before.view(np.uint64))
+
+
 class TestEffectiveness:
     def test_pgd_degrades_accuracy(self):
         params, ds = trained_model()
@@ -151,6 +196,13 @@ class TestPlumbing:
             AttackConfig(kind="pgd", epsilon=-0.1)
         with pytest.raises(ValueError):
             AttackConfig(kind="pgd", epsilon=0.1, max_iters=0)
+        # NaN passes a plain range check; an infinite FGSM step times a
+        # zero gradient sign is NaN
+        for kind in ("fgsm", "pgd"):
+            for field in ("epsilon", "step_size"):
+                for value in (np.nan, np.inf):
+                    with pytest.raises(ValueError, match="finite"):
+                        AttackConfig(kind=kind, **{"epsilon": 0.1, field: value})
 
     def test_dispatcher(self):
         params, ds = trained_model()

@@ -388,6 +388,14 @@ class TestInfluenceCommand:
                     "--beta", 0.0, "--lambda", 0.0])
         assert code == EXIT_BAD_FLAGS
 
+    @pytest.mark.parametrize("theta", ["nan,1", "1,inf", "-inf,nan"])
+    def test_non_finite_theta_exits_2_without_output(self, tmp_path, theta):
+        out = tmp_path / "if.csv"
+        code = run(["influence", "--seed", 0, "--out", out, "--model", "M1",
+                    "--beta", 0.5, "--lambda", -0.5, f"--theta={theta}"])
+        assert code == EXIT_BAD_FLAGS
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["0,1,0", "0,1,-2", "nan,1,3", "0,inf,3",
                                       "0,1", "0,1,x"])
     def test_bad_grid_exits_2_without_output(self, tmp_path, grid):
@@ -504,6 +512,27 @@ class TestAttackCommand:
         clean = synthetic_example1(400, seed=0).features[:, 0]
         meets = (clean > -0.3) & (clean < 1.3)
         assert np.max(np.abs(data - clean)[meets]) <= 0.3 + 1e-12
+
+
+    @pytest.mark.parametrize("command", ["attack", "train"])
+    @pytest.mark.parametrize("flags", [
+        ["--attack", "fgsm", "--epsilon=nan"],
+        ["--attack", "fgsm", "--epsilon=inf"],
+        ["--attack", "pgd", "--epsilon=nan"],
+        ["--attack", "pgd", "--step=nan"],
+        ["--attack", "pgd", "--step=inf"],
+    ], ids=["fgsm-epsilon-nan", "fgsm-epsilon-inf", "pgd-epsilon-nan",
+            "pgd-step-nan", "pgd-step-inf"])
+    def test_non_finite_budget_exits_2_before_training(self, tmp_path, monkeypatch,
+                                                        command, flags):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the attack flags")
+
+        monkeypatch.setattr("rsdnet.cli.train", no_training)
+        code = run([command, "--seed", 0, "--out", tmp_path / "out", "--n", 20,
+                    "--surrogate-epochs", 1] + flags)
+        assert code == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rsdnet.data_io import (
-    CSV_BLOCK_ROWS,
+    CSV_BLOCK_CELLS,
     RESULTS_HEADER,
     DataFormatError,
     Dataset,
@@ -350,15 +350,17 @@ def random_column(kind: str, n: int, rng):
 
 class TestWriteCsv:
     @example(seed=0, kinds=["float", "masked", "bool"], n=0)
-    @example(seed=1, kinds=["masked", "int", "mixed"], n=CSV_BLOCK_ROWS)
+    # a block holds CSV_BLOCK_CELLS // width rows
+    @example(seed=1, kinds=["masked", "int", "mixed"], n=CSV_BLOCK_CELLS // 3)
     @example(seed=2, kinds=["float", "masked_int", "text", "uint64"],
-             n=CSV_BLOCK_ROWS + 1)
-    @example(seed=3, kinds=["text"], n=CSV_BLOCK_ROWS + 1)
+             n=CSV_BLOCK_CELLS // 4 + 1)
+    @example(seed=3, kinds=["text"], n=CSV_BLOCK_CELLS + 1)
     @example(seed=4, kinds=["masked"], n=50)
     @settings(max_examples=40)
     @given(seed=st.integers(0, 2**32 - 1),
            kinds=st.lists(st.sampled_from(COLUMN_KINDS), min_size=1, max_size=5),
-           n=st.sampled_from([0, 1, 2, 13, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1]))
+           n=st.sampled_from([0, 1, 2, 13, CSV_BLOCK_CELLS // 4,
+                              CSV_BLOCK_CELLS // 4 + 1, CSV_BLOCK_CELLS + 1]))
     def test_bytes_match_per_cell_reference(self, tmp_path_factory, seed, kinds, n):
         rng = np.random.default_rng(seed)
         tables = [random_column(kind, n, rng) for kind in kinds]
@@ -434,6 +436,38 @@ class TestDumpLoad:
         dump_per_cell(ds, tmp_path / "rf.csv", tmp_path / "rl.csv", flip_mask=mask)
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "rf.csv").read_bytes()
         assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "rl.csv").read_bytes()
+
+    # a block holds CSV_BLOCK_CELLS // width rows, and at least one
+    @example(seed=0, rows=0, cols=3, flipped=True)
+    @example(seed=1, rows=4, cols=0, flipped=False)
+    @example(seed=2, rows=CSV_BLOCK_CELLS // 8 + 1, cols=8, flipped=True)
+    @example(seed=3, rows=3, cols=CSV_BLOCK_CELLS + 1, flipped=False)
+    @settings(max_examples=30)
+    @given(seed=st.integers(0, 2**32 - 1),
+           rows=st.sampled_from([0, 1, 2, 13, CSV_BLOCK_CELLS // 8 + 1]),
+           cols=st.sampled_from([0, 1, 2, 8]),
+           flipped=st.booleans())
+    def test_any_table_matches_per_cell_reference(self, tmp_path_factory, seed,
+                                                  rows, cols, flipped):
+        rng = np.random.default_rng(seed)
+        awkward = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 1 / 3, 0.1]
+        # drawn from a small pool, so values repeat within a block as
+        # attacked pixels do; a fifth of the cells are fresh draws
+        pool = np.concatenate([awkward, rng.integers(0, 256, 20) / 255.0,
+                               rng.normal(0.0, 10.0 ** rng.integers(-8, 9), 20)])
+        features = rng.choice(pool, (rows, cols))
+        fresh = rng.random((rows, cols)) < 0.2
+        features[fresh] = rng.normal(0.0, 1e3, fresh.sum())
+        features.flat[:len(awkward)] = awkward[:features.size]
+        ds = Dataset(features=features,
+                     labels=rng.integers(0, 300, rows).astype(np.intp),
+                     num_classes=300)
+        mask = rng.random(rows) < 0.5 if flipped else None
+        where = tmp_path_factory.mktemp("dump")
+        dump_dataset(ds, where / "f.csv", where / "l.csv", flip_mask=mask)
+        dump_per_cell(ds, where / "rf.csv", where / "rl.csv", flip_mask=mask)
+        assert (where / "f.csv").read_bytes() == (where / "rf.csv").read_bytes()
+        assert (where / "l.csv").read_bytes() == (where / "rl.csv").read_bytes()
 
     def test_roundtrip_exact(self, tmp_path):
         ds = synthetic_blobs(30, seed=4)
