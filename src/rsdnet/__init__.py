@@ -20,7 +20,7 @@ from .network import (
     forward,
     init_params,
 )
-from .optimizer import AdamConfig, AdamState, TrainConfig, accuracy, adam_step, train
+from .optimizer import TrainConfig, accuracy, adam_step, train
 from .contamination import NoiseConfig, corrupt_labels, noisy_posterior
 from .attacks import AttackConfig, adversarial_trainset, fgsm, pgd
 from .theory import (

@@ -16,7 +16,7 @@ from pathlib import PurePath
 import numpy as np
 
 from . import data_io
-from .attacks import AttackConfig, adversarial_trainset
+from .attacks import BOX, AttackConfig, adversarial_trainset
 from .contamination import NoiseConfig, corrupt_labels
 from .data_io import DataFormatError, Dataset
 from .divergence import LossSpec, clip_probs, make_tuning
@@ -50,7 +50,7 @@ class CliError(ValueError):
 
 def parse_loss(text: str) -> LossSpec:
     """The loss a --loss value names; LOSS_GRAMMAR is the only spelling."""
-    kind, _, arg = text.partition(":")
+    kind, sep, arg = text.partition(":")
     try:
         if kind == "sd":
             b, _, l = arg.partition(",")
@@ -59,7 +59,7 @@ def parse_loss(text: str) -> LossSpec:
             return LossSpec(kind="gce", q=float(arg))
         if kind == "tcce":
             return LossSpec(kind="tcce", delta=float(arg))
-        if kind in ("cce", "mae") and not arg:
+        if kind in ("cce", "mae") and not sep:
             return LossSpec(kind=kind)
     except ValueError as exc:
         raise CliError(f"bad loss spec {text!r}: {exc}") from exc
@@ -126,9 +126,19 @@ def _surrogate(args, dataset: Dataset, init_seed: int, shuffle_seed: int):
     return params, arch
 
 
-def _attack_config(args) -> AttackConfig:
-    return AttackConfig(kind=args.attack, epsilon=args.epsilon,
-                        step_size=args.step, max_iters=args.iters)
+def _attack_config(args, dataset: Dataset) -> AttackConfig:
+    """The attack flags as an AttackConfig, checked before any surrogate
+    trains; a dataset with a feature outside BOX raises DataFormatError
+    (tag outside_box): the attack would clamp it, not perturb it."""
+    cfg = AttackConfig(kind=args.attack, epsilon=args.epsilon,
+                       step_size=args.step, max_iters=args.iters)
+    lo, hi = BOX
+    outside = np.count_nonzero((dataset.features < lo) | (dataset.features > hi))
+    if outside:
+        raise DataFormatError(
+            "outside_box", f"{outside} of {dataset.features.size} features lie "
+            f"outside the attack box [{lo:g}, {hi:g}]")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +149,7 @@ def _attack_config(args) -> AttackConfig:
 def cmd_train(args) -> int:
     arch, dataset = resolve_arch(args)
     loss = parse_loss(args.loss)
-    attack_cfg = _attack_config(args) if args.attack else None
+    attack_cfg = _attack_config(args, dataset) if args.attack else None
     plan = data_io.make_folds(dataset.n, args.folds, args.seed)
     records = []
     saved = []
@@ -275,8 +285,8 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    cfg = _attack_config(args)
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
+    cfg = _attack_config(args, dataset)
     sparams, sarch = _surrogate(args, dataset, args.seed, args.seed + 100)
     attacked = adversarial_trainset(sparams, sarch, dataset, cfg)
     data_io.dump_dataset(attacked, args.out + ".features.csv",

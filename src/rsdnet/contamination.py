@@ -28,8 +28,6 @@ def corrupt_labels(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, np.ndar
     regardless of how callers iterate.
     """
     J = dataset.num_classes
-    if J < 2:
-        raise ValueError("need at least 2 classes")
     rng = np.random.default_rng(cfg.seed)
     n = dataset.n
     flip = rng.random(n) < cfg.eta

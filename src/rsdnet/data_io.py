@@ -41,8 +41,9 @@ class DataFormatError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Feature matrix with integer labels in [0, num_classes); a breach of
-    either rule raises DataFormatError (count_mismatch, bad_label, non_finite)."""
+    """Feature matrix with integer labels in [0, num_classes), at least 2
+    classes; a breach of these rules raises DataFormatError (count_mismatch,
+    bad_label, one_class, non_finite)."""
 
     features: np.ndarray   # (n, p) float64
     labels: np.ndarray     # (n,) intp
@@ -60,6 +61,9 @@ class Dataset:
         ):
             raise DataFormatError(
                 "bad_label", f"labels must lie in [0, {self.num_classes})")
+        if self.num_classes < 2:
+            raise DataFormatError(
+                "one_class", f"need at least 2 classes, got {self.num_classes}")
         if not np.isfinite(self.features).all():
             raise DataFormatError("non_finite", "features contain NaN or infinity")
 

@@ -253,6 +253,10 @@ class LossSpec:
             raise ValueError("tcce loss requires delta in [0, 1)")
         if self.kind not in ("sd", "cce", "mae", "gce", "tcce"):
             raise ValueError(f"unknown loss kind: {self.kind}")
+        for name, owner in (("tuning", "sd"), ("q", "gce"), ("delta", "tcce")):
+            if self.kind != owner and getattr(self, name) is not None:
+                raise ValueError(f"{self.kind} loss takes no {name}; "
+                                 f"{name} applies to {owner} only")
 
     def describe(self) -> str:
         if self.kind == "sd":

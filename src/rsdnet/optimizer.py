@@ -12,65 +12,36 @@ from .network import (ArchitectureSpec, _backward, _forward, forward,
                       init_params, unflatten)
 
 
-@dataclass(frozen=True)
-class AdamConfig:
-    alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.epsilon <= 0:
-            raise ValueError("alpha and epsilon must be positive")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+# Adam's hyperparameters (Kingma and Ba), fixed for every run
+ADAM_ALPHA = 1e-3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
-@dataclass(frozen=True)
-class AdamState:
-    m: np.ndarray
-    v: np.ndarray
-    t: int
+def adam_step(t: int, params: np.ndarray, grad: np.ndarray, m: np.ndarray,
+              v: np.ndarray, s1: np.ndarray, s2: np.ndarray) -> None:
+    """Adam step t (counted from 1) written in place into params, m and v.
 
-
-def init_adam(n_params: int) -> AdamState:
-    return AdamState(m=np.zeros(n_params), v=np.zeros(n_params), t=0)
-
-
-def adam_step(state: AdamState, config: AdamConfig, params: np.ndarray,
-              grad: np.ndarray) -> tuple[np.ndarray, AdamState]:
-    """One Adam update; returns fresh arrays, inputs are untouched."""
-    if grad.shape != params.shape or state.m.shape != params.shape:
-        raise ValueError("parameter, gradient and state shapes must agree")
-    new_params = np.array(params, dtype=np.float64)
-    m = np.array(state.m, dtype=np.float64)
-    v = np.array(state.v, dtype=np.float64)
-    t = state.t + 1
-    _adam_update(config, t, grad, new_params, m, v,
-                 np.empty_like(new_params), np.empty_like(new_params))
-    return new_params, AdamState(m=m, v=v, t=t)
-
-
-def _adam_update(config: AdamConfig, t: int, grad, params, m, v, s1, s2) -> None:
-    """Adam step t written in place into params, m and v.
-
-    s1 and s2 are scratch arrays of the same shape.  Every element sees the
-    same float operations, in the same order, as the textbook expressions
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g and
-    params - alpha*m_hat / (sqrt(v_hat) + eps).
+    s1 and s2 are scratch arrays of the same shape; grad is only read.
+    Every element sees the same float operations, in the same order, as
+    the textbook expressions m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
+    and params - alpha*m_hat / (sqrt(v_hat) + eps).
     """
-    m *= config.beta1
-    np.multiply(grad, 1.0 - config.beta1, out=s1)
+    if not params.shape == grad.shape == m.shape == v.shape:
+        raise ValueError("parameter, gradient and moment shapes must agree")
+    m *= ADAM_BETA1
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=s1)
     m += s1
-    v *= config.beta2
-    np.multiply(grad, 1.0 - config.beta2, out=s1)
+    v *= ADAM_BETA2
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=s1)
     s1 *= grad
     v += s1
-    np.divide(v, 1.0 - config.beta2 ** t, out=s1)
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=s1)
     np.sqrt(s1, out=s1)
-    s1 += config.epsilon
-    np.divide(m, 1.0 - config.beta1 ** t, out=s2)
-    s2 *= config.alpha
+    s1 += ADAM_EPSILON
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=s2)
+    s2 *= ADAM_ALPHA
     s2 /= s1
     params -= s2
 
@@ -94,7 +65,7 @@ def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset) -> fl
 
 def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
           train_cfg: TrainConfig, eval_set: Dataset | None = None):
-    """Mini-batch Adam training with AdamConfig()'s defaults; returns
+    """Mini-batch Adam training at the fixed ADAM_* hyperparameters; returns
     (params, per-epoch metrics).
 
     Each epoch reshuffles the example order from a per-epoch derived seed
@@ -102,8 +73,8 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     Metrics rows are (epoch, mean train loss, test accuracy or nan).
 
     A step gives the same floats as forward -> value_and_grad_logits ->
-    backward -> adam_step, but runs their kernels on (W, b) views of the
-    parameter, gradient and Adam buffers built once here, updated in place.
+    backward -> adam_step, but runs the network kernels on (W, b) views of
+    the parameter and gradient buffers built once here, updated in place.
     Raises FloatingPointError after an epoch whose mean loss, parameters or
     Adam second moments (squared gradients) are not all finite.
     """
@@ -114,7 +85,6 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     if dataset.features.shape[1] != arch.input_dim:
         raise ValueError("dataset features do not match the architecture input")
     params = init_params(arch, init_seed)
-    adam = AdamConfig()
     grad = np.empty_like(params)
     m, v = np.zeros_like(params), np.zeros_like(params)
     s1, s2 = np.empty_like(params), np.empty_like(params)
@@ -136,7 +106,7 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
             _backward(X, pres, posts, layers, acts, grad_logits, grads,
                       want_input=False)
             step += 1
-            _adam_update(adam, step, grad, params, m, v, s1, s2)
+            adam_step(step, params, grad, m, v, s1, s2)
             loss_sum += loss * len(idx)
         mean_loss = loss_sum / n
         if not (np.isfinite(mean_loss) and np.isfinite(params).all()

@@ -7,11 +7,11 @@ Each evaluator works on whole arrays, with no per-point Python loop.
 bound_grid applies make_tuning's admissibility rules (_admissibility) and
 the bound formula _bound to the whole (beta, lambda) mesh at once;
 excess_risk_bound evaluates the same formula at one tuning pair.  The
-influence-function kernels _weights and _psi take a scalar x or a whole
+influence-function kernels _weights and psi take a scalar x or a whole
 feature sample or x grid with its (n, 2) reference posteriors
-(_reference): psi is their one-point wrapper, big_psi sums the sample in
-two matrix products, and influence_function computes the psi rows of
-every grid point at once and multiplies them by pinv(Psi) in one product.
+(_reference): big_psi sums the sample in two matrix products, and
+influence_function computes the psi rows of every grid point at once and
+multiplies them by pinv(Psi) in one product.
 simplex_grid builds its compositions level by level.
 """
 
@@ -115,23 +115,23 @@ def _weights(model: ExampleModel, theta, x, t: TuningPair, p_star):
     return u, du
 
 
-def _psi(model: ExampleModel, theta, x, t: TuningPair, p_star) -> np.ndarray:
-    u, _ = _weights(model, theta, x, t, p_star)
-    # grad p2 = -grad p1 for the pinned-logit binary models
-    return (u[..., 0] - u[..., 1])[..., None] * model.grad_prob1(theta, x)
+def psi(model: ExampleModel, theta, x, t: TuningPair, p_star_fn) -> np.ndarray:
+    """Score-like vector sum_j u_j grad_theta p_j at each feature value.
 
-
-def psi(model: ExampleModel, theta, x: float, t: TuningPair,
-        p_star_fn) -> np.ndarray:
-    """Score-like vector sum_j u_j grad_theta p_j at one feature value.
-
+    x is a scalar or an (n,) array; the result has one row per point, or
+    is the bare (n_params,) vector for a scalar x.  p_star_fn is called
+    once per point; None means the default reference of IFRequest.
     u_j = p_j**beta - p_star_j**A * p_j**(B-1) is, up to the factor
     (1+beta)/A, the gradient of conditional_sd_risk(p_star, p) in p_j: psi
     is the estimating equation of the minimiser of that p_star**A form,
     not of the expected one-hot sd_loss that training minimises.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    return _psi(model, theta, x, t, np.asarray(p_star_fn(x), dtype=np.float64))
+    xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    u, _ = _weights(model, theta, xs, t, _reference(p_star_fn, xs))
+    # grad p2 = -grad p1 for the pinned-logit binary models
+    rows = (u[:, 0] - u[:, 1])[:, None] * model.grad_prob1(theta, xs)
+    return rows if np.ndim(x) else rows[0]
 
 
 def _nudge_off_kinks(model: ExampleModel, theta, sample: np.ndarray) -> np.ndarray:
@@ -206,7 +206,7 @@ def influence_function(req: IFRequest) -> np.ndarray:
     big = big_psi(model, theta, req.tuning, req.feature_sample, req.p_star_fn)
     big_pinv = np.linalg.pinv(big, rcond=PINV_RCOND)
     x_grid = np.asarray(req.x_grid, dtype=np.float64)
-    rows = _psi(model, theta, x_grid, req.tuning, _reference(req.p_star_fn, x_grid))
+    rows = psi(model, theta, x_grid, req.tuning, req.p_star_fn)
     # -pinv, not a negated product, so that an exact 0 stays +0 as in a
     # matrix-vector product per point
     return rows @ -big_pinv.T

@@ -11,6 +11,7 @@ import numpy as np
 
 from rsdnet.data_io import RESULTS_HEADER, DataFormatError
 from rsdnet.divergence import PROB_CLIP
+from rsdnet.optimizer import ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
 
 def _label_probs(labels, probs):
@@ -60,6 +61,16 @@ def glorot_params(arch, seed):
         scale = np.sqrt(2.0 / (fan_in + fan_out))
         parts += [rng.normal(0.0, scale, (fan_in, fan_out)).ravel(), np.zeros(fan_out)]
     return np.concatenate(parts)
+
+
+def textbook_adam(t, params, grad, m, v):
+    """Textbook Adam step t (Kingma and Ba, Algorithm 1), one fresh array
+    per expression: returns (params, m, v), the inputs untouched."""
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = v / (1.0 - ADAM_BETA2 ** t)
+    return params - ADAM_ALPHA * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m, v
 
 
 def signed_steps(grad, x, epsilon, step_size, iters):

@@ -49,6 +49,11 @@ class TestParseLoss:
         with pytest.raises(CliError):
             parse_loss("focal")
 
+    @pytest.mark.parametrize("text", ["cce:", "mae:", "cce:0.7", "mae:x"])
+    def test_baseline_with_a_colon_rejected(self, text):
+        with pytest.raises(CliError):
+            parse_loss(text)
+
 
 class TestTrainCommand:
     def test_writes_results_and_params(self, tmp_path):
@@ -162,6 +167,15 @@ class TestTrainCommand:
                     "--n", 30, "--epochs", 1])
         assert code == EXIT_BAD_FLAGS
 
+    @pytest.mark.parametrize("command", ["train", "epochs"])
+    @pytest.mark.parametrize("loss", ["cce:", "mae:"])
+    def test_baseline_with_a_colon_exits_2_without_output(self, tmp_path,
+                                                          command, loss):
+        code = run([command, "--seed", 0, "--out", tmp_path / "out",
+                    "--loss", loss, "--n", 30, "--epochs", 1])
+        assert code == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_idx_file_is_bad_data(self, tmp_path):
         out = str(tmp_path / "res.csv")
         code = run(["train", "--seed", 0, "--out", out, "--loss", "cce",
@@ -268,6 +282,20 @@ class TestInputHardening:
         code = run([command[0], "--seed", 0, "--out", out,
                     "--dataset", f"idx:{img},{lab}"] + command[1:])
         assert code == EXIT_BAD_DATA
+        assert not list(tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("command", [
+        ["corrupt", "--eta", 0.2],
+        ["attack", "--attack", "fgsm", "--surrogate-epochs", 1],
+    ], ids=["corrupt", "attack"])
+    def test_one_class_csv_dump_is_bad_data(self, tmp_path, capsys, command):
+        # every label 0: the dump infers one class; no flag is at fault
+        ds = synthetic_blobs(20, seed=0)
+        dataset = csv_dataset(tmp_path, ds.features, np.zeros(20, dtype=np.intp))
+        code = run([command[0], "--seed", 0, "--out", tmp_path / "out",
+                    "--dataset", dataset] + command[1:])
+        assert code == EXIT_BAD_DATA
+        assert "at least 2 classes" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
 
     def test_synthetic_dataset_of_no_examples_is_bad_flags(self, tmp_path):
@@ -498,21 +526,21 @@ class TestAttackCommand:
         assert np.max(np.abs(data - clean.features)) <= 0.1 + 1e-12
 
     @pytest.mark.parametrize("kind", ["pgd", "fgsm"])
-    def test_features_outside_the_box_end_inside_it(self, tmp_path, kind):
-        # example1 features are N(0, 1) draws, most of them outside [0, 1]
-        out = str(tmp_path / "attacked")
-        code = run(["attack", "--seed", 0, "--out", out, "--n", 400,
-                    "--dataset", "example1", "--attack", kind,
-                    "--epsilon", 0.3, "--surrogate-epochs", 2])
-        assert code == EXIT_OK
-        data = np.genfromtxt(out + ".features.csv", delimiter=",",
-                             skip_header=1)
-        assert data.min() >= 0.0 and data.max() <= 1.0
-        # where the epsilon-ball meets the box, the output stays in the ball
-        clean = synthetic_example1(400, seed=0).features[:, 0]
-        meets = (clean > -0.3) & (clean < 1.3)
-        assert np.max(np.abs(data - clean)[meets]) <= 0.3 + 1e-12
+    def test_features_outside_the_box_exit_3(self, tmp_path, monkeypatch, capsys,
+                                             kind):
+        # example1 features are N(0, 1) draws, most of them outside [0, 1];
+        # an attack would clamp them to the box, not perturb them
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the features")
 
+        monkeypatch.setattr("rsdnet.cli.train", no_training)
+        for command in (["attack"], ["train", "--arch", "example1-mlp"]):
+            code = run(command + ["--seed", 0, "--out", tmp_path / "out",
+                                  "--n", 400, "--dataset", "example1",
+                                  "--attack", kind, "--surrogate-epochs", 1])
+            assert code == EXIT_BAD_DATA
+            assert "outside the attack box" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["attack", "train"])
     @pytest.mark.parametrize("flags", [

@@ -160,6 +160,13 @@ class TestDataset:
         assert err.value.tag == tag
         assert isinstance(err.value, ValueError)
 
+    @pytest.mark.parametrize("rows, num_classes", [(3, 1), (0, 0)])
+    def test_fewer_than_two_classes_rejected(self, rows, num_classes):
+        with pytest.raises(DataFormatError) as err:
+            Dataset(features=np.zeros((rows, 2)),
+                    labels=np.zeros(rows, dtype=np.intp), num_classes=num_classes)
+        assert err.value.tag == "one_class"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         features = np.zeros((3, 2))

@@ -462,3 +462,15 @@ class TestLossSpec:
             LossSpec(kind="tcce", delta=1.0)
         with pytest.raises(ValueError):
             LossSpec(kind="nll")
+
+    @pytest.mark.parametrize("kind,params", [
+        ("cce", {"q": 0.7}),
+        ("mae", {"delta": 0.2}),
+        ("sd", {"tuning": make_tuning(0.1, -0.8), "delta": 0.2}),
+        ("gce", {"q": 0.7, "tuning": make_tuning(0.1, -0.8)}),
+        ("tcce", {"delta": 0.2, "q": 0.7}),
+    ])
+    def test_stray_parameter_rejected(self, kind, params):
+        # each kind takes only its own parameter; a stray one is not ignored
+        with pytest.raises(ValueError, match="takes no"):
+            LossSpec(kind=kind, **params)

@@ -2,109 +2,114 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
+from reference import textbook_adam
 from rsdnet.data_io import Dataset, synthetic_blobs
 from rsdnet.divergence import LossSpec, make_tuning
 from rsdnet.network import ArchitectureSpec, backward, forward, init_params
 from rsdnet.optimizer import (
-    AdamConfig,
-    AdamState,
+    ADAM_ALPHA,
     TrainConfig,
     accuracy,
     adam_step,
-    init_adam,
     train,
 )
 
 TOY = ArchitectureSpec(2, ((16, "tanh"),), 2)
 
 
+def fresh_state(n):
+    """Zero moments m, v and scratch s1, s2 for n parameters."""
+    return np.zeros(n), np.zeros(n), np.empty(n), np.empty(n)
+
+
 class TestAdamStep:
     def test_matches_reference_updates(self):
-        # hand-rolled reference over a few steps on a fixed gradient stream
-        cfg = AdamConfig()
+        # a few steps on a fixed unit-scale gradient stream, to rounding
         rng = np.random.default_rng(0)
         params = rng.normal(size=5)
-        state = init_adam(5)
-        m = np.zeros(5)
-        v = np.zeros(5)
-        ref = params.copy()
+        m, v, s1, s2 = fresh_state(5)
+        ref, ref_m, ref_v = params.copy(), np.zeros(5), np.zeros(5)
         for t in range(1, 6):
             g = rng.normal(size=5)
-            params, state = adam_step(state, cfg, params, g)
-            m = cfg.beta1 * m + (1 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1 - cfg.beta2) * g * g
-            m_hat = m / (1 - cfg.beta1 ** t)
-            v_hat = v / (1 - cfg.beta2 ** t)
-            ref = ref - cfg.alpha * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            adam_step(t, params, g, m, v, s1, s2)
+            ref, ref_m, ref_v = textbook_adam(t, ref, g, ref_m, ref_v)
             np.testing.assert_allclose(params, ref, rtol=1e-12)
-            assert state.t == t
 
     def test_bit_identical_to_textbook_expressions(self):
-        cfg = AdamConfig(alpha=0.01)
         rng = np.random.default_rng(3)
         params = rng.normal(size=50)
-        state = init_adam(50)
-        m, v, ref = np.zeros(50), np.zeros(50), params.copy()
+        m, v, s1, s2 = fresh_state(50)
+        ref, ref_m, ref_v = params.copy(), np.zeros(50), np.zeros(50)
         for t in range(1, 20):
             g = rng.normal(scale=10.0 ** rng.integers(-6, 3), size=50)
-            params, state = adam_step(state, cfg, params, g)
-            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-            v = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-            m_hat = m / (1.0 - cfg.beta1 ** t)
-            v_hat = v / (1.0 - cfg.beta2 ** t)
-            ref = ref - cfg.alpha * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+            adam_step(t, params, g, m, v, s1, s2)
+            ref, ref_m, ref_v = textbook_adam(t, ref, g, ref_m, ref_v)
             assert np.array_equal(params, ref)
-            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
+
+    @example(seed=0, scale=1e-8, zeros=0.5, t0=1, steps=3)
+    @example(seed=1, scale=1e3, zeros=0.0, t0=10**4 - 2, steps=3)
+    @example(seed=2, scale=1.0, zeros=1.0, t0=1, steps=2)
+    @given(seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-8, 1e-5, 1e-2, 1.0, 10.0, 1e3]),
+           zeros=st.sampled_from([0.0, 0.25, 1.0]),
+           t0=st.integers(1, 10**4 - 4),
+           steps=st.integers(1, 4))
+    def test_any_gradient_stream_matches_textbook(self, seed, scale, zeros,
+                                                   t0, steps):
+        # gradients of scale 1e-8 to 1e3 with exact zeros, from step t0 on
+        # nonzero moments, up to step 10**4
+        rng = np.random.default_rng(seed)
+        params = rng.normal(size=17)
+        m = rng.normal(scale=scale, size=17)
+        v = rng.uniform(0.0, 2.0, 17) * scale ** 2
+        ref, ref_m, ref_v = params.copy(), m.copy(), v.copy()
+        s1, s2 = np.empty(17), np.empty(17)
+        for t in range(t0, t0 + steps):
+            g = rng.normal(scale=scale, size=17)
+            g[rng.random(17) < zeros] = 0.0
+            adam_step(t, params, g, m, v, s1, s2)
+            ref, ref_m, ref_v = textbook_adam(t, ref, g, ref_m, ref_v)
+            assert np.array_equal(params, ref)
+            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 
     def test_first_step_size_is_alpha(self):
         # bias correction makes the first update approximately alpha * sign(g)
-        cfg = AdamConfig(alpha=0.1)
         params = np.zeros(3)
         g = np.array([4.0, -0.5, 1e3])
-        new, _ = adam_step(init_adam(3), cfg, params, g)
-        np.testing.assert_allclose(new, -0.1 * np.sign(g), rtol=1e-6)
+        adam_step(1, params, g, *fresh_state(3))
+        np.testing.assert_allclose(params, -ADAM_ALPHA * np.sign(g), rtol=1e-6)
 
-    def test_inputs_untouched(self):
-        cfg = AdamConfig()
-        params = np.ones(3)
-        state = init_adam(3)
-        adam_step(state, cfg, params, np.ones(3))
-        np.testing.assert_array_equal(params, 1.0)
-        np.testing.assert_array_equal(state.m, 0.0)
-        assert state.t == 0
-
-    def test_nonzero_inputs_untouched(self):
+    def test_writes_in_place_and_leaves_grad(self):
         rng = np.random.default_rng(1)
         params, grad, m = rng.normal(size=(3, 7))
         v = rng.uniform(0.1, 1.0, 7)
-        state = AdamState(m=m, v=v, t=3)
-        before = [a.copy() for a in (params, grad, m, v)]
-        new, new_state = adam_step(state, AdamConfig(), params, grad)
-        for a, b in zip((params, grad, m, v), before):
-            np.testing.assert_array_equal(a, b)
-        assert state.t == 3 and new_state.t == 4
-        assert not np.shares_memory(new, params)
-        assert not np.shares_memory(new_state.m, m)
-        assert not np.shares_memory(new_state.v, v)
+        s1, s2 = np.empty(7), np.empty(7)
+        buffers = (params, m, v)
+        grad_before = grad.copy()
+        expected = textbook_adam(4, params, grad, m, v)
+        assert adam_step(4, params, grad, m, v, s1, s2) is None
+        for buf, want in zip(buffers, expected):
+            assert np.array_equal(buf, want)
+        np.testing.assert_array_equal(grad, grad_before)
 
     def test_shape_check(self):
-        with pytest.raises(ValueError):
-            adam_step(init_adam(3), AdamConfig(), np.zeros(3), np.zeros(4))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AdamConfig(alpha=0.0)
-        with pytest.raises(ValueError):
-            AdamConfig(beta1=1.0)
+        # a (1,) gradient would broadcast without the check
+        for which, size in (("grad", 4), ("grad", 1), ("m", 4), ("v", 4)):
+            arrays = {"params": np.zeros(3), "grad": np.zeros(3),
+                      "m": np.zeros(3), "v": np.zeros(3), which: np.zeros(size)}
+            with pytest.raises(ValueError):
+                adam_step(1, arrays["params"], arrays["grad"], arrays["m"],
+                          arrays["v"], np.empty(3), np.empty(3))
 
     def test_minimizes_quadratic(self):
-        cfg = AdamConfig(alpha=0.05)
         target = np.array([2.0, -1.0])
         params = np.zeros(2)
-        state = init_adam(2)
-        for _ in range(2000):
-            params, state = adam_step(state, cfg, params, params - target)
+        state = fresh_state(2)
+        for t in range(1, 8001):
+            adam_step(t, params, params - target, *state)
         np.testing.assert_allclose(params, target, atol=1e-4)
 
 
@@ -164,11 +169,13 @@ class TestTrain:
 
 
 def reference_train(dataset, arch, init_seed, cfg, eval_set):
-    """train() spelled out with the public pure functions, one call each."""
+    """train() spelled out with the public pure functions and the textbook
+    Adam step, one call each."""
     params = init_params(arch, init_seed)
-    state = init_adam(params.shape[0])
+    m, v = np.zeros_like(params), np.zeros_like(params)
     metrics = []
     n = dataset.n
+    t = 0
     for epoch in range(1, cfg.epochs + 1):
         order = np.random.default_rng(cfg.shuffle_seed + epoch).permutation(n)
         loss_sum = 0.0
@@ -178,7 +185,8 @@ def reference_train(dataset, arch, init_seed, cfg, eval_set):
             loss, grad_logits = cfg.loss.value_and_grad_logits(
                 dataset.labels[idx], trace.logits)
             grad, _ = backward(trace, params, arch, grad_logits)
-            params, state = adam_step(state, AdamConfig(), params, grad)
+            t += 1
+            params, m, v = textbook_adam(t, params, grad, m, v)
             loss_sum += loss * len(idx)
         metrics.append((epoch, loss_sum / n, accuracy(params, arch, eval_set)))
     return params, metrics

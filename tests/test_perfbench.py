@@ -42,3 +42,33 @@ def test_tracer_wraps_every_target(tmp_path):
     assert rsdnet.cli.data_io.dump_dataset is original
     assert set(tracer.labels) == {"cli.main", "contamination.corrupt_labels",
                                   "data_io.dump_dataset"}
+
+
+def traced_labels(tmp_path, argv):
+    """Span labels of one traced rsdnet.cli.main(argv) run and its tags."""
+    tracer = load_tracing().Tracer()
+    try:
+        tracer.install()
+        code = rsdnet.cli.main(argv + ["--out", str(tmp_path / "out.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == EXIT_OK
+    return tracer.labels, tracer.tags
+
+
+def test_training_records_one_adam_step_per_batch(tmp_path):
+    # 30 training rows of 40 in batches of 16: two steps
+    labels, tags = traced_labels(tmp_path, [
+        "epochs", "--seed", "0", "--n", "40", "--epochs", "1",
+        "--batch", "16", "--loss", "cce"])
+    steps = [tag for label, tag in zip(labels, tags)
+             if label == "optimizer.adam_step"]
+    n_params = rsdnet.cli.ARCH_PRESETS["toy"].n_params
+    assert steps == [n_params, n_params]
+
+
+def test_influence_records_psi(tmp_path):
+    labels, _ = traced_labels(tmp_path, [
+        "influence", "--seed", "0", "--model", "M1", "--beta", "0.5",
+        "--lambda", "-0.5", "--grid=-1,1,3", "--sample-size", "20"])
+    assert labels.count("theory.psi") == 1
