@@ -15,7 +15,8 @@ import numpy as np
 
 from .data_io import Dataset
 from .divergence import LossSpec
-from .network import ArchitectureSpec, _as_inputs, _backward, _forward, unflatten
+from .network import (ArchitectureSpec, _as_inputs, _backward, _forward,
+                      _model_layers)
 
 _CCE = LossSpec(kind="cce")
 
@@ -49,7 +50,7 @@ def input_gradient(params, arch: ArchitectureSpec, x, labels,
     computes no weight or bias gradients.
     """
     X, single = _as_inputs(x, arch)
-    layers = unflatten(params, arch)
+    layers = _model_layers(params, arch)
     pres, posts = _forward(layers, arch.activations, X)
     _, grad_logits = loss.value_and_grad_logits(labels, posts[-1])
     # undo the batch averaging: per-example input gradients

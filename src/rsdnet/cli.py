@@ -118,9 +118,9 @@ def _surrogate(args, dataset: Dataset, init_seed: int, shuffle_seed: int):
     layer of 64 ReLU nodes, sized to the data at hand."""
     arch = ArchitectureSpec(dataset.features.shape[1], ((64, "relu"),),
                             dataset.num_classes)
-    params, _ = train(
+    [(params, _)] = train(
         dataset, arch, init_seed,
-        TrainConfig(loss=LossSpec(kind="cce"), epochs=args.surrogate_epochs,
+        TrainConfig(losses=(LossSpec(kind="cce"),), epochs=args.surrogate_epochs,
                     batch_size=args.batch, shuffle_seed=shuffle_seed),
     )
     return params, arch
@@ -165,9 +165,9 @@ def cmd_train(args) -> int:
                                         args.seed + 3000 + fold)
             train_ds = adversarial_trainset(sparams, sarch, train_ds, attack_cfg)
             adv_val = adversarial_trainset(sparams, sarch, val_ds, attack_cfg)
-        params, _ = train(
+        [(params, _)] = train(
             train_ds, arch, args.seed + fold,
-            TrainConfig(loss=loss, epochs=args.epochs, batch_size=args.batch,
+            TrainConfig(losses=(loss,), epochs=args.epochs, batch_size=args.batch,
                         shuffle_seed=args.seed + 100 + fold),
         )
         clean = accuracy(params, arch, val_ds)
@@ -252,7 +252,7 @@ def cmd_influence(args) -> int:
 
 def cmd_epochs(args) -> int:
     arch, dataset = resolve_arch(args)
-    losses = [parse_loss(text) for text in args.loss]
+    losses = tuple(parse_loss(text) for text in args.loss)
     # single fixed train/test split (3:1)
     perm = np.random.default_rng(args.seed).permutation(dataset.n)
     cut = (3 * dataset.n) // 4
@@ -260,15 +260,15 @@ def cmd_epochs(args) -> int:
     test_ds = dataset.subset(perm[cut:])
     train_ds, _ = corrupt_labels(
         train_ds, NoiseConfig(eta=args.eta, seed=args.seed + 1000))
-    rows = []
-    for loss in losses:
-        _, metrics = train(
-            train_ds, arch, args.seed,
-            TrainConfig(loss=loss, epochs=args.epochs, batch_size=args.batch,
-                        shuffle_seed=args.seed + 100),
-            eval_set=test_ds,
-        )
-        rows += [(loss.describe(), *row) for row in metrics]
+    # one lockstep run: every model has the same init and batch order
+    trained = train(
+        train_ds, arch, args.seed,
+        TrainConfig(losses=losses, epochs=args.epochs, batch_size=args.batch,
+                    shuffle_seed=args.seed + 100),
+        eval_set=test_ds,
+    )
+    rows = [(loss.describe(), *row)
+            for loss, (_, metrics) in zip(losses, trained) for row in metrics]
     header = ("loss", "epoch", "train_loss", "test_accuracy")
     data_io.write_csv(args.out, header,
                       [[row[i] for row in rows] for i in range(len(header))])

@@ -1,17 +1,20 @@
 """Minimal feed-forward network engine with exact backpropagation.
 
-Parameters live in a single flat float64 vector.  unflatten is the only
-code that knows its layout: it returns per-layer (W, b) views, and
-init_params fills such views of a zero vector.  forward/backward operate
-on batches (rows are examples) and are pure functions of their inputs.
+Parameters live in a single flat float64 vector, or in a (K, P) buffer
+holding K models' vectors as rows.  unflatten is the only code that knows
+the layout: it returns per-layer (W, b) views, and init_params fills such
+views of a zero vector.  forward/backward operate on batches (rows are
+examples) and are pure functions of their inputs.
 
 Both are thin validating wrappers over two private kernels that work on
 per-layer (W, b) views built once by the caller: _forward returns the
 pre- and post-activations, and _backward writes weight and bias gradients
 in place into gradient views and computes the input gradient only when
-asked.  The training loop and the attacks call the kernels directly, so a
-training step builds no views and skips the input-gradient matmul, and an
-attack step skips the weight and bias gradients.
+asked.  The kernels take an optional leading model axis: with views of a
+(K, P) buffer, one call runs K models on the same batch, each exactly as
+it would run alone.  The training loop and the attacks call the kernels
+directly, so a training step builds no views and skips the input-gradient
+matmul, and an attack step skips the weight and bias gradients.
 """
 
 from __future__ import annotations
@@ -64,21 +67,34 @@ def unflatten(params: np.ndarray, arch: ArchitectureSpec):
 
     This is the one statement of the flat layout: layer by layer, the
     (fan_in, fan_out) weight matrix in row-major order, then its bias.
+    A (K, P) buffer of K models gives (K, fan_in, fan_out) and (K, fan_out)
+    views, one model per leading index.
     """
     params = np.asarray(params, dtype=np.float64)
-    if params.shape != (arch.n_params,):
+    if params.ndim not in (1, 2) or params.shape[-1] != arch.n_params:
         raise ValueError(
             f"expected {arch.n_params} parameters, got {params.shape}"
         )
+    models = params.shape[:-1]
     pairs = []
     offset = 0
     d = arch.dims
     for fan_in, fan_out in zip(d[:-1], d[1:]):
-        W = params[offset:offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        W = params[..., offset:offset + fan_in * fan_out]
         offset += fan_in * fan_out
-        pairs.append((W, params[offset:offset + fan_out]))
+        pairs.append((W.reshape(*models, fan_in, fan_out),
+                      params[..., offset:offset + fan_out]))
         offset += fan_out
     return pairs
+
+
+def _model_layers(params, arch: ArchitectureSpec):
+    """unflatten of one model's (P,) vector: the public one-model functions
+    refuse a (K, P) stack rather than return stacked outputs."""
+    if np.ndim(params) != 1:
+        raise ValueError(f"expected one model's {arch.n_params} parameters, "
+                         f"got shape {np.shape(params)}")
+    return unflatten(params, arch)
 
 
 def init_params(arch: ArchitectureSpec, seed: int) -> np.ndarray:
@@ -134,12 +150,14 @@ def _as_inputs(x, arch: ArchitectureSpec) -> tuple[np.ndarray, bool]:
 
 def _forward(layers, acts, X: np.ndarray) -> tuple[list, list]:
     """Per-layer pre- and post-activations of batch X; the last post is the
-    logits.  layers are (W, b) views, acts the activation names."""
+    logits.  layers are (W, b) views, acts the activation names.  With
+    (K, fan_in, fan_out) weights the outputs gain a leading model axis; X
+    is then shared by the K models or has that axis itself."""
     pres, posts = [], []
     h = X
     for (W, b), act in zip(layers, acts):
-        pre = h @ W
-        pre += b
+        pre = np.matmul(h, W)
+        pre += b[..., None, :]
         h = _activate(pre, act)
         pres.append(pre)
         posts.append(h)
@@ -153,16 +171,18 @@ def _backward(X: np.ndarray, pres, posts, layers, acts, delta: np.ndarray,
     With grads, a list of per-layer (gW, gb) views, the batch-summed weight
     and bias gradients are written into them in place.  Returns the
     per-example input gradient, or None when want_input is false, in which
-    case the first layer's delta is not propagated.
+    case the first layer's delta is not propagated.  Every array may carry
+    the leading model axis of _forward.
     """
     for i in range(len(layers) - 1, -1, -1):
         if grads is not None:
             gW, gb = grads[i]
-            np.matmul((X if i == 0 else posts[i - 1]).T, delta, out=gW)
-            np.add.reduce(delta, axis=0, out=gb)
+            np.matmul((X if i == 0 else posts[i - 1]).swapaxes(-1, -2), delta,
+                      out=gW)
+            np.add.reduce(delta, axis=-2, out=gb)
         if i == 0 and not want_input:
             return None
-        back = delta @ layers[i][0].T
+        back = np.matmul(delta, layers[i][0].swapaxes(-1, -2))
         if i > 0:
             back *= _activation_deriv(pres[i - 1], posts[i - 1], acts[i - 1])
         delta = back
@@ -172,7 +192,7 @@ def _backward(X: np.ndarray, pres, posts, layers, acts, delta: np.ndarray,
 def forward(params: np.ndarray, arch: ArchitectureSpec, x) -> ForwardTrace:
     """Affine + activation composition ending in linear logits and softmax."""
     X, single = _as_inputs(x, arch)
-    pres, posts = _forward(unflatten(params, arch), arch.activations, X)
+    pres, posts = _forward(_model_layers(params, arch), arch.activations, X)
     return ForwardTrace(
         inputs=X,
         pre_activations=pres,
@@ -196,7 +216,7 @@ def backward(trace: ForwardTrace, params: np.ndarray, arch: ArchitectureSpec,
         raise ValueError("grad_logits shape does not match the trace")
     grad = np.empty(arch.n_params)
     grad_input = _backward(trace.inputs, trace.pre_activations,
-                           trace.activations, unflatten(params, arch),
+                           trace.activations, _model_layers(params, arch),
                            arch.activations, g, unflatten(grad, arch))
     return grad, grad_input[0] if trace.single else grad_input
 

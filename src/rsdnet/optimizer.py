@@ -48,12 +48,18 @@ def adam_step(t: int, params: np.ndarray, grad: np.ndarray, m: np.ndarray,
 
 @dataclass(frozen=True)
 class TrainConfig:
-    loss: LossSpec
+    """Training settings shared by the models trained in one train() call;
+    losses names each model's loss, one model per entry."""
+
+    losses: tuple[LossSpec, ...]
     epochs: int
     batch_size: int = 128
     shuffle_seed: int = 0
 
     def __post_init__(self):
+        if not (isinstance(self.losses, tuple) and self.losses
+                and all(isinstance(loss, LossSpec) for loss in self.losses)):
+            raise ValueError("losses must be a non-empty tuple of LossSpec")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
 
@@ -65,18 +71,26 @@ def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset) -> fl
 
 def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
           train_cfg: TrainConfig, eval_set: Dataset | None = None):
-    """Mini-batch Adam training at the fixed ADAM_* hyperparameters; returns
-    (params, per-epoch metrics).
+    """Mini-batch Adam training at the fixed ADAM_* hyperparameters of one
+    model per loss in train_cfg.losses; returns one (params, per-epoch
+    metrics) pair per loss, in order.
 
-    Each epoch reshuffles the example order from a per-epoch derived seed
-    and visits every example exactly once; the last short batch is kept.
-    Metrics rows are (epoch, mean train loss, test accuracy or nan).
+    The models start from the same init_params(arch, init_seed) and see
+    the same batches: each epoch reshuffles the example order from a
+    per-epoch derived seed and visits every example exactly once; the last
+    short batch is kept.  Metrics rows are (epoch, mean train loss, test
+    accuracy or nan).
 
-    A step gives the same floats as forward -> value_and_grad_logits ->
-    backward -> adam_step, but runs the network kernels on (W, b) views of
-    the parameter and gradient buffers built once here, updated in place.
-    Raises FloatingPointError after an epoch whose mean loss, parameters or
-    Adam second moments (squared gradients) are not all finite.
+    The models train in lockstep.  Their parameters, gradients, moments
+    and scratch arrays are rows of (K, P) buffers, so each batch runs one
+    forward pass, one backward pass and one adam_step for all K of them,
+    and one value_and_grad_probs per model.  Each model gets the same
+    floats as forward -> value_and_grad_logits -> backward -> adam_step
+    would give it trained alone.  The returned params are row views of the
+    stacked buffer.  Raises FloatingPointError, naming the epoch and the
+    loss, after an epoch that leaves a model's mean loss, parameters or
+    Adam second moments (squared gradients) not all finite; the first such
+    model in losses order is named.
     """
     if dataset.n == 0:
         raise ValueError("empty training dataset")
@@ -84,36 +98,48 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
         raise ValueError("dataset classes do not match the architecture output")
     if dataset.features.shape[1] != arch.input_dim:
         raise ValueError("dataset features do not match the architecture input")
-    params = init_params(arch, init_seed)
-    grad = np.empty_like(params)
-    m, v = np.zeros_like(params), np.zeros_like(params)
-    s1, s2 = np.empty_like(params), np.empty_like(params)
-    layers, grads = unflatten(params, arch), unflatten(grad, arch)
+    losses = train_cfg.losses
+    # flat (K * P,) buffers for adam_step, (K, P) row views for the rest
+    flat = np.empty(len(losses) * arch.n_params)
+    params = flat.reshape(len(losses), arch.n_params)
+    params[:] = init_params(arch, init_seed)
+    grad = np.empty_like(flat)
+    m, v = np.zeros_like(flat), np.zeros_like(flat)
+    s1, s2 = np.empty_like(flat), np.empty_like(flat)
+    layers = unflatten(params, arch)
+    grads = unflatten(grad.reshape(params.shape), arch)
     acts = arch.activations
     features = np.asarray(dataset.features, dtype=np.float64)
     step = 0
-    metrics = []
+    metrics = [[] for _ in losses]
     n = dataset.n
     for epoch in range(1, train_cfg.epochs + 1):
         order = np.random.default_rng(train_cfg.shuffle_seed + epoch).permutation(n)
-        loss_sum = 0.0
+        loss_sums = [0.0] * len(losses)
         for start in range(0, n, train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]
-            X = features[idx]
+            X, labels = features[idx], dataset.labels[idx]
             pres, posts = _forward(layers, acts, X)
-            loss, grad_logits = train_cfg.loss.value_and_grad_probs(
-                dataset.labels[idx], softmax(posts[-1]))
+            probs = softmax(posts[-1])
+            grad_logits = np.empty_like(probs)
+            for k, loss in enumerate(losses):
+                value, grad_logits[k] = loss.value_and_grad_probs(labels, probs[k])
+                loss_sums[k] += value * len(idx)
             _backward(X, pres, posts, layers, acts, grad_logits, grads,
                       want_input=False)
             step += 1
-            adam_step(step, params, grad, m, v, s1, s2)
-            loss_sum += loss * len(idx)
-        mean_loss = loss_sum / n
-        if not (np.isfinite(mean_loss) and np.isfinite(params).all()
-                and np.isfinite(v).all()):
+            adam_step(step, flat, grad, m, v, s1, s2)
+        mean_losses = [loss_sum / n for loss_sum in loss_sums]
+        finite = (np.isfinite(mean_losses) & np.isfinite(params).all(axis=1)
+                  & np.isfinite(v.reshape(params.shape)).all(axis=1))
+        if not finite.all():
+            k = list(finite).index(False)
             raise FloatingPointError(
                 f"non-finite mean loss, parameters or Adam second moments "
-                f"after epoch {epoch} (mean loss {mean_loss})")
-        test_acc = accuracy(params, arch, eval_set) if eval_set is not None else float("nan")
-        metrics.append((epoch, mean_loss, test_acc))
-    return params, metrics
+                f"after epoch {epoch} for loss {losses[k].describe()} "
+                f"(mean loss {mean_losses[k]})")
+        for k, rows in enumerate(metrics):
+            test_acc = (accuracy(params[k], arch, eval_set)
+                        if eval_set is not None else float("nan"))
+            rows.append((epoch, mean_losses[k], test_acc))
+    return list(zip(params, metrics))

@@ -351,19 +351,20 @@ class TestCriterion6LabelNoiseTrend:
         test_ds = full.subset(perm[8000:10000])
         arch = ARCH_PRESETS["mnist-mlp"]
 
-        def fit(ds, loss, epochs=30):
-            params, _ = train(ds, arch, 8,
-                              TrainConfig(loss=loss, epochs=epochs,
-                                          batch_size=128, shuffle_seed=4))
-            return accuracy(params, arch, test_ds)
+        def fit(ds, losses, epochs=30):
+            # one lockstep run: the pair shares init, batch order and data
+            trained = train(ds, arch, 8,
+                            TrainConfig(losses=losses, epochs=epochs,
+                                        batch_size=128, shuffle_seed=4))
+            return [accuracy(params, arch, test_ds) for params, _ in trained]
 
-        clean_cce = fit(train_ds, LossSpec(kind="cce"))
-        clean_sd = fit(train_ds, LossSpec(kind="sd",
-                                          tuning=make_tuning(0.1, -0.8)))
+        clean_cce, clean_sd = fit(train_ds, (
+            LossSpec(kind="cce"),
+            LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8))))
         noisy, _ = corrupt_labels(train_ds, NoiseConfig(eta=0.4, seed=11))
-        noisy_cce = fit(noisy, LossSpec(kind="cce"))
-        noisy_sd = fit(noisy, LossSpec(kind="sd",
-                                       tuning=make_tuning(0.05, -1.0)))
+        noisy_cce, noisy_sd = fit(noisy, (
+            LossSpec(kind="cce"),
+            LossSpec(kind="sd", tuning=make_tuning(0.05, -1.0))))
         return (clean_cce, clean_sd, noisy_cce, noisy_sd, 0.90, 0.10)
 
     def run_blobs(self):
@@ -371,19 +372,20 @@ class TestCriterion6LabelNoiseTrend:
         train_ds = synthetic_blobs(400, seed=1, spread=0.10)
         test_ds = synthetic_blobs(1000, seed=2, spread=0.10)
 
-        def fit(ds, loss, epochs):
-            params, _ = train(ds, arch, 8,
-                              TrainConfig(loss=loss, epochs=epochs,
-                                          batch_size=32, shuffle_seed=4))
-            return accuracy(params, arch, test_ds)
+        def fit(ds, losses, epochs):
+            # one lockstep run: the pair shares init, batch order and data
+            trained = train(ds, arch, 8,
+                            TrainConfig(losses=losses, epochs=epochs,
+                                        batch_size=32, shuffle_seed=4))
+            return [accuracy(params, arch, test_ds) for params, _ in trained]
 
-        clean_cce = fit(train_ds, LossSpec(kind="cce"), 200)
-        clean_sd = fit(train_ds, LossSpec(kind="sd",
-                                          tuning=make_tuning(0.1, -0.8)), 200)
+        clean_cce, clean_sd = fit(train_ds, (
+            LossSpec(kind="cce"),
+            LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8))), 200)
         noisy, _ = corrupt_labels(train_ds, NoiseConfig(eta=0.4, seed=11))
-        noisy_cce = fit(noisy, LossSpec(kind="cce"), 600)
-        noisy_sd = fit(noisy, LossSpec(kind="sd",
-                                       tuning=make_tuning(0.05, -1.0)), 600)
+        noisy_cce, noisy_sd = fit(noisy, (
+            LossSpec(kind="cce"),
+            LossSpec(kind="sd", tuning=make_tuning(0.05, -1.0))), 600)
         return (clean_cce, clean_sd, noisy_cce, noisy_sd, 0.95, 0.05)
 
     def test_noise_trend(self, capfd):
@@ -408,9 +410,10 @@ class TestCriterion7Attacks:
     def test_attack_correctness(self, capfd):
         arch = ArchitectureSpec(2, ((16, "tanh"),), 2)
         ds = synthetic_blobs(300, seed=0, spread=0.08)
-        params, _ = train(ds, arch, 0,
-                          TrainConfig(loss=LossSpec(kind="cce"), epochs=60,
-                                      batch_size=32, shuffle_seed=1))
+        [(params, _)] = train(ds, arch, 0,
+                              TrainConfig(losses=(LossSpec(kind="cce"),),
+                                          epochs=60, batch_size=32,
+                                          shuffle_seed=1))
         ok = True
 
         eps = 0.2

@@ -23,9 +23,9 @@ ARCH = ArchitectureSpec(2, ((16, "tanh"),), 2)
 
 def trained_model():
     ds = synthetic_blobs(300, seed=0, spread=0.08)
-    params, _ = train(ds, ARCH, 0,
-                      TrainConfig(loss=LossSpec(kind="cce"), epochs=60,
-                                  batch_size=32, shuffle_seed=1))
+    [(params, _)] = train(ds, ARCH, 0,
+                          TrainConfig(losses=(LossSpec(kind="cce"),), epochs=60,
+                                      batch_size=32, shuffle_seed=1))
     return params, ds
 
 

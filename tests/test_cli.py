@@ -449,6 +449,24 @@ class TestEpochsCommand:
         assert rows[1][:2] == ["cce", "1"]
         assert rows[4][:2] == ["sd(0.1,-0.8)", "1"]
 
+    def test_lockstep_rows_equal_one_loss_runs(self, tmp_path):
+        # the models of one run train together; each row must be what a
+        # run with that loss alone writes, byte for byte
+        argv = ["epochs", "--seed", 1, "--n", 90, "--arch", "toy",
+                "--epochs", 3, "--batch", 16, "--eta", 0.2]
+        losses = ["cce", "sd:0.1,-0.8", "tcce:0.2"]
+        together = tmp_path / "together.csv"
+        assert run(argv + ["--out", together]
+                   + [a for loss in losses for a in ("--loss", loss)]) == EXIT_OK
+        alone = []
+        for i, loss in enumerate(losses):
+            out = tmp_path / f"alone{i}.csv"
+            assert run(argv + ["--out", out, "--loss", loss]) == EXIT_OK
+            alone += out.read_bytes().splitlines(keepends=True)[1:]
+        rows = together.read_bytes().splitlines(keepends=True)[1:]
+        assert len(rows) == 3 * 3
+        assert rows == alone
+
     def test_label_noise(self, tmp_path):
         argv = ["epochs", "--seed", 0, "--n", 80, "--arch", "toy", "--epochs", 3,
                 "--batch", 16, "--loss", "cce"]

@@ -47,6 +47,26 @@ class TestFlatten:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError):
             unflatten(np.zeros(5), TANH_NET)
+        with pytest.raises(ValueError):
+            unflatten(np.zeros((2, 3, TANH_NET.n_params)), TANH_NET)
+
+    def test_stacked_views_are_per_model_views(self):
+        stack = np.arange(3.0 * DEEP_NET.n_params).reshape(3, -1)
+        for i, (W, b) in enumerate(unflatten(stack, DEEP_NET)):
+            fan_in, fan_out = DEEP_NET.dims[i], DEEP_NET.dims[i + 1]
+            assert W.shape == (3, fan_in, fan_out) and b.shape == (3, fan_out)
+            assert np.shares_memory(W, stack) and np.shares_memory(b, stack)
+            for k in range(3):
+                W_k, b_k = unflatten(stack[k], DEEP_NET)[i]
+                assert np.array_equal(W[k], W_k) and np.array_equal(b[k], b_k)
+
+    def test_one_model_functions_refuse_a_stack(self):
+        stack = np.zeros((2, TANH_NET.n_params))
+        with pytest.raises(ValueError):
+            forward(stack, TANH_NET, np.zeros((4, 3)))
+        trace = forward(stack[0], TANH_NET, np.zeros((4, 3)))
+        with pytest.raises(ValueError):
+            backward(trace, stack, TANH_NET, np.zeros((4, 3)))
 
 
 class TestInit:

@@ -116,9 +116,9 @@ class TestAdamStep:
 class TestTrain:
     def test_learns_separable_blobs(self):
         ds = synthetic_blobs(300, seed=0, spread=0.08)
-        cfg = TrainConfig(loss=LossSpec(kind="cce"), epochs=60,
+        cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=60,
                           batch_size=32, shuffle_seed=1)
-        params, metrics = train(ds, TOY, 0, cfg, eval_set=ds)
+        [(params, metrics)] = train(ds, TOY, 0, cfg, eval_set=ds)
         assert accuracy(params, TOY, ds) >= 0.97
         assert len(metrics) == 60
         # loss should decrease substantially from the first epoch
@@ -128,49 +128,58 @@ class TestTrain:
     def test_sd_loss_also_learns(self):
         ds = synthetic_blobs(300, seed=0, spread=0.08)
         spec = LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8))
-        cfg = TrainConfig(loss=spec, epochs=60, batch_size=32, shuffle_seed=1)
-        params, _ = train(ds, TOY, 0, cfg)
+        cfg = TrainConfig(losses=(spec,), epochs=60, batch_size=32,
+                          shuffle_seed=1)
+        [(params, _)] = train(ds, TOY, 0, cfg)
         assert accuracy(params, TOY, ds) >= 0.97
 
     def test_deterministic(self):
         ds = synthetic_blobs(100, seed=2)
-        cfg = TrainConfig(loss=LossSpec(kind="cce"), epochs=5,
+        cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=5,
                           batch_size=16, shuffle_seed=7)
-        p1, m1 = train(ds, TOY, 3, cfg, eval_set=ds)
-        p2, m2 = train(ds, TOY, 3, cfg, eval_set=ds)
+        [(p1, m1)] = train(ds, TOY, 3, cfg, eval_set=ds)
+        [(p2, m2)] = train(ds, TOY, 3, cfg, eval_set=ds)
         np.testing.assert_array_equal(p1, p2)
         assert m1 == m2
 
     def test_eval_set_optional(self):
         ds = synthetic_blobs(50, seed=3)
-        cfg = TrainConfig(loss=LossSpec(kind="cce"), epochs=2, batch_size=16)
-        _, metrics = train(ds, TOY, 0, cfg)
+        cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=2,
+                          batch_size=16)
+        [(_, metrics)] = train(ds, TOY, 0, cfg)
         assert all(np.isnan(acc) for _, _, acc in metrics)
 
     def test_class_mismatch_rejected(self):
         ds = Dataset(features=np.zeros((4, 2)), labels=np.zeros(4, dtype=np.intp),
                      num_classes=3)
-        cfg = TrainConfig(loss=LossSpec(kind="cce"), epochs=1)
+        cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=1)
         with pytest.raises(ValueError):
             train(ds, TOY, 0, cfg)
 
     def test_config_validation(self):
+        cce = LossSpec(kind="cce")
         with pytest.raises(ValueError):
-            TrainConfig(loss=LossSpec(kind="cce"), epochs=0)
+            TrainConfig(losses=(cce,), epochs=0)
         with pytest.raises(ValueError):
-            TrainConfig(loss=LossSpec(kind="cce"), epochs=1, batch_size=0)
+            TrainConfig(losses=(cce,), epochs=1, batch_size=0)
+        # at least one loss, given as a tuple of LossSpec
+        for losses in ((), cce, [cce], ("cce",)):
+            with pytest.raises(ValueError):
+                TrainConfig(losses=losses, epochs=1)
 
     def test_short_final_batch_kept(self):
         # n = 10 with batch 8 must still visit all examples each epoch
         ds = synthetic_blobs(10, seed=4)
-        cfg = TrainConfig(loss=LossSpec(kind="cce"), epochs=1, batch_size=8)
-        _, metrics = train(ds, TOY, 0, cfg)
+        cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=1,
+                          batch_size=8)
+        [(_, metrics)] = train(ds, TOY, 0, cfg)
         assert np.isfinite(metrics[0][1])
 
 
-def reference_train(dataset, arch, init_seed, cfg, eval_set):
-    """train() spelled out with the public pure functions and the textbook
-    Adam step, one call each."""
+def reference_train(dataset, arch, init_seed, loss, cfg, eval_set):
+    """train() of one model with this loss, spelled out with the public
+    pure functions and the textbook Adam step, one call each; cfg gives
+    the epochs, batch size and shuffle seed."""
     params = init_params(arch, init_seed)
     m, v = np.zeros_like(params), np.zeros_like(params)
     metrics = []
@@ -182,12 +191,12 @@ def reference_train(dataset, arch, init_seed, cfg, eval_set):
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             trace = forward(params, arch, dataset.features[idx])
-            loss, grad_logits = cfg.loss.value_and_grad_logits(
+            value, grad_logits = loss.value_and_grad_logits(
                 dataset.labels[idx], trace.logits)
             grad, _ = backward(trace, params, arch, grad_logits)
             t += 1
             params, m, v = textbook_adam(t, params, grad, m, v)
-            loss_sum += loss * len(idx)
+            loss_sum += value * len(idx)
         metrics.append((epoch, loss_sum / n, accuracy(params, arch, eval_set)))
     return params, metrics
 
@@ -204,19 +213,37 @@ FUSED_LOSSES = [
 ]
 
 
+def blob_pair(arch):
+    """(train, eval) blob sets with the architecture's class count."""
+    centers = THREE_BLOBS if arch.output_classes == 3 else THREE_BLOBS[:2]
+    return (synthetic_blobs(50, seed=5, centers=centers),
+            synthetic_blobs(30, seed=6, centers=centers))
+
+
 class TestFusedTrain:
     @pytest.mark.parametrize("loss", FUSED_LOSSES, ids=LossSpec.describe)
     @pytest.mark.parametrize("arch", [RELU_NET, TOY], ids=["relu", "tanh"])
     def test_matches_reference_bit_for_bit(self, arch, loss):
-        centers = THREE_BLOBS if arch.output_classes == 3 else THREE_BLOBS[:2]
-        ds = synthetic_blobs(50, seed=5, centers=centers)
-        ev = synthetic_blobs(30, seed=6, centers=centers)
+        ds, ev = blob_pair(arch)
         # batch 16 over 50 examples leaves a short final batch of 2
-        cfg = TrainConfig(loss=loss, epochs=3, batch_size=16, shuffle_seed=2)
-        params, metrics = train(ds, arch, 4, cfg, eval_set=ev)
-        ref_params, ref_metrics = reference_train(ds, arch, 4, cfg, ev)
+        cfg = TrainConfig(losses=(loss,), epochs=3, batch_size=16,
+                          shuffle_seed=2)
+        [(params, metrics)] = train(ds, arch, 4, cfg, eval_set=ev)
+        ref_params, ref_metrics = reference_train(ds, arch, 4, loss, cfg, ev)
         assert np.array_equal(params, ref_params)
         assert np.array_equal(np.array(metrics), np.array(ref_metrics))
+
+    @pytest.mark.parametrize("arch", [RELU_NET, TOY], ids=["relu", "tanh"])
+    def test_lockstep_matches_each_loss_alone(self, arch):
+        ds, ev = blob_pair(arch)
+        cfg = TrainConfig(losses=tuple(FUSED_LOSSES), epochs=3, batch_size=16,
+                          shuffle_seed=2)
+        trained = train(ds, arch, 4, cfg, eval_set=ev)
+        assert len(trained) == len(FUSED_LOSSES)
+        for loss, (params, metrics) in zip(FUSED_LOSSES, trained):
+            ref_params, ref_metrics = reference_train(ds, arch, 4, loss, cfg, ev)
+            assert np.array_equal(params, ref_params), loss.describe()
+            assert np.array_equal(np.array(metrics), np.array(ref_metrics))
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_raises_naming_the_epoch(self):
@@ -224,13 +251,21 @@ class TestFusedTrain:
         ds = Dataset(features=ds.features * 1e200, labels=ds.labels,
                      num_classes=2)
         net = ArchitectureSpec(2, ((8, "relu"),), 2)
-        cfg = TrainConfig(loss=LossSpec(kind="cce"), epochs=3, batch_size=16)
-        with pytest.raises(FloatingPointError, match="epoch 1"):
+        # the softmax saturates: mae's gradient is exactly 0 and its model
+        # stays finite, while the squared gradients of tcce and cce overflow;
+        # the first model that diverged, in losses order, is named
+        cfg = TrainConfig(losses=(LossSpec(kind="mae"),
+                                  LossSpec(kind="tcce", delta=0.2),
+                                  LossSpec(kind="cce")),
+                          epochs=3, batch_size=16)
+        with pytest.raises(FloatingPointError, match="epoch 1") as err:
             train(ds, net, 0, cfg)
+        assert "loss tcce(0.2)" in str(err.value)
+        assert "mae" not in str(err.value)
 
     def test_width_mismatch_rejected(self):
         ds = Dataset(features=np.zeros((4, 3)), labels=np.zeros(4, dtype=np.intp),
                      num_classes=2)
-        cfg = TrainConfig(loss=LossSpec(kind="cce"), epochs=1)
+        cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=1)
         with pytest.raises(ValueError):
             train(ds, TOY, 0, cfg)

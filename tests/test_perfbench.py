@@ -67,6 +67,19 @@ def test_training_records_one_adam_step_per_batch(tmp_path):
     assert steps == [n_params, n_params]
 
 
+def test_lockstep_training_records_one_flat_adam_step_per_batch(tmp_path):
+    # two losses train in one call: one train span, and each batch's Adam
+    # step runs over both models' parameters as one flat buffer
+    labels, tags = traced_labels(tmp_path, [
+        "epochs", "--seed", "0", "--n", "40", "--epochs", "1",
+        "--batch", "16", "--loss", "cce", "--loss", "sd:0.1,-0.8"])
+    assert labels.count("optimizer.train") == 1
+    steps = [tag for label, tag in zip(labels, tags)
+             if label == "optimizer.adam_step"]
+    n_params = rsdnet.cli.ARCH_PRESETS["toy"].n_params
+    assert steps == [2 * n_params, 2 * n_params]
+
+
 def test_influence_records_psi(tmp_path):
     labels, _ = traced_labels(tmp_path, [
         "influence", "--seed", "0", "--model", "M1", "--beta", "0.5",
