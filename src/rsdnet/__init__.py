@@ -25,7 +25,6 @@ from .contamination import NoiseConfig, corrupt_labels, noisy_posterior
 from .attacks import AttackConfig, adversarial_trainset, fgsm, pgd
 from .theory import (
     BoundGrid,
-    IFRequest,
     bound_grid,
     big_psi,
     calibration_check,
@@ -36,8 +35,6 @@ from .theory import (
 from .data_io import (
     DataFormatError,
     Dataset,
-    FoldPlan,
-    fold_split,
     make_folds,
     read_idx,
     synthetic_blobs,

@@ -22,7 +22,7 @@ from .data_io import DataFormatError, Dataset
 from .divergence import LossSpec, clip_probs, make_tuning
 from .network import ArchitectureSpec, example_model
 from .optimizer import TrainConfig, accuracy, train
-from .theory import IFRequest, bound_grid, default_feature_sample, influence_function
+from .theory import bound_grid, default_feature_sample, influence_function
 
 EXIT_OK = 0
 EXIT_BAD_FLAGS = 2
@@ -150,28 +150,28 @@ def cmd_train(args) -> int:
     arch, dataset = resolve_arch(args)
     loss = parse_loss(args.loss)
     attack_cfg = _attack_config(args, dataset) if args.attack else None
-    plan = data_io.make_folds(dataset.n, args.folds, args.seed)
     records = []
     saved = []
-    for fold in range(plan.k):
-        train_idx, val_idx = data_io.fold_split(plan, fold)
+    folds = data_io.make_folds(dataset.n, args.folds, args.seed)
+    for fold, (train_idx, val_idx) in enumerate(folds):
         train_ds = dataset.subset(train_idx)
         val_ds = dataset.subset(val_idx)
-        adv_val = None
         train_ds, _ = corrupt_labels(
             train_ds, NoiseConfig(eta=args.eta, seed=args.seed + 1000 + fold))
-        if attack_cfg is not None:
+        if attack_cfg is not None:  # the surrogate attacks the training set
             sparams, sarch = _surrogate(args, train_ds, args.seed + 2000 + fold,
                                         args.seed + 3000 + fold)
             train_ds = adversarial_trainset(sparams, sarch, train_ds, attack_cfg)
-            adv_val = adversarial_trainset(sparams, sarch, val_ds, attack_cfg)
         [(params, _)] = train(
             train_ds, arch, args.seed + fold,
             TrainConfig(losses=(loss,), epochs=args.epochs, batch_size=args.batch,
                         shuffle_seed=args.seed + 100 + fold),
         )
         clean = accuracy(params, arch, val_ds)
-        adv = accuracy(params, arch, adv_val) if adv_val is not None else None
+        adv = None
+        if attack_cfg is not None:  # white-box: against the trained model
+            adv = accuracy(params, arch,
+                           adversarial_trainset(params, arch, val_ds, attack_cfg))
         saved.append(params)
         records.append(_result_row(args, loss, str(fold), clean, adv))
     clean = [rec["clean_accuracy"] for rec in records]
@@ -233,14 +233,11 @@ def cmd_influence(args) -> int:
     x_grid = np.linspace(lo, hi, count)
     p_star_fn = None
     if args.correctly_specified:
-        def p_star_fn(x, _m=model, _th=theta):
-            return clip_probs(_m.probs(_th, x))
-    req = IFRequest(model=args.model, theta_g=theta, tuning=tuning,
-                    x_grid=x_grid,
-                    feature_sample=default_feature_sample(args.sample_size,
-                                                          args.seed),
-                    p_star_fn=p_star_fn)
-    curves = influence_function(req)
+        def p_star_fn(xs):
+            return clip_probs(model.probs(theta, xs))
+    curves = influence_function(
+        model, theta, tuning, x_grid,
+        default_feature_sample(args.sample_size, args.seed), p_star_fn)
     # one row per (grid point, parameter), grid-point-major
     data_io.write_csv(args.out, ("x_t", "param_index", "value"), (
         np.repeat(x_grid, model.n_params),

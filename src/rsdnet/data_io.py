@@ -135,21 +135,21 @@ def write_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int):
 
 
 def posterior_example1(x) -> np.ndarray:
-    """Class-1 posterior sigma(sin x + e^x + x^(5/3)).
+    """Class-1 posterior sigma(sin x + e^x + x^(5/3)), in x's shape (a
+    scalar x is a batch of one).
 
     The fractional power uses the real branch sign(x)*|x|^(5/3) so that
     negative draws of x stay real-valued.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     with np.errstate(over="ignore"):  # exp saturates to inf for huge x
         kappa = np.sin(x) + np.exp(x) + np.sign(x) * np.abs(x) ** (5.0 / 3.0)
-    kappa = np.atleast_1d(kappa)
     out = np.empty_like(kappa)
     pos = kappa >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-kappa[pos]))
     e = np.exp(kappa[~pos])
     out[~pos] = e / (1.0 + e)
-    return out.reshape(np.shape(x)) if np.ndim(x) else out[0]
+    return out
 
 
 def synthetic_example1(n: int, seed: int) -> Dataset:
@@ -173,29 +173,23 @@ def synthetic_blobs(n: int, seed: int, centers=((0.35, 0.35), (0.65, 0.65)),
 
 
 # ---------------------------------------------------------------------------
-# Fold plans
+# Cross-validation folds
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k: int
-    folds: tuple
+def make_folds(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The k (train indices, validation indices) pairs of a random
+    partition of [0, n) into k >= 2 folds, sizes differing by <= 1.
 
-
-def make_folds(n: int, k: int, seed: int) -> FoldPlan:
-    """Random partition of [0, n) into k >= 2 folds, sizes differing by <= 1."""
+    Fold i validates on part i and trains on the other parts; both index
+    arrays are sorted.
+    """
     if not 2 <= k <= n:
         raise ValueError(f"need 2 <= folds <= n, got {k} folds for n = {n}")
     perm = np.random.default_rng(seed).permutation(n)
-    return FoldPlan(k=k, folds=tuple(np.sort(f) for f in np.array_split(perm, k)))
-
-
-def fold_split(plan: FoldPlan, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """(train indices, validation indices) for fold i."""
-    test = plan.folds[i]
-    train = np.concatenate([plan.folds[j] for j in range(plan.k) if j != i])
-    return np.sort(train), test
+    parts = [np.sort(part) for part in np.array_split(perm, k)]
+    return [(np.sort(np.concatenate(parts[:i] + parts[i + 1:])), parts[i])
+            for i in range(k)]
 
 
 # ---------------------------------------------------------------------------

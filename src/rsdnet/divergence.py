@@ -94,15 +94,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _as_batch(labels, probs):
-    probs = np.asarray(probs, dtype=np.float64)
     labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-    single = probs.ndim == 1
-    probs = np.atleast_2d(probs)
+    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     if labels.shape[0] != probs.shape[0]:
         raise ValueError("labels and probs have mismatched batch sizes")
     if labels.min() < 0 or labels.max() >= probs.shape[1]:
         raise ValueError("label index out of range")
-    return labels, probs, single
+    return labels, probs
 
 
 def _one_hot(labels: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -130,8 +128,8 @@ def _sd_grad_probs(p: np.ndarray, onehot: np.ndarray, t: TuningPair) -> np.ndarr
 def sd_loss(labels, probs, t: TuningPair):
     """Per-example S-divergence loss between one-hot labels and probs.
 
-    Accepts a single example (int label, length-J probs) or a batch
-    ((n,) labels, (n, J) probs).  Note the loss carries the constant
+    Takes (n,) labels and (n, J) probs and returns (n,) values; an int
+    label with (J,) probs is a batch of one.  Note the loss carries the constant
     J*A/B per example, so at probs equal to the one-hot label it equals
     (J-1)/B rather than 0.
 
@@ -141,16 +139,14 @@ def sd_loss(labels, probs, t: TuningPair):
     is not minimised at p = p_star when A != 1 (its minimiser keeps
     p_star's argmax).
     """
-    labels, p, single = _as_batch(labels, probs)
-    vals = _sd_values(p, p[np.arange(p.shape[0]), labels], t)
-    return float(vals[0]) if single else vals
+    labels, p = _as_batch(labels, probs)
+    return _sd_values(p, p[np.arange(p.shape[0]), labels], t)
 
 
 def sd_loss_grad_probs(labels, probs, t: TuningPair):
-    """Gradient of sd_loss with respect to the probability vector."""
-    labels, p, single = _as_batch(labels, probs)
-    g = _sd_grad_probs(p, _one_hot(labels, p.shape), t)
-    return g[0] if single else g
+    """Gradient of sd_loss with respect to the probabilities, (n, J)."""
+    labels, p = _as_batch(labels, probs)
+    return _sd_grad_probs(p, _one_hot(labels, p.shape), t)
 
 
 def _chain_softmax(grad_p: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -160,13 +156,10 @@ def _chain_softmax(grad_p: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 def sd_loss_grad_logits(labels, logits, t: TuningPair):
-    """Gradient of sd_loss composed with softmax, with respect to logits."""
-    logits = np.asarray(logits, dtype=np.float64)
-    single = logits.ndim == 1
+    """Gradient of sd_loss composed with softmax, with respect to the
+    (n, J) logits."""
     p = softmax(np.atleast_2d(logits))
-    labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-    g = _chain_softmax(sd_loss_grad_probs(labels, p, t), p)
-    return g[0] if single else g
+    return _chain_softmax(sd_loss_grad_probs(labels, p, t), p)
 
 
 def conditional_sd_risk(p_star, probs, t: TuningPair):
@@ -176,21 +169,20 @@ def conditional_sd_risk(p_star, probs, t: TuningPair):
     This p_star**A form, minimised at p_star, is the objective of the
     Fisher-consistency check (theory.calibration_check) and of the
     influence functions (theory.psi); the expected one-hot sd_loss that
-    training minimises is not.  p_star is a (J,) distribution; probs is either one (J,) distribution,
-    giving a float, or an (n, J) batch of them, giving an (n,) array.
+    training minimises is not.  p_star is a (J,) distribution and probs an
+    (n, J) batch of them; the result is (n,).
     """
     p_star = np.asarray(p_star, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
-    if p_star.ndim != 1 or p.ndim not in (1, 2) or p.shape[-1] != p_star.shape[0]:
+    if p_star.ndim != 1 or p.ndim != 2 or p.shape[1] != p_star.shape[0]:
         raise ValueError(
-            f"need a (J,) p_star with (J,) or (n, J) probs, got shapes "
+            f"need a (J,) p_star with (n, J) probs, got shapes "
             f"{p_star.shape} and {p.shape}")
-    val = (
+    return (
         np.power(p, 1.0 + t.beta)
         - (1.0 + t.beta) / t.b * np.power(p, t.b) * np.power(p_star, t.a)
         + t.a / t.b * np.power(p_star, 1.0 + t.beta)
-    ).sum(axis=-1) / t.a
-    return float(val) if p.ndim == 1 else val
+    ).sum(axis=1) / t.a
 
 
 def loss_bounds(t: TuningPair, J: int) -> tuple[float, float]:
@@ -221,7 +213,7 @@ def _trimmed_mean(per: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
     order = np.argsort(per) if n_drop > 0 else np.arange(n)
     keep = np.ones(n, dtype=bool)
     keep[order[n - n_drop:]] = False
-    return float(per[order[: n - n_drop]].mean()), keep
+    return float(np.add.reduce(per[order[: n - n_drop]]) / (n - n_drop)), keep
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +266,7 @@ class LossSpec:
         tcce), so summing per-example parameter gradients downstream
         yields the gradient of the batch aggregate.
         """
-        logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-        labels, p, _ = _as_batch(labels, softmax(logits))
+        labels, p = _as_batch(labels, softmax(np.atleast_2d(logits)))
         return self.value_and_grad_probs(labels, p)
 
     def value_and_grad_probs(self, labels: np.ndarray, probs: np.ndarray):
@@ -291,17 +282,17 @@ class LossSpec:
         if self.kind == "sd":
             per = _sd_values(probs, p_y, self.tuning)
             grad_p = _sd_grad_probs(probs, onehot, self.tuning)
-            return float(np.mean(per)), _chain_softmax(grad_p, probs) / n
+            return float(np.add.reduce(per) / n), _chain_softmax(grad_p, probs) / n
         if self.kind == "cce":
-            return float(np.mean(_cce_values(p_y))), (probs - onehot) / n
+            return float(np.add.reduce(_cce_values(p_y)) / n), (probs - onehot) / n
         if self.kind == "mae":
             grad = _chain_softmax(1.0 - 2.0 * onehot, probs) / n
-            return float(np.mean(2.0 * (1.0 - p_y))), grad
+            return float(np.add.reduce(2.0 * (1.0 - p_y)) / n), grad
         if self.kind == "gce":
             pc = clip_probs(p_y)
             per = (1.0 - np.power(pc, self.q)) / self.q
             grad_p = -onehot * np.power(pc, self.q - 1.0)[:, None]
-            return float(np.mean(per)), _chain_softmax(grad_p, probs) / n
+            return float(np.add.reduce(per) / n), _chain_softmax(grad_p, probs) / n
         # tcce: gradient of the trimmed mean; dropped examples contribute 0
         per = _cce_values(p_y)
         agg, keep = _trimmed_mean(per, self.delta)

@@ -134,18 +134,17 @@ class ForwardTrace:
     activations: list             # post-activation per layer, (n, width)
     logits: np.ndarray            # (n, J)
     probs: np.ndarray             # (n, J)
-    single: bool
 
 
-def _as_inputs(x, arch: ArchitectureSpec) -> tuple[np.ndarray, bool]:
-    """(2-D float64 batch, whether x was a single example), width-checked."""
-    x = np.asarray(x, dtype=np.float64)
-    X = np.atleast_2d(x)
+def _as_inputs(x, arch: ArchitectureSpec) -> np.ndarray:
+    """x as an (n, input_dim) float64 batch, width-checked; one (input_dim,)
+    example is a batch of one."""
+    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if X.shape[1] != arch.input_dim:
         raise ValueError(
             f"expected inputs of width {arch.input_dim}, got {X.shape[1]}"
         )
-    return X, x.ndim == 1
+    return X
 
 
 def _forward(layers, acts, X: np.ndarray) -> tuple[list, list]:
@@ -191,7 +190,7 @@ def _backward(X: np.ndarray, pres, posts, layers, acts, delta: np.ndarray,
 
 def forward(params: np.ndarray, arch: ArchitectureSpec, x) -> ForwardTrace:
     """Affine + activation composition ending in linear logits and softmax."""
-    X, single = _as_inputs(x, arch)
+    X = _as_inputs(x, arch)
     pres, posts = _forward(_model_layers(params, arch), arch.activations, X)
     return ForwardTrace(
         inputs=X,
@@ -199,7 +198,6 @@ def forward(params: np.ndarray, arch: ArchitectureSpec, x) -> ForwardTrace:
         activations=posts,
         logits=posts[-1],
         probs=softmax(posts[-1]),
-        single=single,
     )
 
 
@@ -210,15 +208,14 @@ def backward(trace: ForwardTrace, params: np.ndarray, arch: ArchitectureSpec,
     The parameter gradient is summed over the batch; the input gradient
     is returned per example.
     """
-    grad_logits = np.asarray(grad_logits, dtype=np.float64)
-    g = np.atleast_2d(grad_logits)
+    g = np.atleast_2d(np.asarray(grad_logits, dtype=np.float64))
     if g.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match the trace")
     grad = np.empty(arch.n_params)
     grad_input = _backward(trace.inputs, trace.pre_activations,
                            trace.activations, _model_layers(params, arch),
                            arch.activations, g, unflatten(grad, arch))
-    return grad, grad_input[0] if trace.single else grad_input
+    return grad, grad_input
 
 
 # ---------------------------------------------------------------------------
@@ -233,10 +230,11 @@ class ExampleModel:
     """Binary classifier on one feature; second logit pinned to 0.
 
     logit, grad and hess give the free logit z1 and its first and second
-    derivatives in the parameter vector.  Every method takes a scalar x
-    or an (n,) array of them: a scalar gives a float logit and prob1, a
-    (2,) probs, a (P,) gradient and a (P, P) Hessian; an array adds a
-    leading (n,) axis to each.
+    derivatives in the parameter vector.  Every method takes an (n,) array
+    of feature values and returns one row per value: (n,) logits and
+    prob1, (n, 2) probs, (n, P) gradients and (n, P, P) Hessians.  Like
+    any numpy expression they broadcast, so a bare scalar x gives the
+    same row without the leading axis.
     """
 
     name: str
@@ -248,8 +246,7 @@ class ExampleModel:
     def prob1(self, theta: np.ndarray, x):
         z = self.logit(theta, x)
         # sigmoid via stable softmax over (z1, 0)
-        p1 = softmax(np.stack([z, np.zeros_like(z)], axis=-1))[..., 0]
-        return float(p1) if p1.ndim == 0 else p1
+        return softmax(np.stack([z, np.zeros_like(z)], axis=-1))[..., 0]
 
     def probs(self, theta: np.ndarray, x) -> np.ndarray:
         p1 = self.prob1(theta, x)
@@ -257,15 +254,15 @@ class ExampleModel:
 
     def grad_prob1(self, theta: np.ndarray, x) -> np.ndarray:
         p1 = self.prob1(theta, x)
-        return np.asarray(p1 * (1.0 - p1))[..., None] * self.grad(theta, x)
+        return (p1 * (1.0 - p1))[..., None] * self.grad(theta, x)
 
     def hess_prob1(self, theta: np.ndarray, x) -> np.ndarray:
         p1 = self.prob1(theta, x)
         s = p1 * (1.0 - p1)
         g = self.grad(theta, x)
         gg = g[..., :, None] * g[..., None, :]
-        c = np.asarray(s * (1.0 - 2.0 * p1))[..., None, None]
-        return c * gg + np.asarray(s)[..., None, None] * self.hess(theta, x)
+        c = (s * (1.0 - 2.0 * p1))[..., None, None]
+        return c * gg + s[..., None, None] * self.hess(theta, x)
 
 
 def _m1_logit(theta, x):

@@ -7,25 +7,26 @@ Each evaluator works on whole arrays, with no per-point Python loop.
 bound_grid applies make_tuning's admissibility rules (_admissibility) and
 the bound formula _bound to the whole (beta, lambda) mesh at once;
 excess_risk_bound evaluates the same formula at one tuning pair.  The
-influence-function kernels _weights and psi take a scalar x or a whole
-feature sample or x grid with its (n, 2) reference posteriors
-(_reference): big_psi sums the sample in two matrix products, and
-influence_function computes the psi rows of every grid point at once and
-multiplies them by pinv(Psi) in one product.
+influence-function evaluators psi, big_psi and influence_function take
+their arguments in one order (model, theta, tuning, points, reference)
+and work on (n,) arrays of feature values.  The reference posterior
+p_star_fn maps such an array to its (n, 2) posteriors and is called once
+per array (_reference): big_psi sums the sample in two matrix products,
+and influence_function computes the psi rows of every grid point at once
+and multiplies them by pinv(Psi) in one product.
 simplex_grid builds its compositions level by level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data_io import posterior_example1
 from .divergence import (TuningPair, _admissibility, clip_probs,
                          conditional_sd_risk)
-from .network import ExampleModel, example_model
+from .network import ExampleModel
 
 RELU_KINK_TOL = 1e-6
 PINV_RCOND = 1e-10
@@ -96,16 +97,21 @@ def default_feature_sample(n: int = 100, seed: int = 0) -> np.ndarray:
 
 
 def _reference(p_star_fn, xs: np.ndarray) -> np.ndarray:
-    """(n, 2) reference posteriors at the (n,) points xs: p_star_fn called
-    point by point, or the example-1 posterior on the whole array if None."""
+    """(n, 2) reference posteriors at the (n,) points xs: one call of
+    p_star_fn on the whole array, or the example-1 posterior if None.
+
+    The model's probabilities meet the reference through clip_probs: a
+    reference meant to equal the model must be clipped too, or psi is not
+    0 where the model saturates.
+    """
     if p_star_fn is None:
         p1 = posterior_example1(xs)
         return np.column_stack([p1, 1.0 - p1])
-    return np.array([p_star_fn(x) for x in xs], dtype=np.float64).reshape(-1, 2)
+    return np.asarray(p_star_fn(xs), dtype=np.float64)
 
 
 def _weights(model: ExampleModel, theta, x, t: TuningPair, p_star):
-    """u_j and du_j/dp_j at scalar x or (n,) x, class axis last."""
+    """u_j and du_j/dp_j at the (n,) points x, shape (n, 2)."""
     p = clip_probs(model.probs(theta, x))
     u = np.power(p, t.beta) - np.power(p_star, t.a) * np.power(p, t.b - 1.0)
     du = (
@@ -115,12 +121,12 @@ def _weights(model: ExampleModel, theta, x, t: TuningPair, p_star):
     return u, du
 
 
-def psi(model: ExampleModel, theta, x, t: TuningPair, p_star_fn) -> np.ndarray:
+def psi(model: ExampleModel, theta, t: TuningPair, x, p_star_fn) -> np.ndarray:
     """Score-like vector sum_j u_j grad_theta p_j at each feature value.
 
-    x is a scalar or an (n,) array; the result has one row per point, or
-    is the bare (n_params,) vector for a scalar x.  p_star_fn is called
-    once per point; None means the default reference of IFRequest.
+    x is an (n,) array (a scalar is a batch of one); the result is
+    (n, n_params), one row per point.  p_star_fn maps x to its (n, 2)
+    reference posteriors in one call; None means the example-1 posterior.
     u_j = p_j**beta - p_star_j**A * p_j**(B-1) is, up to the factor
     (1+beta)/A, the gradient of conditional_sd_risk(p_star, p) in p_j: psi
     is the estimating equation of the minimiser of that p_star**A form,
@@ -130,8 +136,7 @@ def psi(model: ExampleModel, theta, x, t: TuningPair, p_star_fn) -> np.ndarray:
     xs = np.atleast_1d(np.asarray(x, dtype=np.float64))
     u, _ = _weights(model, theta, xs, t, _reference(p_star_fn, xs))
     # grad p2 = -grad p1 for the pinned-logit binary models
-    rows = (u[:, 0] - u[:, 1])[:, None] * model.grad_prob1(theta, xs)
-    return rows if np.ndim(x) else rows[0]
+    return (u[:, 0] - u[:, 1])[:, None] * model.grad_prob1(theta, xs)
 
 
 def _nudge_off_kinks(model: ExampleModel, theta, sample: np.ndarray) -> np.ndarray:
@@ -153,10 +158,11 @@ def _nudge_off_kinks(model: ExampleModel, theta, sample: np.ndarray) -> np.ndarr
 
 def big_psi(model: ExampleModel, theta, t: TuningPair, feature_sample,
             p_star_fn) -> np.ndarray:
-    """Empirical average of grad_theta psi over the feature sample.
+    """Empirical average of grad_theta psi over the (n,) feature sample,
+    an (n_params, n_params) matrix.
 
-    p_star_fn is called once per sample point; None means the default
-    reference of IFRequest.
+    p_star_fn is called once, on the whole (nudged) sample; None means the
+    example-1 posterior.
     """
     theta = np.asarray(theta, dtype=np.float64)
     sample = _nudge_off_kinks(model, theta, np.asarray(feature_sample, dtype=np.float64))
@@ -170,43 +176,26 @@ def big_psi(model: ExampleModel, theta, t: TuningPair, feature_sample,
     return total / sample.size
 
 
-@dataclass(frozen=True)
-class IFRequest:
-    """Inputs of influence_function.
-
-    p_star_fn maps one feature value to its length-2 reference posterior;
-    it is called once per point of the feature sample and of x_grid.  The
-    default, None, uses the example-1 posterior posterior_example1.  The
-    model's probabilities meet it through clip_probs: a reference meant to
-    equal the model must be clipped too, or psi is not 0 where it saturates.
-    """
-
-    model: str
-    theta_g: np.ndarray
-    tuning: TuningPair
-    x_grid: np.ndarray
-    feature_sample: np.ndarray = field(default_factory=default_feature_sample)
-    p_star_fn: Callable | None = None
-
-
-def influence_function(req: IFRequest) -> np.ndarray:
+def influence_function(model: ExampleModel, theta, t: TuningPair, x_grid,
+                       feature_sample, p_star_fn=None) -> np.ndarray:
     """Per-grid-point influence vectors, shape (len(x_grid), n_params).
 
     The functional is the minimiser of the expected conditional_sd_risk
-    (the p_star**A form, minimised at p_star; see psi).  Uses the minimum-norm solution: -pinv(Psi) @ psi(x_t) with an SVD
+    (the p_star**A form, minimised at p_star; see psi), with the
+    expectation over the feature sample.  p_star_fn is called twice, once
+    on the sample and once on x_grid; None means the example-1 posterior.
+    Uses the minimum-norm solution: -pinv(Psi) @ psi(x_t) with an SVD
     cutoff of max(singular) * 1e-10; the kernel element is taken as 0.
     A singular-value decomposition failure propagates as LinAlgError.
     """
-    model = example_model(req.model)
-    theta = np.asarray(req.theta_g, dtype=np.float64)
+    theta = np.asarray(theta, dtype=np.float64)
     if theta.shape != (model.n_params,):
         raise ValueError(
-            f"{req.model} expects {model.n_params} parameters, got {theta.shape}"
+            f"{model.name} expects {model.n_params} parameters, got {theta.shape}"
         )
-    big = big_psi(model, theta, req.tuning, req.feature_sample, req.p_star_fn)
+    big = big_psi(model, theta, t, feature_sample, p_star_fn)
     big_pinv = np.linalg.pinv(big, rcond=PINV_RCOND)
-    x_grid = np.asarray(req.x_grid, dtype=np.float64)
-    rows = psi(model, theta, x_grid, req.tuning, req.p_star_fn)
+    rows = psi(model, theta, t, x_grid, p_star_fn)
     # -pinv, not a negated product, so that an exact 0 stays +0 as in a
     # matrix-vector product per point
     return rows @ -big_pinv.T

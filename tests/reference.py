@@ -9,7 +9,7 @@ import csv
 
 import numpy as np
 
-from rsdnet.data_io import RESULTS_HEADER, DataFormatError
+from rsdnet.data_io import RESULTS_HEADER, DataFormatError, Dataset
 from rsdnet.divergence import PROB_CLIP
 from rsdnet.optimizer import ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
@@ -108,3 +108,25 @@ def read_results(path):
                     rec[key] = float(val)
             rows.append(rec)
         return rows
+
+
+def overlapping_images(n, seed, classes=10):
+    """n flattened 28x28 images of overlapping classes, pixels in [0, 1]
+    on the byte grid (k / 255), as a Dataset.
+
+    Each class has a prototype of 7x7 uniform blocks of 4x4 pixels.  An
+    image blends its class's prototype with another class's at a weight
+    drawn from [0.4, 1] and adds N(0, 0.1) pixel noise; below 0.5 the
+    other class dominates, so clean accuracy stays well below 1.
+    """
+    rng = np.random.default_rng(seed)
+    blocks = rng.random((classes, 7, 7))
+    protos = blocks.repeat(4, axis=1).repeat(4, axis=2).reshape(classes, 784)
+    labels = rng.integers(0, classes, n)
+    other = (labels + rng.integers(1, classes, n)) % classes
+    w = rng.uniform(0.4, 1.0, (n, 1))
+    x = w * protos[labels] + (1.0 - w) * protos[other]
+    x += rng.normal(0.0, 0.1, x.shape)
+    pixels = np.rint(np.clip(x, 0.0, 1.0) * 255.0)
+    return Dataset(features=pixels / 255.0, labels=labels.astype(np.intp),
+                   num_classes=classes)

@@ -37,7 +37,6 @@ from rsdnet.network import (
 )
 from rsdnet.optimizer import TrainConfig, accuracy, train
 from rsdnet.theory import (
-    IFRequest,
     big_psi,
     calibration_check,
     default_feature_sample,
@@ -89,19 +88,19 @@ class TestCriterion1Gradients:
         h = 1e-6
         worst = 0.0
 
-        # loss gradient in the probabilities
+        # loss gradient in the probabilities; each case is a batch of one
         for case in range(1000):
             t = tunings[case % len(tunings)]
             J = int(rng.integers(2, 6))
             p = (0.05 + 0.9 * random_simplex(rng, 1, J))[0]
             y = int(rng.integers(0, J))
-            an = sd_loss_grad_probs(y, p, t)
+            an = sd_loss_grad_probs(y, p, t)[0]
             fd = np.zeros(J)
             for j in range(J):
                 up, dn = p.copy(), p.copy()
                 up[j] += h
                 dn[j] -= h
-                fd[j] = (sd_loss(y, up, t) - sd_loss(y, dn, t)) / (2 * h)
+                fd[j] = (sd_loss(y, up, t)[0] - sd_loss(y, dn, t)[0]) / (2 * h)
             worst = max(worst, rel_err(fd, an))
 
         # loss gradient in the logits; cases with a vanishing gradient are
@@ -115,7 +114,7 @@ class TestCriterion1Gradients:
             J = int(rng.integers(2, 6))
             z = rng.normal(0.0, 2.0, J)
             y = int(rng.integers(0, J))
-            an = sd_loss_grad_logits(y, z, t)
+            an = sd_loss_grad_logits(y, z, t)[0]
             if np.linalg.norm(an) < 1e-4:
                 continue
             done += 1
@@ -124,8 +123,8 @@ class TestCriterion1Gradients:
                 up, dn = z.copy(), z.copy()
                 up[j] += h
                 dn[j] -= h
-                fd[j] = (sd_loss(y, softmax(up), t)
-                         - sd_loss(y, softmax(dn), t)) / (2 * h)
+                fd[j] = (sd_loss(y, softmax(up), t)[0]
+                         - sd_loss(y, softmax(dn), t)[0]) / (2 * h)
             worst = max(worst, rel_err(fd, an))
 
         # network backward: parameter and input gradients
@@ -176,12 +175,12 @@ class TestCriterion2DivergenceProperties:
             p = random_simplex(rng, 500, J)
             # exact zero on the diagonal
             for row in p[:50]:
-                if abs(conditional_sd_risk(row, row, t)) > 1e-12:
+                if abs(conditional_sd_risk(row, row[None], t)[0]) > 1e-12:
                     ok = False
             # strictly positive off the diagonal
             q = random_simplex(rng, 500, J)
             for ps, pp in zip(p, q):
-                if conditional_sd_risk(ps, pp, t) <= 0.0:
+                if conditional_sd_risk(ps, pp[None], t)[0] <= 0.0:
                     ok = False
 
         # grid-search calibration for binary and ternary references
@@ -218,8 +217,8 @@ class TestCriterion3LossBounds:
 
         t = make_tuning(1.0, 0.0)
         lower, upper = loss_bounds(t, 2)
-        total_uniform = sum(sd_loss(j, np.array([0.5, 0.5]), t) for j in range(2))
-        total_corner = sum(sd_loss(j, np.array([1.0, 0.0]), t) for j in range(2))
+        total_uniform = sd_loss([0, 1], np.array([[0.5, 0.5]] * 2), t).sum()
+        total_corner = sd_loss([0, 1], np.array([[1.0, 0.0]] * 2), t).sum()
         if not (abs(lower - 3.0) < 1e-12 and abs(upper - 4.0) < 1e-12):
             ok = False
         if not (abs(total_uniform - 3.0) < 1e-12 and abs(total_corner - 4.0) < 1e-12):
@@ -271,28 +270,26 @@ class TestCriterion5InfluenceFunctions:
         start = time.time()
         ok = True
 
-        def p_star_example1(x):
-            p1 = float(posterior_example1(x))
-            return np.array([p1, 1.0 - p1])
+        def p_star_example1(xs):
+            p1 = posterior_example1(xs)
+            return np.column_stack([p1, 1.0 - p1])
 
         # correctly specified reference: the influence vanishes identically
         m1 = example_model("M1")
         theta = np.array([0.4, -0.9])
-        req = IFRequest(model="M1", theta_g=theta,
-                        tuning=make_tuning(0.5, -0.5),
-                        x_grid=np.linspace(-10, 10, 21),
-                        p_star_fn=lambda x: m1.probs(theta, x))
-        if np.max(np.abs(influence_function(req))) > 1e-10:
+        curves = influence_function(
+            m1, theta, make_tuning(0.5, -0.5), np.linspace(-10, 10, 21),
+            default_feature_sample(), lambda xs: m1.probs(theta, xs))
+        if np.max(np.abs(curves)) > 1e-10:
             ok = False
 
         # finite, NaN-free curves for the misspecified models
         for name in ("M1", "M3"):
             model = example_model(name)
             for beta, lam in ((0.5, -0.5), (0.1, -0.8)):
-                req = IFRequest(model=name, theta_g=np.ones(model.n_params),
-                                tuning=make_tuning(beta, lam),
-                                x_grid=np.linspace(-10, 10, 41))
-                curves = influence_function(req)
+                curves = influence_function(
+                    model, np.ones(model.n_params), make_tuning(beta, lam),
+                    np.linspace(-10, 10, 41), default_feature_sample())
                 if not np.all(np.isfinite(curves)):
                     ok = False
 
@@ -309,10 +306,8 @@ class TestCriterion5InfluenceFunctions:
                 up, dn = theta0.copy(), theta0.copy()
                 up[k] += h
                 dn[k] -= h
-                pu = np.mean([psi(model, up, x, t, p_star_example1)
-                              for x in sample], axis=0)
-                pd = np.mean([psi(model, dn, x, t, p_star_example1)
-                              for x in sample], axis=0)
+                pu = psi(model, up, t, sample, p_star_example1).mean(axis=0)
+                pd = psi(model, dn, t, sample, p_star_example1).mean(axis=0)
                 fd[:, k] = (pu - pd) / (2 * h)
             if not np.allclose(fd, an, rtol=1e-4, atol=1e-8):
                 ok = False

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rsdnet import attacks
 from rsdnet.attacks import (
     AttackConfig,
     adversarial_trainset,
@@ -66,12 +67,12 @@ class TestInputGradient:
         _, grad_logits = loss.value_and_grad_logits(y, trace.logits)
         _, expected = backward(trace, params, arch, grad_logits * 6)
         assert np.array_equal(input_gradient(params, arch, X, y, loss), expected)
-        # a single example gives the matching row, unbatched
+        # a single example is a batch of one
         single = forward(params, arch, X[2])
         _, g1 = loss.value_and_grad_logits(y[2], single.logits)
-        _, expected1 = backward(single, params, arch, g1[0])
+        _, expected1 = backward(single, params, arch, g1)
         got = input_gradient(params, arch, X[2], y[2], loss)
-        assert got.shape == (2,) and np.array_equal(got, expected1)
+        assert got.shape == (1, 2) and np.array_equal(got, expected1)
 
 
 class TestConstraints:
@@ -214,16 +215,19 @@ class TestPlumbing:
     def test_trainset_labels_untouched(self):
         params, ds = trained_model()
         cfg = AttackConfig(kind="fgsm", epsilon=0.1)
-        out = adversarial_trainset(params, ARCH, ds, cfg, batch_size=64)
+        out = adversarial_trainset(params, ARCH, ds, cfg)
         np.testing.assert_array_equal(out.labels, ds.labels)
         assert out.features.shape == ds.features.shape
 
-    def test_batched_matches_unbatched(self):
+    def test_batched_matches_unbatched(self, monkeypatch):
+        # the bits do not depend on ATTACK_BATCH
         params, ds = trained_model()
         cfg = AttackConfig(kind="fgsm", epsilon=0.15)
-        a = adversarial_trainset(params, ARCH, ds, cfg, batch_size=7)
-        b = adversarial_trainset(params, ARCH, ds, cfg, batch_size=1000)
-        np.testing.assert_array_equal(a.features, b.features)
+        default = adversarial_trainset(params, ARCH, ds, cfg)
+        for rows in (7, 1000):
+            monkeypatch.setattr(attacks, "ATTACK_BATCH", rows)
+            out = adversarial_trainset(params, ARCH, ds, cfg)
+            np.testing.assert_array_equal(out.features, default.features)
 
     def test_deterministic(self):
         params, ds = trained_model()

@@ -17,7 +17,7 @@ from rsdnet.cli import (
 from rsdnet.data_io import (Dataset, dump_dataset, load_dataset,
                             synthetic_blobs, synthetic_example1, write_idx)
 
-from reference import read_results
+from reference import overlapping_images, read_results
 
 
 def run(args):
@@ -82,6 +82,24 @@ class TestTrainCommand:
         rows = read_results(out)
         assert rows[0]["attack"] == "fgsm(0.1)"
         assert rows[0]["adv_accuracy"] is not None
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.1])
+    def test_adv_accuracy_is_below_clean_accuracy(self, tmp_path, epsilon):
+        # the validation set is attacked against the trained model itself;
+        # attacked through the surrogate along the true label, it carried
+        # the label in its perturbation and scored above clean accuracy
+        ds = overlapping_images(600, seed=5)
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(ds, img, lab, rows=28, cols=28)
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out,
+                    "--dataset", f"idx:{img},{lab}", "--arch", "mnist-mlp",
+                    "--loss", "cce", "--folds", 2, "--epochs", 10,
+                    "--batch", 64, "--attack", "fgsm", "--epsilon", epsilon,
+                    "--surrogate-epochs", 3])
+        assert code == EXIT_OK
+        for row in read_results(out):
+            assert row["adv_accuracy"] < row["clean_accuracy"], row
 
     def test_arch_mismatch_is_bad_data(self, tmp_path):
         out = str(tmp_path / "res.csv")

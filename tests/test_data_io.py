@@ -15,7 +15,6 @@ from rsdnet.data_io import (
     DataFormatError,
     Dataset,
     dump_dataset,
-    fold_split,
     load_dataset,
     make_folds,
     posterior_example1,
@@ -185,14 +184,14 @@ class TestDataset:
 
 class TestSynthetic:
     def test_posterior_values(self):
-        # kappa(0) = e^0 = 1
-        assert posterior_example1(0.0) == pytest.approx(1 / (1 + np.exp(-1.0)))
-        # kappa(1) = sin 1 + e + 1
-        k = np.sin(1.0) + np.e + 1.0
-        assert posterior_example1(1.0) == pytest.approx(1 / (1 + np.exp(-k)))
-        # real branch of the fractional power for x < 0
-        k = np.sin(-1.0) + np.exp(-1.0) - 1.0
-        assert posterior_example1(-1.0) == pytest.approx(1 / (1 + np.exp(-k)))
+        # kappa(0) = e^0 = 1; kappa(1) = sin 1 + e + 1; and the real branch
+        # of the fractional power for x < 0
+        kappa = np.array([1.0, np.sin(1.0) + np.e + 1.0,
+                          np.sin(-1.0) + np.exp(-1.0) - 1.0])
+        assert posterior_example1([0.0, 1.0, -1.0]) == pytest.approx(
+            1 / (1 + np.exp(-kappa)))
+        # a scalar is a batch of one
+        assert posterior_example1(0.0).shape == (1,)
 
     def test_posterior_extremes_stable(self):
         vals = posterior_example1(np.array([-1000.0, 1000.0]))
@@ -224,18 +223,23 @@ class TestSynthetic:
 
 class TestFolds:
     def test_partition(self):
-        plan = make_folds(103, 7, seed=0)
-        all_idx = np.sort(np.concatenate(plan.folds))
-        np.testing.assert_array_equal(all_idx, np.arange(103))
-        sizes = [len(f) for f in plan.folds]
+        folds = make_folds(103, 7, seed=0)
+        assert len(folds) == 7
+        vals = [val for _, val in folds]
+        np.testing.assert_array_equal(np.sort(np.concatenate(vals)), np.arange(103))
+        sizes = [len(val) for val in vals]
         assert max(sizes) - min(sizes) <= 1
 
     def test_split(self):
-        plan = make_folds(20, 4, seed=1)
-        train, val = fold_split(plan, 2)
-        assert len(train) + len(val) == 20
-        assert np.intersect1d(train, val).size == 0
-        np.testing.assert_array_equal(val, plan.folds[2])
+        folds = make_folds(20, 4, seed=1)
+        for train, val in folds:
+            assert len(train) + len(val) == 20
+            np.testing.assert_array_equal(np.union1d(train, val), np.arange(20))
+            assert np.all(np.diff(train) > 0) and np.all(np.diff(val) > 0)
+        # fold i validates on part i of the seeded permutation
+        perm = np.random.default_rng(1).permutation(20)
+        np.testing.assert_array_equal(folds[2][1],
+                                      np.sort(np.array_split(perm, 4)[2]))
 
     def test_validation(self):
         with pytest.raises(ValueError):

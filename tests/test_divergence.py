@@ -104,38 +104,32 @@ class TestTuning:
 
 
 class TestSdLoss:
+    # an int label with (J,) probs is a batch of one: (1,) values
     def test_one_hot_value(self):
         # at p equal to the one-hot label the loss is (J-1)/B, not 0
         t = make_tuning(0.5, 0.0)
-        assert sd_loss(0, np.array([1.0, 0.0]), t) == pytest.approx(2.0)
+        assert sd_loss(0, np.array([1.0, 0.0]), t) == pytest.approx([2.0])
 
     def test_uniform_value(self):
         t = make_tuning(0.5, 0.0)
         val = sd_loss(0, np.array([0.5, 0.5]), t)
-        assert val == pytest.approx(2.5857864376, abs=1e-9)
+        assert val == pytest.approx([2.5857864376], abs=1e-9)
 
     def test_beta_one_is_squared_distance_plus_offset(self):
         t = make_tuning(1.0, 0.7)
-        p = np.array([0.25, 0.75])
+        p = np.array([[0.25, 0.75], [0.5, 0.5]])
         # ||e1 - p||^2 + (J-1)/B
-        assert sd_loss(0, p, t) == pytest.approx(0.75**2 + 0.75**2 + 1.0, abs=1e-12)
-        assert sd_loss(0, np.array([0.5, 0.5]), t) == pytest.approx(1.5)
+        assert sd_loss([0, 0], p, t) == pytest.approx(
+            [0.75**2 + 0.75**2 + 1.0, 1.5], abs=1e-12)
 
     def test_beta_one_grads(self):
         t = make_tuning(1.0, 0.0)
         g = sd_loss_grad_probs(0, np.array([0.5, 0.5]), t)
-        np.testing.assert_allclose(g, [-1.0, 1.0])
+        assert g.shape == (1, 2)
+        np.testing.assert_allclose(g, [[-1.0, 1.0]])
         gz = sd_loss_grad_logits(0, np.array([0.0, 0.0]), t)
-        np.testing.assert_allclose(gz, [-0.5, 0.5])
-
-    def test_batch_matches_single(self):
-        t = make_tuning(0.3, -0.5)
-        rng = np.random.default_rng(1)
-        p = random_simplex(rng, 5, 4)
-        labels = rng.integers(0, 4, 5)
-        batch = sd_loss(labels, p, t)
-        singles = [sd_loss(int(y), row, t) for y, row in zip(labels, p)]
-        np.testing.assert_allclose(batch, singles)
+        assert gz.shape == (1, 2)
+        np.testing.assert_allclose(gz, [[-0.5, 0.5]])
 
     def test_grad_probs_finite_difference(self):
         rng = np.random.default_rng(2)
@@ -204,15 +198,12 @@ class TestConditionalRisk:
         risks = conditional_sd_risk(p_star, probs, t)
         assert risks.shape == (probs.shape[0],)
         assert np.all(risks >= -tol)
-        for row, risk in zip(probs, risks):
-            assert conditional_sd_risk(p_star, row, t) == risk
         at_ref = conditional_sd_risk(p_star, np.vstack([probs, p_star]), t)
         assert abs(at_ref[-1]) <= tol
-        assert isinstance(conditional_sd_risk(p_star, p_star, t), float)
 
     @pytest.mark.parametrize("p_star_shape, probs_shape", [
         ((3,), (2,)), ((3,), (4, 2)), ((2, 3), (2, 3)), ((2, 3), (3,)),
-        ((3,), (1, 4, 3)), ((), ()),
+        ((3,), (1, 4, 3)), ((), ()), ((3,), (3,)),
     ])
     def test_other_shapes_rejected(self, p_star_shape, probs_shape):
         t = make_tuning(0.5, 0.0)
@@ -223,7 +214,7 @@ class TestConditionalRisk:
     def test_zero_at_reference(self):
         t = make_tuning(0.5, 0.0)
         p = np.array([0.2, 0.3, 0.5])
-        assert abs(conditional_sd_risk(p, p, t)) < 1e-12
+        assert abs(conditional_sd_risk(p, p[None], t)[0]) < 1e-12
 
     def test_positive_off_reference(self):
         rng = np.random.default_rng(4)
@@ -231,15 +222,15 @@ class TestConditionalRisk:
             p_star = random_simplex(rng, 20, 3)
             p = random_simplex(rng, 20, 3)
             for ps, pp in zip(p_star, p):
-                assert conditional_sd_risk(ps, pp, t) > 0.0
+                assert conditional_sd_risk(ps, pp[None], t)[0] > 0.0
 
     def test_beta_one_is_half_squared_distance_scaled(self):
         # at beta = 1 the family reduces to the squared L2 distance
         t = make_tuning(1.0, -3.0)
         p_star = np.array([0.7, 0.3])
-        p = np.array([0.4, 0.6])
+        p = np.array([[0.4, 0.6]])
         assert conditional_sd_risk(p_star, p, t) == pytest.approx(
-            np.sum((p - p_star) ** 2), abs=1e-12)
+            [np.sum((p - p_star) ** 2)], abs=1e-12)
 
 
 class TestLossBounds:
@@ -253,8 +244,8 @@ class TestLossBounds:
         t = make_tuning(1.0, 0.0)
         uniform = np.array([0.5, 0.5])
         corner = np.array([1.0, 0.0])
-        total_uniform = sum(sd_loss(j, uniform, t) for j in range(2))
-        total_corner = sum(sd_loss(j, corner, t) for j in range(2))
+        total_uniform = sd_loss([0, 1], np.tile(uniform, (2, 1)), t).sum()
+        total_corner = sd_loss([0, 1], np.tile(corner, (2, 1)), t).sum()
         assert total_uniform == pytest.approx(3.0, abs=1e-12)
         assert total_corner == pytest.approx(4.0, abs=1e-12)
 

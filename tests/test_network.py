@@ -93,10 +93,13 @@ class TestForward:
         # no hidden layers: logits are W.T x + b
         arch = ArchitectureSpec(2, (), 2)
         params = np.concatenate([[1.0, 0.0, 0.0, 2.0], [0.5, -0.5]])
+        # one (input_dim,) example is a batch of one
         trace = forward(params, arch, np.array([1.0, 1.0]))
+        assert trace.logits.shape == (1, 2)
         np.testing.assert_allclose(trace.logits, [[1.5, 1.5]])
         np.testing.assert_allclose(trace.probs, [[0.5, 0.5]])
-        assert trace.single
+        _, grad_in = backward(trace, params, arch, np.array([1.0, 0.0]))
+        assert grad_in.shape == (1, 2)
 
     def test_probs_are_softmax_of_logits(self):
         rng = np.random.default_rng(1)
@@ -288,7 +291,6 @@ class TestExampleModels:
             scalars = [method(theta, float(v)) for v in x]
             assert all(np.shape(v) == shape for v in scalars)
             np.testing.assert_array_equal(batch, np.array(scalars))
-        assert isinstance(m.prob1(theta, 0.3), float)
 
     def test_probs_sum_to_one(self):
         m = example_model("M3")

@@ -44,8 +44,8 @@ def test_tracer_wraps_every_target(tmp_path):
                                   "data_io.dump_dataset"}
 
 
-def traced_labels(tmp_path, argv):
-    """Span labels of one traced rsdnet.cli.main(argv) run and its tags."""
+def traced_run(tmp_path, argv):
+    """The tracer after one traced rsdnet.cli.main(argv) run."""
     tracer = load_tracing().Tracer()
     try:
         tracer.install()
@@ -53,6 +53,12 @@ def traced_labels(tmp_path, argv):
     finally:
         tracer.uninstall()
     assert code == EXIT_OK
+    return tracer
+
+
+def traced_labels(tmp_path, argv):
+    """Span labels of one traced rsdnet.cli.main(argv) run and its tags."""
+    tracer = traced_run(tmp_path, argv)
     return tracer.labels, tracer.tags
 
 
@@ -85,3 +91,27 @@ def test_influence_records_psi(tmp_path):
         "influence", "--seed", "0", "--model", "M1", "--beta", "0.5",
         "--lambda", "-0.5", "--grid=-1,1,3", "--sample-size", "20"])
     assert labels.count("theory.psi") == 1
+
+
+def test_train_attack_records_both_attacks_per_fold(tmp_path):
+    # per fold: the surrogate trains and attacks the training set, then the
+    # model trains and the validation set is attacked against the model
+    tracer = traced_run(tmp_path, [
+        "train", "--seed", "0", "--n", "40", "--arch", "toy", "--loss", "cce",
+        "--folds", "2", "--epochs", "1", "--batch", "16", "--attack", "fgsm",
+        "--epsilon", "0.1", "--surrogate-epochs", "1"])
+    spans = list(zip(tracer.labels, tracer.parents, tracer.tags))
+    watched = ("optimizer.train", "attacks.adversarial_trainset")
+    top = [i for i, (label, parent, _) in enumerate(spans)
+           if parent == 0 and label in watched]
+    assert [spans[i][0] for i in top] == list(watched) * 4
+    toy = rsdnet.cli.ARCH_PRESETS["toy"]
+    for fold in range(2):
+        # the surrogate has 64 hidden units; the validation attack runs on
+        # the trained model's own architecture
+        for attack, arch in ((top[4 * fold + 1], "surrogate"),
+                             (top[4 * fold + 3], "model")):
+            archs = [tag[0] for label, parent, tag in spans
+                     if label == "attacks.input_gradient" and parent == attack]
+            assert archs, f"fold {fold}: no input_gradient under the {arch} attack"
+            assert all((a == toy) == (arch == "model") for a in archs)

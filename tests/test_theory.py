@@ -12,7 +12,6 @@ from rsdnet.network import example_model
 from rsdnet.theory import (
     BoundGrid,
     CalibrationError,
-    IFRequest,
     RELU_KINK_TOL,
     _nudge_off_kinks,
     big_psi,
@@ -156,11 +155,12 @@ class TestBoundGrid:
 
 
 def psi_loop_reference(model, theta, t, sample, p_star_fn):
-    """big_psi as a per-sample loop over the scalar model calls."""
+    """big_psi as a per-sample loop over the scalar model calls, with the
+    reference evaluated on one point at a time."""
     total = np.zeros((model.n_params, model.n_params))
     for x in sample:
         p = np.clip(model.probs(theta, x), PROB_CLIP, 1.0 - PROB_CLIP)
-        p_star = np.asarray(p_star_fn(x))
+        p_star = p_star_fn(np.array([x]))[0]
         u = p ** t.beta - p_star ** t.a * p ** (t.b - 1.0)
         du = (t.beta * p ** (t.beta - 1.0)
               - p_star ** t.a * (t.b - 1.0) * p ** (t.b - 2.0))
@@ -182,21 +182,17 @@ def nudge_loop_reference(theta, sample):
     return sample
 
 
-def p_star_example1(x):
-    p1 = float(posterior_example1(x))
-    return np.array([p1, 1.0 - p1])
+def p_star_example1(xs):
+    """The (n, 2) example-1 posteriors at the (n,) points xs."""
+    p1 = posterior_example1(xs)
+    return np.column_stack([p1, 1.0 - p1])
 
 
 def mean_psi(model, theta, t, sample):
-    return np.mean([psi(model, theta, x, t, p_star_example1) for x in sample],
-                   axis=0)
+    return psi(model, theta, t, sample, p_star_example1).mean(axis=0)
 
 
 class TestInfluenceFunction:
-    def p_star_example1(self, x):
-        p1 = float(posterior_example1(x))
-        return np.array([p1, 1.0 - p1])
-
     @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
     def test_big_psi_matches_fd_of_psi(self, name):
         # big_psi is the Jacobian of the sample mean of psi: central
@@ -206,7 +202,7 @@ class TestInfluenceFunction:
         t = make_tuning(0.5, -0.5)
         for theta, sample, p_star_fn in (
             (np.ones(model.n_params), default_feature_sample(40, seed=1),
-             self.p_star_example1),
+             p_star_example1),
             (np.full(model.n_params, 0.7), default_feature_sample(), None),
         ):
             an = big_psi(model, theta, t, sample, p_star_fn)
@@ -233,7 +229,7 @@ class TestInfluenceFunction:
             theta = np.ones(2)
             for _ in range(20):
                 value = ((1.0 - eps) * mean_psi(model, theta, t, sample)
-                         + eps * psi(model, theta, x_t, t, p_star_example1))
+                         + eps * psi(model, theta, t, x_t, p_star_example1)[0])
                 jac = ((1.0 - eps) * big_psi(model, theta, t, sample, None)
                        + eps * big_psi(model, theta, t, [x_t], None))
                 theta = theta - np.linalg.solve(jac, value)
@@ -241,38 +237,57 @@ class TestInfluenceFunction:
             return theta
 
         theta0 = root(0.0)
-        req = IFRequest(model="M1", theta_g=theta0, tuning=t,
-                        x_grid=np.array([x_t]), feature_sample=sample)
-        np.testing.assert_allclose((root(eps) - theta0) / eps,
-                                   influence_function(req)[0], rtol=1e-4)
+        curve = influence_function(model, theta0, t, np.array([x_t]), sample)
+        np.testing.assert_allclose((root(eps) - theta0) / eps, curve[0],
+                                   rtol=1e-4)
 
     def test_zero_when_correctly_specified(self):
         # if the reference posterior is the model itself, psi vanishes
         model = example_model("M1")
         theta = np.array([0.3, -0.7])
         t = make_tuning(0.1, -0.8)
-        req = IFRequest(model="M1", theta_g=theta, tuning=t,
-                        x_grid=np.linspace(-3, 3, 7),
-                        p_star_fn=lambda x: model.probs(theta, x))
-        curves = influence_function(req)
+        curves = influence_function(model, theta, t, np.linspace(-3, 3, 7),
+                                    default_feature_sample(),
+                                    lambda xs: model.probs(theta, xs))
         np.testing.assert_allclose(curves, 0.0, atol=1e-10)
 
     @pytest.mark.parametrize("name", ["M1", "M3"])
     @pytest.mark.parametrize("beta,lam", [(0.5, -0.5), (0.1, -0.8)])
     def test_finite_curves(self, name, beta, lam):
         model = example_model(name)
-        req = IFRequest(model=name, theta_g=np.ones(model.n_params),
-                        tuning=make_tuning(beta, lam),
-                        x_grid=np.linspace(-10, 10, 41))
-        curves = influence_function(req)
+        curves = influence_function(model, np.ones(model.n_params),
+                                    make_tuning(beta, lam),
+                                    np.linspace(-10, 10, 41),
+                                    default_feature_sample())
         assert curves.shape == (41, model.n_params)
         assert np.all(np.isfinite(curves))
 
     def test_bad_theta_shape(self):
-        req = IFRequest(model="M1", theta_g=np.ones(3),
-                        tuning=make_tuning(0.5, 0.0), x_grid=np.zeros(1))
         with pytest.raises(ValueError):
-            influence_function(req)
+            influence_function(example_model("M1"), np.ones(3),
+                               make_tuning(0.5, 0.0), np.zeros(1),
+                               default_feature_sample())
+
+    @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
+    def test_reference_called_once_per_array(self, name):
+        # one call on the feature sample (inside big_psi), one on the grid
+        model = example_model(name)
+        sample = default_feature_sample(50, seed=3)
+        x_grid = np.linspace(-2.0, 2.0, 9)
+        calls = []
+
+        def p_star_fn(xs):
+            calls.append(np.array(xs))
+            return p_star_example1(xs)
+
+        curves = influence_function(model, np.ones(model.n_params),
+                                    make_tuning(0.5, -0.5), x_grid, sample,
+                                    p_star_fn)
+        assert [c.shape for c in calls] == [sample.shape, x_grid.shape]
+        np.testing.assert_array_equal(calls[1], x_grid)
+        np.testing.assert_array_equal(
+            curves, influence_function(model, np.ones(model.n_params),
+                                       make_tuning(0.5, -0.5), x_grid, sample))
 
     @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
     def test_big_psi_matches_per_sample_loop(self, name):
@@ -303,12 +318,12 @@ class TestInfluenceFunction:
         x_grid = np.linspace(-4.0, 4.0, 17)
         pinv = np.linalg.pinv(big_psi(model, theta, t, sample, p_star_example1),
                               rcond=1e-10)
-        ref = np.array([-pinv @ psi(model, theta, x, t, p_star_example1)
+        ref = np.array([-pinv @ psi(model, theta, t, x, p_star_example1)[0]
                         for x in x_grid])
         for p_star_fn in (p_star_example1, None):
-            req = IFRequest(model=name, theta_g=theta, tuning=t, x_grid=x_grid,
-                            feature_sample=sample, p_star_fn=p_star_fn)
-            np.testing.assert_allclose(influence_function(req), ref, rtol=1e-12,
+            curves = influence_function(model, theta, t, x_grid, sample,
+                                        p_star_fn)
+            np.testing.assert_allclose(curves, ref, rtol=1e-12,
                                        atol=1e-12 * np.max(np.abs(ref)))
 
     def test_nudge_matches_per_element_loop(self):
@@ -328,7 +343,7 @@ class TestInfluenceFunction:
         model = example_model("M1")
         with pytest.raises(ValueError):
             big_psi(model, np.ones(2), make_tuning(0.5, 0.0), np.array([]),
-                    self.p_star_example1)
+                    p_star_example1)
 
 
 class TestSimplexGrid:
@@ -399,7 +414,7 @@ class TestCalibration:
         p_star = np.array([0.25, 0.75])
         res = calibration_check(p_star, t, step=0.05)
         grid = simplex_grid(2, 0.05)
-        risks = [conditional_sd_risk(p_star, row, t) for row in grid]
+        risks = [conditional_sd_risk(p_star, row[None], t)[0] for row in grid]
         np.testing.assert_allclose(
             res.argmin_point, grid[int(np.argmin(risks))], atol=1e-12)
 
