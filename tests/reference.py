@@ -11,6 +11,7 @@ import numpy as np
 
 from rsdnet.data_io import RESULTS_HEADER, DataFormatError, Dataset
 from rsdnet.divergence import PROB_CLIP
+from rsdnet.network import forward
 from rsdnet.optimizer import ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 
 
@@ -71,6 +72,13 @@ def textbook_adam(t, params, grad, m, v):
     m_hat = m / (1.0 - ADAM_BETA1 ** t)
     v_hat = v / (1.0 - ADAM_BETA2 ** t)
     return params - ADAM_ALPHA * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON), m, v
+
+
+def reference_accuracy(params, arch, dataset):
+    """Share of the dataset's rows whose most probable class is the label,
+    from one forward pass over the whole set."""
+    probs = forward(params, arch, dataset.features).probs
+    return float(np.mean(probs.argmax(axis=1) == dataset.labels))
 
 
 def signed_steps(grad, x, epsilon, step_size, iters):

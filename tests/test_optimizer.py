@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from reference import textbook_adam
+from reference import overlapping_images, reference_accuracy, textbook_adam
+from rsdnet.cli import ARCH_PRESETS
 from rsdnet.data_io import Dataset, synthetic_blobs
 from rsdnet.divergence import LossSpec, make_tuning
 from rsdnet.network import ArchitectureSpec, backward, forward, init_params
 from rsdnet.optimizer import (
     ADAM_ALPHA,
+    EVAL_BATCH,
     TrainConfig,
     accuracy,
     adam_step,
@@ -176,6 +178,36 @@ class TestTrain:
         assert np.isfinite(metrics[0][1])
 
 
+class TestAccuracy:
+    @pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 257, 500])
+    @pytest.mark.parametrize("preset", ["blob-mlp", "toy"])
+    def test_blocks_match_one_whole_set_pass(self, preset, n):
+        arch = ARCH_PRESETS[preset]
+        ds = synthetic_blobs(n, seed=n)
+        for seed in range(4):
+            # scaled weights push the logits apart, as training does
+            for scale in (1.0, 8.0):
+                params = scale * init_params(arch, seed)
+                acc = accuracy(params, arch, ds)
+                assert type(acc) is float
+                assert acc == reference_accuracy(params, arch, ds)
+
+    def test_blocks_match_on_a_validation_fold_of_images(self):
+        arch = ARCH_PRESETS["mnist-mlp"]
+        ds = overlapping_images(2667, seed=3)
+        assert ds.n % EVAL_BATCH != 0
+        for seed in range(3):
+            params = init_params(arch, seed)
+            assert (accuracy(params, arch, ds)
+                    == reference_accuracy(params, arch, ds))
+
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(features=np.empty((0, 2)),
+                        labels=np.empty(0, dtype=np.intp), num_classes=2)
+        with pytest.raises(ValueError, match="empty evaluation dataset"):
+            accuracy(init_params(TOY, 0), TOY, empty)
+
+
 def reference_train(dataset, arch, init_seed, loss, cfg, eval_set):
     """train() of one model with this loss, spelled out with the public
     pure functions and the textbook Adam step, one call each; cfg gives
@@ -197,7 +229,8 @@ def reference_train(dataset, arch, init_seed, loss, cfg, eval_set):
             t += 1
             params, m, v = textbook_adam(t, params, grad, m, v)
             loss_sum += value * len(idx)
-        metrics.append((epoch, loss_sum / n, accuracy(params, arch, eval_set)))
+        metrics.append((epoch, loss_sum / n,
+                        reference_accuracy(params, arch, eval_set)))
     return params, metrics
 
 
