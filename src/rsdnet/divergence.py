@@ -4,8 +4,11 @@ The family is indexed by a pair (beta, lambda) with derived constants
 A = 1 + lambda*(1-beta) and B = beta - lambda*(1-beta).  Only pairs with
 A > 0 and B > 0 are admissible; the beta = 1 line collapses to the squared
 L2 distance for every lambda.  In float64 "positive" means at least
-MIN_CONSTANT, the smallest normal number: below it 1/A or (1+beta)/B
-overflows and every loss value is infinite or NaN.
+MIN_CONSTANT, 2**53 times the smallest normal number (about 2e-292).
+A + B = 1 + beta, so both are below 2 and every sd_loss value is below
+(1 + J)/MIN_CONSTANT: a batch of n values sums to a finite number for n*J
+up to 2**52.  At the smallest normal number itself the per-example
+constant J*A/B already overflows once J*A > 4.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 # finite on the closed simplex and are left unclamped.
 PROB_CLIP = 1e-7
 
-MIN_CONSTANT = float(np.finfo(np.float64).tiny)
+MIN_CONSTANT = float(np.finfo(np.float64).tiny) * 2**53
 
 
 class InvalidTuningError(ValueError):

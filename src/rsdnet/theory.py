@@ -14,7 +14,13 @@ p_star_fn maps such an array to its (n, 2) posteriors and is called once
 per array (_reference): big_psi sums the sample in two matrix products,
 and influence_function computes the psi rows of every grid point at once
 and multiplies them by pinv(Psi) in one product.
-simplex_grid builds its compositions level by level.
+_compositions builds the integer points of the simplex grid level by
+level, and simplex_grid divides them by m = round(1/step).
+calibration_check never builds the float grid: each coordinate of a grid
+point is one of the m + 1 levels k/m, so it evaluates the per-class terms
+of conditional_sd_risk once per (class, level) pair, in a (J, m + 1)
+table, and sums each composition's entries; among equal risks the first
+minimiser in grid order wins.
 """
 
 from __future__ import annotations
@@ -24,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import posterior_example1
-from .divergence import (TuningPair, _admissibility, clip_probs,
-                         conditional_sd_risk)
+from .divergence import TuningPair, _admissibility, clip_probs
 from .network import ExampleModel
 
 RELU_KINK_TOL = 1e-6
@@ -210,15 +215,20 @@ class CalibrationError(RuntimeError):
     pass
 
 
-def simplex_grid(J: int, step: float) -> np.ndarray:
-    """All points of the uniform simplex grid with the given step.
+def _grid_size(step: float) -> int:
+    """m = round(1/step), the number of steps of the grid along an axis."""
+    inverse = 1.0 / float(step) if step > 0 else 0.0  # NaN is not > 0
+    if not (np.isfinite(inverse) and round(inverse) >= 1):
+        raise ValueError("step must be positive with 1/step finite and "
+                         f"rounding to at least 1, got {step}")
+    return round(inverse)
 
-    Rows are the compositions (k_1, ..., k_J) of m = round(1/step), divided
-    by m, in lexicographic order.
-    """
+
+def _compositions(J: int, m: int) -> np.ndarray:
+    """The compositions (k_1, ..., k_J) of m, an (n, J) integer array in
+    lexicographic order."""
     if J < 1:
         raise ValueError(f"J must be at least 1, got {J}")
-    m = int(round(1.0 / step))
     # one level per leading coordinate: each row with r left to distribute
     # gets r + 1 children, with heads 0..r in order
     cols, rest = [], np.array([m])
@@ -228,7 +238,18 @@ def simplex_grid(J: int, step: float) -> np.ndarray:
         head = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
         cols = [c[parent] for c in cols] + [head]
         rest = rest[parent] - head
-    return np.column_stack(cols + [rest]) / m
+    return np.column_stack(cols + [rest])
+
+
+def simplex_grid(J: int, step: float) -> np.ndarray:
+    """All points of the uniform simplex grid with the given step.
+
+    Rows are the compositions (k_1, ..., k_J) of m = round(1/step), divided
+    by m, in lexicographic order.  A step that is not finite, not positive
+    or has round(1/step) < 1 is rejected before any array is built.
+    """
+    m = _grid_size(step)
+    return _compositions(J, m) / m
 
 
 @dataclass(frozen=True)
@@ -244,18 +265,42 @@ def calibration_check(p_star, t: TuningPair, step: float = 0.01) -> CalibrationR
     The risk is conditional_sd_risk, the p_star**A form, whose minimiser
     is p_star itself (Fisher consistency); the expected one-hot sd_loss
     that training minimises is not minimised at p_star when A != 1.
+    p_star must be a (J,) distribution, J <= 4: finite, non-negative and
+    summing to 1 within 1e-9.  The step is checked as in simplex_grid.
+
+    Every coordinate of a grid point is one of the m + 1 levels k/m, so
+    the per-class terms of the risk are computed once, in a (J, m + 1)
+    table, with the operations of conditional_sd_risk in its order; a
+    point's risk adds its J table entries in class order and divides by
+    A, which gives conditional_sd_risk's bits.  Among equal risks the
+    first minimiser in grid order (simplex_grid's) wins.
     Raises CalibrationError if the minimizer's argmax class disagrees
     with the argmax of p_star (a tie in p_star is not checked).
     """
     p_star = np.asarray(p_star, dtype=np.float64)
+    if (p_star.ndim != 1 or not np.isfinite(p_star).all() or (p_star < 0).any()
+            or not abs(p_star.sum() - 1.0) <= 1e-9):
+        raise ValueError("p_star must be a 1-D finite, non-negative vector "
+                         f"summing to 1 within 1e-9, got {p_star}")
     J = p_star.shape[0]
     if J > 4:
         raise ValueError("grid search supported only for J <= 4")
-    grid = simplex_grid(J, step)
-    risks = conditional_sd_risk(p_star, grid, t)
-    order = np.argsort(risks)
-    best = grid[order[0]]
-    gap = float(risks[order[1]] - risks[order[0]]) if len(order) > 1 else np.inf
+    m = _grid_size(step)
+    points = _compositions(J, m)
+    levels = np.arange(m + 1) / m
+    ref = p_star[:, None]
+    table = (
+        np.power(levels, 1.0 + t.beta)
+        - (1.0 + t.beta) / t.b * np.power(levels, t.b) * np.power(ref, t.a)
+        + t.a / t.b * np.power(ref, 1.0 + t.beta)
+    )
+    total = table[0].take(points[:, 0])
+    for j in range(1, J):
+        total = total + table[j].take(points[:, j])
+    risks = total / t.a
+    i0 = int(np.argmin(risks))
+    best = points[i0] / m
+    gap = float(np.partition(risks, 1)[1] - risks[i0]) if J > 1 else np.inf
     argmax_class = int(best.argmax())
     if argmax_class != int(p_star.argmax()):
         raise CalibrationError(

@@ -10,9 +10,10 @@ import csv
 import numpy as np
 
 from rsdnet.data_io import RESULTS_HEADER, DataFormatError, Dataset
-from rsdnet.divergence import PROB_CLIP
+from rsdnet.divergence import PROB_CLIP, conditional_sd_risk
 from rsdnet.network import forward
 from rsdnet.optimizer import ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+from rsdnet.theory import CalibrationError, CalibrationResult, simplex_grid
 
 
 def _label_probs(labels, probs):
@@ -79,6 +80,34 @@ def reference_accuracy(params, arch, dataset):
     from one forward pass over the whole set."""
     probs = forward(params, arch, dataset.features).probs
     return float(np.mean(probs.argmax(axis=1) == dataset.labels))
+
+
+def reference_calibration_check(p_star, t, step):
+    """calibration_check as a plain grid search: conditional_sd_risk at
+    every point of simplex_grid(J, step), in one batch.
+
+    The points are ordered by a stable argsort, so among equal risks the
+    first point in grid order is the minimiser.  (The default argsort
+    leaves the order of equal values to numpy's sort, and its SIMD sort
+    on x86 does not keep the first: at step 0.02, p_star = (0.25, 0.25,
+    0.5) and make_tuning(0.5, -0.5) it gives (0.26, 0.24, 0.5).)  gap is
+    the second-smallest risk minus the smallest, inf for a one-point grid.
+    Raises CalibrationError if the minimiser's argmax class is not
+    p_star's argmax.
+    """
+    p_star = np.asarray(p_star, dtype=np.float64)
+    grid = simplex_grid(p_star.shape[0], step)
+    risks = conditional_sd_risk(p_star, grid, t)
+    order = np.argsort(risks, kind="stable")
+    best = grid[order[0]]
+    gap = float(risks[order[1]] - risks[order[0]]) if len(order) > 1 else np.inf
+    argmax_class = int(best.argmax())
+    if argmax_class != int(p_star.argmax()):
+        raise CalibrationError(
+            f"grid argmin predicts class {argmax_class}, "
+            f"but p_star argmax is {int(p_star.argmax())}"
+        )
+    return CalibrationResult(argmin_point=best, argmax_class=argmax_class, gap=gap)
 
 
 def signed_steps(grad, x, epsilon, step_size, iters):

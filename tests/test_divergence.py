@@ -78,6 +78,19 @@ class TestTuning:
             make_tuning(beta, lam)
         assert err.value.reason == reason
 
+    def test_sd_loss_finite_at_the_admissibility_floor(self):
+        # at B = MIN_CONSTANT the per-example constant J*A/B and a batch
+        # sum stay finite; at the smallest normal number they overflowed
+        t = make_tuning(MIN_CONSTANT, 0.0)
+        assert (t.a, t.b) == (1.0, MIN_CONSTANT)
+        z = np.random.default_rng(0).normal(size=(64, 4))
+        value, grad = LossSpec(kind="sd", tuning=t).value_and_grad_logits(
+            np.arange(64) % 4, z)
+        assert np.isfinite(value) and np.isfinite(grad).all()
+        with pytest.raises(InvalidTuningError) as err:
+            make_tuning(0.0, -float(np.finfo(np.float64).tiny))
+        assert err.value.reason == "b_nonpositive"
+
     @given(beta=st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf, -math.inf]),
            lam=st.floats(-5.0, 5.0) | st.sampled_from([math.nan, math.inf, -math.inf]))
     @example(beta=0.0, lam=-1.0)   # A = 0

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rsdnet.contamination import noisy_posterior
 from rsdnet.data_io import posterior_example1
@@ -23,6 +23,9 @@ from rsdnet.theory import (
     psi,
     simplex_grid,
 )
+
+from reference import reference_calibration_check
+from test_divergence import admissible_tunings
 
 
 class TestExcessRiskBound:
@@ -386,6 +389,19 @@ class TestSimplexGrid:
         with pytest.raises(ValueError):
             simplex_grid(0, 0.1)
 
+    @pytest.mark.parametrize("step", [0, 0.0, -0.1, 2.0, 5.0, np.inf, -np.inf,
+                                      np.nan, 5e-324, np.float64(5e-324)])
+    def test_bad_step_rejected(self, step):
+        # not positive, not finite, round(1/step) < 1, or 1/step overflows
+        with pytest.raises(ValueError, match="step must be positive"):
+            simplex_grid(3, step)
+
+    # round(1/step) >= 1 holds for every step below 2 (round(0.5) is 0)
+    @pytest.mark.parametrize("step, m", [(1.9, 1), (1.5, 1), (0.67, 1), (0.6, 2)])
+    def test_coarsest_steps_accepted(self, step, m):
+        np.testing.assert_array_equal(simplex_grid(2, step),
+                                      self.recursive_reference(2, 1.0 / m))
+
 
 class TestCalibration:
     def test_binary_argmin_matches_reference(self):
@@ -421,6 +437,90 @@ class TestCalibration:
     def test_large_j_rejected(self):
         with pytest.raises(ValueError):
             calibration_check(np.full(5, 0.2), make_tuning(0.5, 0.0))
+
+    @pytest.mark.parametrize("p_star", [
+        [1.2, -0.2],            # negative entry
+        [np.nan, 0.5, 0.5],     # not finite
+        [np.inf, 0.0],
+        [0.3, 0.3],             # sums to 0.6
+        [0.5, 0.5 + 2e-9],      # sums to 1 + 2e-9
+        [[0.5, 0.5]],           # not 1-D
+        0.5,
+        [],
+    ])
+    def test_non_distribution_rejected(self, p_star):
+        # a ValueError, not a warning, a NaN gap or a CalibrationError
+        with pytest.raises(ValueError, match="p_star must be"):
+            calibration_check(p_star, make_tuning(0.5, -0.5))
+
+    def test_distribution_within_tolerance_accepted(self):
+        res = calibration_check([0.7, 0.3 + 5e-10], make_tuning(0.5, -0.5),
+                                step=0.1)
+        np.testing.assert_array_equal(res.argmin_point, [0.7, 0.3])
+
+    @pytest.mark.parametrize("step", [0, -0.1, 5.0, np.inf, np.nan])
+    def test_bad_step_rejected(self, step):
+        # step 5.0 gave a [nan, nan, nan] argmin_point, with a warning
+        with pytest.raises(ValueError, match="step must be positive"):
+            calibration_check([0.5, 0.3, 0.2], make_tuning(0.5, -0.5), step=step)
+
+    @pytest.mark.parametrize("step, first", [(0.1, [0.2, 0.3, 0.5]),
+                                             (0.02, [0.24, 0.26, 0.5])])
+    @pytest.mark.parametrize("beta, lam", [(0.5, -0.5), (0.1, -0.8)])
+    def test_ties_go_to_the_first_minimiser_in_grid_order(self, step, first,
+                                                          beta, lam):
+        # p_star is off the grid and symmetric in its first two classes,
+        # so the points first and first[[1, 0, 2]] have equal risks
+        res = calibration_check([0.25, 0.25, 0.5], make_tuning(beta, lam), step)
+        np.testing.assert_array_equal(res.argmin_point, first)
+        assert res.argmax_class == 2
+        assert res.gap == 0.0
+
+
+def outcome(check, p_star, t, step):
+    """What a calibration check returns or raises, in exactly comparable
+    form: the argmin point's bytes, the class and the gap's hex, or the
+    CalibrationError's message."""
+    try:
+        res = check(p_star, t, step)
+    except CalibrationError as exc:
+        return "CalibrationError", str(exc)
+    return (res.argmin_point.shape, res.argmin_point.tobytes(),
+            res.argmax_class, float.hex(res.gap))
+
+
+@st.composite
+def calibration_cases(draw):
+    """(p_star, step): a distribution over J <= 4 classes, as drawn, moved
+    onto the grid, or with its first two classes equal (ties)."""
+    J = draw(st.integers(1, 4))
+    step = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1, 1 / 3]))
+    weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=J, max_size=J)))
+    assume(weights.sum() > 0.0)
+    kind = draw(st.sampled_from(["drawn", "on grid", "tied"]))
+    if kind == "tied" and J >= 2:
+        weights[1] = weights[0]
+    p_star = weights / weights.sum()
+    if kind == "on grid":
+        m = round(1.0 / step)
+        k = np.floor(p_star * m)
+        k[-1] = m - k[:-1].sum()
+        p_star = k / m
+    return p_star, step
+
+
+class TestCalibrationMatchesReference:
+    @settings(max_examples=300)
+    @example(case=(np.array([0.25, 0.25, 0.5]), 0.1), t=make_tuning(0.5, -0.5))
+    @example(case=(np.array([0.25, 0.25, 0.5]), 0.02), t=make_tuning(0.5, -0.5))
+    @example(case=(np.array([0.45, 0.45, 0.1]), 0.1), t=make_tuning(0.1, -0.8))
+    @example(case=(np.array([0.25, 0.25, 0.25, 0.25]), 0.1), t=make_tuning(0.3, 0.2))
+    @example(case=(np.array([1.0]), 0.01), t=make_tuning(0.5, -0.5))
+    @given(case=calibration_cases(), t=admissible_tunings())
+    def test_same_result_as_the_float_grid(self, case, t):
+        p_star, step = case
+        assert (outcome(calibration_check, p_star, t, step)
+                == outcome(reference_calibration_check, p_star, t, step))
 
 
 def expected_one_hot_risk(p_star, grid, t):
