@@ -10,6 +10,7 @@ command is deterministic given its flags and seeds.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import PurePath
 
@@ -426,8 +427,16 @@ def _read_config(path, args) -> dict:
     return config
 
 
+@functools.cache
+def _plain_parser() -> argparse.ArgumentParser:
+    """build_parser() without a config, built once per process; parsing
+    does not change a parser, so every main call can share it.  A --config
+    run parses with a parser of its own."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _plain_parser().parse_args(argv)
     try:
         if args.config:
             args = build_parser(_read_config(args.config, args)).parse_args(argv)

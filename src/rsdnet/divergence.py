@@ -181,11 +181,17 @@ def conditional_sd_risk(p_star, probs, t: TuningPair):
         raise ValueError(
             f"need a (J,) p_star with (n, J) probs, got shapes "
             f"{p_star.shape} and {p.shape}")
+    return _risk_terms(p, p_star, t).sum(axis=1) / t.a
+
+
+def _risk_terms(p, p_star, t: TuningPair):
+    """The per-class terms of conditional_sd_risk, before the sum over
+    classes and the division by A, element-wise with broadcasting."""
     return (
         np.power(p, 1.0 + t.beta)
         - (1.0 + t.beta) / t.b * np.power(p, t.b) * np.power(p_star, t.a)
         + t.a / t.b * np.power(p_star, 1.0 + t.beta)
-    ).sum(axis=1) / t.a
+    )
 
 
 def loss_bounds(t: TuningPair, J: int) -> tuple[float, float]:

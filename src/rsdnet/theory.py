@@ -16,11 +16,15 @@ and influence_function computes the psi rows of every grid point at once
 and multiplies them by pinv(Psi) in one product.
 _compositions builds the integer points of the simplex grid level by
 level, and simplex_grid divides them by m = round(1/step).
-calibration_check never builds the float grid: each coordinate of a grid
-point is one of the m + 1 levels k/m, so it evaluates the per-class terms
-of conditional_sd_risk once per (class, level) pair, in a (J, m + 1)
-table, and sums each composition's entries; among equal risks the first
-minimiser in grid order wins.
+calibration_check lists no grid point, so it takes any class count J:
+each coordinate of a grid point is one of the m + 1 levels k/m, so it
+evaluates the per-class terms of conditional_sd_risk once per (class,
+level) pair, in a (J, m + 1) table, and a point's risk is the sum of its
+entries in class order.  A min-plus search over the table, O(J m**2),
+finds the smallest risk with its exact bits and the first minimiser in
+grid order, which wins among equal risks; the check accepts any of
+p_star's largest classes.  From J = 8 numpy's row sum in
+conditional_sd_risk adds pairwise, so the two can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .data_io import posterior_example1
-from .divergence import TuningPair, _admissibility, clip_probs
+from .divergence import TuningPair, _admissibility, _risk_terms, clip_probs
 from .network import ExampleModel
 
 RELU_KINK_TOL = 1e-6
@@ -252,6 +257,82 @@ def simplex_grid(J: int, step: float) -> np.ndarray:
     return _compositions(J, m) / m
 
 
+def _min_plus(v: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """out[s] = min over k <= s of v[s - k] + row[k], for (n,) v and row:
+    one more class added to the smallest sums of the classes before it."""
+    n = row.shape[0]
+    padded = np.concatenate([np.full(n - 1, np.inf), v])
+    # a read-only (n, n) view whose row k is v shifted right by k, padded
+    # with +inf: shifted[k, s] = v[s - k]
+    step = padded.strides[0]
+    shifted = as_strided(padded[n - 1:], (n, n), (-step, step), writeable=False)
+    return (shifted + row[:, None]).min(axis=0)
+
+
+def _first_minimiser(table: np.ndarray, a: float, total) -> list:
+    """The first composition of m = n - 1, in grid order, whose (J, n)
+    table entries added in class order and divided by a give the smallest
+    risk, total / a, where total is the smallest class-order sum.
+
+    A depth-first search in grid order drops a prefix when its class-order
+    sum plus the smallest sum of any completion (a backward min-plus pass)
+    exceeds total by more than slack: the rounding error of 2J additions
+    of partial sums no larger than the sum of the classes' largest
+    |entries|.  So no minimiser is dropped.  The last class takes the
+    levels left, so at the last two classes every total is computed
+    exactly, in one vector.
+    """
+    J, n = table.shape
+    if J == 1:
+        return [n - 1]
+    risk = total / a
+    slack = 2 * J * np.finfo(np.float64).eps * np.abs(table).max(axis=1).sum()
+    # completion[j][r]: the smallest sum of classes j + 1.. over the
+    # compositions of r, for j < J - 2
+    completion = [table[-1]]
+    for row in table[-2:0:-1]:
+        completion.insert(0, _min_plus(completion[0], row))
+
+    def search(j, prefix, rest):
+        entries = table[j, :rest + 1]
+        sums = entries if prefix is None else prefix + entries
+        if j == J - 2:
+            hits = np.flatnonzero((sums + table[-1, rest::-1]) / a == risk)
+            return [hits[0], rest - hits[0]] if hits.size else None
+        reach = sums + completion[j][rest::-1]
+        for k in np.flatnonzero(reach <= total + slack):
+            tail = search(j + 1, sums[k], rest - k)
+            if tail is not None:
+                return [k, *tail]
+        return None
+
+    return search(0, None, n - 1)
+
+
+def _runner_up(table: np.ndarray, prefix: list, point: list):
+    """The smallest class-order sum of table entries over the compositions
+    other than point.
+
+    Such a composition last differs from point at some class L >= 1: it
+    is a prefix over classes 0..L with point's level sum there and a
+    class-L level other than point's, followed by point's entries.
+    Rounded addition is monotone, so the smallest such sum starts from
+    the smallest prefix sums prefix[L - 1] of the forward pass.
+    """
+    J = table.shape[0]
+    level_sums = np.cumsum(point)
+    second = np.inf
+    for L in range(1, J):
+        s = level_sums[L]
+        sums = prefix[L - 1][s::-1] + table[L, :s + 1]
+        sums[point[L]] = np.inf
+        value = sums.min()
+        for j in range(L + 1, J):
+            value = value + table[j, point[j]]
+        second = min(second, value)
+    return second
+
+
 @dataclass(frozen=True)
 class CalibrationResult:
     argmin_point: np.ndarray
@@ -265,46 +346,47 @@ def calibration_check(p_star, t: TuningPair, step: float = 0.01) -> CalibrationR
     The risk is conditional_sd_risk, the p_star**A form, whose minimiser
     is p_star itself (Fisher consistency); the expected one-hot sd_loss
     that training minimises is not minimised at p_star when A != 1.
-    p_star must be a (J,) distribution, J <= 4: finite, non-negative and
-    summing to 1 within 1e-9.  The step is checked as in simplex_grid.
+    p_star must be a (J,) distribution, for any J >= 1: finite,
+    non-negative and summing to 1 within 1e-9.  The step is checked as in
+    simplex_grid.
 
     Every coordinate of a grid point is one of the m + 1 levels k/m, so
-    the per-class terms of the risk are computed once, in a (J, m + 1)
-    table, with the operations of conditional_sd_risk in its order; a
-    point's risk adds its J table entries in class order and divides by
-    A, which gives conditional_sd_risk's bits.  Among equal risks the
-    first minimiser in grid order (simplex_grid's) wins.
-    Raises CalibrationError if the minimizer's argmax class disagrees
-    with the argmax of p_star (a tie in p_star is not checked).
+    the per-class terms of the risk (divergence._risk_terms) are computed
+    once, in a (J, m + 1) table, and a point's risk is its J table
+    entries added in class order, divided by A.  For J < 8 that is
+    conditional_sd_risk's bits; from J = 8 numpy sums a row pairwise, so
+    the two can differ in the last bits.  No grid point is listed, and J
+    has no limit: the table is searched in O(J m**2) work.
+      - A forward min-plus pass keeps the smallest class-order sum of each
+        class prefix per level sum.  Rounded addition is monotone, so the
+        smallest total keeps its bits.
+      - A depth-first search in grid order, pruned by a backward min-plus
+        pass, finds the first minimiser in grid order (simplex_grid's),
+        which wins among equal risks.
+      - gap is the smallest risk of any other grid point minus the
+        smallest risk; 0 if another point ties, inf if there is none.
+    Raises CalibrationError unless the minimiser's argmax class (its first
+    largest coordinate) is one of p_star's largest classes.
     """
     p_star = np.asarray(p_star, dtype=np.float64)
     if (p_star.ndim != 1 or not np.isfinite(p_star).all() or (p_star < 0).any()
             or not abs(p_star.sum() - 1.0) <= 1e-9):
         raise ValueError("p_star must be a 1-D finite, non-negative vector "
                          f"summing to 1 within 1e-9, got {p_star}")
-    J = p_star.shape[0]
-    if J > 4:
-        raise ValueError("grid search supported only for J <= 4")
     m = _grid_size(step)
-    points = _compositions(J, m)
-    levels = np.arange(m + 1) / m
-    ref = p_star[:, None]
-    table = (
-        np.power(levels, 1.0 + t.beta)
-        - (1.0 + t.beta) / t.b * np.power(levels, t.b) * np.power(ref, t.a)
-        + t.a / t.b * np.power(ref, 1.0 + t.beta)
-    )
-    total = table[0].take(points[:, 0])
-    for j in range(1, J):
-        total = total + table[j].take(points[:, j])
-    risks = total / t.a
-    i0 = int(np.argmin(risks))
-    best = points[i0] / m
-    gap = float(np.partition(risks, 1)[1] - risks[i0]) if J > 1 else np.inf
+    table = _risk_terms(np.arange(m + 1) / m, p_star[:, None], t)
+    prefix = [table[0]]
+    for row in table[1:-1]:
+        prefix.append(_min_plus(prefix[-1], row))
+    total = (prefix[-1][::-1] + table[-1]).min() if len(table) > 1 else table[0, m]
+    risk = total / t.a
+    point = _first_minimiser(table, t.a, total)
+    best = np.array(point) / m
     argmax_class = int(best.argmax())
-    if argmax_class != int(p_star.argmax()):
+    if p_star[argmax_class] != p_star.max():
         raise CalibrationError(
             f"grid argmin predicts class {argmax_class}, "
             f"but p_star argmax is {int(p_star.argmax())}"
         )
+    gap = float(_runner_up(table, prefix, point) / t.a - risk)
     return CalibrationResult(argmin_point=best, argmax_class=argmax_class, gap=gap)

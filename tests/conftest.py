@@ -1,7 +1,11 @@
 """Shared test configuration.
 
-Every property test runs under one seeded hypothesis profile, so a run
-draws the same examples each time and its run time stays fixed.
+Every property test runs under one derandomized hypothesis profile, so
+reruns of the same code draw the same examples and the run time stays
+fixed.  The draws are not fixed across code changes: hypothesis (6.155)
+also seeds them with the literals of the local modules, so a new float
+literal in src/ or tests/ re-rolls every property test's examples, and a
+latent failure can surface in an unrelated change.
 
 When a property test fails, hypothesis' pytest plugin imports
 hypothesis.extra._patching, whose libcst import raises a

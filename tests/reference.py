@@ -10,7 +10,7 @@ import csv
 import numpy as np
 
 from rsdnet.data_io import RESULTS_HEADER, DataFormatError, Dataset
-from rsdnet.divergence import PROB_CLIP, conditional_sd_risk
+from rsdnet.divergence import PROB_CLIP
 from rsdnet.network import forward
 from rsdnet.optimizer import ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
 from rsdnet.theory import CalibrationError, CalibrationResult, simplex_grid
@@ -83,26 +83,36 @@ def reference_accuracy(params, arch, dataset):
 
 
 def reference_calibration_check(p_star, t, step):
-    """calibration_check as a plain grid search: conditional_sd_risk at
-    every point of simplex_grid(J, step), in one batch.
+    """calibration_check as a plain grid search: the conditional SD-risk
+    at every point of simplex_grid(J, step), in one batch.
 
-    The points are ordered by a stable argsort, so among equal risks the
-    first point in grid order is the minimiser.  (The default argsort
-    leaves the order of equal values to numpy's sort, and its SIMD sort
-    on x86 does not keep the first: at step 0.02, p_star = (0.25, 0.25,
-    0.5) and make_tuning(0.5, -0.5) it gives (0.26, 0.24, 0.5).)  gap is
-    the second-smallest risk minus the smallest, inf for a one-point grid.
-    Raises CalibrationError if the minimiser's argmax class is not
-    p_star's argmax.
+    A point p's risk is sum_j (p_j**(1+beta) - (1+beta)/B * p_j**B *
+    p*_j**A + A/B * p*_j**(1+beta)) / A, its J class terms added column by
+    column in class order.  (For J < 8 that is numpy's row sum; from
+    J = 8 numpy sums a row pairwise, in another order.)  The points are
+    ordered by a stable argsort, so among equal risks the first point in
+    grid order is the minimiser.  (The default argsort leaves the order of
+    equal values to numpy's sort, and its SIMD sort on x86 does not keep
+    the first: at step 0.02, p_star = (0.25, 0.25, 0.5) and
+    make_tuning(0.5, -0.5) it gives (0.26, 0.24, 0.5).)  gap is the
+    second-smallest risk minus the smallest, inf for a one-point grid.
+    Raises CalibrationError unless the minimiser's argmax class is one of
+    p_star's largest classes.
     """
     p_star = np.asarray(p_star, dtype=np.float64)
     grid = simplex_grid(p_star.shape[0], step)
-    risks = conditional_sd_risk(p_star, grid, t)
+    terms = (np.power(grid, 1.0 + t.beta)
+             - (1.0 + t.beta) / t.b * np.power(grid, t.b) * np.power(p_star, t.a)
+             + t.a / t.b * np.power(p_star, 1.0 + t.beta))
+    total = terms[:, 0]
+    for j in range(1, terms.shape[1]):
+        total = total + terms[:, j]
+    risks = total / t.a
     order = np.argsort(risks, kind="stable")
     best = grid[order[0]]
     gap = float(risks[order[1]] - risks[order[0]]) if len(order) > 1 else np.inf
     argmax_class = int(best.argmax())
-    if argmax_class != int(p_star.argmax()):
+    if p_star[argmax_class] != p_star.max():
         raise CalibrationError(
             f"grid argmin predicts class {argmax_class}, "
             f"but p_star argmax is {int(p_star.argmax())}"

@@ -1,10 +1,15 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rsdnet
 from rsdnet.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FLAGS,
@@ -697,6 +702,46 @@ class TestConfigFile:
                     "--config", cfg])
         assert code == EXIT_BAD_FLAGS
         assert list(tmp_path.iterdir()) == [cfg]
+
+
+class TestOneParserPerProcess:
+    """main parses with one parser per process; a --config run must not
+    leave its config defaults behind in it."""
+
+    ARGVS = (
+        ["train", "--seed", "0", "--out", "OUT/cfg.csv", "--loss", "cce",
+         "--folds", "2", "--batch", "16", "--config", "OUT/run.cfg"],
+        ["train", "--seed", "0", "--out", "OUT/plain.csv", "--loss", "cce",
+         "--folds", "2", "--batch", "64", "--n", "60"],
+        ["epochs", "--seed", "2", "--out", "OUT/e.csv", "--loss", "cce",
+         "--batch", "128", "--n", "60"],
+    )
+    OUTPUTS = ("cfg.csv", "plain.csv", "e.csv")
+
+    def test_each_command_matches_a_fresh_process(self, tmp_path):
+        src = str(Path(rsdnet.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        for tag in ("shared", "fresh"):
+            d = tmp_path / tag
+            d.mkdir()
+            (d / "run.cfg").write_text("eta=0.4\nepochs=2\nn=40\n")
+            for argv in self.ARGVS:
+                argv = [a.replace("OUT", str(d)) for a in argv]
+                if tag == "shared":
+                    assert run(argv) == EXIT_OK
+                else:
+                    subprocess.run([sys.executable, "-m", "rsdnet.cli", *argv],
+                                   env=env, check=True)
+        for name in self.OUTPUTS:
+            assert ((tmp_path / "shared" / name).read_bytes()
+                    == (tmp_path / "fresh" / name).read_bytes()), name
+        # the config's eta and epochs applied to its own run only
+        cfg, plain = (read_results(tmp_path / "shared" / n) for n in self.OUTPUTS[:2])
+        assert (cfg[0]["eta"], cfg[0]["epochs"]) == (0.4, 2)
+        assert (plain[0]["eta"], plain[0]["epochs"]) == (0.0, 50)
+        trace = np.genfromtxt(tmp_path / "shared" / "e.csv", delimiter=",",
+                              skip_header=1)
+        assert len(trace) == 50
 
 
 class TestDeterminism:

@@ -1,5 +1,7 @@
 """Tests for the bound evaluators, influence functions and calibration."""
 
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -434,9 +436,20 @@ class TestCalibration:
         np.testing.assert_allclose(
             res.argmin_point, grid[int(np.argmin(risks))], atol=1e-12)
 
-    def test_large_j_rejected(self):
-        with pytest.raises(ValueError):
-            calibration_check(np.full(5, 0.2), make_tuning(0.5, 0.0))
+    @pytest.mark.parametrize("beta, lam", [(0.5, -0.5), (0.1, -0.8), (0.05, -1.0)])
+    def test_ten_classes_at_step_001(self, beta, lam):
+        # the paper's class count, on a grid of C(109, 9) ~ 4e12 points;
+        # p_star has a clear top class, as in the theory-figures benchmark
+        rng = np.random.default_rng(10)
+        for _ in range(4):
+            p_star = rng.dirichlet(np.ones(10))
+            while np.diff(np.sort(p_star)[-2:])[0] < 0.1:
+                p_star = rng.dirichlet(np.ones(10))
+            res = calibration_check(p_star, make_tuning(beta, lam), step=0.01)
+            assert res.argmax_class == p_star.argmax()
+            assert np.max(np.abs(res.argmin_point - p_star)) <= 0.01
+            assert res.argmin_point.sum() == pytest.approx(1.0)
+            assert res.gap > 0
 
     @pytest.mark.parametrize("p_star", [
         [1.2, -0.2],            # negative entry
@@ -476,6 +489,20 @@ class TestCalibration:
         assert res.argmax_class == 2
         assert res.gap == 0.0
 
+    @pytest.mark.parametrize("beta, lam", [(0.5, -0.5), (0.1, -0.8)])
+    def test_any_of_p_stars_tied_top_classes_is_accepted(self, beta, lam):
+        # the first minimiser in grid order gives the second tied class
+        res = calibration_check([0.45, 0.45, 0.1], make_tuning(beta, lam), step=0.1)
+        np.testing.assert_array_equal(res.argmin_point, [0.4, 0.5, 0.1])
+        assert res.argmax_class == 1
+        assert res.gap == 0.0
+
+    @pytest.mark.parametrize("beta, lam", [(0.5, -0.5), (0.1, -0.8)])
+    def test_minimiser_outside_p_stars_top_classes_raises(self, beta, lam):
+        # at step 0.5 the minimiser is (0.5, 0.5), whose argmax is class 0
+        with pytest.raises(CalibrationError, match="predicts class 0"):
+            calibration_check([0.4, 0.6], make_tuning(beta, lam), step=0.5)
+
 
 def outcome(check, p_star, t, step):
     """What a calibration check returns or raises, in exactly comparable
@@ -491,10 +518,13 @@ def outcome(check, p_star, t, step):
 
 @st.composite
 def calibration_cases(draw):
-    """(p_star, step): a distribution over J <= 4 classes, as drawn, moved
-    onto the grid, or with its first two classes equal (ties)."""
-    J = draw(st.integers(1, 4))
-    step = draw(st.sampled_from([0.01, 0.02, 0.05, 0.1, 1 / 3]))
+    """(p_star, step): a distribution over J <= 10 classes, as drawn, moved
+    onto the grid, or with its first two classes equal (ties), and a step
+    whose grid has at most 2e5 points: every step for J <= 4, down to
+    step 0.1 (92,378 points) for J = 10."""
+    J = draw(st.integers(1, 10))
+    step = draw(st.sampled_from([s for s in (0.01, 0.02, 0.05, 0.1, 1 / 3)
+                                 if comb(round(1 / s) + J - 1, J - 1) <= 2 * 10**5]))
     weights = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=J, max_size=J)))
     assume(weights.sum() > 0.0)
     kind = draw(st.sampled_from(["drawn", "on grid", "tied"]))
