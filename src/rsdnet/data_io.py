@@ -114,7 +114,8 @@ def read_idx(images_path, labels_path) -> Dataset:
     """Parse an IDX image/label file pair; strict about sizes and magics."""
     pixels = _read_idx(images_path, IDX_IMAGES_MAGIC)
     count, rows, cols = pixels.shape
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0  # in place: one float64 copy of the images, not two
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC).astype(np.intp)
     return Dataset(features=features, labels=labels,
                    num_classes=max(10, int(labels.max()) + 1 if len(labels) else 10))

@@ -164,14 +164,14 @@ def _forward(layers, acts, X: np.ndarray) -> tuple[list, list]:
 
 
 def _backward(X: np.ndarray, pres, posts, layers, acts, delta: np.ndarray,
-              grads=None, want_input: bool = True):
+              grads=None, want_input: bool = True, out=None):
     """Backpropagate delta, the gradient at the logits, through the layers.
 
     With grads, a list of per-layer (gW, gb) views, the batch-summed weight
     and bias gradients are written into them in place.  Returns the
-    per-example input gradient, or None when want_input is false, in which
-    case the first layer's delta is not propagated.  Every array may carry
-    the leading model axis of _forward.
+    per-example input gradient (written into out where given), or None when
+    want_input is false, in which case the first layer's delta is not
+    propagated.  Every array may carry the leading model axis of _forward.
     """
     for i in range(len(layers) - 1, -1, -1):
         if grads is not None:
@@ -181,7 +181,8 @@ def _backward(X: np.ndarray, pres, posts, layers, acts, delta: np.ndarray,
             np.add.reduce(delta, axis=-2, out=gb)
         if i == 0 and not want_input:
             return None
-        back = np.matmul(delta, layers[i][0].swapaxes(-1, -2))
+        back = np.matmul(delta, layers[i][0].swapaxes(-1, -2),
+                         out=out if i == 0 else None)
         if i > 0:
             back *= _activation_deriv(pres[i - 1], posts[i - 1], acts[i - 1])
         delta = back

@@ -1,5 +1,7 @@
 """Tests for the FGSM and PGD adversarial attacks."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from rsdnet.attacks import (
     input_gradient,
     pgd,
 )
-from rsdnet.data_io import synthetic_blobs
+from rsdnet.data_io import Dataset, synthetic_blobs
 from rsdnet.divergence import LossSpec, make_tuning
 from rsdnet.network import ArchitectureSpec, backward, forward, init_params
 from rsdnet.optimizer import TrainConfig, accuracy, train
@@ -220,14 +222,36 @@ class TestPlumbing:
         assert out.features.shape == ds.features.shape
 
     def test_batched_matches_unbatched(self, monkeypatch):
-        # the bits do not depend on ATTACK_BATCH
-        params, ds = trained_model()
-        cfg = AttackConfig(kind="fgsm", epsilon=0.15)
-        default = adversarial_trainset(params, ARCH, ds, cfg)
-        for rows in (7, 1000):
-            monkeypatch.setattr(attacks, "ATTACK_BATCH", rows)
-            out = adversarial_trainset(params, ARCH, ds, cfg)
-            np.testing.assert_array_equal(out.features, default.features)
+        # the bits depend on neither ATTACK_BATCH nor the number of workers:
+        # they are those of attacking the blocks one at a time under the
+        # same BLAS setting, on the toy model and on a surrogate-sized one
+        rng = np.random.default_rng(7)
+        wide = ArchitectureSpec(784, ((64, "relu"),), 10)
+        models = (trained_model()[0], ARCH), (init_params(wide, 8), wide)
+        cfgs = (AttackConfig(kind="fgsm", epsilon=0.15),
+                AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05, max_iters=5))
+        default = attacks.ATTACK_BATCH
+        threads = record_threads(monkeypatch)
+        for params, arch in models:
+            pool = Dataset(features=rng.uniform(0, 1, (1000, arch.input_dim)),
+                           labels=rng.integers(0, arch.output_classes, 1000),
+                           num_classes=arch.output_classes)
+            for n in (0, 5, 1000):
+                ds = pool.subset(np.arange(n))
+                for rows in (7, default, 1000):
+                    monkeypatch.setattr(attacks, "ATTACK_BATCH", rows)
+                    for cfg in cfgs:
+                        want = serial_attack(params, arch, ds, cfg, rows)
+                        for workers in (1, 2, 3):
+                            monkeypatch.setattr(attacks, "_usable_cores",
+                                                lambda w=workers: w)
+                            threads.clear()
+                            got = adversarial_trainset(params, arch, ds, cfg)
+                            assert got.features.shape == ds.features.shape
+                            assert np.array_equal(got.features.view(np.uint64),
+                                                  want.view(np.uint64))
+                            blocks = -(-n // rows)
+                            assert len(threads) == min(workers, blocks)
 
     def test_deterministic(self):
         params, ds = trained_model()
@@ -235,3 +259,113 @@ class TestPlumbing:
         a = pgd(params, ARCH, ds.features, ds.labels, cfg)
         b = pgd(params, ARCH, ds.features, ds.labels, cfg)
         np.testing.assert_array_equal(a, b)
+
+
+def record_threads(monkeypatch) -> set:
+    """The set of threads that call attacks.input_gradient from now on."""
+    threads = set()
+    real = attacks.input_gradient
+
+    def recorded(*args, **kwargs):
+        threads.add(threading.current_thread())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(attacks, "input_gradient", recorded)
+    return threads
+
+
+def serial_attack(params, arch, ds, cfg, rows):
+    """ds attacked one block of rows at a time, in this thread, under the
+    BLAS setting adversarial_trainset uses."""
+    with attacks._one_blas_thread():
+        blocks = [attack(params, arch, ds.features[i:i + rows],
+                         ds.labels[i:i + rows], cfg)
+                  for i in range(0, ds.n, rows)]
+    return np.concatenate(blocks) if blocks else ds.features.copy()
+
+
+class TestBlasThreads:
+    """adversarial_trainset holds OpenBLAS at one thread while it attacks
+    and restores the count afterwards, also when a block raises."""
+
+    CFG = AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05, max_iters=5)
+
+    @pytest.fixture
+    def count(self):
+        """OpenBLAS's thread-count getter, the count set to 2 for the test
+        (an attack that left it at 1 cannot then pass unseen)."""
+        blas = attacks._openblas_threads()
+        if blas is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+        get, set_ = blas
+        original = get()
+        set_(2)
+        yield get
+        set_(original)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_held_at_one_then_restored(self, count, monkeypatch, workers):
+        params, ds = trained_model()
+        during = set()
+        real = attacks.input_gradient
+
+        def watched(*args, **kwargs):
+            during.add(count())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "input_gradient", watched)
+        monkeypatch.setattr(attacks, "_usable_cores", lambda: workers)
+        adversarial_trainset(params, ARCH, ds, self.CFG)
+        assert during == {1}
+        assert count() == 2
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_restored_when_a_block_raises(self, count, monkeypatch, workers):
+        params, ds = trained_model()
+        ds = ds.subset(np.arange(10))
+        real = attacks.input_gradient
+
+        def failing(params, arch, x, labels, *args, **kwargs):
+            if len(x) == 3:  # the second block, rows 7-9
+                raise ValueError("injected")
+            return real(params, arch, x, labels, *args, **kwargs)
+
+        monkeypatch.setattr(attacks, "ATTACK_BATCH", 7)
+        monkeypatch.setattr(attacks, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(attacks, "input_gradient", failing)
+        # the block's own exception type reaches the caller, so the CLI
+        # maps it to the same exit code
+        with pytest.raises(ValueError, match="injected"):
+            adversarial_trainset(params, ARCH, ds, self.CFG)
+        assert count() == 2
+
+    def test_no_setter_means_one_worker(self, monkeypatch):
+        params, ds = trained_model()
+        monkeypatch.setattr(attacks, "ATTACK_BATCH", 7)
+        want = np.concatenate([attack(params, ARCH, ds.features[i:i + 7],
+                                      ds.labels[i:i + 7], self.CFG)
+                               for i in range(0, ds.n, 7)])
+        monkeypatch.setattr(attacks, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(attacks, "_usable_cores", lambda: 3)
+        threads = record_threads(monkeypatch)
+        got = adversarial_trainset(params, ARCH, ds, self.CFG)
+        assert threads == {threading.current_thread()}
+        assert np.array_equal(got.features.view(np.uint64), want.view(np.uint64))
+
+    def test_nested_and_concurrent_holders_restore_the_count(self, count):
+        inside = []
+
+        def hold():
+            with attacks._one_blas_thread():
+                inside.append(count())
+
+        with attacks._one_blas_thread() as outer:
+            with attacks._one_blas_thread() as inner:
+                assert outer and inner and count() == 1
+            assert count() == 1
+            other = threading.Thread(target=hold)
+            other.start()
+            other.join(timeout=0.05)
+            assert other.is_alive()  # waits for this holder to leave
+        other.join()
+        assert inside == [1] and count() == 2
