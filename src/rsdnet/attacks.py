@@ -23,7 +23,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,13 +114,12 @@ def _schedule(cfg: AttackConfig) -> tuple[float, int]:
 
 def fgsm(params, arch: ArchitectureSpec, x, labels, epsilon: float) -> np.ndarray:
     """Single signed-gradient step of size epsilon, clipped to the box."""
-    return _signed_steps(params, arch, x, labels, epsilon, epsilon, 1)
+    return attack(params, arch, x, labels, AttackConfig(kind="fgsm", epsilon=epsilon))
 
 
 def pgd(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig) -> np.ndarray:
     """Iterated signed steps projected onto the epsilon-ball and the box."""
-    return _signed_steps(params, arch, x, labels, cfg.epsilon, cfg.step_size,
-                         cfg.max_iters)
+    return attack(params, arch, x, labels, replace(cfg, kind="pgd"))
 
 
 def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig) -> np.ndarray:
@@ -177,10 +176,7 @@ def _one_blas_thread():
 
 def _usable_cores() -> int:
     """Cores this process may run on: the most attack workers."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0))
 
 
 def adversarial_trainset(params_surrogate, arch_surrogate: ArchitectureSpec,
@@ -190,7 +186,7 @@ def adversarial_trainset(params_surrogate, arch_surrogate: ArchitectureSpec,
     Labels are untouched; the perturbed set is fixed once (static
     adversarial training data).  Worker k of W attacks blocks k, k + W, ...;
     the first exception a block raises is raised here once every worker
-    has stopped.
+    has stopped, as is one raised in the caller while it waits (Ctrl-C).
     """
     features = np.empty(dataset.features.shape)
     starts = range(0, dataset.n, ATTACK_BATCH)
@@ -214,11 +210,18 @@ def adversarial_trainset(params_surrogate, arch_surrogate: ArchitectureSpec,
         workers = max(1, min(cores, len(starts)))  # the caller, even for n = 0
         threads = [threading.Thread(target=work, args=(k, workers))
                    for k in range(1, workers)]
-        for thread in threads:
-            thread.start()
-        work(0, workers)
-        for thread in threads:
-            thread.join()
+        try:
+            for thread in threads:
+                thread.start()
+            work(0, workers)
+            for thread in threads:
+                thread.join()
+        except BaseException as exc:  # say Ctrl-C while joining
+            failed.append(exc)  # the workers stop after their current block
+            for thread in threads:
+                if thread.ident is not None:  # started
+                    thread.join()
+            raise
     if failed:
         raise failed[0]
     return Dataset(features=features, labels=dataset.labels,

@@ -238,10 +238,14 @@ class TestPlumbing:
                            num_classes=arch.output_classes)
             for n in (0, 5, 1000):
                 ds = pool.subset(np.arange(n))
-                for rows in (7, default, 1000):
-                    monkeypatch.setattr(attacks, "ATTACK_BATCH", rows)
-                    for cfg in cfgs:
+                for cfg in cfgs:
+                    # one 1000-row block is the unbatched attack
+                    whole = serial_attack(params, arch, ds, cfg, 1000)
+                    for rows in (7, default, 1000):
+                        monkeypatch.setattr(attacks, "ATTACK_BATCH", rows)
                         want = serial_attack(params, arch, ds, cfg, rows)
+                        assert np.array_equal(want.view(np.uint64),
+                                              whole.view(np.uint64))
                         for workers in (1, 2, 3):
                             monkeypatch.setattr(attacks, "_usable_cores",
                                                 lambda w=workers: w)
@@ -337,6 +341,43 @@ class TestBlasThreads:
         # maps it to the same exit code
         with pytest.raises(ValueError, match="injected"):
             adversarial_trainset(params, ARCH, ds, self.CFG)
+        assert count() == 2
+
+    def test_interrupt_while_joining_stops_the_workers(self, count, monkeypatch):
+        # Ctrl-C in the caller as it waits for the worker, which is then
+        # inside its first block: that block is its last, and the worker
+        # has stopped by the time the interrupt reaches the caller
+        params, ds = trained_model()
+        entered, interrupted = threading.Event(), threading.Event()
+        worker_calls = []
+        caller = threading.current_thread()
+        real = attacks.input_gradient
+
+        def gated(*args, **kwargs):
+            if threading.current_thread() is caller:
+                entered.wait(timeout=30)  # the worker is in its first block
+            else:
+                entered.set()
+                interrupted.wait(timeout=30)
+                worker_calls.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        class InterruptedJoin(threading.Thread):
+            def join(self, timeout=None):
+                if not interrupted.is_set():
+                    interrupted.set()
+                    raise KeyboardInterrupt
+                super().join(timeout)
+
+        monkeypatch.setattr(attacks, "ATTACK_BATCH", 7)
+        monkeypatch.setattr(attacks, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(attacks, "input_gradient", gated)
+        monkeypatch.setattr(threading, "Thread", InterruptedJoin)
+        with pytest.raises(KeyboardInterrupt):
+            adversarial_trainset(params, ARCH, ds, self.CFG)
+        [worker] = set(worker_calls)
+        assert not worker.is_alive()
+        assert len(worker_calls) == self.CFG.max_iters  # one block
         assert count() == 2
 
     def test_no_setter_means_one_worker(self, monkeypatch):
