@@ -22,7 +22,7 @@ from .network import (
 )
 from .optimizer import TrainConfig, accuracy, adam_step, train
 from .contamination import NoiseConfig, corrupt_labels, noisy_posterior
-from .attacks import AttackConfig, adversarial_trainset, fgsm, pgd
+from .attacks import AttackConfig, adversarial_trainset, attack
 from .theory import (
     BoundGrid,
     bound_grid,

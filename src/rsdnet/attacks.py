@@ -1,9 +1,10 @@
 """White-box adversarial example generation (FGSM and PGD).
 
-Attacks always maximize the CCE loss of the attacked model, matching the
-surrogate generation protocol; both attacks are deterministic (no random
-start) and respect the L-infinity budget and the box BOX exactly.  FGSM
-is one PGD step of size epsilon: both run the same signed-step loop.
+attack(params, arch, x, labels, cfg) is the one call for both: the
+AttackConfig names the kind and its budget, and FGSM is one PGD step of
+size epsilon.  Attacks always maximize the CCE loss of the attacked model,
+matching the surrogate generation protocol; they are deterministic (no
+random start) and respect the L-infinity budget and the box BOX exactly.
 
 adversarial_trainset attacks its ATTACK_BATCH-row blocks on one thread per
 core the process may run on, the caller's included, each writing its rows
@@ -23,7 +24,7 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,16 +82,21 @@ def input_gradient(params, arch: ArchitectureSpec, x, labels,
                      grad_logits * X.shape[0], out=out)
 
 
-def _signed_steps(params, arch: ArchitectureSpec, x, labels, epsilon: float,
-                  step_size: float, iters: int, out=None) -> np.ndarray:
-    """iters signed-gradient steps, each projected onto the epsilon-ball
-    around the batch x intersected with BOX (the box alone where they do
-    not meet), into out where given (never into x).  Updated in place, with
-    the bits of np.clip(adv + step_size * sign(g), lo, hi): minimum then
-    maximum is that clip, since lo <= hi."""
+def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
+           out=None) -> np.ndarray:
+    """cfg's attack on the batch x, into out where given (never into x):
+    signed-gradient steps (FGSM one of size epsilon, PGD max_iters of
+    step_size), each projected onto the epsilon-ball around x intersected
+    with BOX (the box alone where they do not meet).  Updated in place, with
+    the bits of np.clip(adv + step * sign(g), lo, hi): minimum then maximum
+    is that clip, since lo <= hi."""
+    if cfg.kind == "fgsm":
+        step_size, iters = cfg.epsilon, 1
+    else:
+        step_size, iters = cfg.step_size, cfg.max_iters
     x0 = np.asarray(x, dtype=np.float64)
-    lo = np.clip(x0 - epsilon, *BOX)
-    hi = np.clip(x0 + epsilon, *BOX)
+    lo = np.clip(x0 - cfg.epsilon, *BOX)
+    hi = np.clip(x0 + cfg.epsilon, *BOX)
     adv = np.empty_like(x0) if out is None else out
     adv[...] = x0
     grad = np.empty_like(adv)  # one gradient buffer for every step
@@ -103,27 +109,6 @@ def _signed_steps(params, arch: ArchitectureSpec, x, labels, epsilon: float,
         np.minimum(adv, hi, out=adv)
         np.maximum(adv, lo, out=adv)
     return adv
-
-
-def _schedule(cfg: AttackConfig) -> tuple[float, int]:
-    """(step size, iterations) of cfg's attack."""
-    if cfg.kind == "fgsm":
-        return cfg.epsilon, 1
-    return cfg.step_size, cfg.max_iters
-
-
-def fgsm(params, arch: ArchitectureSpec, x, labels, epsilon: float) -> np.ndarray:
-    """Single signed-gradient step of size epsilon, clipped to the box."""
-    return attack(params, arch, x, labels, AttackConfig(kind="fgsm", epsilon=epsilon))
-
-
-def pgd(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig) -> np.ndarray:
-    """Iterated signed steps projected onto the epsilon-ball and the box."""
-    return attack(params, arch, x, labels, replace(cfg, kind="pgd"))
-
-
-def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig) -> np.ndarray:
-    return _signed_steps(params, arch, x, labels, cfg.epsilon, *_schedule(cfg))
 
 
 @functools.cache
@@ -190,7 +175,6 @@ def adversarial_trainset(params_surrogate, arch_surrogate: ArchitectureSpec,
     """
     features = np.empty(dataset.features.shape)
     starts = range(0, dataset.n, ATTACK_BATCH)
-    step_size, iters = _schedule(cfg)
     failed = []
 
     def work(first: int, workers: int):
@@ -199,9 +183,8 @@ def adversarial_trainset(params_surrogate, arch_surrogate: ArchitectureSpec,
                 return
             rows = slice(start, start + ATTACK_BATCH)
             try:
-                _signed_steps(params_surrogate, arch_surrogate,
-                              dataset.features[rows], dataset.labels[rows],
-                              cfg.epsilon, step_size, iters, out=features[rows])
+                attack(params_surrogate, arch_surrogate, dataset.features[rows],
+                       dataset.labels[rows], cfg, out=features[rows])
             except BaseException as exc:  # re-raised in the caller's thread
                 failed.append(exc)
 

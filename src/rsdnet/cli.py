@@ -114,17 +114,18 @@ def resolve_arch(args) -> tuple[ArchitectureSpec, Dataset]:
     return arch, dataset
 
 
-def _surrogate(args, dataset: Dataset, init_seed: int, shuffle_seed: int):
-    """(params, arch) of a CCE-trained surrogate for the attacks: one hidden
-    layer of 64 ReLU nodes, sized to the data at hand."""
-    arch = ArchitectureSpec(dataset.features.shape[1], ((64, "relu"),),
-                            dataset.num_classes)
+def _surrogate_attack(args, dataset: Dataset, cfg: AttackConfig,
+                      init_seed: int, shuffle_seed: int) -> Dataset:
+    """dataset attacked through a CCE-trained surrogate, which has the
+    hidden layers of the surrogate-64 preset and is sized to the data."""
+    arch = ArchitectureSpec(dataset.features.shape[1],
+                            ARCH_PRESETS["surrogate-64"].layers, dataset.num_classes)
     [(params, _)] = train(
         dataset, arch, init_seed,
         TrainConfig(losses=(LossSpec(kind="cce"),), epochs=args.surrogate_epochs,
                     batch_size=args.batch, shuffle_seed=shuffle_seed),
     )
-    return params, arch
+    return adversarial_trainset(params, arch, dataset, cfg)
 
 
 def _attack_config(args, dataset: Dataset) -> AttackConfig:
@@ -142,6 +143,26 @@ def _attack_config(args, dataset: Dataset) -> AttackConfig:
     return cfg
 
 
+def _train_split(args, arch: ArchitectureSpec, dataset: Dataset, train_idx,
+                 fold: int, losses: tuple, attack_cfg: AttackConfig | None = None,
+                 eval_set: Dataset | None = None):
+    """train's (params, metrics) pairs, one per loss, for the rows train_idx
+    of dataset: their labels corrupted at --eta and, given attack_cfg, their
+    features attacked through a surrogate.  Every seed is --seed plus an
+    offset per step and the fold."""
+    train_ds, _ = corrupt_labels(dataset.subset(train_idx),
+                                 NoiseConfig(eta=args.eta, seed=args.seed + 1000 + fold))
+    if attack_cfg is not None:
+        train_ds = _surrogate_attack(args, train_ds, attack_cfg,
+                                     args.seed + 2000 + fold, args.seed + 3000 + fold)
+    return train(
+        train_ds, arch, args.seed + fold,
+        TrainConfig(losses=losses, epochs=args.epochs, batch_size=args.batch,
+                    shuffle_seed=args.seed + 100 + fold),
+        eval_set=eval_set,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -155,19 +176,9 @@ def cmd_train(args) -> int:
     saved = []
     folds = data_io.make_folds(dataset.n, args.folds, args.seed)
     for fold, (train_idx, val_idx) in enumerate(folds):
-        train_ds = dataset.subset(train_idx)
+        [(params, _)] = _train_split(args, arch, dataset, train_idx, fold, (loss,),
+                                     attack_cfg)
         val_ds = dataset.subset(val_idx)
-        train_ds, _ = corrupt_labels(
-            train_ds, NoiseConfig(eta=args.eta, seed=args.seed + 1000 + fold))
-        if attack_cfg is not None:  # the surrogate attacks the training set
-            sparams, sarch = _surrogate(args, train_ds, args.seed + 2000 + fold,
-                                        args.seed + 3000 + fold)
-            train_ds = adversarial_trainset(sparams, sarch, train_ds, attack_cfg)
-        [(params, _)] = train(
-            train_ds, arch, args.seed + fold,
-            TrainConfig(losses=(loss,), epochs=args.epochs, batch_size=args.batch,
-                        shuffle_seed=args.seed + 100 + fold),
-        )
         clean = accuracy(params, arch, val_ds)
         adv = None
         if attack_cfg is not None:  # white-box: against the trained model
@@ -251,20 +262,12 @@ def cmd_influence(args) -> int:
 def cmd_epochs(args) -> int:
     arch, dataset = resolve_arch(args)
     losses = tuple(parse_loss(text) for text in args.loss)
-    # single fixed train/test split (3:1)
+    # one fixed 3:1 train/test split, trained as fold 0 in one lockstep run:
+    # every model has the same init and batch order
     perm = np.random.default_rng(args.seed).permutation(dataset.n)
     cut = (3 * dataset.n) // 4
-    train_ds = dataset.subset(perm[:cut])
-    test_ds = dataset.subset(perm[cut:])
-    train_ds, _ = corrupt_labels(
-        train_ds, NoiseConfig(eta=args.eta, seed=args.seed + 1000))
-    # one lockstep run: every model has the same init and batch order
-    trained = train(
-        train_ds, arch, args.seed,
-        TrainConfig(losses=losses, epochs=args.epochs, batch_size=args.batch,
-                    shuffle_seed=args.seed + 100),
-        eval_set=test_ds,
-    )
+    trained = _train_split(args, arch, dataset, perm[:cut], 0, losses,
+                           eval_set=dataset.subset(perm[cut:]))
     rows = [(loss.describe(), *row)
             for loss, (_, metrics) in zip(losses, trained) for row in metrics]
     header = ("loss", "epoch", "train_loss", "test_accuracy")
@@ -284,9 +287,8 @@ def cmd_corrupt(args) -> int:
 
 def cmd_attack(args) -> int:
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
-    cfg = _attack_config(args, dataset)
-    sparams, sarch = _surrogate(args, dataset, args.seed, args.seed + 100)
-    attacked = adversarial_trainset(sparams, sarch, dataset, cfg)
+    attacked = _surrogate_attack(args, dataset, _attack_config(args, dataset),
+                                 args.seed, args.seed + 100)
     data_io.dump_dataset(attacked, args.out + ".features.csv",
                          args.out + ".labels.csv")
     return EXIT_OK

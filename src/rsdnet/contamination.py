@@ -9,14 +9,18 @@ import numpy as np
 from .data_io import Dataset
 
 
+def _check_eta(eta: float):
+    if not 0.0 <= eta < 1.0:  # NaN fails it too
+        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+
+
 @dataclass(frozen=True)
 class NoiseConfig:
     eta: float
     seed: int
 
     def __post_init__(self):
-        if not 0.0 <= self.eta < 1.0:
-            raise ValueError(f"eta must lie in [0, 1), got {self.eta}")
+        _check_eta(self.eta)
 
 
 def corrupt_labels(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, np.ndarray]:
@@ -43,7 +47,6 @@ def corrupt_labels(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, np.ndar
 def noisy_posterior(p_star, eta: float) -> np.ndarray:
     """(1-eta) p* + eta (1-p*)/(J-1), applied per class."""
     p_star = np.asarray(p_star, dtype=np.float64)
-    if not 0.0 <= eta < 1.0:
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+    _check_eta(eta)
     J = p_star.shape[-1]
     return (1.0 - eta) * p_star + eta / (J - 1) * (1.0 - p_star)

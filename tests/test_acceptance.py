@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from rsdnet.attacks import AttackConfig, adversarial_trainset, fgsm, pgd
+from rsdnet.attacks import AttackConfig, adversarial_trainset, attack
 from rsdnet.cli import ARCH_PRESETS, main as cli_main
 from rsdnet.contamination import NoiseConfig, corrupt_labels
 from rsdnet.data_io import (
@@ -412,20 +412,21 @@ class TestCriterion7Attacks:
         ok = True
 
         eps = 0.2
-        adv_f = fgsm(params, arch, ds.features, ds.labels, eps)
+        adv_f = attack(params, arch, ds.features, ds.labels,
+                       AttackConfig(kind="fgsm", epsilon=eps))
         if np.max(np.abs(adv_f - ds.features)) > eps + 1e-12:
             ok = False
         if adv_f.min() < 0.0 or adv_f.max() > 1.0:
             ok = False
 
         cfg1 = AttackConfig(kind="pgd", epsilon=eps, step_size=eps, max_iters=1)
-        if not np.array_equal(adv_f, pgd(params, arch, ds.features,
-                                         ds.labels, cfg1)):
+        if not np.array_equal(adv_f, attack(params, arch, ds.features,
+                                            ds.labels, cfg1)):
             ok = False
 
         cfg = AttackConfig(kind="pgd", epsilon=0.3, step_size=0.01,
                            max_iters=100)
-        adv_p = pgd(params, arch, ds.features, ds.labels, cfg)
+        adv_p = attack(params, arch, ds.features, ds.labels, cfg)
         if np.max(np.abs(adv_p - ds.features)) > 0.3 + 1e-12:
             ok = False
         if adv_p.min() < 0.0 or adv_p.max() > 1.0:

@@ -10,9 +10,7 @@ from rsdnet.attacks import (
     AttackConfig,
     adversarial_trainset,
     attack,
-    fgsm,
     input_gradient,
-    pgd,
 )
 from rsdnet.data_io import Dataset, synthetic_blobs
 from rsdnet.divergence import LossSpec, make_tuning
@@ -34,24 +32,27 @@ def trained_model():
 
 class TestInputGradient:
     def test_matches_fd(self):
-        params = init_params(ARCH, 1)
         rng = np.random.default_rng(2)
-        X = rng.uniform(0, 1, (5, 2))
-        y = rng.integers(0, 2, 5)
-        an = input_gradient(params, ARCH, X, y)
+        # the second has a hidden identity layer
+        for arch in (ARCH, ArchitectureSpec(2, ((4, "identity"), (5, "tanh")), 2)):
+            params = init_params(arch, 1)
+            X = rng.uniform(0, 1, (5, 2))
+            y = rng.integers(0, 2, 5)
+            an = input_gradient(params, arch, X, y)
 
-        def per_example_losses(Xp):
-            return cce_loss(y, forward(params, ARCH, Xp).probs)
+            def per_example_losses(Xp):
+                return cce_loss(y, forward(params, arch, Xp).probs)
 
-        h = 1e-6
-        fd = np.zeros_like(X)
-        for i in range(5):
-            for j in range(2):
-                up, dn = X.copy(), X.copy()
-                up[i, j] += h
-                dn[i, j] -= h
-                fd[i, j] = (per_example_losses(up)[i] - per_example_losses(dn)[i]) / (2 * h)
-        np.testing.assert_allclose(fd, an, rtol=1e-5, atol=1e-9)
+            h = 1e-6
+            fd = np.zeros_like(X)
+            for i in range(5):
+                for j in range(2):
+                    up, dn = X.copy(), X.copy()
+                    up[i, j] += h
+                    dn[i, j] -= h
+                    fd[i, j] = (per_example_losses(up)[i]
+                                - per_example_losses(dn)[i]) / (2 * h)
+            np.testing.assert_allclose(fd, an, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("loss", [
         LossSpec(kind="cce"),
@@ -80,14 +81,15 @@ class TestInputGradient:
 class TestConstraints:
     def test_fgsm_ball_and_box(self):
         params, ds = trained_model()
-        adv = fgsm(params, ARCH, ds.features, ds.labels, 0.1)
+        adv = attack(params, ARCH, ds.features, ds.labels,
+                     AttackConfig(kind="fgsm", epsilon=0.1))
         assert np.max(np.abs(adv - ds.features)) <= 0.1 + 1e-15
         assert adv.min() >= 0.0 and adv.max() <= 1.0
 
     def test_pgd_ball_and_box(self):
         params, ds = trained_model()
         cfg = AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05, max_iters=20)
-        adv = pgd(params, ARCH, ds.features, ds.labels, cfg)
+        adv = attack(params, ARCH, ds.features, ds.labels, cfg)
         assert np.max(np.abs(adv - ds.features)) <= 0.3 + 1e-15
         assert adv.min() >= 0.0 and adv.max() <= 1.0
 
@@ -97,10 +99,11 @@ class TestConstraints:
         outside = np.random.default_rng(3).uniform(-1.5, 2.5, (200, 2))
         for X, y in ((ds.features, ds.labels), (outside, ds.labels[:200])):
             for eps in (0.2, 1.2):
-                a = fgsm(params, ARCH, X, y, eps)
+                a = attack(params, ARCH, X, y,
+                           AttackConfig(kind="fgsm", epsilon=eps))
                 cfg = AttackConfig(kind="pgd", epsilon=eps, step_size=eps,
                                    max_iters=1)
-                np.testing.assert_array_equal(a, pgd(params, ARCH, X, y, cfg))
+                np.testing.assert_array_equal(a, attack(params, ARCH, X, y, cfg))
                 assert a.min() >= 0.0 and a.max() <= 1.0
 
     def test_pgd_box_wins_outside_the_box(self):
@@ -109,7 +112,7 @@ class TestConstraints:
         X = rng.uniform(-1.5, 2.5, (200, 2))
         y = rng.integers(0, 2, 200)
         cfg = AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05, max_iters=20)
-        adv = pgd(params, ARCH, X, y, cfg)
+        adv = attack(params, ARCH, X, y, cfg)
         assert adv.min() >= 0.0 and adv.max() <= 1.0
         # a feature whose epsilon-ball misses the box ends on the nearest
         # face; where the two meet, the output lies in both
@@ -120,7 +123,8 @@ class TestConstraints:
 
     def test_epsilon_zero_is_identity(self):
         params, ds = trained_model()
-        adv = fgsm(params, ARCH, ds.features, ds.labels, 0.0)
+        adv = attack(params, ARCH, ds.features, ds.labels,
+                     AttackConfig(kind="fgsm", epsilon=0.0))
         np.testing.assert_array_equal(adv, np.clip(ds.features, 0, 1))
 
 
@@ -159,11 +163,11 @@ class TestAgainstReference:
             return input_gradient(params, arch, a, y)
 
         if kind == "fgsm":
-            got = fgsm(params, arch, X, y, 0.1)
+            got = attack(params, arch, X, y, AttackConfig(kind="fgsm", epsilon=0.1))
             want = signed_steps(grad, X, 0.1, 0.1, 1)
         else:
             cfg = AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05, max_iters=20)
-            got = pgd(params, arch, X, y, cfg)
+            got = attack(params, arch, X, y, cfg)
             want = signed_steps(grad, X, 0.3, 0.05, 20)
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(X.view(np.uint64), before.view(np.uint64))
@@ -206,13 +210,6 @@ class TestPlumbing:
                 for value in (np.nan, np.inf):
                     with pytest.raises(ValueError, match="finite"):
                         AttackConfig(kind=kind, **{"epsilon": 0.1, field: value})
-
-    def test_dispatcher(self):
-        params, ds = trained_model()
-        X, y = ds.features[:10], ds.labels[:10]
-        a = attack(params, ARCH, X, y, AttackConfig(kind="fgsm", epsilon=0.1))
-        b = fgsm(params, ARCH, X, y, 0.1)
-        np.testing.assert_array_equal(a, b)
 
     def test_trainset_labels_untouched(self):
         params, ds = trained_model()
@@ -260,8 +257,8 @@ class TestPlumbing:
     def test_deterministic(self):
         params, ds = trained_model()
         cfg = AttackConfig(kind="pgd", epsilon=0.2, step_size=0.02, max_iters=10)
-        a = pgd(params, ARCH, ds.features, ds.labels, cfg)
-        b = pgd(params, ARCH, ds.features, ds.labels, cfg)
+        a = attack(params, ARCH, ds.features, ds.labels, cfg)
+        b = attack(params, ARCH, ds.features, ds.labels, cfg)
         np.testing.assert_array_equal(a, b)
 
 

@@ -321,6 +321,14 @@ class TestInputHardening:
         assert "at least 2 classes" in capsys.readouterr().err
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("selector", ["nosuch", "idx:one.idx"])
+    def test_unknown_dataset_selector_exits_2_without_output(self, tmp_path,
+                                                             selector):
+        code = run(["train", "--seed", 0, "--out", tmp_path / "out",
+                    "--dataset", selector, "--epochs", 1])
+        assert code == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == []
+
     def test_synthetic_dataset_of_no_examples_is_bad_flags(self, tmp_path):
         out = tmp_path / "out"
         code = run(["corrupt", "--seed", 0, "--out", out, "--eta", 0.2,

@@ -65,10 +65,12 @@ class TestCorruptLabels:
         assert corrupted.features is ds.features
 
     def test_eta_validation(self):
-        with pytest.raises(ValueError):
-            NoiseConfig(eta=1.0, seed=0)
-        with pytest.raises(ValueError):
-            NoiseConfig(eta=-0.1, seed=0)
+        # NoiseConfig and noisy_posterior share one check, which NaN fails
+        for eta in (-0.1, 1.0, np.nan):
+            with pytest.raises(ValueError, match="eta must lie"):
+                NoiseConfig(eta=eta, seed=0)
+            with pytest.raises(ValueError, match="eta must lie"):
+                noisy_posterior(np.array([0.3, 0.7]), eta)
 
 
 class TestNoisyPosterior:

@@ -137,6 +137,13 @@ class TestIdx:
         np.testing.assert_allclose(back.features, ds.features)
         np.testing.assert_array_equal(back.labels, ds.labels)
 
+    def test_write_checks_the_image_shape(self, tmp_path):
+        ds = synthetic_blobs(4, seed=0)
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        with pytest.raises(ValueError, match="feature width"):
+            write_idx(ds, img, lab, rows=2, cols=2)
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestDataset:
     def test_validation(self):
@@ -146,6 +153,9 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(features=np.zeros((3, 2)),
                     labels=np.array([0, 1, 2], dtype=np.intp), num_classes=2)
+        with pytest.raises(ValueError, match="2-D"):
+            Dataset(features=np.zeros(3), labels=np.zeros(3, dtype=np.intp),
+                    num_classes=2)
 
     @pytest.mark.parametrize("labels, tag", [
         ([0, 1, 1, 0], "count_mismatch"),

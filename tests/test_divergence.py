@@ -253,6 +253,10 @@ class TestLossBounds:
         assert lower == pytest.approx(3.0)
         assert upper == pytest.approx(4.0)
 
+    def test_one_class_rejected(self):
+        with pytest.raises(ValueError, match="J must be at least 2"):
+            loss_bounds(make_tuning(1.0, 0.0), 1)
+
     def test_extremes_attained(self):
         t = make_tuning(1.0, 0.0)
         uniform = np.array([0.5, 0.5])

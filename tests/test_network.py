@@ -17,6 +17,8 @@ from reference import glorot_params
 
 TANH_NET = ArchitectureSpec(3, ((6, "tanh"),), 3)
 DEEP_NET = ArchitectureSpec(4, ((8, "tanh"), (5, "relu")), 3)
+# a hidden identity layer: elsewhere only the logit layer is linear
+LINEAR_NET = ArchitectureSpec(3, ((4, "identity"), (5, "tanh")), 2)
 
 
 class TestArchitecture:
@@ -35,6 +37,8 @@ class TestArchitecture:
             ArchitectureSpec(2, (), 1)
         with pytest.raises(ValueError):
             ArchitectureSpec(2, ((4, "sigmoid"),), 2)
+        with pytest.raises(ValueError, match="widths"):
+            ArchitectureSpec(2, ((0, "relu"),), 2)
 
 
 class TestFlatten:
@@ -127,7 +131,7 @@ class TestBackward:
             fd[k] = (lu - ld) / (2 * h)
         return fd
 
-    @pytest.mark.parametrize("arch", [TANH_NET, DEEP_NET])
+    @pytest.mark.parametrize("arch", [TANH_NET, DEEP_NET, LINEAR_NET])
     def test_param_grad_matches_fd(self, arch):
         rng = np.random.default_rng(2)
         spec = LossSpec(kind="sd", tuning=make_tuning(0.3, -0.5))
@@ -143,23 +147,24 @@ class TestBackward:
     def test_input_grad_matches_fd(self):
         rng = np.random.default_rng(3)
         spec = LossSpec(kind="cce")
-        params = init_params(TANH_NET, 6)
-        X = rng.normal(size=(3, 3))
-        labels = rng.integers(0, 3, 3)
-        trace = forward(params, TANH_NET, X)
-        _, grad_logits = spec.value_and_grad_logits(labels, trace.logits)
-        _, an = backward(trace, params, TANH_NET, grad_logits)
-        h = 1e-6
-        fd = np.zeros_like(X)
-        for i in range(X.shape[0]):
-            for j in range(X.shape[1]):
-                up, dn = X.copy(), X.copy()
-                up[i, j] += h
-                dn[i, j] -= h
-                lu = spec.value_and_grad_logits(labels, forward(params, TANH_NET, up).logits)[0]
-                ld = spec.value_and_grad_logits(labels, forward(params, TANH_NET, dn).logits)[0]
-                fd[i, j] = (lu - ld) / (2 * h)
-        np.testing.assert_allclose(fd, an, rtol=1e-5, atol=1e-9)
+        for arch in (TANH_NET, LINEAR_NET):
+            params = init_params(arch, 6)
+            X = rng.normal(size=(3, 3))
+            labels = rng.integers(0, arch.output_classes, 3)
+            trace = forward(params, arch, X)
+            _, grad_logits = spec.value_and_grad_logits(labels, trace.logits)
+            _, an = backward(trace, params, arch, grad_logits)
+            h = 1e-6
+            fd = np.zeros_like(X)
+            for i in range(X.shape[0]):
+                for j in range(X.shape[1]):
+                    up, dn = X.copy(), X.copy()
+                    up[i, j] += h
+                    dn[i, j] -= h
+                    lu, ld = (spec.value_and_grad_logits(
+                        labels, forward(params, arch, x).logits)[0] for x in (up, dn))
+                    fd[i, j] = (lu - ld) / (2 * h)
+            np.testing.assert_allclose(fd, an, rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("arch", [TANH_NET, DEEP_NET])
     def test_bit_identical_to_textbook_loop(self, arch):

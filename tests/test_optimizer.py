@@ -151,6 +151,13 @@ class TestTrain:
         [(_, metrics)] = train(ds, TOY, 0, cfg)
         assert all(np.isnan(acc) for _, _, acc in metrics)
 
+    def test_empty_dataset_rejected(self):
+        empty = Dataset(features=np.empty((0, 2)),
+                        labels=np.empty(0, dtype=np.intp), num_classes=2)
+        cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=1)
+        with pytest.raises(ValueError, match="empty training dataset"):
+            train(empty, TOY, 0, cfg)
+
     def test_class_mismatch_rejected(self):
         ds = Dataset(features=np.zeros((4, 2)), labels=np.zeros(4, dtype=np.intp),
                      num_classes=3)
