@@ -6,24 +6,22 @@ size epsilon.  Attacks always maximize the CCE loss of the attacked model,
 matching the surrogate generation protocol; they are deterministic (no
 random start) and respect the L-infinity budget and the box BOX exactly.
 
-adversarial_trainset attacks its ATTACK_BATCH-row blocks on one thread per
-core the process may run on, the caller's included, each writing its rows
-into one shared output.  Meanwhile numpy's OpenBLAS is held at one thread,
-and its count is restored afterwards, also when a block raises.  Rows are
-attacked independently, so the bits are those of attacking the blocks one
-at a time on one BLAS thread, whatever the number of workers or the thread
-count OpenBLAS would pick.  Where no OpenBLAS thread setter is found, one
-worker attacks the blocks in turn, at OpenBLAS's own thread count.
+adversarial_trainset attacks its ATTACK_BATCH-row blocks as the tasks of
+network._run_tasks: on one thread per core the process may run on, the
+caller's included, each writing its rows into one shared output, with
+numpy's OpenBLAS held at one thread meanwhile and its count restored
+afterwards, also when a block raises.  Rows are attacked independently, so
+the bits are those of attacking the blocks one at a time on one BLAS
+thread, whatever the number of workers or the thread count OpenBLAS would
+pick.  Where no OpenBLAS thread setter is found, one worker attacks the
+blocks in turn, at OpenBLAS's own thread count.  `train --attack` runs its
+folds in turn, not on the pool, so that each of a fold's attacks gets
+every core.
 """
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
-import functools
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +29,7 @@ import numpy as np
 from .data_io import Dataset
 from .divergence import LossSpec
 from .network import (ArchitectureSpec, _as_inputs, _backward, _forward,
-                      _model_layers)
+                      _model_layers, _run_tasks)
 
 _CCE = LossSpec(kind="cce")
 
@@ -111,101 +109,23 @@ def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
     return adv
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy has loaded, or
-    None where no such library exports them."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get, set_ in (("scipy_openblas_get_num_threads64_",
-                           "scipy_openblas_set_num_threads64_"),
-                          ("openblas_get_num_threads", "openblas_set_num_threads")):
-            if hasattr(lib, get) and hasattr(lib, set_):
-                getter, setter = getattr(lib, get), getattr(lib, set_)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
-    return None
-
-
-_blas_lock = threading.RLock()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS at one thread inside the block, which receives whether
-    it could, and restore its count on leaving.  Callers in other threads
-    wait their turn: each attack already runs on every core."""
-    blas = _openblas_threads()
-    if blas is None:
-        yield False
-        return
-    get, set_ = blas
-    with _blas_lock:
-        saved = get()
-        set_(1)
-        try:
-            yield True
-        finally:
-            set_(saved)
-
-
-def _usable_cores() -> int:
-    """Cores this process may run on: the most attack workers."""
-    return len(os.sched_getaffinity(0))
-
-
 def adversarial_trainset(params_surrogate, arch_surrogate: ArchitectureSpec,
                          dataset: Dataset, cfg: AttackConfig) -> Dataset:
     """Replace every example's features by its attacked version.
 
     Labels are untouched; the perturbed set is fixed once (static
-    adversarial training data).  Worker k of W attacks blocks k, k + W, ...;
-    the first exception a block raises is raised here once every worker
-    has stopped, as is one raised in the caller while it waits (Ctrl-C).
+    adversarial training data).  The ATTACK_BATCH-row blocks are the tasks
+    of network._run_tasks, so the first exception a block raises is raised
+    here once every worker has stopped.
     """
     features = np.empty(dataset.features.shape)
     starts = range(0, dataset.n, ATTACK_BATCH)
-    failed = []
 
-    def work(first: int, workers: int):
-        for start in starts[first::workers]:
-            if failed:
-                return
-            rows = slice(start, start + ATTACK_BATCH)
-            try:
-                attack(params_surrogate, arch_surrogate, dataset.features[rows],
-                       dataset.labels[rows], cfg, out=features[rows])
-            except BaseException as exc:  # re-raised in the caller's thread
-                failed.append(exc)
+    def attack_block(i: int):
+        rows = slice(starts[i], starts[i] + ATTACK_BATCH)
+        attack(params_surrogate, arch_surrogate, dataset.features[rows],
+               dataset.labels[rows], cfg, out=features[rows])
 
-    with _one_blas_thread() as held:
-        cores = _usable_cores() if held else 1
-        workers = max(1, min(cores, len(starts)))  # the caller, even for n = 0
-        threads = [threading.Thread(target=work, args=(k, workers))
-                   for k in range(1, workers)]
-        try:
-            for thread in threads:
-                thread.start()
-            work(0, workers)
-            for thread in threads:
-                thread.join()
-        except BaseException as exc:  # say Ctrl-C while joining
-            failed.append(exc)  # the workers stop after their current block
-            for thread in threads:
-                if thread.ident is not None:  # started
-                    thread.join()
-            raise
-    if failed:
-        raise failed[0]
+    _run_tasks(attack_block, len(starts))
     return Dataset(features=features, labels=dataset.labels,
                    num_classes=dataset.num_classes)

@@ -21,7 +21,7 @@ from .attacks import BOX, AttackConfig, adversarial_trainset
 from .contamination import NoiseConfig, corrupt_labels
 from .data_io import DataFormatError, Dataset
 from .divergence import LossSpec, clip_probs, make_tuning
-from .network import ArchitectureSpec, example_model
+from .network import ArchitectureSpec, _run_tasks, example_model
 from .optimizer import TrainConfig, accuracy, train
 from .theory import bound_grid, default_feature_sample, influence_function
 
@@ -149,17 +149,21 @@ def _train_split(args, arch: ArchitectureSpec, dataset: Dataset, train_idx,
     """train's (params, metrics) pairs, one per loss, for the rows train_idx
     of dataset: their labels corrupted at --eta and, given attack_cfg, their
     features attacked through a surrogate.  Every seed is --seed plus an
-    offset per step and the fold."""
-    train_ds, _ = corrupt_labels(dataset.subset(train_idx),
-                                 NoiseConfig(eta=args.eta, seed=args.seed + 1000 + fold))
+    offset per step and the fold.  Only the attacked rows are copied: clean
+    ones are trained on in place, as rows of the full matrix."""
+    train_ds, _ = corrupt_labels(dataset, NoiseConfig(eta=args.eta,
+                                                      seed=args.seed + 1000 + fold),
+                                 rows=train_idx)
+    rows = train_idx
     if attack_cfg is not None:
-        train_ds = _surrogate_attack(args, train_ds, attack_cfg,
+        train_ds = _surrogate_attack(args, train_ds.subset(train_idx), attack_cfg,
                                      args.seed + 2000 + fold, args.seed + 3000 + fold)
+        rows = None
     return train(
         train_ds, arch, args.seed + fold,
         TrainConfig(losses=losses, epochs=args.epochs, batch_size=args.batch,
                     shuffle_seed=args.seed + 100 + fold),
-        eval_set=eval_set,
+        eval_set=eval_set, rows=rows,
     )
 
 
@@ -169,27 +173,36 @@ def _train_split(args, arch: ArchitectureSpec, dataset: Dataset, train_idx,
 
 
 def cmd_train(args) -> int:
+    """k-fold cross-validation.  Without --attack the folds run as the
+    tasks of _run_tasks: on every core, each on one BLAS thread, so the
+    bits do not depend on the number of workers.  With --attack they run
+    in turn and each attack runs its blocks on every core instead: a
+    fold's attacks, run on its own thread, would leave cores idle."""
     arch, dataset = resolve_arch(args)
     loss = parse_loss(args.loss)
     attack_cfg = _attack_config(args, dataset) if args.attack else None
-    records = []
-    saved = []
     folds = data_io.make_folds(dataset.n, args.folds, args.seed)
-    for fold, (train_idx, val_idx) in enumerate(folds):
+
+    def run_fold(fold: int):
+        train_idx, val_idx = folds[fold]
         [(params, _)] = _train_split(args, arch, dataset, train_idx, fold, (loss,),
                                      attack_cfg)
-        val_ds = dataset.subset(val_idx)
-        clean = accuracy(params, arch, val_ds)
+        clean = accuracy(params, arch, dataset, rows=val_idx)
         adv = None
         if attack_cfg is not None:  # white-box: against the trained model
-            adv = accuracy(params, arch,
-                           adversarial_trainset(params, arch, val_ds, attack_cfg))
-        saved.append(params)
-        records.append(_result_row(args, loss, str(fold), clean, adv))
+            adv = accuracy(params, arch, adversarial_trainset(
+                params, arch, dataset.subset(val_idx), attack_cfg))
+        return params, _result_row(args, loss, str(fold), clean, adv)
+
+    if attack_cfg is None:
+        results = _run_tasks(run_fold, len(folds))
+    else:
+        results = [run_fold(fold) for fold in range(len(folds))]
+    saved, records = zip(*results)
     clean = [rec["clean_accuracy"] for rec in records]
     adv = [rec["adv_accuracy"] for rec in records]
-    records.append(_result_row(args, loss, "mean", float(np.mean(clean)),
-                               float(np.mean(adv)) if attack_cfg else None))
+    records = [*records, _result_row(args, loss, "mean", float(np.mean(clean)),
+                                     float(np.mean(adv)) if attack_cfg else None)]
     data_io.write_results(records, args.out)
     # one row per fold; .npy is byte-reproducible, unlike zip containers
     np.save(args.out + ".params.npy", np.stack(saved))

@@ -23,22 +23,30 @@ class NoiseConfig:
         _check_eta(self.eta)
 
 
-def corrupt_labels(dataset: Dataset, cfg: NoiseConfig) -> tuple[Dataset, np.ndarray]:
+def corrupt_labels(dataset: Dataset, cfg: NoiseConfig,
+                   rows: np.ndarray | None = None) -> tuple[Dataset, np.ndarray]:
     """Flip each label independently with probability eta.
 
     A flipped label is replaced by a uniform draw over the J-1 other
     classes.  The RNG stream is consumed in a fixed order (all flip
     decisions, then all replacement draws), so the mask is reproducible
-    regardless of how callers iterate.
+    regardless of how callers iterate.  Given rows, an index array, only
+    those rows' labels are drawn, as for dataset.subset(rows), and the
+    mask has one entry per row of rows; the other labels are kept.  The
+    features are shared, not copied.
     """
     J = dataset.num_classes
     rng = np.random.default_rng(cfg.seed)
-    n = dataset.n
+    labels = dataset.labels if rows is None else dataset.labels[rows]
+    n = len(labels)
     flip = rng.random(n) < cfg.eta
     # draw over J-1 offsets and shift past the original class
     offsets = rng.integers(1, J, size=n)
-    new_labels = dataset.labels.copy()
-    new_labels[flip] = (dataset.labels[flip] + offsets[flip]) % J
+    new_labels = labels.copy()
+    new_labels[flip] = (labels[flip] + offsets[flip]) % J
+    if rows is not None:
+        picked, new_labels = new_labels, dataset.labels.copy()
+        new_labels[rows] = picked
     corrupted = Dataset(features=dataset.features, labels=new_labels,
                         num_classes=J)
     return corrupted, flip

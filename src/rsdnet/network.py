@@ -15,12 +15,21 @@ asked.  The kernels take an optional leading model axis: with views of a
 it would run alone.  The training loop and the attacks call the kernels
 directly, so a training step builds no views and skips the input-gradient
 matmul, and an attack step skips the weight and bias gradients.
+
+_run_tasks is the one worker pool: it runs independent tasks (attack
+blocks, cross-validation folds) on one thread per core the process may
+run on, with numpy's OpenBLAS held at one thread while they run, so their
+bits are those of one BLAS thread whatever the number of workers.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import os
+import threading
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -217,6 +226,122 @@ def backward(trace: ForwardTrace, params: np.ndarray, arch: ArchitectureSpec,
                            trace.activations, _model_layers(params, arch),
                            arch.activations, g, unflatten(grad, arch))
     return grad, grad_input
+
+
+# ---------------------------------------------------------------------------
+# The worker pool.  The kernels above run on numpy's OpenBLAS, whose own
+# threads speed up small matmuls little and spin between them; independent
+# tasks on one thread per core, each on one BLAS thread, use the cores better.
+# ---------------------------------------------------------------------------
+
+
+@cache
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy has loaded, or
+    None where no such library exports them."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in (("scipy_openblas_get_num_threads64_",
+                           "scipy_openblas_set_num_threads64_"),
+                          ("openblas_get_num_threads", "openblas_set_num_threads")):
+            if hasattr(lib, get) and hasattr(lib, set_):
+                getter, setter = getattr(lib, get), getattr(lib, set_)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                return getter, setter
+    return None
+
+
+_blas_lock = threading.RLock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block, which receives whether
+    it could, and restore its count on leaving.  Callers in other threads
+    wait their turn: each pool already runs on every core."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield False
+        return
+    get, set_ = blas
+    with _blas_lock:
+        saved = get()
+        set_(1)
+        try:
+            yield True
+        finally:
+            set_(saved)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: the most pool workers."""
+    return len(os.sched_getaffinity(0))
+
+
+_task_state = threading.local()  # .running: this thread is running a task
+
+
+def _run_tasks(task: Callable[[int], object], n: int) -> list:
+    """[task(0), ..., task(n - 1)], run on every core with OpenBLAS held at
+    one thread (_one_blas_thread) and its count restored afterwards.
+
+    Worker k of W = min(usable cores, n) runs tasks k, k + W, ...; the
+    caller is worker 0.  The first exception a task raises is raised here
+    once every worker has stopped, as is one raised in the caller while it
+    waits (Ctrl-C); a worker stops before its next task once any has
+    failed.  Where no OpenBLAS setter is found, one worker runs the tasks
+    in turn.  A call made from inside a task runs its own tasks in turn on
+    that task's thread, without taking _blas_lock, which the outer call's
+    caller holds until its workers have stopped.
+    """
+    if getattr(_task_state, "running", False):
+        return [task(i) for i in range(n)]
+    results = [None] * n
+    failed = []
+
+    def work(first: int, workers: int):
+        _task_state.running = True
+        try:
+            for i in range(first, n, workers):
+                if failed:
+                    return
+                try:
+                    results[i] = task(i)
+                except BaseException as exc:  # re-raised in the caller's thread
+                    failed.append(exc)
+        finally:
+            _task_state.running = False
+
+    with _one_blas_thread() as held:
+        cores = _usable_cores() if held else 1
+        workers = max(1, min(cores, n))  # the caller, even for n = 0
+        threads = [threading.Thread(target=work, args=(k, workers))
+                   for k in range(1, workers)]
+        try:
+            for thread in threads:
+                thread.start()
+            work(0, workers)
+            for thread in threads:
+                thread.join()
+        except BaseException as exc:  # say Ctrl-C while joining
+            failed.append(exc)  # the workers stop after their current task
+            for thread in threads:
+                if thread.ident is not None:  # started
+                    thread.join()
+            raise
+    if failed:
+        raise failed[0]
+    return results
 
 
 # ---------------------------------------------------------------------------

@@ -69,8 +69,10 @@ class TrainConfig:
             raise ValueError("epochs and batch_size must be >= 1")
 
 
-def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset) -> float:
-    """Share of the dataset's rows whose most probable class is the label.
+def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset,
+             rows: np.ndarray | None = None) -> float:
+    """Share of the dataset's rows (or of those in the index array rows)
+    whose most probable class is the label.
 
     The rows go through forward in blocks of EVAL_BATCH and the hits are
     counted per block, so the result is one exact count divided by n, the
@@ -80,23 +82,33 @@ def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset) -> fl
     blocks are also faster than the whole set or 32-row blocks.  A block
     of a multiple of 16 rows is split among OpenBLAS's kernels as the
     whole set is, so the logits keep their bits.  Raises ValueError on an
-    empty dataset.
+    empty dataset.  Given rows, each block is gathered from the full
+    feature matrix, with the bits of accuracy on dataset.subset(rows).
     """
-    if dataset.n == 0:
+    n = dataset.n if rows is None else len(rows)
+    if n == 0:
         raise ValueError("empty evaluation dataset")
     hits = 0
-    for start in range(0, dataset.n, EVAL_BATCH):
+    for start in range(0, n, EVAL_BATCH):
         block = slice(start, start + EVAL_BATCH)
+        if rows is not None:
+            block = rows[block]
         probs = forward(params, arch, dataset.features[block]).probs
         hits += np.count_nonzero(probs.argmax(axis=1) == dataset.labels[block])
-    return float(hits / dataset.n)
+    return float(hits / n)
 
 
 def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
-          train_cfg: TrainConfig, eval_set: Dataset | None = None):
+          train_cfg: TrainConfig, eval_set: Dataset | None = None,
+          rows: np.ndarray | None = None):
     """Mini-batch Adam training at the fixed ADAM_* hyperparameters of one
     model per loss in train_cfg.losses; returns one (params, per-epoch
     metrics) pair per loss, in order.
+
+    Given rows, an index array, the models train on those rows of dataset
+    with the bits of training on dataset.subset(rows): each batch is
+    gathered from the full feature matrix, so the rows are never copied
+    as a whole.
 
     The models start from the same init_params(arch, init_seed) and see
     the same batches: each epoch reshuffles the example order from a
@@ -115,7 +127,8 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     Adam second moments (squared gradients) not all finite; the first such
     model in losses order is named.
     """
-    if dataset.n == 0:
+    n = dataset.n if rows is None else len(rows)
+    if n == 0:
         raise ValueError("empty training dataset")
     if dataset.num_classes != arch.output_classes:
         raise ValueError("dataset classes do not match the architecture output")
@@ -135,9 +148,10 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     features = np.asarray(dataset.features, dtype=np.float64)
     step = 0
     metrics = [[] for _ in losses]
-    n = dataset.n
     for epoch in range(1, train_cfg.epochs + 1):
         order = np.random.default_rng(train_cfg.shuffle_seed + epoch).permutation(n)
+        if rows is not None:
+            order = rows[order]
         loss_sums = [0.0] * len(losses)
         for start in range(0, n, train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]
@@ -161,8 +175,8 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
                 f"non-finite mean loss, parameters or Adam second moments "
                 f"after epoch {epoch} for loss {losses[k].describe()} "
                 f"(mean loss {mean_losses[k]})")
-        for k, rows in enumerate(metrics):
+        for k, history in enumerate(metrics):
             test_acc = (accuracy(params[k], arch, eval_set)
                         if eval_set is not None else float("nan"))
-            rows.append((epoch, mean_losses[k], test_acc))
+            history.append((epoch, mean_losses[k], test_acc))
     return list(zip(params, metrics))

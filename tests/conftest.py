@@ -17,6 +17,7 @@ once, with DeprecationWarning ignored for that import only.
 
 import warnings
 
+import pytest
 from hypothesis import settings
 
 with warnings.catch_warnings():
@@ -26,3 +27,19 @@ with warnings.catch_warnings():
 settings.register_profile("rsdnet", derandomize=True, deadline=None,
                           max_examples=100)
 settings.load_profile("rsdnet")
+
+
+@pytest.fixture
+def blas_count():
+    """OpenBLAS's thread-count getter, the count set to 2 for the test (a
+    pool that left it at 1 cannot then pass unseen) and restored after."""
+    from rsdnet import network  # here: test_session copies this file alone
+
+    blas = network._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+    get, set_ = blas
+    original = get()
+    set_(2)
+    yield get
+    set_(original)

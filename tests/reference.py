@@ -9,10 +9,12 @@ import csv
 
 import numpy as np
 
+from rsdnet.contamination import corrupt_labels
 from rsdnet.data_io import RESULTS_HEADER, DataFormatError, Dataset
 from rsdnet.divergence import PROB_CLIP
 from rsdnet.network import forward
-from rsdnet.optimizer import ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON
+from rsdnet.optimizer import (ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
+                              train)
 from rsdnet.theory import CalibrationError, CalibrationResult, simplex_grid
 
 
@@ -118,6 +120,14 @@ def reference_calibration_check(p_star, t, step):
             f"but p_star argmax is {int(p_star.argmax())}"
         )
     return CalibrationResult(argmin_point=best, argmax_class=argmax_class, gap=gap)
+
+
+def subset_train(dataset, rows, noise, arch, init_seed, train_cfg):
+    """train on a copy of the rows of dataset, their labels corrupted by
+    corrupt_labels at the NoiseConfig noise: the path that copied each
+    fold's training rows before train could gather them in place."""
+    noisy, _ = corrupt_labels(dataset.subset(rows), noise)
+    return train(noisy, arch, init_seed, train_cfg)
 
 
 def signed_steps(grad, x, epsilon, step_size, iters):

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from rsdnet import attacks
+from rsdnet import attacks, network
 from rsdnet.attacks import (
     AttackConfig,
     adversarial_trainset,
@@ -244,7 +244,7 @@ class TestPlumbing:
                         assert np.array_equal(want.view(np.uint64),
                                               whole.view(np.uint64))
                         for workers in (1, 2, 3):
-                            monkeypatch.setattr(attacks, "_usable_cores",
+                            monkeypatch.setattr(network, "_usable_cores",
                                                 lambda w=workers: w)
                             threads.clear()
                             got = adversarial_trainset(params, arch, ds, cfg)
@@ -278,7 +278,7 @@ def record_threads(monkeypatch) -> set:
 def serial_attack(params, arch, ds, cfg, rows):
     """ds attacked one block of rows at a time, in this thread, under the
     BLAS setting adversarial_trainset uses."""
-    with attacks._one_blas_thread():
+    with network._one_blas_thread():
         blocks = [attack(params, arch, ds.features[i:i + rows],
                          ds.labels[i:i + rows], cfg)
                   for i in range(0, ds.n, rows)]
@@ -291,37 +291,24 @@ class TestBlasThreads:
 
     CFG = AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05, max_iters=5)
 
-    @pytest.fixture
-    def count(self):
-        """OpenBLAS's thread-count getter, the count set to 2 for the test
-        (an attack that left it at 1 cannot then pass unseen)."""
-        blas = attacks._openblas_threads()
-        if blas is None:
-            pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
-        get, set_ = blas
-        original = get()
-        set_(2)
-        yield get
-        set_(original)
-
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_held_at_one_then_restored(self, count, monkeypatch, workers):
+    def test_held_at_one_then_restored(self, blas_count, monkeypatch, workers):
         params, ds = trained_model()
         during = set()
         real = attacks.input_gradient
 
         def watched(*args, **kwargs):
-            during.add(count())
+            during.add(blas_count())
             return real(*args, **kwargs)
 
         monkeypatch.setattr(attacks, "input_gradient", watched)
-        monkeypatch.setattr(attacks, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(network, "_usable_cores", lambda: workers)
         adversarial_trainset(params, ARCH, ds, self.CFG)
         assert during == {1}
-        assert count() == 2
+        assert blas_count() == 2
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_restored_when_a_block_raises(self, count, monkeypatch, workers):
+    def test_restored_when_a_block_raises(self, blas_count, monkeypatch, workers):
         params, ds = trained_model()
         ds = ds.subset(np.arange(10))
         real = attacks.input_gradient
@@ -332,15 +319,15 @@ class TestBlasThreads:
             return real(params, arch, x, labels, *args, **kwargs)
 
         monkeypatch.setattr(attacks, "ATTACK_BATCH", 7)
-        monkeypatch.setattr(attacks, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(network, "_usable_cores", lambda: workers)
         monkeypatch.setattr(attacks, "input_gradient", failing)
         # the block's own exception type reaches the caller, so the CLI
         # maps it to the same exit code
         with pytest.raises(ValueError, match="injected"):
             adversarial_trainset(params, ARCH, ds, self.CFG)
-        assert count() == 2
+        assert blas_count() == 2
 
-    def test_interrupt_while_joining_stops_the_workers(self, count, monkeypatch):
+    def test_interrupt_while_joining_stops_the_workers(self, blas_count, monkeypatch):
         # Ctrl-C in the caller as it waits for the worker, which is then
         # inside its first block: that block is its last, and the worker
         # has stopped by the time the interrupt reaches the caller
@@ -367,7 +354,7 @@ class TestBlasThreads:
                 super().join(timeout)
 
         monkeypatch.setattr(attacks, "ATTACK_BATCH", 7)
-        monkeypatch.setattr(attacks, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(network, "_usable_cores", lambda: 2)
         monkeypatch.setattr(attacks, "input_gradient", gated)
         monkeypatch.setattr(threading, "Thread", InterruptedJoin)
         with pytest.raises(KeyboardInterrupt):
@@ -375,7 +362,7 @@ class TestBlasThreads:
         [worker] = set(worker_calls)
         assert not worker.is_alive()
         assert len(worker_calls) == self.CFG.max_iters  # one block
-        assert count() == 2
+        assert blas_count() == 2
 
     def test_no_setter_means_one_worker(self, monkeypatch):
         params, ds = trained_model()
@@ -383,27 +370,27 @@ class TestBlasThreads:
         want = np.concatenate([attack(params, ARCH, ds.features[i:i + 7],
                                       ds.labels[i:i + 7], self.CFG)
                                for i in range(0, ds.n, 7)])
-        monkeypatch.setattr(attacks, "_openblas_threads", lambda: None)
-        monkeypatch.setattr(attacks, "_usable_cores", lambda: 3)
+        monkeypatch.setattr(network, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(network, "_usable_cores", lambda: 3)
         threads = record_threads(monkeypatch)
         got = adversarial_trainset(params, ARCH, ds, self.CFG)
         assert threads == {threading.current_thread()}
         assert np.array_equal(got.features.view(np.uint64), want.view(np.uint64))
 
-    def test_nested_and_concurrent_holders_restore_the_count(self, count):
+    def test_nested_and_concurrent_holders_restore_the_count(self, blas_count):
         inside = []
 
         def hold():
-            with attacks._one_blas_thread():
-                inside.append(count())
+            with network._one_blas_thread():
+                inside.append(blas_count())
 
-        with attacks._one_blas_thread() as outer:
-            with attacks._one_blas_thread() as inner:
-                assert outer and inner and count() == 1
-            assert count() == 1
+        with network._one_blas_thread() as outer:
+            with network._one_blas_thread() as inner:
+                assert outer and inner and blas_count() == 1
+            assert blas_count() == 1
             other = threading.Thread(target=hold)
             other.start()
             other.join(timeout=0.05)
             assert other.is_alive()  # waits for this holder to leave
         other.join()
-        assert inside == [1] and count() == 2
+        assert inside == [1] and blas_count() == 2

@@ -4,12 +4,14 @@ import csv
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import rsdnet
+from rsdnet import attacks, cli, network
 from rsdnet.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FLAGS,
@@ -22,7 +24,11 @@ from rsdnet.cli import (
 from rsdnet.data_io import (Dataset, dump_dataset, load_dataset,
                             synthetic_blobs, synthetic_example1, write_idx)
 
-from reference import overlapping_images, read_results
+from rsdnet.contamination import NoiseConfig
+from rsdnet.data_io import make_folds
+from rsdnet.optimizer import TrainConfig, accuracy
+
+from reference import overlapping_images, read_results, subset_train
 
 
 def run(args):
@@ -222,6 +228,173 @@ class TestTrainCommand:
                     "--folds", 2, "--epochs", 1, "--batch", 16])
         assert code == EXIT_OK
         assert ds.n == 40  # keep the unused fixture honest
+
+
+class TestTrainFolds:
+    """train without --attack runs its folds as the tasks of
+    network._run_tasks: on every core, each on one BLAS thread, with the
+    bits of the folds run in turn.  With --attack the folds run in turn."""
+
+    SEED, FOLDS, EPOCHS, BATCH, ETA, LOSS = 3, 3, 2, 32, 0.3, "sd:0.1,-0.8"
+
+    def images(self, tmp_path):
+        ds = overlapping_images(240, seed=4)
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(ds, img, lab, rows=28, cols=28)
+        return ds, f"idx:{img},{lab}"
+
+    def run_train(self, out: Path, dataset: str) -> tuple[bytes, bytes]:
+        out.parent.mkdir()
+        code = run(["train", "--seed", self.SEED, "--out", out, "--dataset",
+                    dataset, "--arch", "mnist-mlp", "--loss", self.LOSS,
+                    "--folds", self.FOLDS, "--epochs", self.EPOCHS,
+                    "--batch", self.BATCH, "--eta", self.ETA])
+        assert code == EXIT_OK
+        return (out.read_bytes(),
+                Path(str(out) + ".params.npy").read_bytes())
+
+    def serial_folds(self, ds):
+        """Each fold's params and clean accuracy, trained in turn on a
+        copy of its rows, with train's seeds."""
+        arch = cli.ARCH_PRESETS["mnist-mlp"]
+        loss = parse_loss(self.LOSS)
+        results = []
+        for fold, (train_idx, val_idx) in enumerate(
+                make_folds(ds.n, self.FOLDS, self.SEED)):
+            [(params, _)] = subset_train(
+                ds, train_idx, NoiseConfig(eta=self.ETA, seed=self.SEED + 1000 + fold),
+                arch, self.SEED + fold,
+                TrainConfig(losses=(loss,), epochs=self.EPOCHS,
+                            batch_size=self.BATCH, shuffle_seed=self.SEED + 100 + fold))
+            results.append((params, accuracy(params, arch, ds.subset(val_idx))))
+        return results
+
+    def assert_matches(self, got: tuple[bytes, bytes], serial, out: Path):
+        params = np.load(str(out) + ".params.npy")
+        want = np.stack([p for p, _ in serial])
+        assert np.array_equal(params.view(np.uint64), want.view(np.uint64))
+        rows = read_results(out)
+        assert [r["fold"] for r in rows] == ["0", "1", "2", "mean"]
+        for row, (_, acc) in zip(rows, serial):
+            assert row["clean_accuracy"] == pytest.approx(acc, rel=1e-6)
+
+    def test_bytes_do_not_depend_on_the_workers(self, tmp_path, monkeypatch,
+                                                blas_count):
+        ds, dataset = self.images(tmp_path)
+        with network._one_blas_thread():
+            serial = self.serial_folds(ds)
+        runs = {}
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(network, "_usable_cores", lambda w=workers: w)
+            out = tmp_path / f"w{workers}" / "res.csv"
+            runs[workers] = self.run_train(out, dataset)
+            self.assert_matches(runs[workers], serial, out)
+        assert runs[1] == runs[2] == runs[3]
+        assert blas_count() == 2
+
+    def test_no_blas_setter_runs_the_folds_in_turn(self, tmp_path, monkeypatch):
+        # at OpenBLAS's own thread count, as the folds ran before the pool
+        ds, dataset = self.images(tmp_path)
+        serial = self.serial_folds(ds)
+        monkeypatch.setattr(network, "_openblas_threads", lambda: None)
+        monkeypatch.setattr(network, "_usable_cores", lambda: 3)
+        threads = set()
+        real = cli.train
+
+        def recorded(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recorded)
+        out = tmp_path / "none" / "res.csv"
+        self.assert_matches(self.run_train(out, dataset), serial, out)
+        assert threads == {threading.current_thread()}
+
+    def test_with_attack_folds_run_in_turn_and_attacks_on_every_core(
+            self, tmp_path, monkeypatch, blas_count):
+        # the folds run on the caller's thread, one after another, and each
+        # of a fold's two attacks runs its blocks on every worker
+        monkeypatch.setattr(attacks, "ATTACK_BATCH", 7)
+        callers, blocks = [], []
+        real_trainset, real_attack = cli.adversarial_trainset, attacks.attack
+
+        def trainset(*args, **kwargs):
+            callers.append(threading.current_thread())
+            return real_trainset(*args, **kwargs)
+
+        def attack(*args, **kwargs):
+            blocks.append(threading.current_thread())
+            return real_attack(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "adversarial_trainset", trainset)
+        monkeypatch.setattr(attacks, "attack", attack)
+        main = threading.current_thread()
+        runs = {}
+        for workers in (2, 1):
+            monkeypatch.setattr(network, "_usable_cores", lambda w=workers: w)
+            callers.clear()
+            blocks.clear()
+            out = tmp_path / f"w{workers}" / "res.csv"
+            out.parent.mkdir()
+            code = run(["train", "--seed", 1, "--out", out, "--n", 60, "--arch",
+                        "toy", "--loss", "cce", "--folds", 2, "--epochs", 2,
+                        "--batch", 16, "--eta", 0.2, "--attack", "pgd",
+                        "--epsilon", 0.1, "--step", 0.05, "--iters", 3,
+                        "--surrogate-epochs", 2])
+            assert code == EXIT_OK
+            # two attacks per fold, each of 30 rows in 5 blocks; with two
+            # workers each attack starts one thread for blocks 1 and 3, and
+            # the caller attacks blocks 0, 2 and 4
+            assert callers == [main] * 4 and len(blocks) == 4 * 5
+            assert blocks.count(main) == 4 * (3 if workers == 2 else 5)
+            helpers = set(blocks) - {main}
+            assert len(helpers) == 4 * (workers - 1)
+            assert all(blocks.count(t) == 2 for t in helpers)
+            runs[workers] = (out.read_bytes(),
+                             Path(str(out) + ".params.npy").read_bytes())
+        assert runs[2] == runs[1]
+        assert blas_count() == 2
+
+    def test_a_failing_fold_exits_4_and_stops_cleanly(self, tmp_path,
+                                                      monkeypatch, blas_count):
+        # fold 1 runs on the pool's worker thread; its exception reaches
+        # main, which maps it to its exit code
+        real = cli.train
+
+        def failing(dataset, arch, init_seed, *args, **kwargs):
+            if init_seed == 1:  # --seed 0 plus fold 1
+                raise FloatingPointError("injected")
+            return real(dataset, arch, init_seed, *args, **kwargs)
+
+        unhandled = []
+        monkeypatch.setattr(cli, "train", failing)
+        monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        before = threading.enumerate()
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--n", 60, "--arch",
+                    "toy", "--loss", "cce", "--folds", 3, "--epochs", 2,
+                    "--batch", 16])
+        assert code == EXIT_NUMERIC
+        assert threading.enumerate() == before
+        assert unhandled == []
+        assert blas_count() == 2
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [["--epochs", 0], ["--batch", 0]],
+                             ids=["epochs", "batch"])
+    def test_bad_flags_raised_in_the_folds_exit_2(self, tmp_path, monkeypatch,
+                                                  flags):
+        # each fold rejects the flag, fold 1 on the pool's worker thread;
+        # the caller re-raises it and main maps it to its exit code
+        unhandled = []
+        monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        code = run(["train", "--seed", 0, "--out", tmp_path / "res.csv",
+                    "--n", 30, "--loss", "cce", *flags])
+        assert code == EXIT_BAD_FLAGS
+        assert unhandled == []
+        assert list(tmp_path.iterdir()) == []
 
 
 def csv_dataset(tmp_path, features, labels) -> str:

@@ -64,6 +64,20 @@ class TestCorruptLabels:
         corrupted, _ = corrupt_labels(ds, NoiseConfig(eta=0.2, seed=7))
         assert corrupted.features is ds.features
 
+    def test_rows_draw_as_their_subset(self):
+        # the flips of rows are those of the copied rows; the other
+        # labels and the features are kept as they are
+        ds = make_dataset(300, 4)
+        rows = np.sort(np.random.default_rng(8).permutation(300)[:170])
+        cfg = NoiseConfig(eta=0.4, seed=9)
+        corrupted, mask = corrupt_labels(ds, cfg, rows=rows)
+        want, want_mask = corrupt_labels(ds.subset(rows), cfg)
+        np.testing.assert_array_equal(mask, want_mask)
+        np.testing.assert_array_equal(corrupted.labels[rows], want.labels)
+        others = np.setdiff1d(np.arange(300), rows)
+        np.testing.assert_array_equal(corrupted.labels[others], ds.labels[others])
+        assert corrupted.features is ds.features
+
     def test_eta_validation(self):
         # NoiseConfig and noisy_posterior share one check, which NaN fails
         for eta in (-0.1, 1.0, np.nan):

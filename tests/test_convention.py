@@ -1,4 +1,11 @@
-"""The library's one calling convention: a single example is a batch of one.
+"""The library's conventions.
+
+One worker pool: threads are started, and OpenBLAS's thread count is set,
+only by network's pool helper (_openblas_threads, _one_blas_thread and
+_run_tasks), so every parallel caller shares its BLAS hold, its failure
+handling and its bit guarantees.
+
+One calling convention: a single example is a batch of one.
 
 Every function below takes a batch and returns one row per example, and
 an example passed on its own gives a batch of one.  That row must carry
@@ -7,8 +14,13 @@ input_gradient multiply through BLAS, which may block a one-row product
 differently, so their rows are compared at rtol 1e-12.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, strategies as st
+
+import rsdnet
 
 from rsdnet.attacks import input_gradient
 from rsdnet.data_io import posterior_example1
@@ -27,6 +39,64 @@ ARCHS = (
     ArchitectureSpec(3, ((6, "tanh"),), 3),
     ArchitectureSpec(4, ((8, "tanh"), (5, "relu")), 2),
 )
+
+
+POOL_HOME = "network.py"
+POOL_FUNCTIONS = {"_openblas_threads", "_one_blas_thread", "_run_tasks"}
+# what starts threads or processes, or sets OpenBLAS's thread count
+THREAD_STARTERS = {"Thread", "ThreadPoolExecutor", "ProcessPoolExecutor",
+                   "start_new_thread", "Process", "Pool"}
+THREAD_MODULES = {"_thread", "multiprocessing", "concurrent.futures"}
+
+
+def pool_uses(tree: ast.AST):
+    """(line, enclosing top-level function or None, text) of every use in
+    tree of a THREAD_STARTERS name, an import from THREAD_MODULES, or a
+    string naming an OpenBLAS thread setter."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(child, (ast.FunctionDef,
+                                                    ast.AsyncFunctionDef)):
+                inner = child.name
+            text = None
+            if isinstance(child, ast.Name) and child.id in THREAD_STARTERS:
+                text = child.id
+            elif isinstance(child, ast.Attribute) and child.attr in THREAD_STARTERS:
+                text = child.attr
+            elif (isinstance(child, ast.Constant) and isinstance(child.value, str)
+                  and "set_num_threads" in child.value):
+                text = child.value
+            elif isinstance(child, ast.Import):
+                text = next((a.name for a in child.names
+                             if a.name in THREAD_MODULES), None)
+            elif isinstance(child, ast.ImportFrom) and child.module in THREAD_MODULES:
+                text = child.module
+            if text is not None:
+                found.append((child.lineno, inner, text))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_threads_and_blas_counts_only_in_the_pool():
+    src = Path(rsdnet.__file__).parent
+    stray = []
+    for path in sorted(src.glob("*.py")):
+        for line, owner, text in pool_uses(ast.parse(path.read_text())):
+            if not (path.name == POOL_HOME and owner in POOL_FUNCTIONS):
+                stray.append(f"{path.name}:{line} {text} (in {owner})")
+    assert stray == []
+    # the check sees what it looks for
+    home = pool_uses(ast.parse((src / POOL_HOME).read_text()))
+    assert {owner for _, owner, _ in home} == {"_openblas_threads", "_run_tasks"}
+    assert pool_uses(ast.parse(
+        "import threading\nimport multiprocessing\n"
+        "def f():\n    threading.Thread()\n")) == [
+        (2, None, "multiprocessing"), (4, "f", "Thread")]
 
 
 @st.composite

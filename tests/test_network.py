@@ -1,8 +1,13 @@
-"""Tests for the feed-forward engine and the closed-form example models."""
+"""Tests for the feed-forward engine, its worker pool and the closed-form
+example models."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from rsdnet import network
 from rsdnet.divergence import LossSpec, make_tuning, softmax
 from rsdnet.network import (
     ArchitectureSpec,
@@ -302,3 +307,73 @@ class TestExampleModels:
         p = m.probs(np.ones(7), 0.3)
         assert p.sum() == pytest.approx(1.0)
         assert np.all(p > 0)
+
+
+class TestWorkerPool:
+    """network._run_tasks; its BLAS hold, failures and interrupts are
+    tested through adversarial_trainset in test_attacks.py."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_in_task_order_on_min_cores_tasks_threads(
+            self, blas_count, monkeypatch, workers):
+        monkeypatch.setattr(network, "_usable_cores", lambda: workers)
+        for n in (0, 1, 2, 5):
+            seen = []
+
+            def task(i):
+                seen.append((i, threading.current_thread(), blas_count()))
+                return i * i
+
+            assert network._run_tasks(task, n) == [i * i for i in range(n)]
+            assert sorted(i for i, _, _ in seen) == list(range(n))
+            assert len({t for _, t, _ in seen}) == min(workers, n)
+            assert {c for _, _, c in seen} <= {1}
+            # worker k runs tasks k, k + W, ...; the caller is worker 0
+            W = min(workers, n)
+            for k in range(W):
+                [thread] = {t for i, t, _ in seen if i % W == k}
+                assert (thread is threading.current_thread()) == (k == 0)
+        assert blas_count() == 2
+
+    def test_more_workers_than_cores_lose_no_result(self, monkeypatch):
+        # eight workers, thread switches as often as the interpreter allows:
+        # every task runs once and its result lands at its index
+        monkeypatch.setattr(network, "_usable_cores", lambda: 8)
+        runs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = network._run_tasks(lambda i: runs.append(i) or -i, 500)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [-i for i in range(500)]
+        assert sorted(runs) == list(range(500))
+
+    def test_a_task_calling_the_pool_runs_its_tasks_on_its_own_thread(
+            self, blas_count, monkeypatch):
+        # the outer caller holds the BLAS lock until its workers stop; an
+        # inner call that took it again from a worker would deadlock
+        monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(network, "_blas_lock", threading.RLock())
+        results, ran_on = [], []
+
+        def inner(i):
+            ran_on.append((threading.current_thread(), blas_count()))
+            return i
+
+        def outer(i):
+            assert network._run_tasks(inner, 3) == [0, 1, 2]
+            return threading.current_thread()
+
+        runner = threading.Thread(
+            target=lambda: results.append(network._run_tasks(outer, 2)),
+            daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "the nested pool deadlocked"
+        [threads] = results
+        assert len(set(threads)) == 2 and threads[0] is runner
+        for thread in threads:
+            assert [c for t, c in ran_on if t is thread] == [1, 1, 1]
+        assert len(ran_on) == 6
+        assert blas_count() == 2

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from reference import overlapping_images, reference_accuracy, textbook_adam
+from reference import (overlapping_images, reference_accuracy, subset_train,
+                       textbook_adam)
 from rsdnet.cli import ARCH_PRESETS
-from rsdnet.data_io import Dataset, synthetic_blobs
+from rsdnet.contamination import NoiseConfig, corrupt_labels
+from rsdnet.data_io import Dataset, make_folds, synthetic_blobs
 from rsdnet.divergence import LossSpec, make_tuning
 from rsdnet.network import ArchitectureSpec, backward, forward, init_params
 from rsdnet.optimizer import (
@@ -176,6 +178,31 @@ class TestTrain:
             with pytest.raises(ValueError):
                 TrainConfig(losses=losses, epochs=1)
 
+    @pytest.mark.parametrize("preset", ["toy", "mnist-mlp"])
+    def test_rows_train_as_their_subset(self, preset):
+        # batches gathered from the full matrix carry the bits of batches
+        # of the copied rows, labels corrupted at the same draws included
+        arch = ARCH_PRESETS[preset]
+        ds = (synthetic_blobs(90, seed=5) if preset == "toy"
+              else overlapping_images(300, seed=6))
+        cfg = TrainConfig(losses=(LossSpec(kind="cce"),
+                                  LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8))),
+                          epochs=2, batch_size=32, shuffle_seed=9)
+        for fold, (rows, _) in enumerate(make_folds(ds.n, 3, seed=4)):
+            noise = NoiseConfig(eta=0.3, seed=fold)
+            noisy, _ = corrupt_labels(ds, noise, rows=rows)
+            got = train(noisy, arch, fold, cfg, rows=rows)
+            want = subset_train(ds, rows, noise, arch, fold, cfg)
+            for (p, m), (p_want, m_want) in zip(got, want, strict=True):
+                assert np.array_equal(p.view(np.uint64), p_want.view(np.uint64))
+                assert np.array_equal(m, m_want, equal_nan=True)  # nan accuracy
+
+    def test_empty_rows_rejected(self):
+        cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=1)
+        with pytest.raises(ValueError, match="empty training dataset"):
+            train(synthetic_blobs(10, seed=0), TOY, 0, cfg,
+                  rows=np.empty(0, dtype=np.intp))
+
     def test_short_final_batch_kept(self):
         # n = 10 with batch 8 must still visit all examples each epoch
         ds = synthetic_blobs(10, seed=4)
@@ -208,9 +235,20 @@ class TestAccuracy:
             assert (accuracy(params, arch, ds)
                     == reference_accuracy(params, arch, ds))
 
+    def test_rows_match_their_subset(self):
+        arch = ARCH_PRESETS["mnist-mlp"]
+        ds = overlapping_images(900, seed=7)
+        params = init_params(arch, 2)
+        for _, rows in make_folds(ds.n, 3, seed=1):
+            assert (accuracy(params, arch, ds, rows=rows)
+                    == reference_accuracy(params, arch, ds.subset(rows)))
+
     def test_empty_dataset_rejected(self):
         empty = Dataset(features=np.empty((0, 2)),
                         labels=np.empty(0, dtype=np.intp), num_classes=2)
+        with pytest.raises(ValueError, match="empty evaluation dataset"):
+            accuracy(init_params(TOY, 0), TOY, synthetic_blobs(5, seed=0),
+                     rows=np.empty(0, dtype=np.intp))
         with pytest.raises(ValueError, match="empty evaluation dataset"):
             accuracy(init_params(TOY, 0), TOY, empty)
 

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import rsdnet.cli
+import rsdnet.network
 from rsdnet.cli import EXIT_OK
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
@@ -115,3 +116,20 @@ def test_train_attack_records_both_attacks_per_fold(tmp_path):
                      if label == "attacks.input_gradient" and parent == attack]
             assert archs, f"fold {fold}: no input_gradient under the {arch} attack"
             assert all((a == toy) == (arch == "model") for a in archs)
+
+
+def test_train_on_two_workers_records_every_call(tmp_path, monkeypatch):
+    # folds on two threads: their spans' parents may cross threads (one
+    # span stack for all threads, ROADMAP item 5), their counts may not
+    argv = ["train", "--seed", "0", "--n", "60", "--arch", "toy", "--loss",
+            "cce", "--folds", "3", "--epochs", "2", "--batch", "16"]
+    counts = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(rsdnet.network, "_usable_cores", lambda w=workers: w)
+        (tmp_path / f"w{workers}").mkdir()
+        labels = traced_run(tmp_path / f"w{workers}", argv).labels
+        counts[workers] = {label: labels.count(label) for label in set(labels)}
+    assert counts[2] == counts[1]
+    assert counts[1]["optimizer.train"] == 3
+    assert counts[1]["optimizer.adam_step"] == 3 * 2 * 3  # 40 rows, batches of 16
+    assert counts[1]["cli.main"] == 1
