@@ -7,7 +7,7 @@ matching the surrogate generation protocol; they are deterministic (no
 random start) and respect the L-infinity budget and the box BOX exactly.
 
 adversarial_trainset attacks its ATTACK_BATCH-row blocks as the tasks of
-network._run_tasks: on one thread per core the process may run on, the
+network._run_tasks: on the worker threads its docstring's rule gives, the
 caller's included, each writing its rows into one shared output, with
 numpy's OpenBLAS held at one thread meanwhile and its count restored
 afterwards, also when a block raises.  Rows are attacked independently, so

@@ -174,10 +174,11 @@ def _train_split(args, arch: ArchitectureSpec, dataset: Dataset, train_idx,
 
 def cmd_train(args) -> int:
     """k-fold cross-validation.  Without --attack the folds run as the
-    tasks of _run_tasks: on every core, each on one BLAS thread, so the
-    bits do not depend on the number of workers.  With --attack they run
-    in turn and each attack runs its blocks on every core instead: a
-    fold's attacks, run on its own thread, would leave cores idle."""
+    tasks of _run_tasks, on as many workers as its rule gives, each on
+    one BLAS thread, so the bits do not depend on the number of workers.
+    With --attack they run in turn and each attack runs its blocks on
+    every core instead: a fold's attacks, run on its own thread, would
+    leave cores idle."""
     arch, dataset = resolve_arch(args)
     loss = parse_loss(args.loss)
     attack_cfg = _attack_config(args, dataset) if args.attack else None

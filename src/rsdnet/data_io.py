@@ -122,10 +122,23 @@ def read_idx(images_path, labels_path) -> Dataset:
 
 
 def write_idx(dataset: Dataset, images_path, labels_path, rows: int, cols: int):
-    """Write a dataset back to an IDX pair (pixel values snapped to bytes)."""
+    """Write a dataset back to an IDX pair (pixel values snapped to bytes).
+
+    IDX holds bytes, so a feature outside [0, 1] (tag outside_box) or a
+    label above 255 (tag bad_label) raises DataFormatError before either
+    file is opened, rather than wrap round."""
     if rows * cols != dataset.features.shape[1]:
         raise ValueError("rows * cols must equal the feature width")
-    pixels = np.rint(dataset.features * 255.0).astype(np.uint8)
+    features = dataset.features
+    outside = np.count_nonzero((features < 0.0) | (features > 1.0))
+    if outside:
+        raise DataFormatError(
+            "outside_box", f"{outside} of {features.size} features lie outside "
+            "[0, 1], which IDX pixel bytes cannot hold")
+    top = dataset.labels.max(initial=0)
+    if top > 255:
+        raise DataFormatError("bad_label", f"IDX label bytes cannot hold label {top}")
+    pixels = np.rint(features * 255.0).astype(np.uint8)
     _write_idx(images_path, IDX_IMAGES_MAGIC, pixels.reshape(dataset.n, rows, cols))
     _write_idx(labels_path, IDX_LABELS_MAGIC, dataset.labels.astype(np.uint8))
 

@@ -17,9 +17,10 @@ directly, so a training step builds no views and skips the input-gradient
 matmul, and an attack step skips the weight and bias gradients.
 
 _run_tasks is the one worker pool: it runs independent tasks (attack
-blocks, cross-validation folds) on one thread per core the process may
-run on, with numpy's OpenBLAS held at one thread while they run, so their
-bits are those of one BLAS thread whatever the number of workers.
+blocks, cross-validation folds) on worker threads, as many as the rule
+in its docstring gives for the task and core counts, with numpy's
+OpenBLAS held at one thread while they run, so their bits are those of
+one BLAS thread whatever the number of workers.
 """
 
 from __future__ import annotations
@@ -231,7 +232,7 @@ def backward(trace: ForwardTrace, params: np.ndarray, arch: ArchitectureSpec,
 # ---------------------------------------------------------------------------
 # The worker pool.  The kernels above run on numpy's OpenBLAS, whose own
 # threads speed up small matmuls little and spin between them; independent
-# tasks on one thread per core, each on one BLAS thread, use the cores better.
+# tasks on worker threads, each on one BLAS thread, use the cores better.
 # ---------------------------------------------------------------------------
 
 
@@ -284,7 +285,7 @@ def _one_blas_thread():
 
 
 def _usable_cores() -> int:
-    """Cores this process may run on: the most pool workers."""
+    """Cores this process may run on, from which _run_tasks sizes its pool."""
     return len(os.sched_getaffinity(0))
 
 
@@ -295,14 +296,21 @@ def _run_tasks(task: Callable[[int], object], n: int) -> list:
     """[task(0), ..., task(n - 1)], run on every core with OpenBLAS held at
     one thread (_one_blas_thread) and its count restored afterwards.
 
-    Worker k of W = min(usable cores, n) runs tasks k, k + W, ...; the
-    caller is worker 0.  The first exception a task raises is raised here
-    once every worker has stopped, as is one raised in the caller while it
-    waits (Ctrl-C); a worker stops before its next task once any has
-    failed.  Where no OpenBLAS setter is found, one worker runs the tasks
-    in turn.  A call made from inside a task runs its own tasks in turn on
-    that task's thread, without taking _blas_lock, which the outer call's
-    caller holds until its workers have stopped.
+    The worker count: with C usable cores, W = n when n < 2C and W = C
+    otherwise, and W = 1 (the caller) for n = 0.  Below 2C the tasks run
+    in one round, the OS sharing every core among them, instead of in a
+    last round that leaves cores idle (three folds on two cores); from 2C
+    on, rounds of C keep the thread count at C (a thread per 128-row
+    block would be 469 threads for a 60000-row attack).  Where no
+    OpenBLAS setter is found, C counts as 1: one worker runs the tasks in
+    turn.  Worker k runs tasks k, k + W, ...; the caller is worker 0.
+
+    The first exception a task raises is raised here once every worker
+    has stopped, as is one raised in the caller while it waits (Ctrl-C);
+    a worker stops before its next task once any has failed.  A call made
+    from inside a task runs its own tasks in turn on that task's thread,
+    without taking _blas_lock, which the outer call's caller holds until
+    its workers have stopped.
     """
     if getattr(_task_state, "running", False):
         return [task(i) for i in range(n)]
@@ -324,7 +332,7 @@ def _run_tasks(task: Callable[[int], object], n: int) -> list:
 
     with _one_blas_thread() as held:
         cores = _usable_cores() if held else 1
-        workers = max(1, min(cores, n))  # the caller, even for n = 0
+        workers = max(1, n if n < 2 * cores else cores)
         threads = [threading.Thread(target=work, args=(k, workers))
                    for k in range(1, workers)]
         try:

@@ -251,8 +251,11 @@ class TestPlumbing:
                             assert got.features.shape == ds.features.shape
                             assert np.array_equal(got.features.view(np.uint64),
                                                   want.view(np.uint64))
+                            # 0, 1, 8 or 143 blocks: a thread per block
+                            # below 2 x workers, one per worker from there on
                             blocks = -(-n // rows)
-                            assert len(threads) == min(workers, blocks)
+                            assert len(threads) == (
+                                blocks if blocks < 2 * workers else workers)
 
     def test_deterministic(self):
         params, ds = trained_model()

@@ -232,8 +232,9 @@ class TestTrainCommand:
 
 class TestTrainFolds:
     """train without --attack runs its folds as the tasks of
-    network._run_tasks: on every core, each on one BLAS thread, with the
-    bits of the folds run in turn.  With --attack the folds run in turn."""
+    network._run_tasks: on its worker threads, each on one BLAS thread,
+    with the bits of the folds run in turn.  With --attack the folds run
+    in turn."""
 
     SEED, FOLDS, EPOCHS, BATCH, ETA, LOSS = 3, 3, 2, 32, 0.3, "sd:0.1,-0.8"
 
@@ -243,24 +244,25 @@ class TestTrainFolds:
         write_idx(ds, img, lab, rows=28, cols=28)
         return ds, f"idx:{img},{lab}"
 
-    def run_train(self, out: Path, dataset: str) -> tuple[bytes, bytes]:
+    def run_train(self, out: Path, dataset: str,
+                  folds: int = FOLDS) -> tuple[bytes, bytes]:
         out.parent.mkdir()
         code = run(["train", "--seed", self.SEED, "--out", out, "--dataset",
                     dataset, "--arch", "mnist-mlp", "--loss", self.LOSS,
-                    "--folds", self.FOLDS, "--epochs", self.EPOCHS,
+                    "--folds", folds, "--epochs", self.EPOCHS,
                     "--batch", self.BATCH, "--eta", self.ETA])
         assert code == EXIT_OK
         return (out.read_bytes(),
                 Path(str(out) + ".params.npy").read_bytes())
 
-    def serial_folds(self, ds):
+    def serial_folds(self, ds, folds: int = FOLDS):
         """Each fold's params and clean accuracy, trained in turn on a
         copy of its rows, with train's seeds."""
         arch = cli.ARCH_PRESETS["mnist-mlp"]
         loss = parse_loss(self.LOSS)
         results = []
         for fold, (train_idx, val_idx) in enumerate(
-                make_folds(ds.n, self.FOLDS, self.SEED)):
+                make_folds(ds.n, folds, self.SEED)):
             [(params, _)] = subset_train(
                 ds, train_idx, NoiseConfig(eta=self.ETA, seed=self.SEED + 1000 + fold),
                 arch, self.SEED + fold,
@@ -274,7 +276,7 @@ class TestTrainFolds:
         want = np.stack([p for p, _ in serial])
         assert np.array_equal(params.view(np.uint64), want.view(np.uint64))
         rows = read_results(out)
-        assert [r["fold"] for r in rows] == ["0", "1", "2", "mean"]
+        assert [r["fold"] for r in rows] == [*map(str, range(len(serial))), "mean"]
         for row, (_, acc) in zip(rows, serial):
             assert row["clean_accuracy"] == pytest.approx(acc, rel=1e-6)
 
@@ -290,6 +292,29 @@ class TestTrainFolds:
             runs[workers] = self.run_train(out, dataset)
             self.assert_matches(runs[workers], serial, out)
         assert runs[1] == runs[2] == runs[3]
+        assert blas_count() == 2
+
+    @pytest.mark.parametrize("folds, threads", [(3, 3), (4, 2)])
+    def test_folds_below_twice_the_cores_each_get_a_thread(
+            self, tmp_path, monkeypatch, blas_count, folds, threads):
+        # on two cores three folds run at once, the caller's thread among
+        # them, rather than in two rounds; four run in two rounds of two
+        ds, dataset = self.images(tmp_path)
+        with network._one_blas_thread():
+            serial = self.serial_folds(ds, folds)
+        monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+        ran_on = []
+        real = cli.train
+
+        def recorded(*args, **kwargs):
+            ran_on.append(threading.current_thread())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recorded)
+        out = tmp_path / "run" / "res.csv"
+        self.assert_matches(self.run_train(out, dataset, folds), serial, out)
+        assert len(ran_on) == folds and len(set(ran_on)) == threads
+        assert threading.current_thread() in ran_on
         assert blas_count() == 2
 
     def test_no_blas_setter_runs_the_folds_in_turn(self, tmp_path, monkeypatch):
@@ -357,7 +382,7 @@ class TestTrainFolds:
 
     def test_a_failing_fold_exits_4_and_stops_cleanly(self, tmp_path,
                                                       monkeypatch, blas_count):
-        # fold 1 runs on the pool's worker thread; its exception reaches
+        # fold 1 runs on a worker thread of the pool; its exception reaches
         # main, which maps it to its exit code
         real = cli.train
 

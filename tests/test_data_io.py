@@ -144,6 +144,36 @@ class TestIdx:
             write_idx(ds, img, lab, rows=2, cols=2)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value", [1.5, -0.2, 1.0 + 1e-12, -1e-12])
+    def test_write_refuses_a_feature_outside_the_box(self, tmp_path, value):
+        # a byte would wrap it: 1.5 read back as 0.494, -0.2 as 0.804
+        features = np.full((3, 4), 0.5)
+        features[2, 1] = value
+        ds = Dataset(features=features, labels=np.array([0, 1, 2]), num_classes=3)
+        with pytest.raises(DataFormatError) as err:
+            write_idx(ds, tmp_path / "img.idx", tmp_path / "lab.idx", rows=2, cols=2)
+        assert err.value.tag == "outside_box"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("label", [256, 300])
+    def test_write_refuses_a_label_above_255(self, tmp_path, label):
+        # a byte would wrap it: 300 read back as 44
+        ds = Dataset(features=np.full((2, 4), 0.5), labels=np.array([0, label]),
+                     num_classes=label + 1)
+        with pytest.raises(DataFormatError) as err:
+            write_idx(ds, tmp_path / "img.idx", tmp_path / "lab.idx", rows=2, cols=2)
+        assert err.value.tag == "bad_label"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_write_keeps_the_box_edges_and_label_255(self, tmp_path):
+        ds = Dataset(features=np.array([[0.0, 1.0, 0.0, 1.0]]),
+                     labels=np.array([255]), num_classes=256)
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(ds, img, lab, rows=2, cols=2)
+        back = read_idx(img, lab)
+        np.testing.assert_array_equal(back.features, ds.features)
+        np.testing.assert_array_equal(back.labels, [255])
+
 
 class TestDataset:
     def test_validation(self):

@@ -313,11 +313,13 @@ class TestWorkerPool:
     """network._run_tasks; its BLAS hold, failures and interrupts are
     tested through adversarial_trainset in test_attacks.py."""
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_results_in_task_order_on_min_cores_tasks_threads(
-            self, blas_count, monkeypatch, workers):
-        monkeypatch.setattr(network, "_usable_cores", lambda: workers)
-        for n in (0, 1, 2, 5):
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    def test_results_in_task_order_on_the_worker_count_rule(
+            self, blas_count, monkeypatch, cores):
+        # a thread per task below twice the cores, one per core from there
+        # on: three tasks on two cores run at once, eight in rounds of two
+        monkeypatch.setattr(network, "_usable_cores", lambda: cores)
+        for n in (0, 1, 2, 3, 4, 5, 6, 8):
             seen = []
 
             def task(i):
@@ -326,10 +328,10 @@ class TestWorkerPool:
 
             assert network._run_tasks(task, n) == [i * i for i in range(n)]
             assert sorted(i for i, _, _ in seen) == list(range(n))
-            assert len({t for _, t, _ in seen}) == min(workers, n)
+            W = n if n < 2 * cores else cores
+            assert len({t for _, t, _ in seen}) == W
             assert {c for _, _, c in seen} <= {1}
             # worker k runs tasks k, k + W, ...; the caller is worker 0
-            W = min(workers, n)
             for k in range(W):
                 [thread] = {t for i, t, _ in seen if i % W == k}
                 assert (thread is threading.current_thread()) == (k == 0)

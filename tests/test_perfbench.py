@@ -119,8 +119,9 @@ def test_train_attack_records_both_attacks_per_fold(tmp_path):
 
 
 def test_train_on_two_workers_records_every_call(tmp_path, monkeypatch):
-    # folds on two threads: their spans' parents may cross threads (one
-    # span stack for all threads, ROADMAP item 5), their counts may not
+    # three folds on two cores run on three threads: their spans' parents
+    # may cross threads (one span stack for all threads, ROADMAP item 5),
+    # their counts may not
     argv = ["train", "--seed", "0", "--n", "60", "--arch", "toy", "--loss",
             "cce", "--folds", "3", "--epochs", "2", "--batch", "16"]
     counts = {}
