@@ -8,8 +8,6 @@ from .divergence import (
     loss_bounds,
     make_tuning,
     sd_loss,
-    sd_loss_grad_logits,
-    sd_loss_grad_probs,
     softmax,
 )
 from .network import (

@@ -62,10 +62,10 @@ class AttackConfig:
                              "epsilon >= 0, a finite step > 0 and iters >= 1")
 
 
-def input_gradient(params, arch: ArchitectureSpec, x, labels,
-                   loss: LossSpec = _CCE, *, out=None) -> np.ndarray:
-    """Gradient of the selected loss with respect to the input features,
-    one (input_dim,) row per example of the batch x, written into out (an
+def input_gradient(params, arch: ArchitectureSpec, x, labels, *,
+                   out=None) -> np.ndarray:
+    """Gradient of the CCE loss with respect to the input features, one
+    (input_dim,) row per example of the batch x, written into out (an
     (n, input_dim) float64 array) where given.
 
     Equal to backward(...)[1] for the batch-size-scaled logit gradient, but
@@ -74,7 +74,7 @@ def input_gradient(params, arch: ArchitectureSpec, x, labels,
     X = _as_inputs(x, arch)
     layers = _model_layers(params, arch)
     pres, posts = _forward(layers, arch.activations, X)
-    _, grad_logits = loss.value_and_grad_logits(labels, posts[-1])
+    _, grad_logits = _CCE.value_and_grad_logits(labels, posts[-1])
     # undo the batch averaging: per-example input gradients
     return _backward(X, pres, posts, layers, arch.activations,
                      grad_logits * X.shape[0], out=out)

@@ -175,15 +175,19 @@ def synthetic_example1(n: int, seed: int) -> Dataset:
     return Dataset(features=x[:, None], labels=labels, num_classes=2)
 
 
-def synthetic_blobs(n: int, seed: int, centers=((0.35, 0.35), (0.65, 0.65)),
-                    spread: float = 0.12) -> Dataset:
-    """Two Gaussian blobs in [0,1]^2, clipped to the unit box."""
+# synthetic_blobs' class centers, one row each, and their common spread
+BLOB_CENTERS = ((0.35, 0.35), (0.65, 0.65))
+BLOB_SPREAD = 0.12
+
+
+def synthetic_blobs(n: int, seed: int) -> Dataset:
+    """Two Gaussian blobs of spread BLOB_SPREAD around BLOB_CENTERS, one
+    per class, clipped to the unit box [0,1]^2."""
     rng = np.random.default_rng(seed)
-    centers = np.asarray(centers, dtype=np.float64)
-    labels = rng.integers(0, len(centers), n).astype(np.intp)
-    features = centers[labels] + spread * rng.standard_normal((n, 2))
+    labels = rng.integers(0, len(BLOB_CENTERS), n).astype(np.intp)
+    features = np.array(BLOB_CENTERS)[labels] + BLOB_SPREAD * rng.standard_normal((n, 2))
     return Dataset(features=np.clip(features, 0.0, 1.0), labels=labels,
-                   num_classes=len(centers))
+                   num_classes=len(BLOB_CENTERS))
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,8 @@ def _sd_values(p: np.ndarray, p_y: np.ndarray, t: TuningPair) -> np.ndarray:
 
 
 def _sd_grad_probs(p: np.ndarray, onehot: np.ndarray, t: TuningPair) -> np.ndarray:
+    """Gradient of sd_loss with respect to the (n, J) probs p, at the
+    (n, J) one-hot labels; LossSpec chains it through softmax."""
     pc = clip_probs(p)
     return (1.0 + t.beta) / t.a * (
         np.power(pc, t.beta) - onehot * np.power(pc, t.b - 1.0)
@@ -146,23 +148,10 @@ def sd_loss(labels, probs, t: TuningPair):
     return _sd_values(p, p[np.arange(p.shape[0]), labels], t)
 
 
-def sd_loss_grad_probs(labels, probs, t: TuningPair):
-    """Gradient of sd_loss with respect to the probabilities, (n, J)."""
-    labels, p = _as_batch(labels, probs)
-    return _sd_grad_probs(p, _one_hot(labels, p.shape), t)
-
-
 def _chain_softmax(grad_p: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Pull a gradient in probs back through softmax to the logits."""
     inner = (grad_p * p).sum(axis=-1, keepdims=True)
     return p * (grad_p - inner)
-
-
-def sd_loss_grad_logits(labels, logits, t: TuningPair):
-    """Gradient of sd_loss composed with softmax, with respect to the
-    (n, J) logits."""
-    p = softmax(np.atleast_2d(logits))
-    return _chain_softmax(sd_loss_grad_probs(labels, p, t), p)
 
 
 def conditional_sd_risk(p_star, probs, t: TuningPair):

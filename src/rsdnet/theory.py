@@ -1,7 +1,7 @@
 """Evaluators for population-level quantities of the S-divergence framework:
 the label-noise excess-risk bound and its heatmap grid, influence functions
 of the minimum-divergence functional for the small example models, and the
-classification-calibration check.
+Fisher-consistency check (calibration_check).
 
 Each evaluator works on whole arrays, with no per-point Python loop.
 bound_grid applies make_tuning's admissibility rules (_admissibility) and
@@ -212,7 +212,7 @@ def influence_function(model: ExampleModel, theta, t: TuningPair, x_grid,
 
 
 # ---------------------------------------------------------------------------
-# Classification-calibration check
+# Fisher-consistency check
 # ---------------------------------------------------------------------------
 
 
@@ -280,7 +280,8 @@ def _first_minimiser(table: np.ndarray, a: float, total) -> list:
     of partial sums no larger than the sum of the classes' largest
     |entries|.  So no minimiser is dropped.  The last class takes the
     levels left, so at the last two classes every total is computed
-    exactly, in one vector.
+    exactly, in one vector.  The search keeps its own stack of prefixes,
+    so J is not bounded by Python's recursion limit.
     """
     J, n = table.shape
     if J == 1:
@@ -292,21 +293,20 @@ def _first_minimiser(table: np.ndarray, a: float, total) -> list:
     completion = [table[-1]]
     for row in table[-2:0:-1]:
         completion.insert(0, _min_plus(completion[0], row))
-
-    def search(j, prefix, rest):
+    stack = [(0, None, n - 1, [])]
+    while stack:
+        j, prefix, rest, path = stack.pop()
         entries = table[j, :rest + 1]
         sums = entries if prefix is None else prefix + entries
         if j == J - 2:
             hits = np.flatnonzero((sums + table[-1, rest::-1]) / a == risk)
-            return [hits[0], rest - hits[0]] if hits.size else None
-        reach = sums + completion[j][rest::-1]
-        for k in np.flatnonzero(reach <= total + slack):
-            tail = search(j + 1, sums[k], rest - k)
-            if tail is not None:
-                return [k, *tail]
-        return None
-
-    return search(0, None, n - 1)
+            if hits.size:
+                return [*path, hits[0], rest - hits[0]]
+        else:
+            # pushed last level first, so that the first is tried first
+            reach = sums + completion[j][rest::-1]
+            stack += [(j + 1, sums[k], rest - k, [*path, k])
+                      for k in np.flatnonzero(reach <= total + slack)[::-1]]
 
 
 def _runner_up(table: np.ndarray, prefix: list, point: list):

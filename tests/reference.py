@@ -10,7 +10,7 @@ import csv
 import numpy as np
 
 from rsdnet.contamination import corrupt_labels
-from rsdnet.data_io import RESULTS_HEADER, DataFormatError, Dataset
+from rsdnet.data_io import BLOB_CENTERS, RESULTS_HEADER, DataFormatError, Dataset
 from rsdnet.divergence import PROB_CLIP
 from rsdnet.network import forward
 from rsdnet.optimizer import (ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
@@ -187,3 +187,15 @@ def overlapping_images(n, seed, classes=10):
     pixels = np.rint(np.clip(x, 0.0, 1.0) * 255.0)
     return Dataset(features=pixels / 255.0, labels=labels.astype(np.intp),
                    num_classes=classes)
+
+
+def blobs(n, seed, spread, centers=BLOB_CENTERS):
+    """n points of 2-D Gaussian blobs of the given spread, one class per
+    row of centers, clipped to [0, 1]^2, as a Dataset: synthetic_blobs'
+    draws at any spread and centers."""
+    rng = np.random.default_rng(seed)
+    centers = np.asarray(centers, dtype=np.float64)
+    labels = rng.integers(0, len(centers), n)
+    x = centers[labels] + spread * rng.standard_normal((n, 2))
+    return Dataset(features=np.clip(x, 0.0, 1.0), labels=labels.astype(np.intp),
+                   num_classes=len(centers))

@@ -12,19 +12,14 @@ import numpy as np
 from rsdnet.attacks import AttackConfig, adversarial_trainset, attack
 from rsdnet.cli import ARCH_PRESETS, main as cli_main
 from rsdnet.contamination import NoiseConfig, corrupt_labels
-from rsdnet.data_io import (
-    posterior_example1,
-    read_idx,
-    synthetic_blobs,
-)
+from rsdnet.data_io import posterior_example1, read_idx
 from rsdnet.divergence import (
     InvalidTuningError,
     LossSpec,
+    _sd_grad_probs,
     conditional_sd_risk,
     make_tuning,
     sd_loss,
-    sd_loss_grad_logits,
-    sd_loss_grad_probs,
     loss_bounds,
     softmax,
 )
@@ -44,6 +39,8 @@ from rsdnet.theory import (
     influence_function,
     psi,
 )
+
+from reference import blobs
 
 
 def report(capfd, criterion, ok):
@@ -88,13 +85,14 @@ class TestCriterion1Gradients:
         h = 1e-6
         worst = 0.0
 
-        # loss gradient in the probabilities; each case is a batch of one
+        # LossSpec's kernel for the loss gradient in the probabilities;
+        # each case is a batch of one
         for case in range(1000):
             t = tunings[case % len(tunings)]
             J = int(rng.integers(2, 6))
             p = (0.05 + 0.9 * random_simplex(rng, 1, J))[0]
             y = int(rng.integers(0, J))
-            an = sd_loss_grad_probs(y, p, t)[0]
+            an = _sd_grad_probs(p[None], np.eye(J)[[y]], t)[0]
             fd = np.zeros(J)
             for j in range(J):
                 up, dn = p.copy(), p.copy()
@@ -103,9 +101,10 @@ class TestCriterion1Gradients:
                 fd[j] = (sd_loss(y, up, t)[0] - sd_loss(y, dn, t)[0]) / (2 * h)
             worst = max(worst, rel_err(fd, an))
 
-        # loss gradient in the logits; cases with a vanishing gradient are
-        # redrawn, since relative error against a near-zero reference only
-        # measures finite-difference roundoff
+        # LossSpec's loss gradient in the logits, the one training runs; a
+        # batch of one, whose batch mean is the example's loss; cases with a
+        # vanishing gradient are redrawn, since relative error against a
+        # near-zero reference only measures finite-difference roundoff
         done = 0
         case = 0
         while done < 1000:
@@ -114,7 +113,7 @@ class TestCriterion1Gradients:
             J = int(rng.integers(2, 6))
             z = rng.normal(0.0, 2.0, J)
             y = int(rng.integers(0, J))
-            an = sd_loss_grad_logits(y, z, t)[0]
+            an = LossSpec(kind="sd", tuning=t).value_and_grad_logits(y, z)[1][0]
             if np.linalg.norm(an) < 1e-4:
                 continue
             done += 1
@@ -364,8 +363,8 @@ class TestCriterion6LabelNoiseTrend:
 
     def run_blobs(self):
         arch = ARCH_PRESETS["blob-mlp"]
-        train_ds = synthetic_blobs(400, seed=1, spread=0.10)
-        test_ds = synthetic_blobs(1000, seed=2, spread=0.10)
+        train_ds = blobs(400, 1, spread=0.10)
+        test_ds = blobs(1000, 2, spread=0.10)
 
         def fit(ds, losses, epochs):
             # one lockstep run: the pair shares init, batch order and data
@@ -404,7 +403,7 @@ class TestCriterion6LabelNoiseTrend:
 class TestCriterion7Attacks:
     def test_attack_correctness(self, capfd):
         arch = ArchitectureSpec(2, ((16, "tanh"),), 2)
-        ds = synthetic_blobs(300, seed=0, spread=0.08)
+        ds = blobs(300, 0, spread=0.08)
         [(params, _)] = train(ds, arch, 0,
                               TrainConfig(losses=(LossSpec(kind="cce"),),
                                           epochs=60, batch_size=32,

@@ -1,5 +1,8 @@
 """The library's conventions.
 
+One dependency: the library imports numpy, the standard library and
+itself, nothing else.
+
 One worker pool: threads are started, and OpenBLAS's thread count is set,
 only by network's pool helper (_openblas_threads, _one_blas_thread and
 _run_tasks), so every parallel caller shares its BLAS hold, its failure
@@ -15,6 +18,7 @@ differently, so their rows are compared at rtol 1e-12.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,11 +29,11 @@ import rsdnet
 from rsdnet.attacks import input_gradient
 from rsdnet.data_io import posterior_example1
 from rsdnet.divergence import (
+    LossSpec,
+    _sd_grad_probs,
     conditional_sd_risk,
     make_tuning,
     sd_loss,
-    sd_loss_grad_logits,
-    sd_loss_grad_probs,
     softmax,
 )
 from rsdnet.network import ArchitectureSpec, example_model, forward, init_params
@@ -99,6 +103,37 @@ def test_threads_and_blas_counts_only_in_the_pool():
         (2, None, "multiprocessing"), (4, "f", "Thread")]
 
 
+ALLOWED_IMPORTS = {"numpy", "rsdnet"} | sys.stdlib_module_names
+
+
+def foreign_imports(tree: ast.AST):
+    """(line, module) of every import in tree of a module outside
+    ALLOWED_IMPORTS; relative imports are the package's own."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in ALLOWED_IMPORTS]
+    return found
+
+
+def test_the_library_imports_only_numpy_and_the_standard_library():
+    src = Path(rsdnet.__file__).parent
+    foreign = [f"{path.name}:{line} {name}" for path in sorted(src.glob("*.py"))
+               for line, name in foreign_imports(ast.parse(path.read_text()))]
+    assert foreign == []
+    # the check sees what it looks for
+    assert foreign_imports(ast.parse(
+        "import os, scipy.linalg\nfrom . import network\n"
+        "from numpy.linalg import pinv\nfrom torch import nn\n")) == [
+        (1, "scipy.linalg"), (4, "torch")]
+
+
 @st.composite
 def batches(draw):
     """(rng, n, i): a generator for the data, a batch size and a row."""
@@ -126,11 +161,17 @@ def test_sd_loss_and_its_gradients(data, J, t):
     labels = rng.integers(0, J, n)
     logits = rng.normal(0.0, 2.0, (n, J))
     probs = softmax(logits)
-    for fn, x in ((sd_loss, probs), (sd_loss_grad_probs, probs),
-                  (sd_loss_grad_logits, logits)):
-        batch = fn(labels, x, t)
-        assert_row_of_batch(fn(labels[i:i + 1], x[i:i + 1], t), batch, i)
-        assert_row_of_batch(fn(int(labels[i]), x[i], t), batch, i)
+    batch = sd_loss(labels, probs, t)
+    assert_row_of_batch(sd_loss(labels[i:i + 1], probs[i:i + 1], t), batch, i)
+    assert_row_of_batch(sd_loss(int(labels[i]), probs[i], t), batch, i)
+    onehot = np.eye(J)[labels]
+    assert_row_of_batch(_sd_grad_probs(probs[i:i + 1], onehot[i:i + 1], t),
+                        _sd_grad_probs(probs, onehot, t), i)
+    # LossSpec's gradient is of the batch mean: a row of n is one's over n
+    spec = LossSpec(kind="sd", tuning=t)
+    batch = spec.value_and_grad_logits(labels, logits)[1]
+    for y, z in ((labels[i:i + 1], logits[i:i + 1]), (int(labels[i]), logits[i])):
+        assert_row_of_batch(spec.value_and_grad_logits(y, z)[1] / n, batch, i)
 
 
 @given(data=batches(), J=st.integers(2, 5), t=tunings())

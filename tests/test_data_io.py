@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rsdnet.data_io import (
+    BLOB_SPREAD,
     CSV_BLOCK_CELLS,
     RESULTS_HEADER,
     DataFormatError,
@@ -26,7 +27,7 @@ from rsdnet.data_io import (
     write_results,
 )
 
-from reference import read_results
+from reference import blobs, read_results
 
 
 def write_idx_pair(tmp_path, images, labels, rows=2, cols=2,
@@ -249,9 +250,9 @@ class TestSynthetic:
         assert abs(observed - expected) < 0.01
 
     def test_blobs_shapes_and_box(self):
-        ds = synthetic_blobs(200, seed=2, spread=0.3)
-        assert ds.features.shape == (200, 2)
-        assert ds.features.min() >= 0.0 and ds.features.max() <= 1.0
+        ds = synthetic_blobs(2000, seed=2)
+        assert ds.features.shape == (2000, 2)
+        assert ds.features.min() == 0.0 and ds.features.max() == 1.0
         assert ds.num_classes == 2
 
     def test_deterministic(self):
@@ -259,6 +260,11 @@ class TestSynthetic:
         b = synthetic_blobs(50, seed=3)
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
+        # the reference generator the tests use at other spreads
+        ref = blobs(50, 3, BLOB_SPREAD)
+        np.testing.assert_array_equal(a.features, ref.features)
+        np.testing.assert_array_equal(a.labels, ref.labels)
+        assert a.labels.dtype == ref.labels.dtype == np.intp
 
 
 class TestFolds:

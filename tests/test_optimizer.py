@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from reference import (overlapping_images, reference_accuracy, subset_train,
-                       textbook_adam)
+from reference import (blobs, overlapping_images, reference_accuracy,
+                       subset_train, textbook_adam)
 from rsdnet.cli import ARCH_PRESETS
 from rsdnet.contamination import NoiseConfig, corrupt_labels
-from rsdnet.data_io import Dataset, make_folds, synthetic_blobs
+from rsdnet.data_io import BLOB_SPREAD, Dataset, make_folds, synthetic_blobs
 from rsdnet.divergence import LossSpec, make_tuning
 from rsdnet.network import ArchitectureSpec, backward, forward, init_params
 from rsdnet.optimizer import (
@@ -119,7 +119,7 @@ class TestAdamStep:
 
 class TestTrain:
     def test_learns_separable_blobs(self):
-        ds = synthetic_blobs(300, seed=0, spread=0.08)
+        ds = blobs(300, 0, spread=0.08)
         cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=60,
                           batch_size=32, shuffle_seed=1)
         [(params, metrics)] = train(ds, TOY, 0, cfg, eval_set=ds)
@@ -130,7 +130,7 @@ class TestTrain:
         assert metrics[-1][2] >= 0.97
 
     def test_sd_loss_also_learns(self):
-        ds = synthetic_blobs(300, seed=0, spread=0.08)
+        ds = blobs(300, 0, spread=0.08)
         spec = LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8))
         cfg = TrainConfig(losses=(spec,), epochs=60, batch_size=32,
                           shuffle_seed=1)
@@ -294,8 +294,8 @@ FUSED_LOSSES = [
 def blob_pair(arch):
     """(train, eval) blob sets with the architecture's class count."""
     centers = THREE_BLOBS if arch.output_classes == 3 else THREE_BLOBS[:2]
-    return (synthetic_blobs(50, seed=5, centers=centers),
-            synthetic_blobs(30, seed=6, centers=centers))
+    return (blobs(50, 5, BLOB_SPREAD, centers),
+            blobs(30, 6, BLOB_SPREAD, centers))
 
 
 class TestFusedTrain:

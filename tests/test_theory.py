@@ -1,5 +1,6 @@
 """Tests for the bound evaluators, influence functions and calibration."""
 
+import sys
 from math import comb
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rsdnet.contamination import noisy_posterior
 from rsdnet.data_io import posterior_example1
 from rsdnet.divergence import (PROB_CLIP, InvalidTuningError, conditional_sd_risk,
-                               make_tuning, sd_loss)
+                               loss_bounds, make_tuning, sd_loss)
 from rsdnet.network import example_model
 from rsdnet.theory import (
     BoundGrid,
@@ -69,6 +70,18 @@ class TestExcessRiskBound:
             clean = losses @ p_star
             trained = np.argmin(losses @ noisy_posterior(p_star, eta))
             assert clean[trained] - clean.min() <= excess_risk_bound(t, eta, 3)
+
+    @given(J=st.integers(2, 10), beta=st.floats(0.0, 0.99),
+           u=st.floats(0.02, 0.98), share=st.floats(0.0, 0.99))
+    def test_is_ghosh_et_als_form(self, J, beta, u, share):
+        # eta (C_U - C_L) / (J - 1 - J eta), with (C_L, C_U) the bounds on
+        # sum_j sd_loss(e_j, p) (Ghosh, Kumar & Sastry 2017); A = u (1 + beta)
+        # and B = (1 - u)(1 + beta) are both at least 0.02 (1 + beta)
+        t = make_tuning(beta, (u * (1.0 + beta) - 1.0) / (1.0 - beta))
+        eta = share * (J - 1) / J
+        lower, upper = loss_bounds(t, J)
+        assert excess_risk_bound(t, eta, J) == pytest.approx(
+            eta * (upper - lower) / (J - 1 - J * eta), rel=1e-12, abs=0)
 
     def test_monotone_in_beta_for_negative_lambda(self):
         # the bound decreases in beta at lambda = -1 and for small negative
@@ -450,6 +463,19 @@ class TestCalibration:
             assert np.max(np.abs(res.argmin_point - p_star)) <= 0.01
             assert res.argmin_point.sum() == pytest.approx(1.0)
             assert res.gap > 0
+
+    @pytest.mark.parametrize("beta, lam", [(0.5, -0.5), (0.1, -0.8)])
+    def test_more_classes_than_the_recursion_limit(self, beta, lam):
+        # the search keeps its own stack: J is not bounded by Python's
+        # recursion limit
+        J = 1200
+        assert sys.getrecursionlimit() < J
+        p_star = np.full(J, 1.0 / J)
+        p_star[0] += 0.5
+        res = calibration_check(p_star / p_star.sum(), make_tuning(beta, lam),
+                                step=0.5)
+        np.testing.assert_array_equal(res.argmin_point, np.eye(J)[0])
+        assert res.argmax_class == 0
 
     @pytest.mark.parametrize("p_star", [
         [1.2, -0.2],            # negative entry
