@@ -5,6 +5,9 @@ AttackConfig names the kind and its budget, and FGSM is one PGD step of
 size epsilon.  Attacks always maximize the CCE loss of the attacked model,
 matching the surrogate generation protocol; they are deterministic (no
 random start) and respect the L-infinity budget and the box BOX exactly.
+The input gradient has the network's dtype, float32 for an IDX-trained
+network, as only its sign is used; the attacked features, their epsilon-
+ball and the box projection are float64.
 
 adversarial_trainset attacks its ATTACK_BATCH-row blocks as the tasks of
 network._run_tasks: on the worker threads its docstring's rule gives, the
@@ -66,18 +69,20 @@ def input_gradient(params, arch: ArchitectureSpec, x, labels, *,
                    out=None) -> np.ndarray:
     """Gradient of the CCE loss with respect to the input features, one
     (input_dim,) row per example of the batch x, written into out (an
-    (n, input_dim) float64 array) where given.
+    (n, input_dim) array of arch.dtype) where given.
 
     Equal to backward(...)[1] for the batch-size-scaled logit gradient, but
-    computes no weight or bias gradients.
+    computes no weight or bias gradients.  x is cast to arch.dtype, and the
+    float64 logit gradient of the loss back to it.
     """
     X = _as_inputs(x, arch)
     layers = _model_layers(params, arch)
     pres, posts = _forward(layers, arch.activations, X)
     _, grad_logits = _CCE.value_and_grad_logits(labels, posts[-1])
     # undo the batch averaging: per-example input gradients
+    grad_logits *= X.shape[0]
     return _backward(X, pres, posts, layers, arch.activations,
-                     grad_logits * X.shape[0], out=out)
+                     grad_logits.astype(arch.dtype, copy=False), out=out)
 
 
 def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
@@ -87,7 +92,8 @@ def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
     step_size), each projected onto the epsilon-ball around x intersected
     with BOX (the box alone where they do not meet).  Updated in place, with
     the bits of np.clip(adv + step * sign(g), lo, hi): minimum then maximum
-    is that clip, since lo <= hi."""
+    is that clip, since lo <= hi.  adv, lo and hi are float64, whatever
+    arch.dtype; the gradient g has arch.dtype."""
     if cfg.kind == "fgsm":
         step_size, iters = cfg.epsilon, 1
     else:
@@ -97,7 +103,7 @@ def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
     hi = np.clip(x0 + cfg.epsilon, *BOX)
     adv = np.empty_like(x0) if out is None else out
     adv[...] = x0
-    grad = np.empty_like(adv)  # one gradient buffer for every step
+    grad = np.empty(adv.shape, dtype=arch.dtype)  # one for every step
     step = np.empty_like(adv)
     for _ in range(iters):
         # sign into its own buffer: out=g, aliasing its input, runs slower

@@ -45,7 +45,8 @@ class Dataset:
     classes; a breach of these rules raises DataFormatError (count_mismatch,
     bad_label, one_class, non_finite)."""
 
-    features: np.ndarray   # (n, p) float64
+    features: np.ndarray   # (n, p) float64; a network casts each batch
+                           # it takes to its own dtype (ArchitectureSpec)
     labels: np.ndarray     # (n,) intp
     num_classes: int
 

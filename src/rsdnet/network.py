@@ -1,10 +1,13 @@
 """Minimal feed-forward network engine with exact backpropagation.
 
-Parameters live in a single flat float64 vector, or in a (K, P) buffer
-holding K models' vectors as rows.  unflatten is the only code that knows
-the layout: it returns per-layer (W, b) views, and init_params fills such
-views of a zero vector.  forward/backward operate on batches (rows are
-examples) and are pure functions of their inputs.
+Parameters live in a single flat vector, or in a (K, P) buffer holding K
+models' vectors as rows, of the network's dtype: ArchitectureSpec.dtype,
+float64 unless the architecture says float32.  unflatten is the only code
+that knows the layout: it returns per-layer (W, b) views, and init_params
+fills such views of a zero vector.  forward/backward operate on batches
+(rows are examples), cast to the network's dtype, and are pure functions
+of their inputs.  Every array they compute has that dtype, except the
+softmax probabilities, which the losses take in float64.
 
 Both are thin validating wrappers over two private kernels that work on
 per-layer (W, b) views built once by the caller: _forward returns the
@@ -29,7 +32,7 @@ import contextlib
 import ctypes
 import os
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import Callable
 
@@ -42,15 +45,22 @@ ACTIVATIONS = ("relu", "tanh", "identity")
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Input width, hidden (width, activation) pairs, and output classes."""
+    """Input width, hidden (width, activation) pairs, output classes, and
+    the dtype the network's parameters and activations are computed in:
+    float64, or float32."""
 
     input_dim: int
     layers: tuple[tuple[int, str], ...]
     output_classes: int
+    dtype: np.dtype = np.dtype(np.float64)
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_classes < 2:
             raise ValueError("need input_dim >= 1 and output_classes >= 2")
+        object.__setattr__(self, "dtype", np.dtype(self.dtype))
+        if self.dtype not in (np.float32, np.float64):
+            raise ValueError(f"network dtype must be float32 or float64, "
+                             f"got {self.dtype}")
         for width, act in self.layers:
             if width < 1:
                 raise ValueError("layer widths must be >= 1")
@@ -78,9 +88,12 @@ def unflatten(params: np.ndarray, arch: ArchitectureSpec):
     This is the one statement of the flat layout: layer by layer, the
     (fan_in, fan_out) weight matrix in row-major order, then its bias.
     A (K, P) buffer of K models gives (K, fan_in, fan_out) and (K, fan_out)
-    views, one model per leading index.
+    views, one model per leading index.  params of another dtype than
+    arch.dtype are refused, not cast: the views would be of a copy.
     """
-    params = np.asarray(params, dtype=np.float64)
+    params = np.asarray(params)
+    if params.dtype != arch.dtype:
+        raise ValueError(f"expected {arch.dtype} parameters, got {params.dtype}")
     if params.ndim not in (1, 2) or params.shape[-1] != arch.n_params:
         raise ValueError(
             f"expected {arch.n_params} parameters, got {params.shape}"
@@ -109,13 +122,13 @@ def _model_layers(params, arch: ArchitectureSpec):
 
 def init_params(arch: ArchitectureSpec, seed: int) -> np.ndarray:
     """Deterministic Glorot-normal weights, N(0, 2/(fan_in+fan_out)), drawn
-    layer by layer; biases are zero."""
+    layer by layer in float64 and then cast to arch.dtype; biases are zero."""
     rng = np.random.default_rng(seed)
     params = np.zeros(arch.n_params)
-    for W, _ in unflatten(params, arch):
+    for W, _ in unflatten(params, replace(arch, dtype=np.float64)):
         fan_in, fan_out = W.shape
         W[...] = rng.normal(0.0, np.sqrt(2.0 / (fan_in + fan_out)), W.shape)
-    return params
+    return params.astype(arch.dtype, copy=False)
 
 
 def _activate(pre: np.ndarray, kind: str) -> np.ndarray:
@@ -147,9 +160,9 @@ class ForwardTrace:
 
 
 def _as_inputs(x, arch: ArchitectureSpec) -> np.ndarray:
-    """x as an (n, input_dim) float64 batch, width-checked; one (input_dim,)
-    example is a batch of one."""
-    X = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """x as an (n, input_dim) batch of arch.dtype, width-checked; one
+    (input_dim,) example is a batch of one."""
+    X = np.atleast_2d(np.asarray(x, dtype=arch.dtype))
     if X.shape[1] != arch.input_dim:
         raise ValueError(
             f"expected inputs of width {arch.input_dim}, got {X.shape[1]}"
@@ -217,12 +230,13 @@ def backward(trace: ForwardTrace, params: np.ndarray, arch: ArchitectureSpec,
     """Backpropagate a logit gradient to (flat parameter grad, input grad).
 
     The parameter gradient is summed over the batch; the input gradient
-    is returned per example.
+    is returned per example.  Both have arch.dtype, to which grad_logits
+    is cast.
     """
-    g = np.atleast_2d(np.asarray(grad_logits, dtype=np.float64))
+    g = np.atleast_2d(np.asarray(grad_logits, dtype=arch.dtype))
     if g.shape != trace.logits.shape:
         raise ValueError("grad_logits shape does not match the trace")
-    grad = np.empty(arch.n_params)
+    grad = np.empty(arch.n_params, dtype=arch.dtype)
     grad_input = _backward(trace.inputs, trace.pre_activations,
                            trace.activations, _model_layers(params, arch),
                            arch.activations, g, unflatten(grad, arch))

@@ -19,8 +19,10 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 # rows per forward pass in accuracy(); a multiple of 16, so OpenBLAS's
-# matmul kernels split a block's rows as they split the whole set's and
-# the logits keep their bits (63-row blocks moved them by up to 5e-13)
+# SGEMM kernels split a block's rows as they split the whole set's and
+# float32 logits keep their bits.  Float64 logits may not: on OpenBLAS
+# 0.3.31's Haswell kernels, DGEMM's (n, 128) x (128, 10) mnist-mlp logit
+# layer moves them by an ulp (63-row blocks moved them by up to 5e-13)
 EVAL_BATCH = 128
 
 
@@ -31,7 +33,8 @@ def adam_step(t: int, params: np.ndarray, grad: np.ndarray, m: np.ndarray,
     s1 and s2 are scratch arrays of the same shape; grad is only read.
     Every element sees the same float operations, in the same order, as
     the textbook expressions m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g
-    and params - alpha*m_hat / (sqrt(v_hat) + eps).
+    and params - alpha*m_hat / (sqrt(v_hat) + eps), in the arrays' dtype:
+    the hyperparameters are Python floats, which do not promote float32.
     """
     if not params.shape == grad.shape == m.shape == v.shape:
         raise ValueError("parameter, gradient and moment shapes must agree")
@@ -79,11 +82,13 @@ def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset,
     bits np.mean over the whole set gives.  A 128-row blob-mlp block stays
     on the calling thread, where the whole 500-row set wakes OpenBLAS's
     worker thread, which then spins between epochs; on mnist-mlp, 128-row
-    blocks are also faster than the whole set or 32-row blocks.  A block
-    of a multiple of 16 rows is split among OpenBLAS's kernels as the
-    whole set is, so the logits keep their bits.  Raises ValueError on an
-    empty dataset.  Given rows, each block is gathered from the full
-    feature matrix, with the bits of accuracy on dataset.subset(rows).
+    blocks are also faster than the whole set or 32-row blocks.  In
+    float32 a block of a multiple of 16 rows keeps the logits' bits of
+    the whole set (see EVAL_BATCH); in float64 the count is the whole
+    set's unless a row's top two logits are an ulp apart.  Each block is
+    cast to arch.dtype.  Raises ValueError on an empty dataset.  Given
+    rows, each block is gathered from the full feature matrix, with the
+    bits of accuracy on dataset.subset(rows).
     """
     n = dataset.n if rows is None else len(rows)
     if n == 0:
@@ -126,6 +131,11 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     loss, after an epoch that leaves a model's mean loss, parameters or
     Adam second moments (squared gradients) not all finite; the first such
     model in losses order is named.
+
+    The models compute in arch.dtype: their buffers have it and each
+    gathered batch is cast to it, the float64 features never as a whole.
+    The losses take the probabilities in float64, and their logit
+    gradients are cast back to arch.dtype for the backward pass.
     """
     n = dataset.n if rows is None else len(rows)
     if n == 0:
@@ -136,7 +146,7 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
         raise ValueError("dataset features do not match the architecture input")
     losses = train_cfg.losses
     # flat (K * P,) buffers for adam_step, (K, P) row views for the rest
-    flat = np.empty(len(losses) * arch.n_params)
+    flat = np.empty(len(losses) * arch.n_params, dtype=arch.dtype)
     params = flat.reshape(len(losses), arch.n_params)
     params[:] = init_params(arch, init_seed)
     grad = np.empty_like(flat)
@@ -145,7 +155,6 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     layers = unflatten(params, arch)
     grads = unflatten(grad.reshape(params.shape), arch)
     acts = arch.activations
-    features = np.asarray(dataset.features, dtype=np.float64)
     step = 0
     metrics = [[] for _ in losses]
     for epoch in range(1, train_cfg.epochs + 1):
@@ -155,10 +164,11 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
         loss_sums = [0.0] * len(losses)
         for start in range(0, n, train_cfg.batch_size):
             idx = order[start:start + train_cfg.batch_size]
-            X, labels = features[idx], dataset.labels[idx]
+            X = dataset.features[idx].astype(arch.dtype, copy=False)
+            labels = dataset.labels[idx]
             pres, posts = _forward(layers, acts, X)
             probs = softmax(posts[-1])
-            grad_logits = np.empty_like(probs)
+            grad_logits = np.empty(probs.shape, dtype=arch.dtype)
             for k, loss in enumerate(losses):
                 value, grad_logits[k] = loss.value_and_grad_probs(labels, probs[k])
                 loss_sums[k] += value * len(idx)

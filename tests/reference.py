@@ -18,6 +18,17 @@ from rsdnet.optimizer import (ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
 from rsdnet.theory import CalibrationError, CalibrationResult, simplex_grid
 
 
+def same_bits(a, b):
+    """Assert that arrays a and b have one dtype and shape and equal bytes.
+
+    A uint64 view of float32 arrays would compare pairs of their words,
+    and an array_equal of float32 with float64 their values."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype, (a.dtype, b.dtype)
+    assert a.shape == b.shape, (a.shape, b.shape)
+    assert a.tobytes() == b.tobytes()
+
+
 def _label_probs(labels, probs):
     """(n,) probabilities of the labelled classes of an (n, J) batch, or of
     one (J,) distribution and an int label."""
@@ -133,13 +144,15 @@ def subset_train(dataset, rows, noise, arch, init_seed, train_cfg):
 def signed_steps(grad, x, epsilon, step_size, iters):
     """iters steps adv = clip(adv + step_size * sign(grad(adv)), lo, hi)
     from adv = x, where [lo, hi] is the epsilon-ball around x clipped to
-    the box [0, 1]: PGD, and FGSM as one step of size epsilon."""
+    the box [0, 1]: PGD, and FGSM as one step of size epsilon.  Every
+    step is float64, whatever the dtype of grad's values."""
     x = np.asarray(x, dtype=np.float64)
     lo = np.clip(x - epsilon, 0.0, 1.0)
     hi = np.clip(x + epsilon, 0.0, 1.0)
     adv = x
     for _ in range(iters):
-        adv = np.clip(adv + step_size * np.sign(grad(adv)), lo, hi)
+        adv = np.clip(adv + step_size * np.sign(grad(adv), dtype=np.float64),
+                      lo, hi)
     return adv
 
 

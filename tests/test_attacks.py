@@ -1,6 +1,7 @@
 """Tests for the FGSM and PGD adversarial attacks."""
 
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from rsdnet.divergence import LossSpec
 from rsdnet.network import ArchitectureSpec, backward, forward, init_params
 from rsdnet.optimizer import TrainConfig, accuracy, train
 
-from reference import blobs, cce_loss, signed_steps
+from reference import blobs, cce_loss, same_bits, signed_steps
 
 ARCH = ArchitectureSpec(2, ((16, "tanh"),), 2)
 
@@ -139,8 +140,9 @@ class TestAgainstReference:
         return params, arch
 
     @pytest.mark.parametrize("kind", ["fgsm", "pgd"])
-    @pytest.mark.parametrize("case", ["inside", "outside", "dead_relu"])
+    @pytest.mark.parametrize("case", ["inside", "outside", "dead_relu", "float32"])
     def test_bits_match_the_clip_loop(self, kind, case):
+        # float32: a float32 gradient, whose sign steps the float64 features
         rng = np.random.default_rng(6)
         if case == "dead_relu":
             params, arch = self.dead_relu_model()
@@ -148,8 +150,11 @@ class TestAgainstReference:
         else:
             params, ds = trained_model()
             arch = ARCH
-            X = (ds.features if case == "inside"
-                 else rng.uniform(-1.5, 2.5, ds.features.shape))
+            if case == "float32":
+                arch = replace(ARCH, dtype=np.float32)
+                params = params.astype(np.float32)
+            X = (rng.uniform(-1.5, 2.5, ds.features.shape) if case == "outside"
+                 else ds.features)
         y = rng.integers(0, 2, X.shape[0])
         before = X.copy()
         if case == "dead_relu":
@@ -166,8 +171,8 @@ class TestAgainstReference:
             cfg = AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05, max_iters=20)
             got = attack(params, arch, X, y, cfg)
             want = signed_steps(grad, X, 0.3, 0.05, 20)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(X.view(np.uint64), before.view(np.uint64))
+        same_bits(got, want)
+        same_bits(X, before)
 
 
 class TestEffectiveness:
@@ -218,10 +223,13 @@ class TestPlumbing:
     def test_batched_matches_unbatched(self, monkeypatch):
         # the bits depend on neither ATTACK_BATCH nor the number of workers:
         # they are those of attacking the blocks one at a time under the
-        # same BLAS setting, on the toy model and on a surrogate-sized one
+        # same BLAS setting, on the toy model and on a surrogate-sized one,
+        # in float64 and in float32
         rng = np.random.default_rng(7)
         wide = ArchitectureSpec(784, ((64, "relu"),), 10)
-        models = (trained_model()[0], ARCH), (init_params(wide, 8), wide)
+        wide32 = replace(wide, dtype=np.float32)
+        models = ((trained_model()[0], ARCH), (init_params(wide, 8), wide),
+                  (init_params(wide32, 8), wide32))
         cfgs = (AttackConfig(kind="fgsm", epsilon=0.15),
                 AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05, max_iters=5))
         default = attacks.ATTACK_BATCH
@@ -238,16 +246,14 @@ class TestPlumbing:
                     for rows in (7, default, 1000):
                         monkeypatch.setattr(attacks, "ATTACK_BATCH", rows)
                         want = serial_attack(params, arch, ds, cfg, rows)
-                        assert np.array_equal(want.view(np.uint64),
-                                              whole.view(np.uint64))
+                        same_bits(want, whole)
                         for workers in (1, 2, 3):
                             monkeypatch.setattr(network, "_usable_cores",
                                                 lambda w=workers: w)
                             threads.clear()
                             got = adversarial_trainset(params, arch, ds, cfg)
                             assert got.features.shape == ds.features.shape
-                            assert np.array_equal(got.features.view(np.uint64),
-                                                  want.view(np.uint64))
+                            same_bits(got.features, want)
                             # 0, 1, 8 or 143 blocks: a thread per block
                             # below 2 x workers, one per worker from there on
                             blocks = -(-n // rows)
@@ -375,7 +381,7 @@ class TestBlasThreads:
         threads = record_threads(monkeypatch)
         got = adversarial_trainset(params, ARCH, ds, self.CFG)
         assert threads == {threading.current_thread()}
-        assert np.array_equal(got.features.view(np.uint64), want.view(np.uint64))
+        same_bits(got.features, want)
 
     def test_nested_and_concurrent_holders_restore_the_count(self, blas_count):
         inside = []

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from rsdnet.contamination import NoiseConfig
 from rsdnet.data_io import make_folds
 from rsdnet.optimizer import TrainConfig, accuracy
 
-from reference import overlapping_images, read_results, subset_train
+from reference import overlapping_images, read_results, same_bits, subset_train
 
 
 def run(args):
@@ -257,8 +258,9 @@ class TestTrainFolds:
 
     def serial_folds(self, ds, folds: int = FOLDS):
         """Each fold's params and clean accuracy, trained in turn on a
-        copy of its rows, with train's seeds."""
-        arch = cli.ARCH_PRESETS["mnist-mlp"]
+        copy of its rows, with train's seeds, in float32 as the CLI
+        trains on IDX images."""
+        arch = replace(cli.ARCH_PRESETS["mnist-mlp"], dtype=np.float32)
         loss = parse_loss(self.LOSS)
         results = []
         for fold, (train_idx, val_idx) in enumerate(
@@ -274,7 +276,7 @@ class TestTrainFolds:
     def assert_matches(self, got: tuple[bytes, bytes], serial, out: Path):
         params = np.load(str(out) + ".params.npy")
         want = np.stack([p for p, _ in serial])
-        assert np.array_equal(params.view(np.uint64), want.view(np.uint64))
+        same_bits(params, want)
         rows = read_results(out)
         assert [r["fold"] for r in rows] == [*map(str, range(len(serial))), "mean"]
         for row, (_, acc) in zip(rows, serial):
@@ -420,6 +422,68 @@ class TestTrainFolds:
         assert code == EXIT_BAD_FLAGS
         assert unhandled == []
         assert list(tmp_path.iterdir()) == []
+
+
+class TestNetworkDtype:
+    """Networks trained or attacked on IDX images compute in float32,
+    every other network in float64; the features stay float64."""
+
+    def test_rule(self):
+        assert cli.network_dtype("idx:a.idx,b.idx") == np.float32
+        for selector in ("blobs", "example1", "csv:f.csv,l.csv"):
+            assert cli.network_dtype(selector) == np.float64
+
+    @pytest.mark.parametrize("kind, dtype", [("idx", np.float32),
+                                             ("csv", np.float64)])
+    def test_model_and_surrogate_share_the_dtype(self, tmp_path, monkeypatch,
+                                                 kind, dtype):
+        ds = overlapping_images(40, seed=1)
+        first, second = tmp_path / "a", tmp_path / "b"
+        if kind == "idx":
+            write_idx(ds, first, second, rows=28, cols=28)
+        else:
+            dump_dataset(ds, first, second)
+        seen = []
+        real_train, real_attack = cli.train, cli.adversarial_trainset
+
+        def train(dataset, arch, *args, **kwargs):
+            seen.append(("train", arch.dtype, dataset.features.dtype))
+            return real_train(dataset, arch, *args, **kwargs)
+
+        def attack(params, arch, dataset, cfg):
+            seen.append(("attack", arch.dtype, params.dtype))
+            return real_attack(params, arch, dataset, cfg)
+
+        monkeypatch.setattr(cli, "train", train)
+        monkeypatch.setattr(cli, "adversarial_trainset", attack)
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--dataset",
+                    f"{kind}:{first},{second}", "--arch", "mnist-mlp",
+                    "--folds", 2, "--epochs", 1, "--batch", 16,
+                    "--attack", "fgsm", "--epsilon", 0.1,
+                    "--surrogate-epochs", 1])
+        assert code == EXIT_OK
+        # per fold: the surrogate trains and attacks, the model trains on
+        # the float64 features and attacks the validation rows
+        fold = [("train", dtype, np.float64), ("attack", dtype, dtype)] * 2
+        assert seen == fold * 2
+        assert np.load(str(out) + ".params.npy").dtype == dtype
+
+    def test_csv_dumps_of_images_train_in_float64(self, tmp_path):
+        # 1e39 fits in float64 but not in float32, where the cast of its
+        # batch would overflow to inf and the run end in exit 4
+        ds = overlapping_images(40, seed=2)
+        features = ds.features.copy()
+        features[5, 100] = 1e39
+        first, second = tmp_path / "f.csv", tmp_path / "l.csv"
+        dump_dataset(Dataset(features=features, labels=ds.labels,
+                             num_classes=10), first, second)
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--dataset",
+                    f"csv:{first},{second}", "--arch", "mnist-mlp",
+                    "--folds", 2, "--epochs", 1, "--batch", 16])
+        assert code == EXIT_OK
+        assert np.load(str(out) + ".params.npy").dtype == np.float64
 
 
 def csv_dataset(tmp_path, features, labels) -> str:

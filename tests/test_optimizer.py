@@ -1,11 +1,13 @@
 """Tests for the Adam optimizer and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from reference import (blobs, overlapping_images, reference_accuracy,
-                       subset_train, textbook_adam)
+                       same_bits, subset_train, textbook_adam)
 from rsdnet.cli import ARCH_PRESETS
 from rsdnet.contamination import NoiseConfig, corrupt_labels
 from rsdnet.data_io import BLOB_SPREAD, Dataset, make_folds, synthetic_blobs
@@ -178,11 +180,16 @@ class TestTrain:
             with pytest.raises(ValueError):
                 TrainConfig(losses=losses, epochs=1)
 
-    @pytest.mark.parametrize("preset", ["toy", "mnist-mlp"])
-    def test_rows_train_as_their_subset(self, preset):
+    @pytest.mark.parametrize("preset, dtype", [
+        pytest.param("toy", np.float64, id="toy"),
+        pytest.param("mnist-mlp", np.float64, id="mnist-mlp"),
+        pytest.param("mnist-mlp", np.float32, id="mnist-mlp-float32"),
+    ])
+    def test_rows_train_as_their_subset(self, preset, dtype):
         # batches gathered from the full matrix carry the bits of batches
-        # of the copied rows, labels corrupted at the same draws included
-        arch = ARCH_PRESETS[preset]
+        # of the copied rows, labels corrupted at the same draws included;
+        # in float32 each gathered batch is cast, the rows never as a whole
+        arch = replace(ARCH_PRESETS[preset], dtype=dtype)
         ds = (synthetic_blobs(90, seed=5) if preset == "toy"
               else overlapping_images(300, seed=6))
         cfg = TrainConfig(losses=(LossSpec(kind="cce"),
@@ -194,7 +201,7 @@ class TestTrain:
             got = train(noisy, arch, fold, cfg, rows=rows)
             want = subset_train(ds, rows, noise, arch, fold, cfg)
             for (p, m), (p_want, m_want) in zip(got, want, strict=True):
-                assert np.array_equal(p.view(np.uint64), p_want.view(np.uint64))
+                same_bits(p, p_want)
                 assert np.array_equal(m, m_want, equal_nan=True)  # nan accuracy
 
     def test_empty_rows_rejected(self):
@@ -227,13 +234,21 @@ class TestAccuracy:
                 assert acc == reference_accuracy(params, arch, ds)
 
     def test_blocks_match_on_a_validation_fold_of_images(self):
-        arch = ARCH_PRESETS["mnist-mlp"]
         ds = overlapping_images(2667, seed=3)
         assert ds.n % EVAL_BATCH != 0
-        for seed in range(3):
-            params = init_params(arch, seed)
-            assert (accuracy(params, arch, ds)
-                    == reference_accuracy(params, arch, ds))
+        for dtype in (np.float64, np.float32):
+            arch = replace(ARCH_PRESETS["mnist-mlp"], dtype=dtype)
+            for seed in range(3):
+                params = init_params(arch, seed)
+                assert (accuracy(params, arch, ds)
+                        == reference_accuracy(params, arch, ds))
+        # SGEMM gives each EVAL_BATCH-row block's logits the bits of the
+        # whole set's (DGEMM's (n, 128) x (128, 10) layer does not: the
+        # float64 count above holds where no row is an ulp from a tie)
+        whole = forward(params, arch, ds.features).logits
+        for start in range(0, ds.n, EVAL_BATCH):
+            rows = slice(start, start + EVAL_BATCH)
+            same_bits(forward(params, arch, ds.features[rows]).logits, whole[rows])
 
     def test_rows_match_their_subset(self):
         arch = ARCH_PRESETS["mnist-mlp"]
@@ -339,6 +354,22 @@ class TestFusedTrain:
         with pytest.raises(FloatingPointError, match="epoch 1") as err:
             train(ds, net, 0, cfg)
         assert "loss tcce(0.2)" in str(err.value)
+        assert "mae" not in str(err.value)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_float32_overflow_raises_naming_the_epoch(self):
+        # features near 1e30 fit in float32, but the squared gradients,
+        # near 1e60, overflow the float32 Adam second moment
+        ds = synthetic_blobs(40, seed=0)
+        ds = Dataset(features=ds.features * 1e30, labels=ds.labels,
+                     num_classes=2)
+        net = ArchitectureSpec(2, ((8, "relu"),), 2, np.float32)
+        assert np.isfinite(ds.features.astype(np.float32)).all()
+        cfg = TrainConfig(losses=(LossSpec(kind="mae"), LossSpec(kind="cce")),
+                          epochs=3, batch_size=16)
+        with pytest.raises(FloatingPointError, match="epoch 1") as err:
+            train(ds, net, 0, cfg)
+        assert "loss cce" in str(err.value)
         assert "mae" not in str(err.value)
 
     def test_width_mismatch_rejected(self):
