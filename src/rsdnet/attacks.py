@@ -10,16 +10,13 @@ network, as only its sign is used; the attacked features, their epsilon-
 ball and the box projection are float64.
 
 adversarial_trainset attacks its ATTACK_BATCH-row blocks as the tasks of
-network._run_tasks: on the worker threads its docstring's rule gives, the
-caller's included, each writing its rows into one shared output, with
-numpy's OpenBLAS held at one thread meanwhile and its count restored
-afterwards, also when a block raises.  Rows are attacked independently, so
-the bits are those of attacking the blocks one at a time on one BLAS
-thread, whatever the number of workers or the thread count OpenBLAS would
-pick.  Where no OpenBLAS thread setter is found, one worker attacks the
-blocks in turn, at OpenBLAS's own thread count.  `train --attack` runs its
-folds in turn, not on the pool, so that each of a fold's attacks gets
-every core.
+network._run_tasks, each writing its rows into one shared output; that
+docstring says on which threads they run and how OpenBLAS is held.  Rows
+are attacked independently, so the bits are those of attacking the blocks
+one at a time on one BLAS thread, whatever the number of workers or the
+thread count OpenBLAS would pick.  Where no OpenBLAS thread setter is
+found, one worker attacks the blocks in turn, at OpenBLAS's own thread
+count.
 """
 
 from __future__ import annotations
@@ -116,22 +113,29 @@ def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
 
 
 def adversarial_trainset(params_surrogate, arch_surrogate: ArchitectureSpec,
-                         dataset: Dataset, cfg: AttackConfig) -> Dataset:
+                         dataset: Dataset, cfg: AttackConfig,
+                         rows: np.ndarray | None = None) -> Dataset:
     """Replace every example's features by its attacked version.
 
     Labels are untouched; the perturbed set is fixed once (static
-    adversarial training data).  The ATTACK_BATCH-row blocks are the tasks
-    of network._run_tasks, so the first exception a block raises is raised
-    here once every worker has stopped.
+    adversarial training data).  Given rows, an index array, the result
+    holds those rows alone, in that order, with the bits of
+    adversarial_trainset on dataset.subset(rows): each block is gathered
+    from the full feature matrix, so the rows are never copied as a whole.
+    The ATTACK_BATCH-row blocks are the tasks of network._run_tasks, so the
+    first exception a block raises is raised here once every worker has
+    stopped.
     """
-    features = np.empty(dataset.features.shape)
-    starts = range(0, dataset.n, ATTACK_BATCH)
+    labels = dataset.labels if rows is None else dataset.labels[rows]
+    features = np.empty((len(labels), dataset.features.shape[1]))
+    starts = range(0, len(labels), ATTACK_BATCH)
 
     def attack_block(i: int):
-        rows = slice(starts[i], starts[i] + ATTACK_BATCH)
-        attack(params_surrogate, arch_surrogate, dataset.features[rows],
-               dataset.labels[rows], cfg, out=features[rows])
+        block = slice(starts[i], starts[i] + ATTACK_BATCH)
+        attack(params_surrogate, arch_surrogate,
+               dataset.features[block if rows is None else rows[block]],
+               labels[block], cfg, out=features[block])
 
     _run_tasks(attack_block, len(starts))
-    return Dataset(features=features, labels=dataset.labels,
+    return Dataset(features=features, labels=labels,
                    num_classes=dataset.num_classes)

@@ -129,8 +129,10 @@ def resolve_arch(args) -> tuple[ArchitectureSpec, Dataset]:
 
 
 def _surrogate_attack(args, dataset: Dataset, cfg: AttackConfig,
-                      init_seed: int, shuffle_seed: int) -> Dataset:
-    """dataset attacked through a CCE-trained surrogate, which has the
+                      init_seed: int, shuffle_seed: int,
+                      rows: np.ndarray | None = None) -> Dataset:
+    """dataset, or its rows given an index array, attacked through a
+    CCE-trained surrogate, which trains on those rows in place, has the
     hidden layers of the surrogate-64 preset, is sized to the data and
     computes in the network_dtype of --dataset."""
     arch = ArchitectureSpec(dataset.features.shape[1],
@@ -140,8 +142,9 @@ def _surrogate_attack(args, dataset: Dataset, cfg: AttackConfig,
         dataset, arch, init_seed,
         TrainConfig(losses=(LossSpec(kind="cce"),), epochs=args.surrogate_epochs,
                     batch_size=args.batch, shuffle_seed=shuffle_seed),
+        rows=rows,
     )
-    return adversarial_trainset(params, arch, dataset, cfg)
+    return adversarial_trainset(params, arch, dataset, cfg, rows=rows)
 
 
 def _attack_config(args, dataset: Dataset) -> AttackConfig:
@@ -165,15 +168,16 @@ def _train_split(args, arch: ArchitectureSpec, dataset: Dataset, train_idx,
     """train's (params, metrics) pairs, one per loss, for the rows train_idx
     of dataset: their labels corrupted at --eta and, given attack_cfg, their
     features attacked through a surrogate.  Every seed is --seed plus an
-    offset per step and the fold.  Only the attacked rows are copied: clean
-    ones are trained on in place, as rows of the full matrix."""
+    offset per step and the fold.  Only the attacked rows are copied:
+    clean ones are trained on in place, as rows of the full matrix, by
+    the surrogate too."""
     train_ds, _ = corrupt_labels(dataset, NoiseConfig(eta=args.eta,
                                                       seed=args.seed + 1000 + fold),
                                  rows=train_idx)
     rows = train_idx
     if attack_cfg is not None:
-        train_ds = _surrogate_attack(args, train_ds.subset(train_idx), attack_cfg,
-                                     args.seed + 2000 + fold, args.seed + 3000 + fold)
+        train_ds = _surrogate_attack(args, train_ds, attack_cfg, args.seed + 2000 + fold,
+                                     args.seed + 3000 + fold, rows=train_idx)
         rows = None
     return train(
         train_ds, arch, args.seed + fold,
@@ -189,12 +193,9 @@ def _train_split(args, arch: ArchitectureSpec, dataset: Dataset, train_idx,
 
 
 def cmd_train(args) -> int:
-    """k-fold cross-validation.  Without --attack the folds run as the
-    tasks of _run_tasks, on as many workers as its rule gives, each on
-    one BLAS thread, so the bits do not depend on the number of workers.
-    With --attack they run in turn and each attack runs its blocks on
-    every core instead: a fold's attacks, run on its own thread, would
-    leave cores idle."""
+    """k-fold cross-validation.  Every fold, with or without --attack, is
+    a task of _run_tasks, so the bits do not depend on the number of
+    workers."""
     arch, dataset = resolve_arch(args)
     loss = parse_loss(args.loss)
     attack_cfg = _attack_config(args, dataset) if args.attack else None
@@ -208,14 +209,10 @@ def cmd_train(args) -> int:
         adv = None
         if attack_cfg is not None:  # white-box: against the trained model
             adv = accuracy(params, arch, adversarial_trainset(
-                params, arch, dataset.subset(val_idx), attack_cfg))
+                params, arch, dataset, attack_cfg, rows=val_idx))
         return params, _result_row(args, loss, str(fold), clean, adv)
 
-    if attack_cfg is None:
-        results = _run_tasks(run_fold, len(folds))
-    else:
-        results = [run_fold(fold) for fold in range(len(folds))]
-    saved, records = zip(*results)
+    saved, records = zip(*_run_tasks(run_fold, len(folds)))
     clean = [rec["clean_accuracy"] for rec in records]
     adv = [rec["adv_accuracy"] for rec in records]
     records = [*records, _result_row(args, loss, "mean", float(np.mean(clean)),

@@ -56,5 +56,8 @@ def noisy_posterior(p_star, eta: float) -> np.ndarray:
     """(1-eta) p* + eta (1-p*)/(J-1), applied per class."""
     p_star = np.asarray(p_star, dtype=np.float64)
     _check_eta(eta)
+    if p_star.ndim == 0 or p_star.shape[-1] < 2:
+        raise ValueError(f"J, the length of p*'s last axis, must be at least "
+                         f"2, got p* of shape {p_star.shape}")
     J = p_star.shape[-1]
     return (1.0 - eta) * p_star + eta / (J - 1) * (1.0 - p_star)

@@ -325,6 +325,11 @@ def _run_tasks(task: Callable[[int], object], n: int) -> list:
     from inside a task runs its own tasks in turn on that task's thread,
     without taking _blas_lock, which the outer call's caller holds until
     its workers have stopped.
+
+    So every fold of `train`, with or without --attack, is a task of one
+    pool, and the attacks of a fold, nested in its task, attack their
+    blocks in turn on its thread; the `attack` command's blocks are the
+    tasks of a pool of their own.
     """
     if getattr(_task_state, "running", False):
         return [task(i) for i in range(n)]

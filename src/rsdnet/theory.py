@@ -20,11 +20,13 @@ calibration_check lists no grid point, so it takes any class count J:
 each coordinate of a grid point is one of the m + 1 levels k/m, so it
 evaluates the per-class terms of conditional_sd_risk once per (class,
 level) pair, in a (J, m + 1) table, and a point's risk is the sum of its
-entries in class order.  A min-plus search over the table, O(J m**2),
-finds the smallest risk with its exact bits and the first minimiser in
-grid order, which wins among equal risks; the check accepts any of
-p_star's largest classes.  From J = 8 numpy's row sum in
-conditional_sd_risk adds pairwise, so the two can differ in the last bits.
+entries in class order.  A min-plus search over the table, O(J m**2)
+array work, finds the smallest risk with its exact bits and the first
+minimiser in grid order, which wins among equal risks; the check accepts
+any of p_star's largest classes.  The gap (_runner_up) adds O(J**2)
+Python scalars, in class order for its bits, which dominate at large J.
+From J = 8 numpy's row sum in conditional_sd_risk adds pairwise, so the
+two can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -356,7 +358,8 @@ def calibration_check(p_star, t: TuningPair, step: float = 0.01) -> CalibrationR
     entries added in class order, divided by A.  For J < 8 that is
     conditional_sd_risk's bits; from J = 8 numpy sums a row pairwise, so
     the two can differ in the last bits.  No grid point is listed, and J
-    has no limit: the table is searched in O(J m**2) work.
+    has no limit: the table is searched in O(J m**2) array work, and the
+    gap takes O(J**2) Python scalar additions, the larger cost at large J.
       - A forward min-plus pass keeps the smallest class-order sum of each
         class prefix per level sum.  Rounded addition is monotone, so the
         smallest total keeps its bits.

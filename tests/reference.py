@@ -9,6 +9,7 @@ import csv
 
 import numpy as np
 
+from rsdnet.attacks import attack
 from rsdnet.contamination import corrupt_labels
 from rsdnet.data_io import BLOB_CENTERS, RESULTS_HEADER, DataFormatError, Dataset
 from rsdnet.divergence import PROB_CLIP
@@ -139,6 +140,29 @@ def subset_train(dataset, rows, noise, arch, init_seed, train_cfg):
     fold's training rows before train could gather them in place."""
     noisy, _ = corrupt_labels(dataset.subset(rows), noise)
     return train(noisy, arch, init_seed, train_cfg)
+
+
+def attack_fold(dataset, train_idx, val_idx, noise, arch, init_seed, train_cfg,
+                surrogate, surrogate_seed, surrogate_cfg, attack_cfg):
+    """One `train --attack` fold on copies of its rows: the training rows'
+    labels corrupted by corrupt_labels at the NoiseConfig noise, a
+    surrogate of architecture surrogate trained on them, those rows
+    attacked through it in one attack call, the model trained on the
+    attacked copy, and its validation rows attacked against the model.
+    Returns the model's params, its clean accuracy on the validation rows
+    and its accuracy on their attacked copy (reference_accuracy both)."""
+    noisy, _ = corrupt_labels(dataset.subset(train_idx), noise)
+    [(surrogate_params, _)] = train(noisy, surrogate, surrogate_seed, surrogate_cfg)
+    attacked = Dataset(features=attack(surrogate_params, surrogate, noisy.features,
+                                       noisy.labels, attack_cfg),
+                       labels=noisy.labels, num_classes=noisy.num_classes)
+    [(params, _)] = train(attacked, arch, init_seed, train_cfg)
+    val = dataset.subset(val_idx)
+    adv_val = Dataset(features=attack(params, arch, val.features, val.labels,
+                                      attack_cfg),
+                      labels=val.labels, num_classes=val.num_classes)
+    return (params, reference_accuracy(params, arch, val),
+            reference_accuracy(params, arch, adv_val))
 
 
 def signed_steps(grad, x, epsilon, step_size, iters):

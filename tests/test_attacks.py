@@ -220,6 +220,26 @@ class TestPlumbing:
         np.testing.assert_array_equal(out.labels, ds.labels)
         assert out.features.shape == ds.features.shape
 
+    @pytest.mark.parametrize("n", [0, 5, 200])
+    def test_rows_attack_as_their_subset(self, n):
+        assert attacks.ATTACK_BATCH < 200 <= 2 * attacks.ATTACK_BATCH
+        # no rows, a part of one block, and rows spread over two blocks, in
+        # shuffled order, on the toy model and a float32 surrogate-sized one
+        params, ds = trained_model()
+        rng = np.random.default_rng(n)
+        wide = ArchitectureSpec(784, ((64, "relu"),), 10, np.float32)
+        images = Dataset(features=rng.uniform(0, 1, (300, 784)),
+                         labels=rng.integers(0, 10, 300), num_classes=10)
+        rows = rng.permutation(300)[:n]
+        cfg = AttackConfig(kind="pgd", epsilon=0.2, step_size=0.05, max_iters=3)
+        for params, arch, data in ((params, ARCH, ds),
+                                   (init_params(wide, 3), wide, images)):
+            got = adversarial_trainset(params, arch, data, cfg, rows=rows)
+            want = adversarial_trainset(params, arch, data.subset(rows), cfg)
+            same_bits(got.features, want.features)
+            same_bits(got.labels, want.labels)
+            assert got.num_classes == data.num_classes
+
     def test_batched_matches_unbatched(self, monkeypatch):
         # the bits depend on neither ATTACK_BATCH nor the number of workers:
         # they are those of attacking the blocks one at a time under the

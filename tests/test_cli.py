@@ -29,7 +29,8 @@ from rsdnet.contamination import NoiseConfig
 from rsdnet.data_io import make_folds
 from rsdnet.optimizer import TrainConfig, accuracy
 
-from reference import overlapping_images, read_results, same_bits, subset_train
+from reference import (attack_fold, overlapping_images, read_results, same_bits,
+                       subset_train)
 
 
 def run(args):
@@ -230,12 +231,23 @@ class TestTrainCommand:
         assert code == EXIT_OK
         assert ds.n == 40  # keep the unused fixture honest
 
+    def test_fmnist_preset_trains_on_idx_images(self, tmp_path):
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(overlapping_images(40, seed=5), img, lab, rows=28, cols=28)
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--loss", "cce",
+                    "--dataset", f"idx:{img},{lab}", "--arch", "fmnist-mlp",
+                    "--folds", 2, "--epochs", 1, "--batch", 16])
+        assert code == EXIT_OK
+        params = np.load(str(out) + ".params.npy")
+        # 784-200-100-10: 784*200 + 200 + 200*100 + 100 + 100*10 + 10
+        assert params.dtype == np.float32 and params.shape == (2, 178_110)
+
 
 class TestTrainFolds:
-    """train without --attack runs its folds as the tasks of
+    """train runs its folds, with or without --attack, as the tasks of
     network._run_tasks: on its worker threads, each on one BLAS thread,
-    with the bits of the folds run in turn.  With --attack the folds run
-    in turn."""
+    with the bits of the folds run in turn."""
 
     SEED, FOLDS, EPOCHS, BATCH, ETA, LOSS = 3, 3, 2, 32, 0.3, "sd:0.1,-0.8"
 
@@ -245,13 +257,13 @@ class TestTrainFolds:
         write_idx(ds, img, lab, rows=28, cols=28)
         return ds, f"idx:{img},{lab}"
 
-    def run_train(self, out: Path, dataset: str,
-                  folds: int = FOLDS) -> tuple[bytes, bytes]:
+    def run_train(self, out: Path, dataset: str, folds: int = FOLDS,
+                  flags: tuple = ()) -> tuple[bytes, bytes]:
         out.parent.mkdir()
         code = run(["train", "--seed", self.SEED, "--out", out, "--dataset",
                     dataset, "--arch", "mnist-mlp", "--loss", self.LOSS,
                     "--folds", folds, "--epochs", self.EPOCHS,
-                    "--batch", self.BATCH, "--eta", self.ETA])
+                    "--batch", self.BATCH, "--eta", self.ETA, *flags])
         assert code == EXIT_OK
         return (out.read_bytes(),
                 Path(str(out) + ".params.npy").read_bytes())
@@ -337,49 +349,81 @@ class TestTrainFolds:
         self.assert_matches(self.run_train(out, dataset), serial, out)
         assert threads == {threading.current_thread()}
 
-    def test_with_attack_folds_run_in_turn_and_attacks_on_every_core(
+    ATTACK = attacks.AttackConfig(kind="pgd", epsilon=0.1, step_size=0.02,
+                                  max_iters=3)
+    ATTACK_FLAGS = ("--attack", ATTACK.kind, "--epsilon", ATTACK.epsilon,
+                    "--step", ATTACK.step_size, "--iters", ATTACK.max_iters,
+                    "--surrogate-epochs", EPOCHS)
+
+    def serial_attack_folds(self, ds):
+        """reference.attack_fold for each fold, with train's seeds, in
+        float32 as the CLI trains and attacks on IDX images."""
+        arch = replace(cli.ARCH_PRESETS["mnist-mlp"], dtype=np.float32)
+        surrogate = replace(cli.ARCH_PRESETS["surrogate-64"], dtype=np.float32)
+        return [attack_fold(
+            ds, train_idx, val_idx,
+            NoiseConfig(eta=self.ETA, seed=self.SEED + 1000 + fold),
+            arch, self.SEED + fold,
+            TrainConfig(losses=(parse_loss(self.LOSS),), epochs=self.EPOCHS,
+                        batch_size=self.BATCH, shuffle_seed=self.SEED + 100 + fold),
+            surrogate, self.SEED + 2000 + fold,
+            TrainConfig(losses=(parse_loss("cce"),), epochs=self.EPOCHS,
+                        batch_size=self.BATCH, shuffle_seed=self.SEED + 3000 + fold),
+            self.ATTACK) for fold, (train_idx, val_idx)
+            in enumerate(make_folds(ds.n, self.FOLDS, self.SEED))]
+
+    def test_with_attack_each_fold_and_its_attacks_share_a_thread(
             self, tmp_path, monkeypatch, blas_count):
-        # the folds run on the caller's thread, one after another, and each
-        # of a fold's two attacks runs its blocks on every worker
-        monkeypatch.setattr(attacks, "ATTACK_BATCH", 7)
-        callers, blocks = [], []
-        real_trainset, real_attack = cli.adversarial_trainset, attacks.attack
+        # the --attack folds are pool tasks too: on two cores three folds
+        # run on three threads, and each fold's attacks run their blocks
+        # in turn on its thread
+        ds, dataset = self.images(tmp_path)
+        with network._one_blas_thread():
+            serial = self.serial_attack_folds(ds)
+        monkeypatch.setattr(attacks, "ATTACK_BATCH", 32)
+        events = {}
+        real_train, real_trainset = cli.train, cli.adversarial_trainset
+        real_attack = attacks.attack
 
-        def trainset(*args, **kwargs):
-            callers.append(threading.current_thread())
-            return real_trainset(*args, **kwargs)
+        def recorded(name, real):
+            def call(*args, **kwargs):
+                seed = args[2] if name == "train" else None  # init_seed
+                events.setdefault(threading.current_thread(), []).append(
+                    (name, seed))
+                return real(*args, **kwargs)
+            return call
 
-        def attack(*args, **kwargs):
-            blocks.append(threading.current_thread())
-            return real_attack(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "adversarial_trainset", trainset)
-        monkeypatch.setattr(attacks, "attack", attack)
-        main = threading.current_thread()
+        monkeypatch.setattr(cli, "train", recorded("train", real_train))
+        monkeypatch.setattr(cli, "adversarial_trainset",
+                            recorded("trainset", real_trainset))
+        monkeypatch.setattr(attacks, "attack", recorded("attack", real_attack))
         runs = {}
-        for workers in (2, 1):
+        for workers in (2, 1, 3):
             monkeypatch.setattr(network, "_usable_cores", lambda w=workers: w)
-            callers.clear()
-            blocks.clear()
+            events.clear()
             out = tmp_path / f"w{workers}" / "res.csv"
-            out.parent.mkdir()
-            code = run(["train", "--seed", 1, "--out", out, "--n", 60, "--arch",
-                        "toy", "--loss", "cce", "--folds", 2, "--epochs", 2,
-                        "--batch", 16, "--eta", 0.2, "--attack", "pgd",
-                        "--epsilon", 0.1, "--step", 0.05, "--iters", 3,
-                        "--surrogate-epochs", 2])
-            assert code == EXIT_OK
-            # two attacks per fold, each of 30 rows in 5 blocks; with two
-            # workers each attack starts one thread for blocks 1 and 3, and
-            # the caller attacks blocks 0, 2 and 4
-            assert callers == [main] * 4 and len(blocks) == 4 * 5
-            assert blocks.count(main) == 4 * (3 if workers == 2 else 5)
-            helpers = set(blocks) - {main}
-            assert len(helpers) == 4 * (workers - 1)
-            assert all(blocks.count(t) == 2 for t in helpers)
-            runs[workers] = (out.read_bytes(),
-                             Path(str(out) + ".params.npy").read_bytes())
-        assert runs[2] == runs[1]
+            runs[workers] = self.run_train(out, dataset, flags=self.ATTACK_FLAGS)
+            params = np.load(str(out) + ".params.npy")
+            same_bits(params, np.stack([p for p, _, _ in serial]))
+            rows = read_results(out)
+            for row, (_, clean, adv) in zip(rows, serial):
+                assert row["clean_accuracy"] == pytest.approx(clean, rel=1e-6)
+                assert row["adv_accuracy"] == pytest.approx(adv, rel=1e-6)
+            if workers == 2:
+                assert len(events) == 3
+                assert threading.current_thread() in events
+                folds = make_folds(ds.n, self.FOLDS, self.SEED)
+                for seen in events.values():
+                    fold = seen[0][1] - (self.SEED + 2000)
+                    train_idx, val_idx = folds[fold]
+                    assert seen == [
+                        ("train", self.SEED + 2000 + fold), ("trainset", None),
+                        *[("attack", None)] * -(-len(train_idx) // 32),
+                        ("train", self.SEED + fold), ("trainset", None),
+                        *[("attack", None)] * -(-len(val_idx) // 32)]
+                assert sorted(seen[0][1] for seen in events.values()) == [
+                    self.SEED + 2000 + fold for fold in range(self.FOLDS)]
+        assert runs[1] == runs[2] == runs[3]
         assert blas_count() == 2
 
     def test_a_failing_fold_exits_4_and_stops_cleanly(self, tmp_path,
@@ -402,6 +446,34 @@ class TestTrainFolds:
         code = run(["train", "--seed", 0, "--out", out, "--n", 60, "--arch",
                     "toy", "--loss", "cce", "--folds", 3, "--epochs", 2,
                     "--batch", 16])
+        assert code == EXIT_NUMERIC
+        assert threading.enumerate() == before
+        assert unhandled == []
+        assert blas_count() == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_failing_attack_exits_4_and_stops_cleanly(self, tmp_path,
+                                                        monkeypatch, blas_count):
+        # an attack fails inside a fold that runs on a worker thread of the
+        # pool, not on the caller's; its exception reaches main all the same
+        real = attacks.attack
+        caller = threading.current_thread()
+
+        def failing(*args, **kwargs):
+            if threading.current_thread() is not caller:
+                raise FloatingPointError("injected")
+            return real(*args, **kwargs)
+
+        unhandled = []
+        monkeypatch.setattr(attacks, "attack", failing)
+        monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        before = threading.enumerate()
+        out = tmp_path / "res.csv"
+        code = run(["train", "--seed", 0, "--out", out, "--n", 60, "--arch",
+                    "toy", "--loss", "cce", "--folds", 3, "--epochs", 2,
+                    "--batch", 16, "--attack", "fgsm", "--epsilon", 0.1,
+                    "--surrogate-epochs", 1])
         assert code == EXIT_NUMERIC
         assert threading.enumerate() == before
         assert unhandled == []
@@ -443,16 +515,19 @@ class TestNetworkDtype:
             write_idx(ds, first, second, rows=28, cols=28)
         else:
             dump_dataset(ds, first, second)
-        seen = []
+        seen = {}  # per thread: the folds may run on threads of their own
         real_train, real_attack = cli.train, cli.adversarial_trainset
 
+        def record(*event):
+            seen.setdefault(threading.current_thread(), []).append(event)
+
         def train(dataset, arch, *args, **kwargs):
-            seen.append(("train", arch.dtype, dataset.features.dtype))
+            record("train", arch.dtype, dataset.features.dtype)
             return real_train(dataset, arch, *args, **kwargs)
 
-        def attack(params, arch, dataset, cfg):
-            seen.append(("attack", arch.dtype, params.dtype))
-            return real_attack(params, arch, dataset, cfg)
+        def attack(params, arch, dataset, cfg, **kwargs):
+            record("attack", arch.dtype, params.dtype)
+            return real_attack(params, arch, dataset, cfg, **kwargs)
 
         monkeypatch.setattr(cli, "train", train)
         monkeypatch.setattr(cli, "adversarial_trainset", attack)
@@ -466,7 +541,8 @@ class TestNetworkDtype:
         # per fold: the surrogate trains and attacks, the model trains on
         # the float64 features and attacks the validation rows
         fold = [("train", dtype, np.float64), ("attack", dtype, dtype)] * 2
-        assert seen == fold * 2
+        assert sorted(map(len, seen.values())) in ([8], [4, 4])
+        assert all(events == fold * (len(events) // 4) for events in seen.values())
         assert np.load(str(out) + ".params.npy").dtype == dtype
 
     def test_csv_dumps_of_images_train_in_float64(self, tmp_path):

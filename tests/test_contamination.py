@@ -102,6 +102,11 @@ class TestNoisyPosterior:
         np.testing.assert_allclose(out.sum(axis=1), 1.0)
         assert np.all(out >= 0)
 
+    @pytest.mark.parametrize("p_star", [[1.0], np.zeros((3, 0)), 1.0])
+    def test_fewer_than_two_classes_rejected(self, p_star):
+        with pytest.raises(ValueError, match="must be at least 2, got p"):
+            noisy_posterior(p_star, 0.2)
+
     def test_eta_zero_identity(self):
         p = np.array([0.3, 0.7])
         np.testing.assert_array_equal(noisy_posterior(p, 0.0), p)

@@ -94,9 +94,12 @@ def test_influence_records_psi(tmp_path):
     assert labels.count("theory.psi") == 1
 
 
-def test_train_attack_records_both_attacks_per_fold(tmp_path):
+def test_train_attack_records_both_attacks_per_fold(tmp_path, monkeypatch):
     # per fold: the surrogate trains and attacks the training set, then the
-    # model trains and the validation set is attacked against the model
+    # model trains and the validation set is attacked against the model.
+    # On one core the two folds and their one-block attacks all run on the
+    # calling thread, so the tracer's one span stack orders every span
+    monkeypatch.setattr(rsdnet.network, "_usable_cores", lambda: 1)
     tracer = traced_run(tmp_path, [
         "train", "--seed", "0", "--n", "40", "--arch", "toy", "--loss", "cce",
         "--folds", "2", "--epochs", "1", "--batch", "16", "--attack", "fgsm",
@@ -121,16 +124,26 @@ def test_train_attack_records_both_attacks_per_fold(tmp_path):
 def test_train_on_two_workers_records_every_call(tmp_path, monkeypatch):
     # three folds on two cores run on three threads: their spans' parents
     # may cross threads (one span stack for all threads, ROADMAP item 5),
-    # their counts may not
+    # their counts may not, with or without --attack
     argv = ["train", "--seed", "0", "--n", "60", "--arch", "toy", "--loss",
             "cce", "--folds", "3", "--epochs", "2", "--batch", "16"]
+    attack = ["--attack", "pgd", "--epsilon", "0.1", "--step", "0.05",
+              "--iters", "3", "--surrogate-epochs", "2"]
     counts = {}
-    for workers in (1, 2):
-        monkeypatch.setattr(rsdnet.network, "_usable_cores", lambda w=workers: w)
-        (tmp_path / f"w{workers}").mkdir()
-        labels = traced_run(tmp_path / f"w{workers}", argv).labels
-        counts[workers] = {label: labels.count(label) for label in set(labels)}
-    assert counts[2] == counts[1]
-    assert counts[1]["optimizer.train"] == 3
-    assert counts[1]["optimizer.adam_step"] == 3 * 2 * 3  # 40 rows, batches of 16
-    assert counts[1]["cli.main"] == 1
+    for run, flags in (("plain", []), ("attack", attack)):
+        for workers in (1, 2):
+            monkeypatch.setattr(rsdnet.network, "_usable_cores",
+                                lambda w=workers: w)
+            out = tmp_path / run / f"w{workers}"
+            out.mkdir(parents=True)
+            labels = traced_run(out, argv + flags).labels
+            counts[run, workers] = {label: labels.count(label)
+                                    for label in set(labels)}
+        assert counts[run, 2] == counts[run, 1]
+    assert counts["plain", 1]["optimizer.train"] == 3
+    assert counts["plain", 1]["optimizer.adam_step"] == 3 * 2 * 3  # 40 rows, batches of 16
+    assert counts["plain", 1]["cli.main"] == 1
+    # per fold a surrogate and a model, and their two attacks of 3 steps
+    assert counts["attack", 1]["optimizer.train"] == 3 * 2
+    assert counts["attack", 1]["attacks.adversarial_trainset"] == 3 * 2
+    assert counts["attack", 1]["attacks.input_gradient"] == 3 * 2 * 3
