@@ -7,7 +7,9 @@ matching the surrogate generation protocol; they are deterministic (no
 random start) and respect the L-infinity budget and the box BOX exactly.
 The input gradient has the network's dtype, float32 for an IDX-trained
 network, as only its sign is used; the attacked features, their epsilon-
-ball and the box projection are float64.
+ball and the box projection are float64.  An attack checks its labels and
+sets up the layer views, the one-hot labels and its buffers once per call;
+each step then runs _input_gradient, the kernel input_gradient also wraps.
 
 adversarial_trainset attacks its ATTACK_BATCH-row blocks as the tasks of
 network._run_tasks, each writing its rows into one shared output; that
@@ -27,11 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .divergence import LossSpec
+from .divergence import _cce_grad_logits, _check_labels, _one_hot, softmax
 from .network import (ArchitectureSpec, _as_inputs, _backward, _forward,
                       _model_layers, _run_tasks)
-
-_CCE = LossSpec(kind="cce")
 
 # Attacked features always lie in this box; where a feature's epsilon-ball
 # leaves it, the box wins.
@@ -62,6 +62,27 @@ class AttackConfig:
                              "epsilon >= 0, a finite step > 0 and iters >= 1")
 
 
+def _one_hot_labels(labels, n: int, arch: ArchitectureSpec) -> np.ndarray:
+    """The (n, J) one-hot rows of labels, checked as LossSpec checks them:
+    ValueError unless there are n of them, each in [0, J)."""
+    J = arch.output_classes
+    return _one_hot(_check_labels(labels, n, J), (n, J))
+
+
+def _input_gradient(layers, acts, X: np.ndarray, onehot: np.ndarray,
+                    out=None) -> np.ndarray:
+    """input_gradient's kernel, which every attack step runs: the per-
+    example CCE input gradient of the batch X (of arch.dtype) at the
+    one-hot labels, through the layer views and activation names, written
+    into out where given.  Trusts its inputs."""
+    pres, posts = _forward(layers, acts, X)
+    grad_logits = _cce_grad_logits(softmax(posts[-1]), onehot)
+    # undo the batch averaging: per-example input gradients
+    grad_logits *= X.shape[0]
+    return _backward(X, pres, posts, layers, acts,
+                     grad_logits.astype(X.dtype, copy=False), out=out)
+
+
 def input_gradient(params, arch: ArchitectureSpec, x, labels, *,
                    out=None) -> np.ndarray:
     """Gradient of the CCE loss with respect to the input features, one
@@ -70,16 +91,14 @@ def input_gradient(params, arch: ArchitectureSpec, x, labels, *,
 
     Equal to backward(...)[1] for the batch-size-scaled logit gradient, but
     computes no weight or bias gradients.  x is cast to arch.dtype, and the
-    float64 logit gradient of the loss back to it.
+    float64 logit gradient of the loss back to it.  Checks its arguments,
+    then runs the kernel _input_gradient; an empty batch gives an empty
+    (0, input_dim) result.
     """
     X = _as_inputs(x, arch)
     layers = _model_layers(params, arch)
-    pres, posts = _forward(layers, arch.activations, X)
-    _, grad_logits = _CCE.value_and_grad_logits(labels, posts[-1])
-    # undo the batch averaging: per-example input gradients
-    grad_logits *= X.shape[0]
-    return _backward(X, pres, posts, layers, arch.activations,
-                     grad_logits.astype(arch.dtype, copy=False), out=out)
+    return _input_gradient(layers, arch.activations, X,
+                           _one_hot_labels(labels, X.shape[0], arch), out)
 
 
 def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
@@ -90,12 +109,23 @@ def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
     with BOX (the box alone where they do not meet).  Updated in place, with
     the bits of np.clip(adv + step * sign(g), lo, hi): minimum then maximum
     is that clip, since lo <= hi.  adv, lo and hi are float64, whatever
-    arch.dtype; the gradient g has arch.dtype."""
+    arch.dtype; the gradient g has arch.dtype.
+
+    The width, parameters and labels are checked before the first step
+    (ValueError), and the layer views and one-hot labels made once; each
+    step copies adv into an arch.dtype buffer and runs _input_gradient on
+    it, with the bits of input_gradient.  An empty batch gives an empty
+    (0, input_dim) result."""
     if cfg.kind == "fgsm":
         step_size, iters = cfg.epsilon, 1
     else:
         step_size, iters = cfg.step_size, cfg.max_iters
     x0 = np.asarray(x, dtype=np.float64)
+    # each step's input, adv cast to arch.dtype; width-checked as in
+    # input_gradient
+    inputs = _as_inputs(np.empty(x0.shape, dtype=arch.dtype), arch)
+    layers = _model_layers(params, arch)
+    onehot = _one_hot_labels(labels, inputs.shape[0], arch)
     lo = np.clip(x0 - cfg.epsilon, *BOX)
     hi = np.clip(x0 + cfg.epsilon, *BOX)
     adv = np.empty_like(x0) if out is None else out
@@ -103,8 +133,10 @@ def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
     grad = np.empty(adv.shape, dtype=arch.dtype)  # one for every step
     step = np.empty_like(adv)
     for _ in range(iters):
+        np.copyto(inputs, adv, casting="same_kind")
+        _input_gradient(layers, arch.activations, inputs, onehot, grad)
         # sign into its own buffer: out=g, aliasing its input, runs slower
-        np.sign(input_gradient(params, arch, adv, labels, out=grad), out=step)
+        np.sign(grad, out=step)
         step *= step_size
         adv += step
         np.minimum(adv, hi, out=adv)

@@ -5,7 +5,9 @@ plot-ready CSV through write_csv (6 significant digits, one formatting
 rule per column) and exact CSV dumps through dump_dataset (17 significant
 digits, so float64 round-trips), read back by load_dataset.  Both CSV
 writers go through _write_table: blocks of about CSV_BLOCK_CELLS cells,
-each distinct value of a block formatted once (_distinct_text).
+each distinct value of a block formatted once (_distinct_text).  A dump
+also keeps the texts it formatted, one _TextCache per table, so it formats
+each distinct value once per table, up to TEXT_CACHE_VALUES of them.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ IDX_LABELS_MAGIC = 0x00000801
 # cells formatted and written at a time by write_csv and dump_dataset (at
 # least one row): bounds the text held, however wide the table
 CSV_BLOCK_CELLS = 16384
+
+# distinct values whose text one dump_dataset table keeps: an 8-byte key,
+# an 8-byte pointer and a str of at most 24 characters (about 73 bytes)
+# each, so at most about 6 MB however large the table
+TEXT_CACHE_VALUES = 65536
 
 RESULTS_HEADER = (
     "dataset", "loss", "beta", "lambda", "eta", "attack",
@@ -239,16 +246,55 @@ def _quote(text: str) -> str:
     return text
 
 
-def _distinct_text(values: np.ndarray, spec: str) -> np.ndarray:
+def _format_each(bits: np.ndarray, dtype, spec: str) -> np.ndarray:
+    """The text of each value whose bit pattern bits holds, under the
+    %-format spec, as an object array, all by one % call, as savetxt
+    formats a row."""
+    words = "\n".join(repeat(spec, bits.size)) % tuple(
+        bits.view(dtype).tolist())  # plain Python numbers
+    return np.array(words.split("\n"), dtype=object)
+
+
+class _TextCache:
+    """Texts already formatted for one table, at most TEXT_CACHE_VALUES of
+    them: keys holds their bit patterns in ascending order, texts the text
+    of each."""
+
+    def __init__(self):
+        self.keys = np.empty(0, dtype=np.uint64)
+        self.texts = np.empty(0, dtype=object)
+
+    def lookup(self, distinct: np.ndarray, dtype, spec: str) -> np.ndarray:
+        """The texts of the ascending bit patterns distinct, as an object
+        array; only those not kept are formatted, and kept while there is
+        room."""
+        at = np.searchsorted(self.keys, distinct)
+        kept = at < self.keys.size
+        kept[kept] = self.keys[at[kept]] == distinct[kept]
+        texts = np.empty(distinct.size, dtype=object)
+        texts[kept] = self.texts[at[kept]]
+        missed = np.flatnonzero(~kept)
+        texts[missed] = _format_each(distinct[missed], dtype, spec)
+        room = missed[:TEXT_CACHE_VALUES - self.keys.size]
+        if room.size:
+            self.keys = np.insert(self.keys, at[room], distinct[room])
+            self.texts = np.insert(self.texts, at[room], texts[room])
+        return texts
+
+
+def _distinct_text(values: np.ndarray, spec: str,
+                   cache: _TextCache | None = None) -> np.ndarray:
     """The text of each cell of values under the %-format spec, as an
     object array of values' shape.  Each distinct bit pattern is formatted
     once (equal bits, not equal values: -0.0 and 0.0 format differently),
-    all of them by one % call, as savetxt formats a row."""
+    all of them by one % call, and not at all if cache keeps its text."""
     bits = values.view(f"u{values.itemsize}").ravel()
     distinct, where = np.unique(bits, return_inverse=True)
-    words = "\n".join(repeat(spec, distinct.size)) % tuple(
-        distinct.view(values.dtype).tolist())  # plain Python numbers
-    return np.array(words.split("\n"), dtype=object)[where].reshape(values.shape)
+    if cache is None:
+        texts = _format_each(distinct, values.dtype, spec)
+    else:
+        texts = cache.lookup(distinct, values.dtype, spec)
+    return texts[where].reshape(values.shape)
 
 
 def _column_text(column):
@@ -325,7 +371,10 @@ def write_results(records, path):
 def dump_dataset(dataset: Dataset, features_path, labels_path,
                  flip_mask: np.ndarray | None = None):
     """Features CSV (17 significant digits: float64 round-trips) plus
-    labels CSV pair; optional 0/1 flipped column."""
+    labels CSV pair; optional 0/1 flipped column.  Each table keeps the
+    texts it formats in a _TextCache, as its values repeat across blocks
+    (attacked pixels on a shared grid); write_csv keeps none, since its
+    float columns are mostly distinct values, which a cache only slows."""
     label_columns = {"label": dataset.labels}
     if flip_mask is not None:
         label_columns["flipped"] = flip_mask
@@ -335,8 +384,9 @@ def dump_dataset(dataset: Dataset, features_path, labels_path,
         (labels_path, list(label_columns),
          np.column_stack(list(label_columns.values())), "%d"),
     ):
+        cache = _TextCache()
         _write_table(path, names, len(table),
-                     lambda rows: _distinct_text(table[rows], spec).tolist())
+                     lambda rows: _distinct_text(table[rows], spec, cache).tolist())
 
 
 def _read_table(path, parse) -> list:

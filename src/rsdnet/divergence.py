@@ -96,14 +96,20 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def _as_batch(labels, probs):
+def _check_labels(labels, n: int, J: int) -> np.ndarray:
+    """labels as an (n,) intp array of classes in [0, J); ValueError if the
+    count is not n or a label lies outside.  No labels pass for n = 0."""
     labels = np.atleast_1d(np.asarray(labels, dtype=np.intp))
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    if labels.shape[0] != probs.shape[0]:
-        raise ValueError("labels and probs have mismatched batch sizes")
-    if labels.min() < 0 or labels.max() >= probs.shape[1]:
+    if labels.shape[0] != n:
+        raise ValueError(f"{labels.shape[0]} labels for a batch of {n} rows")
+    if labels.size and (labels.min() < 0 or labels.max() >= J):
         raise ValueError("label index out of range")
-    return labels, probs
+    return labels
+
+
+def _as_batch(labels, probs):
+    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    return _check_labels(labels, *probs.shape), probs
 
 
 def _one_hot(labels: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -202,6 +208,12 @@ def _cce_values(p_y: np.ndarray) -> np.ndarray:
     return -np.log(clip_probs(p_y))
 
 
+def _cce_grad_logits(probs: np.ndarray, onehot: np.ndarray) -> np.ndarray:
+    """Gradient of the batch-mean CCE with respect to the logits, from the
+    (n, J) softmax rows and one-hot labels: (probs - onehot) / n."""
+    return (probs - onehot) / probs.shape[0]
+
+
 def _trimmed_mean(per: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
     """Mean of per without its ceil(delta * n) largest entries, at most n - 1
     of them, and the mask of the entries kept."""
@@ -282,7 +294,8 @@ class LossSpec:
             grad_p = _sd_grad_probs(probs, onehot, self.tuning)
             return float(np.add.reduce(per) / n), _chain_softmax(grad_p, probs) / n
         if self.kind == "cce":
-            return float(np.add.reduce(_cce_values(p_y)) / n), (probs - onehot) / n
+            return (float(np.add.reduce(_cce_values(p_y)) / n),
+                    _cce_grad_logits(probs, onehot))
         if self.kind == "mae":
             grad = _chain_softmax(1.0 - 2.0 * onehot, probs) / n
             return float(np.add.reduce(2.0 * (1.0 - p_y)) / n), grad

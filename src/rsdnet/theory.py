@@ -23,10 +23,10 @@ level) pair, in a (J, m + 1) table, and a point's risk is the sum of its
 entries in class order.  A min-plus search over the table, O(J m**2)
 array work, finds the smallest risk with its exact bits and the first
 minimiser in grid order, which wins among equal risks; the check accepts
-any of p_star's largest classes.  The gap (_runner_up) adds O(J**2)
-Python scalars, in class order for its bits, which dominate at large J.
-From J = 8 numpy's row sum in conditional_sd_risk adds pairwise, so the
-two can differ in the last bits.
+any of p_star's largest classes.  The gap (_runner_up) carries the
+smallest sum of the other points from class to class, one scalar addition
+per class, in class order for its bits.  From J = 8 numpy's row sum in
+conditional_sd_risk adds pairwise, so the two can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -319,20 +319,20 @@ def _runner_up(table: np.ndarray, prefix: list, point: list):
     is a prefix over classes 0..L with point's level sum there and a
     class-L level other than point's, followed by point's entries.
     Rounded addition is monotone, so the smallest such sum starts from
-    the smallest prefix sums prefix[L - 1] of the forward pass.
+    the smallest prefix sums prefix[L - 1] of the forward pass, and min
+    commutes with adding the same entry: carried, the smallest sum over
+    classes 0..L of the compositions that last differ at L or before, is
+    min(carried + table[L, point[L]], the smallest that last differs at L),
+    one scalar addition per class.
     """
-    J = table.shape[0]
     level_sums = np.cumsum(point)
-    second = np.inf
-    for L in range(1, J):
+    carried = np.inf
+    for L in range(1, table.shape[0]):
         s = level_sums[L]
         sums = prefix[L - 1][s::-1] + table[L, :s + 1]
         sums[point[L]] = np.inf
-        value = sums.min()
-        for j in range(L + 1, J):
-            value = value + table[j, point[j]]
-        second = min(second, value)
-    return second
+        carried = min(carried + table[L, point[L]], sums.min())
+    return carried
 
 
 @dataclass(frozen=True)
@@ -358,8 +358,7 @@ def calibration_check(p_star, t: TuningPair, step: float = 0.01) -> CalibrationR
     entries added in class order, divided by A.  For J < 8 that is
     conditional_sd_risk's bits; from J = 8 numpy sums a row pairwise, so
     the two can differ in the last bits.  No grid point is listed, and J
-    has no limit: the table is searched in O(J m**2) array work, and the
-    gap takes O(J**2) Python scalar additions, the larger cost at large J.
+    has no limit: the table is searched in O(J m**2) array work.
       - A forward min-plus pass keeps the smallest class-order sum of each
         class prefix per level sum.  Rounded addition is monotone, so the
         smallest total keeps its bits.

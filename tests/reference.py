@@ -11,7 +11,8 @@ import numpy as np
 
 from rsdnet.attacks import attack
 from rsdnet.contamination import corrupt_labels
-from rsdnet.data_io import BLOB_CENTERS, RESULTS_HEADER, DataFormatError, Dataset
+from rsdnet.data_io import (BLOB_CENTERS, CSV_BLOCK_CELLS, RESULTS_HEADER,
+                             DataFormatError, Dataset)
 from rsdnet.divergence import PROB_CLIP
 from rsdnet.network import forward
 from rsdnet.optimizer import (ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON,
@@ -132,6 +133,49 @@ def reference_calibration_check(p_star, t, step):
             f"but p_star argmax is {int(p_star.argmax())}"
         )
     return CalibrationResult(argmin_point=best, argmax_class=argmax_class, gap=gap)
+
+
+def runner_up_quadratic(table, prefix, point):
+    """The smallest class-order sum of the (J, m + 1) table's entries over
+    the compositions of m other than point, with prefix[L] the smallest
+    class-order sum of classes 0..L per level sum: for each class L >= 1,
+    the smallest sum that last differs from point at L, then point's
+    entries of every later class added to it one at a time, in class
+    order; O(J**2) scalar additions."""
+    J = table.shape[0]
+    level_sums = np.cumsum(point)
+    second = np.inf
+    for L in range(1, J):
+        s = level_sums[L]
+        sums = prefix[L - 1][s::-1] + table[L, :s + 1]
+        sums[point[L]] = np.inf
+        value = sums.min()
+        for j in range(L + 1, J):
+            value = value + table[j, point[j]]
+        second = min(second, value)
+    return second
+
+
+def dump_per_block(dataset, features_path, labels_path, flip_mask=None):
+    """Reference dump_dataset: the header, then blocks of CSV_BLOCK_CELLS
+    // width rows (at least one), each written on its own, every cell
+    formatted by % on its own: 17 significant digits for a feature, an
+    integer for a label or flip."""
+    labels = [dataset.labels]
+    if flip_mask is not None:
+        labels.append(np.asarray(flip_mask, dtype=np.intp))
+    for path, header, table, spec in (
+        (features_path, [f"x{j}" for j in range(dataset.features.shape[1])],
+         dataset.features, "%.17g"),
+        (labels_path, ["label", "flipped"][:len(labels)], np.column_stack(labels),
+         "%d"),
+    ):
+        step = max(1, CSV_BLOCK_CELLS // max(len(header), 1))
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(table), step):
+                fh.write("".join(",".join(spec % value for value in row) + "\n"
+                                 for row in table[start:start + step].tolist()))
 
 
 def subset_train(dataset, rows, noise, arch, init_seed, train_cfg):

@@ -213,6 +213,45 @@ class TestPlumbing:
                     with pytest.raises(ValueError, match="finite"):
                         AttackConfig(kind=kind, **{"epsilon": 0.1, field: value})
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_empty_batch(self, dtype):
+        # no rows: an empty (0, input_dim) result, into out where given
+        arch = ArchitectureSpec(784, ((64, "relu"),), 10, dtype)
+        params = init_params(arch, 3)
+        X, y = np.empty((0, 784)), np.empty(0, dtype=np.intp)
+        grad = input_gradient(params, arch, X, y)
+        assert grad.shape == (0, 784) and grad.dtype == dtype
+        into = np.empty((0, 784), dtype=dtype)
+        assert input_gradient(params, arch, X, y, out=into) is into
+        for cfg in (AttackConfig(kind="fgsm", epsilon=0.1),
+                    AttackConfig(kind="pgd", epsilon=0.3, step_size=0.05,
+                                 max_iters=3)):
+            adv = attack(params, arch, X, y, cfg)
+            assert adv.shape == (0, 784) and adv.dtype == np.float64
+            out = np.empty((0, 784))
+            assert attack(params, arch, X, y, cfg, out=out) is out
+
+    @pytest.mark.parametrize("kind", ["fgsm", "pgd"])
+    @pytest.mark.parametrize("labels", [[0, 1, -1, 0], [0, 1, 2, 0], [0, 1, 0]],
+                             ids=["negative", "not_below_J", "count"])
+    def test_labels_checked_before_any_step(self, monkeypatch, kind, labels):
+        # the labels are checked once per attack, before its first step
+        params, ds = trained_model()
+        steps = []
+        real = attacks._input_gradient
+
+        def counted(*args, **kwargs):
+            steps.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(attacks, "_input_gradient", counted)
+        cfg = AttackConfig(kind=kind, epsilon=0.1, step_size=0.05, max_iters=3)
+        with pytest.raises(ValueError, match="label"):
+            attack(params, ARCH, ds.features[:4], labels, cfg)
+        assert steps == []
+        attack(params, ARCH, ds.features[:4], ds.labels[:4], cfg)
+        assert len(steps) == (1 if kind == "fgsm" else 3)
+
     def test_trainset_labels_untouched(self):
         params, ds = trained_model()
         cfg = AttackConfig(kind="fgsm", epsilon=0.1)
@@ -289,15 +328,16 @@ class TestPlumbing:
 
 
 def record_threads(monkeypatch) -> set:
-    """The set of threads that call attacks.input_gradient from now on."""
+    """The set of threads that run attacks._input_gradient, the kernel of
+    every attack step, from now on."""
     threads = set()
-    real = attacks.input_gradient
+    real = attacks._input_gradient
 
     def recorded(*args, **kwargs):
         threads.add(threading.current_thread())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(attacks, "input_gradient", recorded)
+    monkeypatch.setattr(attacks, "_input_gradient", recorded)
     return threads
 
 
@@ -321,13 +361,13 @@ class TestBlasThreads:
     def test_held_at_one_then_restored(self, blas_count, monkeypatch, workers):
         params, ds = trained_model()
         during = set()
-        real = attacks.input_gradient
+        real = attacks._input_gradient
 
         def watched(*args, **kwargs):
             during.add(blas_count())
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(attacks, "input_gradient", watched)
+        monkeypatch.setattr(attacks, "_input_gradient", watched)
         monkeypatch.setattr(network, "_usable_cores", lambda: workers)
         adversarial_trainset(params, ARCH, ds, self.CFG)
         assert during == {1}
@@ -337,16 +377,16 @@ class TestBlasThreads:
     def test_restored_when_a_block_raises(self, blas_count, monkeypatch, workers):
         params, ds = trained_model()
         ds = ds.subset(np.arange(10))
-        real = attacks.input_gradient
+        real = attacks._input_gradient
 
-        def failing(params, arch, x, labels, *args, **kwargs):
-            if len(x) == 3:  # the second block, rows 7-9
+        def failing(layers, acts, X, *args, **kwargs):
+            if len(X) == 3:  # the second block, rows 7-9
                 raise ValueError("injected")
-            return real(params, arch, x, labels, *args, **kwargs)
+            return real(layers, acts, X, *args, **kwargs)
 
         monkeypatch.setattr(attacks, "ATTACK_BATCH", 7)
         monkeypatch.setattr(network, "_usable_cores", lambda: workers)
-        monkeypatch.setattr(attacks, "input_gradient", failing)
+        monkeypatch.setattr(attacks, "_input_gradient", failing)
         # the block's own exception type reaches the caller, so the CLI
         # maps it to the same exit code
         with pytest.raises(ValueError, match="injected"):
@@ -361,7 +401,7 @@ class TestBlasThreads:
         entered, interrupted = threading.Event(), threading.Event()
         worker_calls = []
         caller = threading.current_thread()
-        real = attacks.input_gradient
+        real = attacks._input_gradient
 
         def gated(*args, **kwargs):
             if threading.current_thread() is caller:
@@ -381,7 +421,7 @@ class TestBlasThreads:
 
         monkeypatch.setattr(attacks, "ATTACK_BATCH", 7)
         monkeypatch.setattr(network, "_usable_cores", lambda: 2)
-        monkeypatch.setattr(attacks, "input_gradient", gated)
+        monkeypatch.setattr(attacks, "_input_gradient", gated)
         monkeypatch.setattr(threading, "Thread", InterruptedJoin)
         with pytest.raises(KeyboardInterrupt):
             adversarial_trainset(params, ARCH, ds, self.CFG)

@@ -480,6 +480,40 @@ class TestTrainFolds:
         assert blas_count() == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_with_attack_the_surrogate_then_the_model_is_attacked(
+            self, tmp_path, monkeypatch):
+        # per fold, every step of the training attack runs through the
+        # surrogate (64 hidden units) and every step of the validation
+        # attack through the trained model's own architecture
+        seen = {}  # per thread: the folds may run on threads of their own
+        real_trainset, real_kernel = cli.adversarial_trainset, attacks._input_gradient
+
+        def record(*event):
+            seen.setdefault(threading.current_thread(), []).append(event)
+
+        def trainset(params, arch, *args, **kwargs):
+            record("trainset", arch.dims)
+            return real_trainset(params, arch, *args, **kwargs)
+
+        def kernel(layers, acts, X, *args, **kwargs):
+            record("step", (layers[0][0].shape[0], *(W.shape[1] for W, _ in layers)))
+            return real_kernel(layers, acts, X, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "adversarial_trainset", trainset)
+        monkeypatch.setattr(attacks, "_input_gradient", kernel)
+        monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+        code = run(["train", "--seed", 0, "--out", tmp_path / "res.csv", "--n", 40,
+                    "--arch", "toy", "--loss", "cce", "--folds", 2, "--epochs", 1,
+                    "--batch", 16, "--attack", "pgd", "--epsilon", 0.1, "--step",
+                    0.05, "--iters", 2, "--surrogate-epochs", 1])
+        assert code == EXIT_OK
+        toy = cli.ARCH_PRESETS["toy"].dims
+        surrogate = (toy[0], *cli.ARCH_PRESETS["surrogate-64"].dims[1:-1], toy[-1])
+        fold = ([("trainset", surrogate)] + [("step", surrogate)] * 2
+                + [("trainset", toy)] + [("step", toy)] * 2)
+        assert sorted(map(len, seen.values())) in ([12], [6, 6])
+        assert all(events == fold * (len(events) // 6) for events in seen.values())
+
     @pytest.mark.parametrize("flags", [["--epochs", 0], ["--batch", 0]],
                              ids=["epochs", "batch"])
     def test_bad_flags_raised_in_the_folds_exit_2(self, tmp_path, monkeypatch,

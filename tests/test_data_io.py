@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rsdnet import data_io
 from rsdnet.data_io import (
     BLOB_SPREAD,
     CSV_BLOCK_CELLS,
     RESULTS_HEADER,
+    TEXT_CACHE_VALUES,
     DataFormatError,
     Dataset,
     dump_dataset,
@@ -27,7 +29,7 @@ from rsdnet.data_io import (
     write_results,
 )
 
-from reference import blobs, read_results
+from reference import blobs, dump_per_block, read_results
 
 
 def write_idx_pair(tmp_path, images, labels, rows=2, cols=2,
@@ -475,6 +477,79 @@ def dump_per_cell(dataset, features_path, labels_path, flip_mask=None):
             writer.writerow(["label", "flipped"])
             for y, m in zip(dataset.labels, flip_mask):
                 writer.writerow([int(y), int(m)])
+
+
+class TestDumpCache:
+    """dump_dataset formats each distinct value once per table, up to
+    TEXT_CACHE_VALUES of them, and writes the bytes of formatting each
+    block on its own."""
+
+    WIDTH = 8
+    BLOCK = CSV_BLOCK_CELLS // WIDTH  # rows per block
+
+    def dump_and_compare(self, tmp_path, features, monkeypatch):
+        """Dump features with labels and a flip column; assert the bytes
+        of reference.dump_per_block and return the largest number of texts
+        the features table's cache kept."""
+        kept = []  # per table, in the order written: features first
+
+        class Watched(data_io._TextCache):
+            def __init__(self):
+                super().__init__()
+                kept.append([0])
+
+            def lookup(self, *args):
+                texts = super().lookup(*args)
+                assert self.keys.size == self.texts.size
+                assert (self.keys[1:] > self.keys[:-1]).all()  # ascending
+                kept[-1].append(self.keys.size)
+                return texts
+
+        monkeypatch.setattr(data_io, "_TextCache", Watched)
+        rng = np.random.default_rng(len(features))
+        ds = Dataset(features=features,
+                     labels=rng.integers(0, 300, len(features)).astype(np.intp),
+                     num_classes=300)
+        mask = rng.random(len(features)) < 0.5
+        dump_dataset(ds, tmp_path / "f.csv", tmp_path / "l.csv", flip_mask=mask)
+        dump_per_block(ds, tmp_path / "rf.csv", tmp_path / "rl.csv", flip_mask=mask)
+        assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "rf.csv").read_bytes()
+        assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "rl.csv").read_bytes()
+        assert len(kept) == 2
+        return max(kept[0])
+
+    def test_values_repeated_across_blocks(self, tmp_path, monkeypatch):
+        # four blocks from one pool of values, as attacked pixels repeat;
+        # 0.0 lies only in the first block and -0.0 only in the third, so
+        # their equal values must not share a text
+        rng = np.random.default_rng(1)
+        pool = np.concatenate([rng.integers(1, 256, 40) / 255.0,
+                               rng.normal(0.0, 1e3, 10), [5e-324, -1e300]])
+        features = rng.choice(pool, (4 * self.BLOCK, self.WIDTH))
+        features[5, 3] = 0.0
+        features[2 * self.BLOCK + 7, 1] = -0.0
+        kept = self.dump_and_compare(tmp_path, features, monkeypatch)
+        assert kept == np.unique(features.view(np.uint64)).size
+        lines = (tmp_path / "f.csv").read_text().splitlines()
+        assert lines[1 + 5].split(",")[3] == "0"
+        assert lines[1 + 2 * self.BLOCK + 7].split(",")[1] == "-0"
+
+    def test_more_distinct_values_than_the_cache_keeps(self, tmp_path, monkeypatch):
+        # fresh values fill the cache within the first blocks; the last
+        # blocks repeat values kept before it filled and values it never kept
+        rng = np.random.default_rng(2)
+        rows = TEXT_CACHE_VALUES // self.WIDTH + 3 * self.BLOCK
+        features = rng.normal(0.0, 1.0, (rows, self.WIDTH))
+        features[-self.BLOCK:] = features[rng.integers(0, rows - self.BLOCK,
+                                                       self.BLOCK)]
+        assert np.unique(features).size > TEXT_CACHE_VALUES
+        kept = self.dump_and_compare(tmp_path, features, monkeypatch)
+        assert kept == TEXT_CACHE_VALUES
+
+    def test_all_distinct(self, tmp_path, monkeypatch):
+        features = np.random.default_rng(3).uniform(0.0, 1.0, (100, 784))
+        kept = self.dump_and_compare(tmp_path, features, monkeypatch)
+        assert kept == TEXT_CACHE_VALUES
 
 
 class TestDumpLoad:

@@ -9,14 +9,17 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rsdnet.contamination import noisy_posterior
 from rsdnet.data_io import posterior_example1
-from rsdnet.divergence import (PROB_CLIP, InvalidTuningError, conditional_sd_risk,
-                               loss_bounds, make_tuning, sd_loss)
+from rsdnet.divergence import (PROB_CLIP, InvalidTuningError, _risk_terms,
+                               conditional_sd_risk, loss_bounds, make_tuning,
+                               sd_loss)
 from rsdnet.network import example_model
 from rsdnet.theory import (
     BoundGrid,
     CalibrationError,
     RELU_KINK_TOL,
+    _min_plus,
     _nudge_off_kinks,
+    _runner_up,
     big_psi,
     bound_grid,
     calibration_check,
@@ -27,7 +30,7 @@ from rsdnet.theory import (
     simplex_grid,
 )
 
-from reference import reference_calibration_check
+from reference import reference_calibration_check, runner_up_quadratic
 from test_divergence import admissible_tunings
 
 
@@ -577,6 +580,28 @@ class TestCalibrationMatchesReference:
         p_star, step = case
         assert (outcome(calibration_check, p_star, t, step)
                 == outcome(reference_calibration_check, p_star, t, step))
+
+
+class TestRunnerUp:
+    @settings(max_examples=300)
+    @given(J=st.integers(1, 11), m=st.integers(1, 50),
+           weights=st.lists(st.floats(0.0, 1.0), min_size=11, max_size=11),
+           cuts=st.lists(st.integers(0, 50), min_size=10, max_size=10),
+           t=admissible_tunings())
+    def test_same_bits_as_the_quadratic_form(self, J, m, weights, cuts, t):
+        # any grid point, not only the minimiser, over calibration_check's
+        # table and forward min-plus pass
+        weights = np.array(weights[:J])
+        assume(weights.sum() > 0.0)
+        p_star = weights / weights.sum()
+        table = _risk_terms(np.arange(m + 1) / m, p_star[:, None], t)
+        prefix = [table[0]]
+        for row in table[1:-1]:
+            prefix.append(_min_plus(prefix[-1], row))
+        point = np.diff([0, *sorted(min(c, m) for c in cuts[:J - 1]), m]).tolist()
+        got, want = _runner_up(table, prefix, point), runner_up_quadratic(
+            table, prefix, point)
+        assert float.hex(float(got)) == float.hex(float(want))
 
 
 def expected_one_hot_risk(p_star, grid, t):
