@@ -38,10 +38,12 @@ from .network import (ArchitectureSpec, _as_inputs, _backward, _forward,
 BOX = (0.0, 1.0)
 
 # Rows per block in adversarial_trainset; the attacked bits are the same at
-# every size.  With two workers on 2 cores, the 1000 rows of pgd-attack-dump
-# (PGD-100 on 784 inputs) took 1.04 / 0.76 / 0.61 / 0.53 / 0.53 s at 32 / 64
-# / 128 / 256 / 512 rows.  Each worker holds four block-sized buffers, and
-# 256 rows raised that workload's peak RSS by 3.6 MB (5%) over 128.
+# every size.  With two workers on 2 vCPUs, 1000 synthetic images (PGD-100
+# through a float32 surrogate-64 trained at one BLAS thread; median of 5
+# calls, 3 fresh processes per size) took 302-316 / 212-217 / 188-200 /
+# 189-191 / 192-195 ms at 32 / 64 / 128 / 256 / 512 rows.  Larger blocks
+# buy no time but memory: the attack raised peak RSS by 3.0 / 9.9-11.0 /
+# 23.3 MB at 128 / 256 / 512 rows.
 ATTACK_BATCH = 128
 
 

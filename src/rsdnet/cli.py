@@ -22,7 +22,7 @@ from .attacks import BOX, AttackConfig, adversarial_trainset
 from .contamination import NoiseConfig, corrupt_labels
 from .data_io import DataFormatError, Dataset
 from .divergence import LossSpec, clip_probs, make_tuning
-from .network import ArchitectureSpec, _run_tasks, example_model
+from .network import ArchitectureSpec, _one_blas_thread, _run_tasks, example_model
 from .optimizer import TrainConfig, accuracy, train
 from .theory import bound_grid, default_feature_sample, influence_function
 
@@ -134,7 +134,12 @@ def _surrogate_attack(args, dataset: Dataset, cfg: AttackConfig,
     """dataset, or its rows given an index array, attacked through a
     CCE-trained surrogate, which trains on those rows in place, has the
     hidden layers of the surrogate-64 preset, is sized to the data and
-    computes in the network_dtype of --dataset."""
+    computes in the network_dtype of --dataset.
+
+    It takes no BLAS hold of its own.  cmd_attack calls it inside one, and
+    train --attack from the tasks of network._run_tasks, whose caller holds
+    network._blas_lock until every worker has stopped: a hold taken here,
+    on a worker thread, would wait for that lock forever."""
     arch = ArchitectureSpec(dataset.features.shape[1],
                             ARCH_PRESETS["surrogate-64"].layers, dataset.num_classes,
                             network_dtype(args.dataset))
@@ -313,9 +318,18 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    """The --dataset attacked through _surrogate_attack, dumped.
+
+    The surrogate trains and attacks inside one _one_blas_thread hold, at
+    one BLAS thread as train's folds do.  So no OpenBLAS worker, woken by
+    the training, spins on a core the attack's pool needs, and the
+    attacked bits are those of one BLAS thread whatever the core count.
+    The pool re-enters the hold on this thread (_blas_lock is an RLock).
+    The hold lives here, not in _surrogate_attack: see its docstring."""
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
-    attacked = _surrogate_attack(args, dataset, _attack_config(args, dataset),
-                                 args.seed, args.seed + 100)
+    cfg = _attack_config(args, dataset)
+    with _one_blas_thread():
+        attacked = _surrogate_attack(args, dataset, cfg, args.seed, args.seed + 100)
     data_io.dump_dataset(attacked, args.out + ".features.csv",
                          args.out + ".labels.csv")
     return EXIT_OK

@@ -7,7 +7,8 @@ digits, so float64 round-trips), read back by load_dataset.  Both CSV
 writers go through _write_table: blocks of about CSV_BLOCK_CELLS cells,
 each distinct value of a block formatted once (_distinct_text).  A dump
 also keeps the texts it formatted, one _TextCache per table, so it formats
-each distinct value once per table, up to TEXT_CACHE_VALUES of them.
+each distinct value once per table, up to TEXT_CACHE_VALUES of them, until
+a full cache serves no value of a block.
 """
 
 from __future__ import annotations
@@ -258,19 +259,26 @@ def _format_each(bits: np.ndarray, dtype, spec: str) -> np.ndarray:
 class _TextCache:
     """Texts already formatted for one table, at most TEXT_CACHE_VALUES of
     them: keys holds their bit patterns in ascending order, texts the text
-    of each."""
+    of each.  Once the cache is full and a block finds none of its values
+    kept, the table's values have stopped repeating: the cache is retired
+    (retired is True) and every later block is formatted without a search."""
 
     def __init__(self):
         self.keys = np.empty(0, dtype=np.uint64)
         self.texts = np.empty(0, dtype=object)
+        self.retired = False
 
     def lookup(self, distinct: np.ndarray, dtype, spec: str) -> np.ndarray:
         """The texts of the ascending bit patterns distinct, as an object
         array; only those not kept are formatted, and kept while there is
         room."""
+        if self.retired:
+            return _format_each(distinct, dtype, spec)
         at = np.searchsorted(self.keys, distinct)
         kept = at < self.keys.size
         kept[kept] = self.keys[at[kept]] == distinct[kept]
+        if self.keys.size == TEXT_CACHE_VALUES and not kept.any():
+            self.retired = True
         texts = np.empty(distinct.size, dtype=object)
         texts[kept] = self.texts[at[kept]]
         missed = np.flatnonzero(~kept)

@@ -283,7 +283,8 @@ _blas_lock = threading.RLock()
 def _one_blas_thread():
     """Hold OpenBLAS at one thread inside the block, which receives whether
     it could, and restore its count on leaving.  Callers in other threads
-    wait their turn: each pool already runs on every core."""
+    wait their turn: each pool already runs on every core, and so does an
+    `attack` command, which holds it while its surrogate trains."""
     blas = _openblas_threads()
     if blas is None:
         yield False

@@ -984,6 +984,73 @@ class TestAttackCommand:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestAttackBlasHold:
+    """attack trains its surrogate and attacks inside one
+    network._one_blas_thread hold: its bits are those of one BLAS thread,
+    and OpenBLAS's count is restored afterwards, also on failure."""
+
+    def attack(self, tmp_path, tag: str) -> tuple[int, Path]:
+        ds = overlapping_images(300, seed=6)
+        img, lab = tmp_path / "img.idx", tmp_path / "lab.idx"
+        if not img.exists():
+            write_idx(ds, img, lab, rows=28, cols=28)
+        out = tmp_path / tag / "adv"
+        out.parent.mkdir()
+        code = run(["attack", "--seed", 7, "--out", out, "--dataset",
+                    f"idx:{img},{lab}", "--attack", "pgd", "--epsilon", 0.2,
+                    "--step", 0.01, "--iters", 30, "--surrogate-epochs", 5,
+                    "--batch", 128])
+        return code, out
+
+    def dumped(self, out: Path) -> tuple[bytes, bytes]:
+        return (Path(str(out) + ".features.csv").read_bytes(),
+                Path(str(out) + ".labels.csv").read_bytes())
+
+    def test_bytes_are_those_of_one_blas_thread(self, tmp_path, blas_count):
+        code, out = self.attack(tmp_path, "free")
+        assert code == EXIT_OK
+        assert blas_count() == 2
+        with network._one_blas_thread():
+            held_code, held = self.attack(tmp_path, "held")
+        assert held_code == EXIT_OK
+        assert self.dumped(out) == self.dumped(held)
+        assert blas_count() == 2
+
+    def test_the_surrogate_trains_at_one_blas_thread(self, tmp_path, monkeypatch,
+                                                     blas_count):
+        seen = []
+        real = cli.train
+
+        def recorded(*args, **kwargs):
+            seen.append(network._openblas_threads()[0]())
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", recorded)
+        code, _ = self.attack(tmp_path, "run")
+        assert code == EXIT_OK
+        assert seen == [1]
+        assert blas_count() == 2
+
+    def test_a_failing_surrogate_exits_4_and_restores_blas(
+            self, tmp_path, monkeypatch, blas_count):
+        def failing(*args, **kwargs):
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(cli, "train", failing)
+        code, out = self.attack(tmp_path, "run")
+        assert code == EXIT_NUMERIC
+        assert blas_count() == 2
+        assert list(out.parent.iterdir()) == []
+
+    def test_no_blas_setter_still_attacks(self, tmp_path, monkeypatch):
+        code, out = self.attack(tmp_path, "setter")
+        assert code == EXIT_OK
+        monkeypatch.setattr(network, "_openblas_threads", lambda: None)
+        none_code, none = self.attack(tmp_path, "none")
+        assert none_code == EXIT_OK
+        assert self.dumped(none)[1] == self.dumped(out)[1]
+
+
 class TestConfigFile:
     def test_config_fills_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -481,8 +481,8 @@ def dump_per_cell(dataset, features_path, labels_path, flip_mask=None):
 
 class TestDumpCache:
     """dump_dataset formats each distinct value once per table, up to
-    TEXT_CACHE_VALUES of them, and writes the bytes of formatting each
-    block on its own."""
+    TEXT_CACHE_VALUES of them, until a full cache finds no value of a
+    block, and writes the bytes of formatting each block on its own."""
 
     WIDTH = 8
     BLOCK = CSV_BLOCK_CELLS // WIDTH  # rows per block
@@ -491,18 +491,25 @@ class TestDumpCache:
         """Dump features with labels and a flip column; assert the bytes
         of reference.dump_per_block and return the largest number of texts
         the features table's cache kept."""
+        return max(size for size, _ in self.dump_and_watch(tmp_path, features,
+                                                           monkeypatch))
+
+    def dump_and_watch(self, tmp_path, features, monkeypatch):
+        """dump_and_compare's dump; returns, for each block of the features
+        table, the texts its cache kept and whether it was retired, after
+        the block."""
         kept = []  # per table, in the order written: features first
 
         class Watched(data_io._TextCache):
             def __init__(self):
                 super().__init__()
-                kept.append([0])
+                kept.append([])
 
             def lookup(self, *args):
                 texts = super().lookup(*args)
                 assert self.keys.size == self.texts.size
                 assert (self.keys[1:] > self.keys[:-1]).all()  # ascending
-                kept[-1].append(self.keys.size)
+                kept[-1].append((self.keys.size, self.retired))
                 return texts
 
         monkeypatch.setattr(data_io, "_TextCache", Watched)
@@ -516,7 +523,8 @@ class TestDumpCache:
         assert (tmp_path / "f.csv").read_bytes() == (tmp_path / "rf.csv").read_bytes()
         assert (tmp_path / "l.csv").read_bytes() == (tmp_path / "rl.csv").read_bytes()
         assert len(kept) == 2
-        return max(kept[0])
+        assert not any(retired for _, retired in kept[1])  # labels repeat
+        return kept[0]
 
     def test_values_repeated_across_blocks(self, tmp_path, monkeypatch):
         # four blocks from one pool of values, as attacked pixels repeat;
@@ -550,6 +558,30 @@ class TestDumpCache:
         features = np.random.default_rng(3).uniform(0.0, 1.0, (100, 784))
         kept = self.dump_and_compare(tmp_path, features, monkeypatch)
         assert kept == TEXT_CACHE_VALUES
+
+    def test_a_full_cache_is_retired_by_a_block_it_cannot_serve(
+            self, tmp_path, monkeypatch):
+        # four blocks of fresh values fill the cache; the fifth repeats
+        # some of the first block's and keeps it, the sixth is fresh and
+        # retires it, and the seventh, though a repeat of the first, is
+        # formatted without a search of the cache
+        rng = np.random.default_rng(4)
+        fill = TEXT_CACHE_VALUES // CSV_BLOCK_CELLS
+        features = rng.normal(0.0, 1.0, ((fill + 3) * self.BLOCK, self.WIDTH))
+        fifth = slice(fill * self.BLOCK, (fill + 1) * self.BLOCK)
+        features[fifth][::2] = features[:self.BLOCK][::2]
+        features[-self.BLOCK:] = features[:self.BLOCK]
+        watched = self.dump_and_watch(tmp_path, features, monkeypatch)
+        full = TEXT_CACHE_VALUES
+        assert watched == [*[(k * CSV_BLOCK_CELLS, False) for k in range(1, fill)],
+                           (full, False), (full, False), (full, True), (full, True)]
+
+    def test_a_full_cache_of_an_all_distinct_table_is_retired(self, tmp_path,
+                                                              monkeypatch):
+        features = np.random.default_rng(5).uniform(0.0, 1.0, (200, 784))
+        watched = self.dump_and_watch(tmp_path, features, monkeypatch)
+        full = [retired for size, retired in watched if size == TEXT_CACHE_VALUES]
+        assert full[:2] == [False, True] and all(full[1:])
 
 
 class TestDumpLoad:
