@@ -5,11 +5,12 @@ AttackConfig names the kind and its budget, and FGSM is one PGD step of
 size epsilon.  Attacks always maximize the CCE loss of the attacked model,
 matching the surrogate generation protocol; they are deterministic (no
 random start) and respect the L-infinity budget and the box BOX exactly.
-The input gradient has the network's dtype, float32 for an IDX-trained
-network, as only its sign is used; the attacked features, their epsilon-
-ball and the box projection are float64.  An attack checks its labels and
-sets up the layer views, the one-hot labels and its buffers once per call;
-each step then runs _input_gradient, the kernel input_gradient also wraps.
+The input gradient has the network's dtype, float32 for every network
+the CLI trains, as only its sign is used; the attacked features, their
+epsilon-ball and the box projection are float64.  An attack checks its
+labels and sets up the layer views, the one-hot labels and its buffers
+once per call; each step then runs _input_gradient, the kernel
+input_gradient also wraps.
 
 adversarial_trainset attacks its ATTACK_BATCH-row blocks as the tasks of
 network._run_tasks, each writing its rows into one shared output; that

@@ -531,24 +531,24 @@ class TestTrainFolds:
 
 
 class TestNetworkDtype:
-    """Networks trained or attacked on IDX images compute in float32,
-    every other network in float64; the features stay float64."""
+    """Every network the CLI trains or attacks computes in float32, on any
+    dataset; the features stay float64, as does the library default."""
 
-    def test_rule(self):
-        assert cli.network_dtype("idx:a.idx,b.idx") == np.float32
-        for selector in ("blobs", "example1", "csv:f.csv,l.csv"):
-            assert cli.network_dtype(selector) == np.float64
-
-    @pytest.mark.parametrize("kind, dtype", [("idx", np.float32),
-                                             ("csv", np.float64)])
+    @pytest.mark.parametrize("kind, dtype", [("blobs", np.float32),
+                                             ("csv", np.float32),
+                                             ("idx", np.float32)])
     def test_model_and_surrogate_share_the_dtype(self, tmp_path, monkeypatch,
                                                  kind, dtype):
-        ds = overlapping_images(40, seed=1)
-        first, second = tmp_path / "a", tmp_path / "b"
-        if kind == "idx":
-            write_idx(ds, first, second, rows=28, cols=28)
+        if kind == "blobs":
+            data = ["--dataset", "blobs", "--n", 40, "--arch", "toy"]
         else:
-            dump_dataset(ds, first, second)
+            ds = overlapping_images(40, seed=1)
+            first, second = tmp_path / "a", tmp_path / "b"
+            if kind == "idx":
+                write_idx(ds, first, second, rows=28, cols=28)
+            else:
+                dump_dataset(ds, first, second)
+            data = ["--dataset", f"{kind}:{first},{second}", "--arch", "mnist-mlp"]
         seen = {}  # per thread: the folds may run on threads of their own
         real_train, real_attack = cli.train, cli.adversarial_trainset
 
@@ -566,8 +566,7 @@ class TestNetworkDtype:
         monkeypatch.setattr(cli, "train", train)
         monkeypatch.setattr(cli, "adversarial_trainset", attack)
         out = tmp_path / "res.csv"
-        code = run(["train", "--seed", 0, "--out", out, "--dataset",
-                    f"{kind}:{first},{second}", "--arch", "mnist-mlp",
+        code = run(["train", "--seed", 0, "--out", out, *data,
                     "--folds", 2, "--epochs", 1, "--batch", 16,
                     "--attack", "fgsm", "--epsilon", 0.1,
                     "--surrogate-epochs", 1])
@@ -579,21 +578,32 @@ class TestNetworkDtype:
         assert all(events == fold * (len(events) // 4) for events in seen.values())
         assert np.load(str(out) + ".params.npy").dtype == dtype
 
-    def test_csv_dumps_of_images_train_in_float64(self, tmp_path):
-        # 1e39 fits in float64 but not in float32, where the cast of its
-        # batch would overflow to inf and the run end in exit 4
+    @pytest.mark.parametrize("command", ["train", "epochs"])
+    def test_a_feature_beyond_float32_exits_4_before_training(
+            self, tmp_path, monkeypatch, capsys, command):
+        # 1e39 fits in float64 but not in float32, where a batch holding it
+        # would be cast to inf
         ds = overlapping_images(40, seed=2)
         features = ds.features.copy()
         features[5, 100] = 1e39
         first, second = tmp_path / "f.csv", tmp_path / "l.csv"
         dump_dataset(Dataset(features=features, labels=ds.labels,
                              num_classes=10), first, second)
+        trained = []
+        monkeypatch.setattr(cli, "train", lambda *args, **kwargs: trained.append(1))
         out = tmp_path / "res.csv"
-        code = run(["train", "--seed", 0, "--out", out, "--dataset",
-                    f"csv:{first},{second}", "--arch", "mnist-mlp",
-                    "--folds", 2, "--epochs", 1, "--batch", 16])
-        assert code == EXIT_OK
-        assert np.load(str(out) + ".params.npy").dtype == np.float64
+        code = run([command, "--seed", 0, "--out", out, "--dataset",
+                    f"csv:{first},{second}", "--arch", "mnist-mlp", "--loss", "cce",
+                    "--epochs", 1, "--batch", 16])
+        assert code == EXIT_NUMERIC
+        assert trained == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "l.csv"]
+        assert "beyond the float32 range" in capsys.readouterr().err
+
+    def test_the_library_default_stays_float64(self):
+        assert network.ArchitectureSpec(2, ((4, "relu"),), 2).dtype == np.float64
+        presets = cli.ARCH_PRESETS.values()
+        assert {arch.dtype for arch in presets} == {np.dtype(np.float32)}
 
 
 def csv_dataset(tmp_path, features, labels) -> str:
@@ -710,7 +720,8 @@ class TestInputHardening:
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_training_is_numeric_failure(self, tmp_path):
-        # gradients of order 1e200 overflow the Adam second moment
+        # features of 1e200 lie beyond float32's range, in which the network
+        # computes, so the run ends before any training
         ds = synthetic_blobs(40, seed=0)
         out = tmp_path / "res.csv"
         code = run(["train", "--seed", 0, "--out", out, "--loss", "cce",
@@ -720,6 +731,24 @@ class TestInputHardening:
                     "--batch", 16])
         assert code == EXIT_NUMERIC
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "epochs"])
+    def test_second_moment_overflow_is_numeric_failure(self, tmp_path, capsys,
+                                                       command):
+        # features of 1e25 fit float32, but the first step's squared weight
+        # gradients (up to 6e48) overflow the float32 Adam second moment.
+        # numpy warns of that overflow, and of no other floating-point
+        # error, before train's check after the epoch ends the run
+        ds = synthetic_blobs(40, seed=0)
+        out = tmp_path / "res.csv"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run([command, "--seed", 0, "--out", out, "--loss", "cce",
+                        "--dataset", csv_dataset(tmp_path, ds.features * 1e25,
+                                                 ds.labels),
+                        "--arch", "blob-mlp", "--epochs", 2, "--batch", 16])
+        assert code == EXIT_NUMERIC
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "l.csv"]
+        assert "after epoch 1 for loss cce" in capsys.readouterr().err
 
 
 class TestBoundCommand:

@@ -11,6 +11,7 @@ from rsdnet.divergence import (
     InvalidTuningError,
     LossSpec,
     _sd_grad_probs,
+    clip_probs,
     conditional_sd_risk,
     loss_bounds,
     make_tuning,
@@ -180,9 +181,9 @@ class TestSdLoss:
 
 
 @st.composite
-def admissible_tunings(draw):
+def admissible_tunings(draw, lam=st.floats(-3.0, 3.0)):
     beta = draw(st.floats(0.0, 1.0))
-    lam = draw(st.floats(-3.0, 3.0))
+    lam = draw(lam)
     try:
         return make_tuning(beta, lam)
     except InvalidTuningError:
@@ -481,3 +482,55 @@ class TestLossSpec:
         # each kind takes only its own parameter; a stray one is not ignored
         with pytest.raises(ValueError, match="takes no"):
             LossSpec(kind=kind, **params)
+
+
+@st.composite
+def sd_batches(draw):
+    """(t, labels, probs): a tuning with beta in [0, 1] and lambda in
+    [-1, 0], so that 0 < B <= 1, and an (n, J) batch of softmax rows of
+    J = 2..10 classes, from logits wide enough to reach the clip bounds."""
+    t = draw(admissible_tunings(lam=st.floats(-1.0, 0.0)))
+    J = draw(st.integers(2, 10))
+    n = draw(st.integers(1, 4))
+    z = draw(st.lists(st.floats(-20.0, 20.0), min_size=n * J, max_size=n * J))
+    labels = draw(st.lists(st.integers(0, J - 1), min_size=n, max_size=n))
+    return t, np.array(labels, dtype=np.intp), softmax(np.array(z).reshape(n, J))
+
+
+class TestSdIsWeightedGce:
+    """sd_loss is (1+beta)/A times GCE with q = B (Zhang & Sabuncu 2018,
+    GCE_q(p_y) = (1 - p_y**q) / q) plus a term free of the label, and its
+    logit gradient is the CCE gradient weighted by (1+beta)/A * p_y**B
+    plus a label-free one: SD down-weights a label by its probability."""
+
+    @given(case=sd_batches())
+    def test_value_identity(self, case):
+        t, labels, p = case
+        J = p.shape[1]
+        gce = (1.0 - np.power(p[np.arange(len(labels)), labels], t.b)) / t.b
+        power_sum = np.power(p, 1.0 + t.beta).sum(axis=1)
+        want = ((1.0 + t.beta) / t.a * gce + power_sum / t.a
+                + (J * t.a - 1.0 - t.beta) / (t.a * t.b))
+        # rounding error grows with the largest term, of order J/(A*B)
+        scale = (power_sum + (1.0 + t.beta) / t.b + J * t.a / t.b) / t.a
+        got = sd_loss(labels, p, t)
+        assert np.all(np.abs(got - want) <= 1e-14 * scale), (got, want)
+
+    @given(case=sd_batches())
+    def test_gradient_identity(self, case):
+        t, labels, p = case
+        n, J = p.shape
+        rows = np.arange(n)
+        # every power of p clipped as _sd_grad_probs clips it; unclipped,
+        # the weight is p_y**B and the free term p * (p**beta - sum p**(1+beta))
+        pc = clip_probs(p)
+        weight = p[rows, labels] * np.power(pc[rows, labels], t.b - 1.0)
+        onehot = np.zeros((n, J))
+        onehot[rows, labels] = 1.0
+        pb = np.power(pc, t.beta)
+        free = p * (pb - (p * pb).sum(axis=1, keepdims=True))
+        want = (1.0 + t.beta) / t.a * (weight[:, None] * (p - onehot) + free) / n
+        _, got = LossSpec(kind="sd", tuning=t).value_and_grad_probs(labels, p)
+        # every term of the gradient is at most (1+beta)/A in size
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-14 * (1.0 + t.beta) / t.a)
