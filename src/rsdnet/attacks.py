@@ -86,11 +86,9 @@ def _input_gradient(layers, acts, X: np.ndarray, onehot: np.ndarray,
                      grad_logits.astype(X.dtype, copy=False), out=out)
 
 
-def input_gradient(params, arch: ArchitectureSpec, x, labels, *,
-                   out=None) -> np.ndarray:
+def input_gradient(params, arch: ArchitectureSpec, x, labels) -> np.ndarray:
     """Gradient of the CCE loss with respect to the input features, one
-    (input_dim,) row per example of the batch x, written into out (an
-    (n, input_dim) array of arch.dtype) where given.
+    (input_dim,) row per example of the batch x, of arch.dtype.
 
     Equal to backward(...)[1] for the batch-size-scaled logit gradient, but
     computes no weight or bias gradients.  x is cast to arch.dtype, and the
@@ -101,7 +99,7 @@ def input_gradient(params, arch: ArchitectureSpec, x, labels, *,
     X = _as_inputs(x, arch)
     layers = _model_layers(params, arch)
     return _input_gradient(layers, arch.activations, X,
-                           _one_hot_labels(labels, X.shape[0], arch), out)
+                           _one_hot_labels(labels, X.shape[0], arch))
 
 
 def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
@@ -154,9 +152,9 @@ def adversarial_trainset(params_surrogate, arch_surrogate: ArchitectureSpec,
 
     Labels are untouched; the perturbed set is fixed once (static
     adversarial training data).  Given rows, an index array, the result
-    holds those rows alone, in that order, with the bits of
-    adversarial_trainset on dataset.subset(rows): each block is gathered
-    from the full feature matrix, so the rows are never copied as a whole.
+    holds those rows alone, in that order, with the bits of the same call
+    on a copy of those rows: each block is gathered from the full feature
+    matrix, so the rows are never copied as a whole.
     The ATTACK_BATCH-row blocks are the tasks of network._run_tasks, so the
     first exception a block raises is raised here once every worker has
     stopped.

@@ -165,13 +165,15 @@ def _attack_config(args, dataset: Dataset) -> AttackConfig:
 
 def _train_split(args, arch: ArchitectureSpec, dataset: Dataset, train_idx,
                  fold: int, losses: tuple, attack_cfg: AttackConfig | None = None,
-                 eval_set: Dataset | None = None):
+                 eval_rows=None):
     """train's (params, metrics) pairs, one per loss, for the rows train_idx
     of dataset: their labels corrupted at --eta and, given attack_cfg, their
     features attacked through a surrogate.  Every seed is --seed plus an
     offset per step and the fold.  Only the attacked rows are copied:
     clean ones are trained on in place, as rows of the full matrix, by
-    the surrogate too."""
+    the surrogate too.  Given eval_rows (no attack_cfg), each epoch scores
+    those rows of dataset, whose labels stay clean: corrupt_labels draws
+    only those of train_idx and keeps every other row's."""
     train_ds, _ = corrupt_labels(dataset, NoiseConfig(eta=args.eta,
                                                       seed=args.seed + 1000 + fold),
                                  rows=train_idx)
@@ -184,7 +186,7 @@ def _train_split(args, arch: ArchitectureSpec, dataset: Dataset, train_idx,
         train_ds, arch, args.seed + fold,
         TrainConfig(losses=losses, epochs=args.epochs, batch_size=args.batch,
                     shuffle_seed=args.seed + 100 + fold),
-        eval_set=eval_set, rows=rows,
+        eval_rows=eval_rows, rows=rows,
     )
 
 
@@ -295,7 +297,7 @@ def cmd_epochs(args) -> int:
     perm = np.random.default_rng(args.seed).permutation(dataset.n)
     cut = (3 * dataset.n) // 4
     trained = _train_split(args, arch, dataset, perm[:cut], 0, losses,
-                           eval_set=dataset.subset(perm[cut:]))
+                           eval_rows=perm[cut:])
     rows = [(loss.describe(), *row)
             for loss, (_, metrics) in zip(losses, trained) for row in metrics]
     header = ("loss", "epoch", "train_loss", "test_accuracy")

@@ -31,9 +31,9 @@ def corrupt_labels(dataset: Dataset, cfg: NoiseConfig,
     classes.  The RNG stream is consumed in a fixed order (all flip
     decisions, then all replacement draws), so the mask is reproducible
     regardless of how callers iterate.  Given rows, an index array, only
-    those rows' labels are drawn, as for dataset.subset(rows), and the
-    mask has one entry per row of rows; the other labels are kept.  The
-    features are shared, not copied.
+    those rows' labels are drawn, with the bits of the same call on a copy
+    of those rows, and the mask has one entry per row of rows; the other
+    labels are kept.  The features are shared, not copied.
     """
     J = dataset.num_classes
     rng = np.random.default_rng(cfg.seed)

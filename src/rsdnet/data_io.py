@@ -80,13 +80,6 @@ class Dataset:
     def n(self) -> int:
         return self.features.shape[0]
 
-    def subset(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(
-            features=self.features[idx],
-            labels=self.labels[idx],
-            num_classes=self.num_classes,
-        )
-
 
 # ---------------------------------------------------------------------------
 # IDX (MNIST distribution format)

@@ -88,7 +88,7 @@ def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset,
     set's unless a row's top two logits are an ulp apart.  Each block is
     cast to arch.dtype.  Raises ValueError on an empty dataset.  Given
     rows, each block is gathered from the full feature matrix, with the
-    bits of accuracy on dataset.subset(rows).
+    bits of the same call on a copy of those rows.
     """
     n = dataset.n if rows is None else len(rows)
     if n == 0:
@@ -104,14 +104,14 @@ def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset,
 
 
 def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
-          train_cfg: TrainConfig, eval_set: Dataset | None = None,
+          train_cfg: TrainConfig, eval_rows: np.ndarray | None = None,
           rows: np.ndarray | None = None):
     """Mini-batch Adam training at the fixed ADAM_* hyperparameters of one
     model per loss in train_cfg.losses; returns one (params, per-epoch
     metrics) pair per loss, in order.
 
     Given rows, an index array, the models train on those rows of dataset
-    with the bits of training on dataset.subset(rows): each batch is
+    with the bits of the same call on a copy of those rows: each batch is
     gathered from the full feature matrix, so the rows are never copied
     as a whole.
 
@@ -119,7 +119,8 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     the same batches: each epoch reshuffles the example order from a
     per-epoch derived seed and visits every example exactly once; the last
     short batch is kept.  Metrics rows are (epoch, mean train loss, test
-    accuracy or nan).
+    accuracy), the test accuracy that of accuracy on the eval_rows of
+    dataset, or nan without eval_rows.
 
     The models train in lockstep.  Their parameters, gradients, moments
     and scratch arrays are rows of (K, P) buffers, so each batch runs one
@@ -186,7 +187,7 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
                 f"after epoch {epoch} for loss {losses[k].describe()} "
                 f"(mean loss {mean_losses[k]})")
         for k, history in enumerate(metrics):
-            test_acc = (accuracy(params[k], arch, eval_set)
-                        if eval_set is not None else float("nan"))
+            test_acc = (accuracy(params[k], arch, dataset, rows=eval_rows)
+                        if eval_rows is not None else float("nan"))
             history.append((epoch, mean_losses[k], test_acc))
     return list(zip(params, metrics))

@@ -178,11 +178,18 @@ def dump_per_block(dataset, features_path, labels_path, flip_mask=None):
                                  for row in table[start:start + step].tolist()))
 
 
+def subset(dataset, idx):
+    """A copy of the rows idx of dataset, with its class count: what every
+    rows= call of the package is compared against."""
+    return Dataset(features=dataset.features[idx], labels=dataset.labels[idx],
+                   num_classes=dataset.num_classes)
+
+
 def subset_train(dataset, rows, noise, arch, init_seed, train_cfg):
     """train on a copy of the rows of dataset, their labels corrupted by
     corrupt_labels at the NoiseConfig noise: the path that copied each
     fold's training rows before train could gather them in place."""
-    noisy, _ = corrupt_labels(dataset.subset(rows), noise)
+    noisy, _ = corrupt_labels(subset(dataset, rows), noise)
     return train(noisy, arch, init_seed, train_cfg)
 
 
@@ -195,13 +202,13 @@ def attack_fold(dataset, train_idx, val_idx, noise, arch, init_seed, train_cfg,
     attacked copy, and its validation rows attacked against the model.
     Returns the model's params, its clean accuracy on the validation rows
     and its accuracy on their attacked copy (reference_accuracy both)."""
-    noisy, _ = corrupt_labels(dataset.subset(train_idx), noise)
+    noisy, _ = corrupt_labels(subset(dataset, train_idx), noise)
     [(surrogate_params, _)] = train(noisy, surrogate, surrogate_seed, surrogate_cfg)
     attacked = Dataset(features=attack(surrogate_params, surrogate, noisy.features,
                                        noisy.labels, attack_cfg),
                        labels=noisy.labels, num_classes=noisy.num_classes)
     [(params, _)] = train(attacked, arch, init_seed, train_cfg)
-    val = dataset.subset(val_idx)
+    val = subset(dataset, val_idx)
     adv_val = Dataset(features=attack(params, arch, val.features, val.labels,
                                       attack_cfg),
                       labels=val.labels, num_classes=val.num_classes)

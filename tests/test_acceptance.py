@@ -40,7 +40,7 @@ from rsdnet.theory import (
     psi,
 )
 
-from reference import blobs
+from reference import blobs, subset
 
 
 def report(capfd, criterion, ok):
@@ -341,8 +341,8 @@ class TestCriterion6LabelNoiseTrend:
         full = read_idx(ipath, lpath)
         rng = np.random.default_rng(0)
         perm = rng.permutation(full.n)
-        train_ds = full.subset(perm[:8000])
-        test_ds = full.subset(perm[8000:10000])
+        train_ds = subset(full, perm[:8000])
+        test_ds = subset(full, perm[8000:10000])
         arch = ARCH_PRESETS["mnist-mlp"]
 
         def fit(ds, losses, epochs=30):

@@ -30,7 +30,7 @@ from rsdnet.data_io import make_folds
 from rsdnet.optimizer import TrainConfig, accuracy
 
 from reference import (attack_fold, overlapping_images, read_results, same_bits,
-                       subset_train)
+                       subset, subset_train)
 
 
 def run(args):
@@ -282,7 +282,7 @@ class TestTrainFolds:
                 arch, self.SEED + fold,
                 TrainConfig(losses=(loss,), epochs=self.EPOCHS,
                             batch_size=self.BATCH, shuffle_seed=self.SEED + 100 + fold))
-            results.append((params, accuracy(params, arch, ds.subset(val_idx))))
+            results.append((params, accuracy(params, arch, subset(ds, val_idx))))
         return results
 
     def assert_matches(self, got: tuple[bytes, bytes], serial, out: Path):
@@ -718,7 +718,6 @@ class TestInputHardening:
         assert code == EXIT_BAD_FLAGS
         assert not list(tmp_path.glob("out*"))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflowing_training_is_numeric_failure(self, tmp_path):
         # features of 1e200 lie beyond float32's range, in which the network
         # computes, so the run ends before any training
@@ -898,6 +897,36 @@ class TestEpochsCommand:
         rows = together.read_bytes().splitlines(keepends=True)[1:]
         assert len(rows) == 3 * 3
         assert rows == alone
+
+    def test_scores_the_clean_held_out_quarter(self, tmp_path):
+        # each epoch's test accuracy is that of the models trained on a copy
+        # of the noisy training quarter, scored on a copy of the held-out
+        # quarter with its clean labels
+        seed, n, eta, epochs, batch = 4, 200, 0.4, 2, 16
+        losses = ("cce", "sd:0.1,-0.8")
+        out = tmp_path / "epochs.csv"
+        assert run(["epochs", "--seed", seed, "--out", out, "--n", n,
+                    "--arch", "blob-mlp", "--eta", eta, "--epochs", epochs,
+                    "--batch", batch]
+                   + [a for loss in losses for a in ("--loss", loss)]) == EXIT_OK
+        with open(out, newline="", encoding="utf-8") as fh:
+            cells = [row[3] for row in csv.reader(fh)][1:]
+        ds = synthetic_blobs(n, seed)
+        arch = cli.ARCH_PRESETS["blob-mlp"]
+        perm = np.random.default_rng(seed).permutation(n)
+        cut = (3 * n) // 4
+        held_out = subset(ds, perm[cut:])
+        want = [[] for _ in losses]
+        for epoch in range(1, epochs + 1):
+            # the first epochs of a longer run are a shorter run
+            trained = subset_train(
+                ds, perm[:cut], NoiseConfig(eta=eta, seed=seed + 1000),
+                arch, seed,
+                TrainConfig(losses=tuple(map(parse_loss, losses)), epochs=epoch,
+                            batch_size=batch, shuffle_seed=seed + 100))
+            for cells_of_loss, (params, _) in zip(want, trained):
+                cells_of_loss.append(f"{accuracy(params, arch, held_out):.6g}")
+        assert cells == [cell for cells_of_loss in want for cell in cells_of_loss]
 
     def test_label_noise(self, tmp_path):
         argv = ["epochs", "--seed", 0, "--n", 80, "--arch", "toy", "--epochs", 3,

@@ -6,6 +6,8 @@ import pytest
 from rsdnet.contamination import NoiseConfig, corrupt_labels, noisy_posterior
 from rsdnet.data_io import Dataset
 
+from reference import subset
+
 
 def make_dataset(n, J, seed=0):
     rng = np.random.default_rng(seed)
@@ -71,7 +73,7 @@ class TestCorruptLabels:
         rows = np.sort(np.random.default_rng(8).permutation(300)[:170])
         cfg = NoiseConfig(eta=0.4, seed=9)
         corrupted, mask = corrupt_labels(ds, cfg, rows=rows)
-        want, want_mask = corrupt_labels(ds.subset(rows), cfg)
+        want, want_mask = corrupt_labels(subset(ds, rows), cfg)
         np.testing.assert_array_equal(mask, want_mask)
         np.testing.assert_array_equal(corrupted.labels[rows], want.labels)
         others = np.setdiff1d(np.arange(300), rows)

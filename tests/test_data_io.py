@@ -218,12 +218,6 @@ class TestDataset:
                     num_classes=2)
         assert err.value.tag == "non_finite"
 
-    def test_subset(self):
-        ds = synthetic_blobs(20, seed=0)
-        sub = ds.subset(np.array([1, 3, 5]))
-        assert sub.n == 3
-        np.testing.assert_array_equal(sub.features, ds.features[[1, 3, 5]])
-
 
 class TestSynthetic:
     def test_posterior_values(self):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from reference import (blobs, overlapping_images, reference_accuracy,
-                       same_bits, subset_train, textbook_adam)
+                       same_bits, subset, subset_train, textbook_adam)
 from rsdnet.cli import ARCH_PRESETS
 from rsdnet.contamination import NoiseConfig, corrupt_labels
 from rsdnet.data_io import BLOB_SPREAD, Dataset, make_folds, synthetic_blobs
@@ -124,7 +124,7 @@ class TestTrain:
         ds = blobs(300, 0, spread=0.08)
         cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=60,
                           batch_size=32, shuffle_seed=1)
-        [(params, metrics)] = train(ds, TOY, 0, cfg, eval_set=ds)
+        [(params, metrics)] = train(ds, TOY, 0, cfg, eval_rows=np.arange(ds.n))
         assert accuracy(params, TOY, ds) >= 0.97
         assert len(metrics) == 60
         # loss should decrease substantially from the first epoch
@@ -143,8 +143,8 @@ class TestTrain:
         ds = synthetic_blobs(100, seed=2)
         cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=5,
                           batch_size=16, shuffle_seed=7)
-        [(p1, m1)] = train(ds, TOY, 3, cfg, eval_set=ds)
-        [(p2, m2)] = train(ds, TOY, 3, cfg, eval_set=ds)
+        [(p1, m1)] = train(ds, TOY, 3, cfg, eval_rows=np.arange(ds.n))
+        [(p2, m2)] = train(ds, TOY, 3, cfg, eval_rows=np.arange(ds.n))
         np.testing.assert_array_equal(p1, p2)
         assert m1 == m2
 
@@ -256,7 +256,7 @@ class TestAccuracy:
         params = init_params(arch, 2)
         for _, rows in make_folds(ds.n, 3, seed=1):
             assert (accuracy(params, arch, ds, rows=rows)
-                    == reference_accuracy(params, arch, ds.subset(rows)))
+                    == reference_accuracy(params, arch, subset(ds, rows)))
 
     def test_empty_dataset_rejected(self):
         empty = Dataset(features=np.empty((0, 2)),
@@ -306,35 +306,45 @@ FUSED_LOSSES = [
 ]
 
 
-def blob_pair(arch):
-    """(train, eval) blob sets with the architecture's class count."""
+# the rows of blob_split's set to train on and to score
+TRAIN_ROWS, EVAL_ROWS = np.arange(50), np.arange(50, 80)
+
+
+def blob_split(arch):
+    """A blob set with the architecture's class count: 50 training rows,
+    then 30 evaluation rows drawn at another seed."""
     centers = THREE_BLOBS if arch.output_classes == 3 else THREE_BLOBS[:2]
-    return (blobs(50, 5, BLOB_SPREAD, centers),
-            blobs(30, 6, BLOB_SPREAD, centers))
+    sets = (blobs(50, 5, BLOB_SPREAD, centers), blobs(30, 6, BLOB_SPREAD, centers))
+    return Dataset(features=np.concatenate([s.features for s in sets]),
+                   labels=np.concatenate([s.labels for s in sets]),
+                   num_classes=len(centers))
 
 
 class TestFusedTrain:
     @pytest.mark.parametrize("loss", FUSED_LOSSES, ids=LossSpec.describe)
     @pytest.mark.parametrize("arch", [RELU_NET, TOY], ids=["relu", "tanh"])
     def test_matches_reference_bit_for_bit(self, arch, loss):
-        ds, ev = blob_pair(arch)
+        ds = blob_split(arch)
         # batch 16 over 50 examples leaves a short final batch of 2
         cfg = TrainConfig(losses=(loss,), epochs=3, batch_size=16,
                           shuffle_seed=2)
-        [(params, metrics)] = train(ds, arch, 4, cfg, eval_set=ev)
-        ref_params, ref_metrics = reference_train(ds, arch, 4, loss, cfg, ev)
+        [(params, metrics)] = train(ds, arch, 4, cfg, eval_rows=EVAL_ROWS,
+                                    rows=TRAIN_ROWS)
+        ref_params, ref_metrics = reference_train(
+            subset(ds, TRAIN_ROWS), arch, 4, loss, cfg, subset(ds, EVAL_ROWS))
         assert np.array_equal(params, ref_params)
         assert np.array_equal(np.array(metrics), np.array(ref_metrics))
 
     @pytest.mark.parametrize("arch", [RELU_NET, TOY], ids=["relu", "tanh"])
     def test_lockstep_matches_each_loss_alone(self, arch):
-        ds, ev = blob_pair(arch)
+        ds = blob_split(arch)
         cfg = TrainConfig(losses=tuple(FUSED_LOSSES), epochs=3, batch_size=16,
                           shuffle_seed=2)
-        trained = train(ds, arch, 4, cfg, eval_set=ev)
+        trained = train(ds, arch, 4, cfg, eval_rows=EVAL_ROWS, rows=TRAIN_ROWS)
         assert len(trained) == len(FUSED_LOSSES)
         for loss, (params, metrics) in zip(FUSED_LOSSES, trained):
-            ref_params, ref_metrics = reference_train(ds, arch, 4, loss, cfg, ev)
+            ref_params, ref_metrics = reference_train(
+                subset(ds, TRAIN_ROWS), arch, 4, loss, cfg, subset(ds, EVAL_ROWS))
             assert np.array_equal(params, ref_params), loss.describe()
             assert np.array_equal(np.array(metrics), np.array(ref_metrics))
 

@@ -104,10 +104,9 @@ class TestKernelsKeepFloat32:
 
     def test_input_gradient_into_a_float32_buffer(self):
         (p32, p64), (X, y) = both_params(), batch()
-        out = np.empty(X.shape, np.float32)
-        got = input_gradient(p32, NET32, X, y, out=out)
-        assert got is out
-        np.testing.assert_allclose(out, input_gradient(p64, NET64, X, y),
+        got = input_gradient(p32, NET32, X, y)
+        assert got.dtype == np.float32
+        np.testing.assert_allclose(got, input_gradient(p64, NET64, X, y),
                                    rtol=RTOL, atol=ATOL)
 
     def test_attack_keeps_its_ball_in_float64(self):
@@ -155,8 +154,8 @@ class TestTrainInFloat32:
         arch32 = replace(arch64, dtype=np.float32)
         cfg = TrainConfig(losses=self.LOSSES, epochs=2, batch_size=16)
         before = ds.features.copy()
-        got = train(ds, arch32, 0, cfg, eval_set=ds)
-        want = train(ds, arch64, 0, cfg, eval_set=ds)
+        got = train(ds, arch32, 0, cfg, eval_rows=np.arange(ds.n))
+        want = train(ds, arch64, 0, cfg, eval_rows=np.arange(ds.n))
         same_bits(ds.features, before)
         for (p, metrics), (p64, metrics64) in zip(got, want, strict=True):
             assert p.dtype == np.float32
