@@ -84,15 +84,21 @@ def make_tuning(beta: float, lam: float) -> TuningPair:
 
 
 def clip_probs(probs: np.ndarray) -> np.ndarray:
-    return np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
+    """probs clipped to [PROB_CLIP, 1 - PROB_CLIP], with the bits of
+    np.clip: maximum then minimum is that clip, since the bounds are
+    ordered, and a NaN stays NaN.  The ufuncs are called directly, as
+    np.clip passes through Python wrappers first."""
+    return np.minimum(np.maximum(probs, PROB_CLIP), 1.0 - PROB_CLIP)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax over the last axis."""
+    """Numerically stable softmax over the last axis, in float64.  The
+    reductions are the ufuncs' own, which .max and .sum would reach
+    through Python wrappers."""
     z = np.asarray(logits, dtype=np.float64)
-    e = z - z.max(axis=-1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -118,10 +124,18 @@ def _one_hot(labels: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return onehot
 
 
+def _label_terms(labels: np.ndarray, probs: np.ndarray):
+    """(p_y, onehot) of the (n,) labels for probs, (n, J) rows or a (K, n, J)
+    stack of them: the labelled classes' entries of probs, (n,) or (K, n),
+    and the (n, J) one-hot rows, set up once for all K."""
+    return (probs[..., np.arange(probs.shape[-2]), labels],
+            _one_hot(labels, probs.shape[-2:]))
+
+
 def _sd_values(p: np.ndarray, p_y: np.ndarray, t: TuningPair) -> np.ndarray:
     J = p.shape[1]
     return (
-        np.power(p, 1.0 + t.beta).sum(axis=1)
+        np.add.reduce(np.power(p, 1.0 + t.beta), axis=1)
         - (1.0 + t.beta) / t.b * np.power(p_y, t.b)
         + J * t.a / t.b
     ) / t.a
@@ -156,7 +170,7 @@ def sd_loss(labels, probs, t: TuningPair):
 
 def _chain_softmax(grad_p: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Pull a gradient in probs back through softmax to the logits."""
-    inner = (grad_p * p).sum(axis=-1, keepdims=True)
+    inner = np.add.reduce(grad_p * p, axis=-1, keepdims=True)
     return p * (grad_p - inner)
 
 
@@ -274,7 +288,8 @@ class LossSpec:
 
         The returned gradient is already scaled by 1/batch (1/kept for
         tcce), so summing per-example parameter gradients downstream
-        yields the gradient of the batch aggregate.
+        yields the gradient of the batch aggregate.  Every kind raises
+        ValueError on an empty batch, whose mean is undefined.
         """
         labels, p = _as_batch(labels, softmax(np.atleast_2d(logits)))
         return self.value_and_grad_probs(labels, p)
@@ -284,11 +299,20 @@ class LossSpec:
 
         Trusts its inputs: labels is an (n,) intp array of classes in
         [0, J) and probs an (n, J) float64 array of softmax rows, as a
-        forward pass produces them.
+        forward pass produces them.  Raises ValueError on an empty batch
+        before any arithmetic, then runs the kernel _value_and_grad.
         """
-        n, J = probs.shape
-        p_y = probs[np.arange(n), labels]
-        onehot = _one_hot(labels, (n, J))
+        if probs.shape[0] == 0:
+            raise ValueError("empty batch: a batch-mean loss needs a row")
+        return self._value_and_grad(probs, *_label_terms(labels, probs))
+
+    def _value_and_grad(self, probs: np.ndarray, p_y: np.ndarray,
+                        onehot: np.ndarray):
+        """value_and_grad_probs' kernel, which train runs for each model of
+        a batch: from the (n, J) probs, their labelled entries p_y and the
+        (n, J) one-hot labels, which _label_terms sets up once for all
+        models.  Trusts its inputs."""
+        n = probs.shape[0]
         if self.kind == "sd":
             per = _sd_values(probs, p_y, self.tuning)
             grad_p = _sd_grad_probs(probs, onehot, self.tuning)
@@ -307,5 +331,5 @@ class LossSpec:
         # tcce: gradient of the trimmed mean; dropped examples contribute 0
         per = _cce_values(p_y)
         agg, keep = _trimmed_mean(per, self.delta)
-        grad = (probs - onehot) * keep[:, None] / keep.sum()
+        grad = (probs - onehot) * keep[:, None] / np.add.reduce(keep)
         return agg, grad

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .divergence import LossSpec, softmax
+from .divergence import LossSpec, _label_terms, softmax
 from .network import (ArchitectureSpec, _backward, _forward, forward,
                       init_params, unflatten)
 
@@ -124,8 +124,10 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
 
     The models train in lockstep.  Their parameters, gradients, moments
     and scratch arrays are rows of (K, P) buffers, so each batch runs one
-    forward pass, one backward pass and one adam_step for all K of them,
-    and one value_and_grad_probs per model.  Each model gets the same
+    forward pass, one backward pass and one adam_step for all K of them.
+    Its labels' one-hot rows and the K models' labelled probabilities are
+    set up once, and each model's loss runs the kernel of
+    value_and_grad_probs on them.  Each model gets the same
     floats as forward -> value_and_grad_logits -> backward -> adam_step
     would give it trained alone.  The returned params are row views of the
     stacked buffer.  Raises FloatingPointError, naming the epoch and the
@@ -169,9 +171,10 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
             labels = dataset.labels[idx]
             pres, posts = _forward(layers, acts, X)
             probs = softmax(posts[-1])
+            p_y, onehot = _label_terms(labels, probs)
             grad_logits = np.empty(probs.shape, dtype=arch.dtype)
             for k, loss in enumerate(losses):
-                value, grad_logits[k] = loss.value_and_grad_probs(labels, probs[k])
+                value, grad_logits[k] = loss._value_and_grad(probs[k], p_y[k], onehot)
                 loss_sums[k] += value * len(idx)
             _backward(X, pres, posts, layers, acts, grad_logits, grads,
                       want_input=False)

@@ -31,6 +31,19 @@ def same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def reference_clip_probs(p):
+    """p clipped to [PROB_CLIP, 1 - PROB_CLIP] by np.clip."""
+    return np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+
+
+def textbook_softmax(z):
+    """exp(z - max z) / sum exp(z - max z) over the last axis, in float64,
+    with the array methods .max and .sum."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def _label_probs(labels, probs):
     """(n,) probabilities of the labelled classes of an (n, J) batch, or of
     one (J,) distribution and an int label."""
@@ -42,7 +55,7 @@ def _label_probs(labels, probs):
 def cce_loss(labels, probs):
     """Categorical cross-entropy -log p_y per example, p_y clipped to
     [PROB_CLIP, 1 - PROB_CLIP]."""
-    return -np.log(np.clip(_label_probs(labels, probs), PROB_CLIP, 1.0 - PROB_CLIP))
+    return -np.log(reference_clip_probs(_label_probs(labels, probs)))
 
 
 def mae_loss(labels, probs):
@@ -53,7 +66,7 @@ def mae_loss(labels, probs):
 def gce_loss(labels, probs, q):
     """Generalized cross-entropy (1 - p_y**q) / q per example, p_y clipped
     as in cce_loss."""
-    p_y = np.clip(_label_probs(labels, probs), PROB_CLIP, 1.0 - PROB_CLIP)
+    p_y = reference_clip_probs(_label_probs(labels, probs))
     return (1.0 - np.power(p_y, q)) / q
 
 

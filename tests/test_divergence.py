@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rsdnet.divergence import (
     MIN_CONSTANT,
+    PROB_CLIP,
     InvalidTuningError,
     LossSpec,
     _sd_grad_probs,
@@ -19,7 +21,8 @@ from rsdnet.divergence import (
     softmax,
 )
 
-from reference import cce_loss, gce_loss, mae_loss, tcce_mean
+from reference import (cce_loss, gce_loss, mae_loss, reference_clip_probs,
+                       same_bits, tcce_mean, textbook_softmax)
 
 
 def random_simplex(rng, n, J):
@@ -122,6 +125,13 @@ class TestSdLoss:
         # at p equal to the one-hot label the loss is (J-1)/B, not 0
         t = make_tuning(0.5, 0.0)
         assert sd_loss(0, np.array([1.0, 0.0]), t) == pytest.approx([2.0])
+
+    def test_empty_batch_gives_no_values(self):
+        # per-example values of no rows are no values, unlike the batch
+        # mean of LossSpec (TestLossSpec.test_empty_batch_rejected)
+        val = sd_loss(np.zeros(0, dtype=np.intp), np.zeros((0, 3)),
+                      make_tuning(0.5, 0.0))
+        assert val.shape == (0,) and val.dtype == np.float64
 
     def test_uniform_value(self):
         t = make_tuning(0.5, 0.0)
@@ -331,6 +341,13 @@ class TestBaselines:
 
 
 LOSS_KINDS = ("sd", "cce", "mae", "gce", "tcce")
+ONE_PER_KIND = [
+    LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8)),
+    LossSpec(kind="cce"),
+    LossSpec(kind="mae"),
+    LossSpec(kind="gce", q=0.7),
+    LossSpec(kind="tcce", delta=0.2),
+]
 
 
 @st.composite
@@ -424,13 +441,7 @@ class TestLossSpec:
         assert val == per.min()
         assert np.isfinite(grad).all() and not grad[np.argmax(per)].any()
 
-    @pytest.mark.parametrize("spec", [
-        LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8)),
-        LossSpec(kind="cce"),
-        LossSpec(kind="mae"),
-        LossSpec(kind="gce", q=0.7),
-        LossSpec(kind="tcce", delta=0.2),
-    ], ids=LossSpec.describe)
+    @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=LossSpec.describe)
     def test_agrees_with_per_kind_functions_bit_for_bit(self, spec):
         rng = np.random.default_rng(7)
         z = rng.normal(0.0, 2.0, (9, 4))
@@ -454,6 +465,16 @@ class TestLossSpec:
         for labels in ([0, 1, 2], [0, -1, 1], [0, 1]):
             with pytest.raises(ValueError):
                 LossSpec(kind="cce").value_and_grad_logits(labels, z)
+
+    @pytest.mark.parametrize("spec", ONE_PER_KIND, ids=LossSpec.describe)
+    def test_empty_batch_rejected(self, spec):
+        # a mean over no rows is undefined: one error for every kind, not
+        # a divide warning or a value (the suite makes warnings errors)
+        labels = np.zeros(0, dtype=np.intp)
+        with pytest.raises(ValueError, match="empty batch"):
+            spec.value_and_grad_logits(labels, np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="empty batch"):
+            spec.value_and_grad_probs(labels, np.zeros((0, 3)))
 
     def test_describe(self):
         assert LossSpec(kind="cce").describe() == "cce"
@@ -534,3 +555,40 @@ class TestSdIsWeightedGce:
         # every term of the gradient is at most (1+beta)/A in size
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-14 * (1.0 + t.beta) / t.a)
+
+
+def edge_floats(dtype):
+    """Floats of dtype, with NaN, +-0.0, +-inf and the clip bounds of
+    clip_probs in dtype, and their neighbours, drawn often."""
+    f = np.dtype(dtype).type
+    lo, hi = f(PROB_CLIP), f(1.0 - PROB_CLIP)
+    edges = [f(np.nan), f(0.0), f(-0.0), f(np.inf), f(-np.inf), f(1.0), lo, hi,
+             np.nextafter(lo, f(0.0)), np.nextafter(lo, f(1.0)),
+             np.nextafter(hi, f(0.0)), np.nextafter(hi, f(1.0))]
+    return st.one_of(st.sampled_from([float(e) for e in edges]),
+                     st.floats(width=np.finfo(dtype).bits))
+
+
+@st.composite
+def edge_arrays(draw):
+    """float32 or float64 arrays of one to three axes of edge_floats."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return draw(hnp.arrays(dtype, hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+                           elements=edge_floats(dtype)))
+
+
+class TestHotPathPrimitives:
+    """clip_probs and softmax, which call ufuncs directly, against their
+    np.clip and textbook spellings, bit for bit.  The lockstep training
+    tests compare train with a reference that runs the library's own
+    losses, so they cannot see a bit change here."""
+
+    @given(p=edge_arrays())
+    def test_clip_probs_is_np_clip(self, p):
+        same_bits(clip_probs(p), reference_clip_probs(p))
+
+    @given(z=edge_arrays())
+    def test_softmax_is_the_textbook_spelling(self, z):
+        # rows with inf or NaN are compared too: inf - inf warns "invalid"
+        with np.errstate(invalid="ignore"):
+            same_bits(softmax(z), textbook_softmax(z))

@@ -320,9 +320,16 @@ def blob_split(arch):
                    num_classes=len(centers))
 
 
+# every network the CLI trains is float32; the library default is float64
+FUSED_ARCHS = pytest.mark.parametrize(
+    "arch", [RELU_NET, TOY, replace(RELU_NET, dtype=np.float32),
+             replace(TOY, dtype=np.float32)],
+    ids=["relu", "tanh", "relu-float32", "tanh-float32"])
+
+
 class TestFusedTrain:
     @pytest.mark.parametrize("loss", FUSED_LOSSES, ids=LossSpec.describe)
-    @pytest.mark.parametrize("arch", [RELU_NET, TOY], ids=["relu", "tanh"])
+    @FUSED_ARCHS
     def test_matches_reference_bit_for_bit(self, arch, loss):
         ds = blob_split(arch)
         # batch 16 over 50 examples leaves a short final batch of 2
@@ -335,7 +342,7 @@ class TestFusedTrain:
         assert np.array_equal(params, ref_params)
         assert np.array_equal(np.array(metrics), np.array(ref_metrics))
 
-    @pytest.mark.parametrize("arch", [RELU_NET, TOY], ids=["relu", "tanh"])
+    @FUSED_ARCHS
     def test_lockstep_matches_each_loss_alone(self, arch):
         ds = blob_split(arch)
         cfg = TrainConfig(losses=tuple(FUSED_LOSSES), epochs=3, batch_size=16,

@@ -26,3 +26,24 @@ def test_output_digests_are_the_same_on_a_rerun():
         *(f"train-{kind}.csv{ext}" for kind in ("attack", "blobs", "csv", "idx")
           for ext in ("", ".params.npy")),
     }
+
+
+def test_step_timings_time_every_kernel_of_both_setups():
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "step_timings.py"),
+         "--src", str(ROOT / "src"), "--repeat", "1", "--budget", "0.001"],
+        capture_output=True, text=True, check=True, timeout=300)
+    report = json.loads(run.stdout)
+    assert {"python", "numpy", "blas"} <= set(report["environment"])
+    setups = report["setups"]
+    assert set(setups) == {"blob-noise-epochs", "mnist-noise-cv"}
+    kernels = {"_forward", "softmax", "_backward", "adam_step", "accuracy", "step"}
+    blob, mnist = setups["blob-noise-epochs"], setups["mnist-noise-cv"]
+    assert (blob["models"], blob["batch"], mnist["models"], mnist["batch"]) == (
+        6, 32, 1, 128)
+    assert set(blob["us_per_call"]) == kernels | {
+        "loss cce", "loss mae", "loss gce(0.7)", "loss tcce(0.2)",
+        "loss sd(0.1,-0.8)", "loss sd(0.5,-0.5)"}
+    assert set(mnist["us_per_call"]) == kernels | {"loss sd(0.1,-0.8)"}
+    for setup in setups.values():
+        assert all(us > 0 for us in setup["us_per_call"].values())
