@@ -65,13 +65,6 @@ class AttackConfig:
                              "epsilon >= 0, a finite step > 0 and iters >= 1")
 
 
-def _one_hot_labels(labels, n: int, arch: ArchitectureSpec) -> np.ndarray:
-    """The (n, J) one-hot rows of labels, checked as LossSpec checks them:
-    ValueError unless there are n of them, each in [0, J)."""
-    J = arch.output_classes
-    return _one_hot(_check_labels(labels, n, J), (n, J))
-
-
 def _input_gradient(layers, acts, X: np.ndarray, onehot: np.ndarray,
                     out=None) -> np.ndarray:
     """input_gradient's kernel, which every attack step runs: the per-
@@ -98,8 +91,9 @@ def input_gradient(params, arch: ArchitectureSpec, x, labels) -> np.ndarray:
     """
     X = _as_inputs(x, arch)
     layers = _model_layers(params, arch)
+    shape = (X.shape[0], arch.output_classes)
     return _input_gradient(layers, arch.activations, X,
-                           _one_hot_labels(labels, X.shape[0], arch))
+                           _one_hot(_check_labels(labels, *shape), shape))
 
 
 def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
@@ -126,7 +120,8 @@ def attack(params, arch: ArchitectureSpec, x, labels, cfg: AttackConfig, *,
     # input_gradient
     inputs = _as_inputs(np.empty(x0.shape, dtype=arch.dtype), arch)
     layers = _model_layers(params, arch)
-    onehot = _one_hot_labels(labels, inputs.shape[0], arch)
+    shape = (inputs.shape[0], arch.output_classes)
+    onehot = _one_hot(_check_labels(labels, *shape), shape)
     lo = np.clip(x0 - cfg.epsilon, *BOX)
     hi = np.clip(x0 + cfg.epsilon, *BOX)
     adv = np.empty_like(x0) if out is None else out

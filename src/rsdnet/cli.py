@@ -269,10 +269,12 @@ def cmd_influence(args) -> int:
         theta = np.ones(model.n_params)
     lo, hi, count = args.grid.split(",")
     lo, hi, count = float(lo), float(hi), int(count)
-    if count < 1 or not np.isfinite([lo, hi]).all():
-        raise CliError(f"--grid needs finite ends and a count of at least 1, "
-                       f"got {args.grid!r}")
-    x_grid = np.linspace(lo, hi, count)
+    if count < 1:
+        raise CliError(f"--grid needs a count of at least 1, got {args.grid!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_grid = np.linspace(lo, hi, count)
+    if not np.isfinite(x_grid).all():
+        raise CliError(f"--grid needs finite points, got {args.grid!r}")
     p_star_fn = None
     if args.correctly_specified:
         def p_star_fn(xs):

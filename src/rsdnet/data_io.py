@@ -21,6 +21,8 @@ from itertools import repeat
 
 import numpy as np
 
+from .divergence import _sigmoid
+
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 
@@ -160,12 +162,7 @@ def posterior_example1(x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
     with np.errstate(over="ignore"):  # exp saturates to inf for huge x
         kappa = np.sin(x) + np.exp(x) + np.sign(x) * np.abs(x) ** (5.0 / 3.0)
-    out = np.empty_like(kappa)
-    pos = kappa >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-kappa[pos]))
-    e = np.exp(kappa[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    return _sigmoid(kappa)
 
 
 def synthetic_example1(n: int, seed: int) -> Dataset:

@@ -102,6 +102,15 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
+def _sigmoid(z):
+    """1 / (1 + exp(-z)) in float64, with the bits of softmax over (z, 0)'s
+    first entry wherever z is finite, 1 at +inf and 0 at -inf; the exp
+    never overflows.  A scalar z gives a 0-d array."""
+    z = np.asarray(z, dtype=np.float64)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def _check_labels(labels, n: int, J: int) -> np.ndarray:
     """labels as an (n,) intp array of classes in [0, J); ValueError if the
     count is not n or a label lies outside.  No labels pass for n = 0."""
@@ -111,11 +120,6 @@ def _check_labels(labels, n: int, J: int) -> np.ndarray:
     if labels.size and (labels.min() < 0 or labels.max() >= J):
         raise ValueError("label index out of range")
     return labels
-
-
-def _as_batch(labels, probs):
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    return _check_labels(labels, *probs.shape), probs
 
 
 def _one_hot(labels: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -164,7 +168,8 @@ def sd_loss(labels, probs, t: TuningPair):
     is not minimised at p = p_star when A != 1 (its minimiser keeps
     p_star's argmax).
     """
-    labels, p = _as_batch(labels, probs)
+    p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
+    labels = _check_labels(labels, *p.shape)
     return _sd_values(p, p[np.arange(p.shape[0]), labels], t)
 
 
@@ -288,30 +293,23 @@ class LossSpec:
 
         The returned gradient is already scaled by 1/batch (1/kept for
         tcce), so summing per-example parameter gradients downstream
-        yields the gradient of the batch aggregate.  Every kind raises
-        ValueError on an empty batch, whose mean is undefined.
+        yields the gradient of the batch aggregate.  Checks the labels,
+        raises ValueError on an empty batch, whose mean is undefined, for
+        every kind, then runs the kernel _value_and_grad on the labels'
+        _label_terms, as train does.
         """
-        labels, p = _as_batch(labels, softmax(np.atleast_2d(logits)))
-        return self.value_and_grad_probs(labels, p)
-
-    def value_and_grad_probs(self, labels: np.ndarray, probs: np.ndarray):
-        """value_and_grad_logits from probs = softmax(logits) instead.
-
-        Trusts its inputs: labels is an (n,) intp array of classes in
-        [0, J) and probs an (n, J) float64 array of softmax rows, as a
-        forward pass produces them.  Raises ValueError on an empty batch
-        before any arithmetic, then runs the kernel _value_and_grad.
-        """
-        if probs.shape[0] == 0:
+        p = softmax(np.atleast_2d(logits))
+        labels = _check_labels(labels, *p.shape)
+        if p.shape[0] == 0:
             raise ValueError("empty batch: a batch-mean loss needs a row")
-        return self._value_and_grad(probs, *_label_terms(labels, probs))
+        return self._value_and_grad(p, *_label_terms(labels, p))
 
     def _value_and_grad(self, probs: np.ndarray, p_y: np.ndarray,
                         onehot: np.ndarray):
-        """value_and_grad_probs' kernel, which train runs for each model of
-        a batch: from the (n, J) probs, their labelled entries p_y and the
-        (n, J) one-hot labels, which _label_terms sets up once for all
-        models.  Trusts its inputs."""
+        """value_and_grad_logits' kernel, which train runs for each model of
+        a batch: from the (n, J) probs = softmax(logits), their labelled
+        entries p_y and the (n, J) one-hot labels, which _label_terms sets
+        up once for all models.  Trusts its inputs."""
         n = probs.shape[0]
         if self.kind == "sd":
             per = _sd_values(probs, p_y, self.tuning)

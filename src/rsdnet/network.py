@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .divergence import softmax
+from .divergence import _sigmoid, softmax
 
 ACTIVATIONS = ("relu", "tanh", "identity")
 
@@ -398,9 +398,7 @@ class ExampleModel:
     hess: Callable
 
     def prob1(self, theta: np.ndarray, x):
-        z = self.logit(theta, x)
-        # sigmoid via stable softmax over (z1, 0)
-        return softmax(np.stack([z, np.zeros_like(z)], axis=-1))[..., 0]
+        return _sigmoid(self.logit(theta, x))
 
     def probs(self, theta: np.ndarray, x) -> np.ndarray:
         p1 = self.prob1(theta, x)

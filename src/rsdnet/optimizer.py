@@ -126,14 +126,16 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     and scratch arrays are rows of (K, P) buffers, so each batch runs one
     forward pass, one backward pass and one adam_step for all K of them.
     Its labels' one-hot rows and the K models' labelled probabilities are
-    set up once, and each model's loss runs the kernel of
-    value_and_grad_probs on them.  Each model gets the same
-    floats as forward -> value_and_grad_logits -> backward -> adam_step
-    would give it trained alone.  The returned params are row views of the
-    stacked buffer.  Raises FloatingPointError, naming the epoch and the
-    loss, after an epoch that leaves a model's mean loss, parameters or
-    Adam second moments (squared gradients) not all finite; the first such
-    model in losses order is named.
+    set up once, and each model's loss runs on them the kernel
+    _value_and_grad, which value_and_grad_logits also runs.  Each model
+    gets the same floats as forward -> value_and_grad_logits -> backward
+    -> adam_step would give it trained alone.  The returned params are row
+    views of the stacked buffer.  Raises FloatingPointError, naming the
+    epoch and the loss, after an epoch that leaves a model's mean loss,
+    parameters or Adam second moments (squared gradients) not all finite;
+    the first such model in losses order is named.  That check is the one
+    report: the epochs run with numpy's overflow, invalid and divide
+    warnings off, and an overflowing epoch still runs to its end.
 
     The models compute in arch.dtype: their buffers have it and each
     gathered batch is cast to it, the float64 features never as a whole.
@@ -160,37 +162,39 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     acts = arch.activations
     step = 0
     metrics = [[] for _ in losses]
-    for epoch in range(1, train_cfg.epochs + 1):
-        order = np.random.default_rng(train_cfg.shuffle_seed + epoch).permutation(n)
-        if rows is not None:
-            order = rows[order]
-        loss_sums = [0.0] * len(losses)
-        for start in range(0, n, train_cfg.batch_size):
-            idx = order[start:start + train_cfg.batch_size]
-            X = dataset.features[idx].astype(arch.dtype, copy=False)
-            labels = dataset.labels[idx]
-            pres, posts = _forward(layers, acts, X)
-            probs = softmax(posts[-1])
-            p_y, onehot = _label_terms(labels, probs)
-            grad_logits = np.empty(probs.shape, dtype=arch.dtype)
-            for k, loss in enumerate(losses):
-                value, grad_logits[k] = loss._value_and_grad(probs[k], p_y[k], onehot)
-                loss_sums[k] += value * len(idx)
-            _backward(X, pres, posts, layers, acts, grad_logits, grads,
-                      want_input=False)
-            step += 1
-            adam_step(step, flat, grad, m, v, s1, s2)
-        mean_losses = [loss_sum / n for loss_sum in loss_sums]
-        finite = (np.isfinite(mean_losses) & np.isfinite(params).all(axis=1)
-                  & np.isfinite(v.reshape(params.shape)).all(axis=1))
-        if not finite.all():
-            k = list(finite).index(False)
-            raise FloatingPointError(
-                f"non-finite mean loss, parameters or Adam second moments "
-                f"after epoch {epoch} for loss {losses[k].describe()} "
-                f"(mean loss {mean_losses[k]})")
-        for k, history in enumerate(metrics):
-            test_acc = (accuracy(params[k], arch, dataset, rows=eval_rows)
-                        if eval_rows is not None else float("nan"))
-            history.append((epoch, mean_losses[k], test_acc))
+    # the per-epoch finiteness check below reports a diverged model
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, train_cfg.epochs + 1):
+            order = np.random.default_rng(train_cfg.shuffle_seed + epoch).permutation(n)
+            if rows is not None:
+                order = rows[order]
+            loss_sums = [0.0] * len(losses)
+            for start in range(0, n, train_cfg.batch_size):
+                idx = order[start:start + train_cfg.batch_size]
+                X = dataset.features[idx].astype(arch.dtype, copy=False)
+                labels = dataset.labels[idx]
+                pres, posts = _forward(layers, acts, X)
+                probs = softmax(posts[-1])
+                p_y, onehot = _label_terms(labels, probs)
+                grad_logits = np.empty(probs.shape, dtype=arch.dtype)
+                for k, loss in enumerate(losses):
+                    value, grad_logits[k] = loss._value_and_grad(probs[k], p_y[k], onehot)
+                    loss_sums[k] += value * len(idx)
+                _backward(X, pres, posts, layers, acts, grad_logits, grads,
+                          want_input=False)
+                step += 1
+                adam_step(step, flat, grad, m, v, s1, s2)
+            mean_losses = [loss_sum / n for loss_sum in loss_sums]
+            finite = (np.isfinite(mean_losses) & np.isfinite(params).all(axis=1)
+                      & np.isfinite(v.reshape(params.shape)).all(axis=1))
+            if not finite.all():
+                k = list(finite).index(False)
+                raise FloatingPointError(
+                    f"non-finite mean loss, parameters or Adam second moments "
+                    f"after epoch {epoch} for loss {losses[k].describe()} "
+                    f"(mean loss {mean_losses[k]})")
+            for k, history in enumerate(metrics):
+                test_acc = (accuracy(params[k], arch, dataset, rows=eval_rows)
+                            if eval_rows is not None else float("nan"))
+                history.append((epoch, mean_losses[k], test_acc))
     return list(zip(params, metrics))

@@ -736,18 +736,20 @@ class TestInputHardening:
                                                        command):
         # features of 1e25 fit float32, but the first step's squared weight
         # gradients (up to 6e48) overflow the float32 Adam second moment.
-        # numpy warns of that overflow, and of no other floating-point
-        # error, before train's check after the epoch ends the run
+        # train's check after the epoch ends the run, and is the one report:
+        # numpy warns of no floating-point error (the suite makes warnings
+        # errors) and main's line is all of stderr
         ds = synthetic_blobs(40, seed=0)
         out = tmp_path / "res.csv"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = run([command, "--seed", 0, "--out", out, "--loss", "cce",
-                        "--dataset", csv_dataset(tmp_path, ds.features * 1e25,
-                                                 ds.labels),
-                        "--arch", "blob-mlp", "--epochs", 2, "--batch", 16])
+        code = run([command, "--seed", 0, "--out", out, "--loss", "cce",
+                    "--dataset", csv_dataset(tmp_path, ds.features * 1e25,
+                                             ds.labels),
+                    "--arch", "blob-mlp", "--epochs", 2, "--batch", 16])
         assert code == EXIT_NUMERIC
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "l.csv"]
-        assert "after epoch 1 for loss cce" in capsys.readouterr().err
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("numeric failure: ")
+        assert "after epoch 1 for loss cce" in line
 
 
 class TestBoundCommand:
@@ -788,7 +790,9 @@ class TestBoundCommand:
         ["--resolution", 0],
         ["--beta-min", "nan"],
         ["--lambda-max", "inf"],
-    ], ids=["no_points", "nan_end", "infinite_end"])
+        # finite ends whose span overflows inside linspace
+        ["--beta-min=-1e308", "--beta-max=1e308"],
+    ], ids=["no_points", "nan_end", "infinite_end", "overflowing_span"])
     def test_empty_or_non_finite_grid_exits_2_without_output(self, tmp_path, extra):
         out = tmp_path / "bound.csv"
         code = run(["bound", "--seed", 0, "--out", out, "--eta", 0.2] + extra)
@@ -841,6 +845,18 @@ class TestInfluenceCommand:
         assert np.isfinite(other).all()
         assert paths[0].read_bytes() != paths[2].read_bytes()
 
+    def test_saturated_logit_gives_finite_rows(self, tmp_path):
+        # the logit 2e308 overflows to inf, where the class-1 probability
+        # is 1 and the curve 0
+        out = tmp_path / "if.csv"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = run(["influence", "--seed", 0, "--out", out, "--model", "M1",
+                        "--beta", 0.5, "--lambda", -0.5, "--theta", "0,2",
+                        "--grid=1e308,1e308,1"])
+        assert code == EXIT_OK
+        data = np.genfromtxt(out, delimiter=",", skip_header=1)
+        assert data.shape == (2, 3) and np.isfinite(data).all()
+
     def test_inadmissible_tuning(self, tmp_path):
         out = str(tmp_path / "if.csv")
         code = run(["influence", "--seed", 0, "--out", out, "--model", "M1",
@@ -856,7 +872,7 @@ class TestInfluenceCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0,1,0", "0,1,-2", "nan,1,3", "0,inf,3",
-                                      "0,1", "0,1,x"])
+                                      "-1e308,1e308,3", "0,1", "0,1,x"])
     def test_bad_grid_exits_2_without_output(self, tmp_path, grid):
         out = tmp_path / "if.csv"
         code = run(["influence", "--seed", 0, "--out", out, "--model", "M1",

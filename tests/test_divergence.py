@@ -12,7 +12,9 @@ from rsdnet.divergence import (
     PROB_CLIP,
     InvalidTuningError,
     LossSpec,
+    _label_terms,
     _sd_grad_probs,
+    _sigmoid,
     clip_probs,
     conditional_sd_risk,
     loss_bounds,
@@ -302,10 +304,14 @@ class TestLossBounds:
         assert lower - tol <= total <= upper + tol
 
 
+def kernel(spec, labels, probs):
+    """spec's loss kernel on the (n, J) probability rows, as train runs it."""
+    return spec._value_and_grad(probs, *_label_terms(labels, probs))
+
+
 def loss_value(spec, labels, probs):
     """The batch-mean loss of spec on the given probability rows."""
-    return spec.value_and_grad_probs(np.asarray(labels, dtype=np.intp),
-                                     np.atleast_2d(probs))[0]
+    return kernel(spec, np.asarray(labels, dtype=np.intp), np.atleast_2d(probs))[0]
 
 
 class TestBaselines:
@@ -448,7 +454,7 @@ class TestLossSpec:
         labels = rng.integers(0, 4, 9)
         p = softmax(z)
         val, grad = spec.value_and_grad_logits(labels, z)
-        p_val, p_grad = spec.value_and_grad_probs(labels, p)
+        p_val, p_grad = kernel(spec, labels, p)
         assert val == p_val and np.array_equal(grad, p_grad)
         if spec.kind == "sd":
             assert val == float(np.mean(sd_loss(labels, p, spec.tuning)))
@@ -473,8 +479,6 @@ class TestLossSpec:
         labels = np.zeros(0, dtype=np.intp)
         with pytest.raises(ValueError, match="empty batch"):
             spec.value_and_grad_logits(labels, np.zeros((0, 3)))
-        with pytest.raises(ValueError, match="empty batch"):
-            spec.value_and_grad_probs(labels, np.zeros((0, 3)))
 
     def test_describe(self):
         assert LossSpec(kind="cce").describe() == "cce"
@@ -551,7 +555,7 @@ class TestSdIsWeightedGce:
         pb = np.power(pc, t.beta)
         free = p * (pb - (p * pb).sum(axis=1, keepdims=True))
         want = (1.0 + t.beta) / t.a * (weight[:, None] * (p - onehot) + free) / n
-        _, got = LossSpec(kind="sd", tuning=t).value_and_grad_probs(labels, p)
+        _, got = kernel(LossSpec(kind="sd", tuning=t), labels, p)
         # every term of the gradient is at most (1+beta)/A in size
         np.testing.assert_allclose(got, want, rtol=0,
                                    atol=1e-14 * (1.0 + t.beta) / t.a)
@@ -578,10 +582,10 @@ def edge_arrays(draw):
 
 
 class TestHotPathPrimitives:
-    """clip_probs and softmax, which call ufuncs directly, against their
-    np.clip and textbook spellings, bit for bit.  The lockstep training
-    tests compare train with a reference that runs the library's own
-    losses, so they cannot see a bit change here."""
+    """clip_probs, softmax and _sigmoid, which call ufuncs directly, against
+    their np.clip and textbook spellings, bit for bit.  The lockstep
+    training tests compare train with a reference that runs the library's
+    own losses, so they cannot see a bit change here."""
 
     @given(p=edge_arrays())
     def test_clip_probs_is_np_clip(self, p):
@@ -592,3 +596,16 @@ class TestHotPathPrimitives:
         # rows with inf or NaN are compared too: inf - inf warns "invalid"
         with np.errstate(invalid="ignore"):
             same_bits(softmax(z), textbook_softmax(z))
+
+    @given(z=hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2,
+                                                     max_side=5),
+                        elements=edge_floats(np.float64)))
+    def test_sigmoid_is_the_softmax_of_z_and_0(self, z):
+        got = _sigmoid(z)
+        assert got.shape == z.shape
+        finite = np.isfinite(z)
+        want = textbook_softmax(np.stack([z[finite], np.zeros(finite.sum())], -1))
+        same_bits(got[finite], want[:, 0])
+        # the softmax of (inf, 0) is nan; the sigmoid saturates
+        assert (got[z == np.inf] == 1.0).all() and (got[z == -np.inf] == 0.0).all()
+        assert np.isnan(got[np.isnan(z)]).all()

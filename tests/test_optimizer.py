@@ -355,7 +355,6 @@ class TestFusedTrain:
             assert np.array_equal(params, ref_params), loss.describe()
             assert np.array_equal(np.array(metrics), np.array(ref_metrics))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_overflow_raises_naming_the_epoch(self):
         ds = synthetic_blobs(40, seed=0)
         ds = Dataset(features=ds.features * 1e200, labels=ds.labels,
@@ -373,7 +372,6 @@ class TestFusedTrain:
         assert "loss tcce(0.2)" in str(err.value)
         assert "mae" not in str(err.value)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_float32_overflow_raises_naming_the_epoch(self):
         # features near 1e30 fit in float32, but the squared gradients,
         # near 1e60, overflow the float32 Adam second moment

@@ -22,7 +22,8 @@ def test_output_digests_are_the_same_on_a_rerun():
     assert set(first) == {
         "attack.features.csv", "attack.labels.csv", "bound.csv",
         "corrupt.features.csv", "corrupt.labels.csv", "epochs.csv",
-        "images.idx", "labels.idx", "influence.csv",
+        "corrupt-example1.features.csv", "corrupt-example1.labels.csv",
+        "images.idx", "labels.idx", "influence.csv", "influence-m1.csv",
         *(f"train-{kind}.csv{ext}" for kind in ("attack", "blobs", "csv", "idx")
           for ext in ("", ".params.npy")),
     }
@@ -37,7 +38,8 @@ def test_step_timings_time_every_kernel_of_both_setups():
     assert {"python", "numpy", "blas"} <= set(report["environment"])
     setups = report["setups"]
     assert set(setups) == {"blob-noise-epochs", "mnist-noise-cv"}
-    kernels = {"_forward", "softmax", "_backward", "adam_step", "accuracy", "step"}
+    kernels = {"_forward", "softmax", "_label_terms", "_backward", "adam_step",
+               "accuracy", "step"}
     blob, mnist = setups["blob-noise-epochs"], setups["mnist-noise-cv"]
     assert (blob["models"], blob["batch"], mnist["models"], mnist["batch"]) == (
         6, 32, 1, 128)

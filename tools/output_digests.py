@@ -10,11 +10,14 @@ Run from the repository root, once per tree, and compare the two prints:
 The commands run in-process, in order, through cli.main of the rsdnet
 package under --src, in a fresh temporary directory: `epochs` on blobs,
 `train` on blobs, on an IDX pair and on a CSV dump, `train --attack`,
-`attack`, `corrupt`, `bound` and `influence`.  The IDX pair holds
-IMAGE_ROWS of perfbench's synthetic_images (seed 1), written by the
-tree's own write_idx; the CSV dump is the output of `corrupt`.  Every file left in
-the directory, inputs included, is digested, keyed by its name; a
-command that exits non-zero stops the run.  Reruns on one tree print the
+`attack`, `corrupt` on blobs and on example 1 (whose labels are drawn
+from posterior_example1), `bound`, and `influence` on M2 and, correctly
+specified, on M1 (whose reference is the model's own prob1).  The IDX
+pair holds IMAGE_ROWS of perfbench's synthetic_images (seed 1), written
+by the tree's own write_idx; the CSV dump is the output of the first
+`corrupt`.  Every file left in the directory, inputs included, is
+digested, keyed by its name; a command that exits non-zero stops the
+run.  Reruns on one tree print the
 same JSON.
 """
 
@@ -59,6 +62,11 @@ COMMANDS = (
      "--resolution", "30"],
     ["influence", "--seed", "12", "--out", "influence.csv", "--model", "M2",
      "--beta", "0.1", "--lambda=-0.8", "--grid=-5,5,51"],
+    ["corrupt", "--seed", "13", "--out", "corrupt-example1", "--dataset",
+     "example1", "--n", "300", "--eta", "0.2"],
+    ["influence", "--seed", "14", "--out", "influence-m1.csv", "--model", "M1",
+     "--beta", "0.5", "--lambda=-0.5", "--theta", "0.5,-1", "--grid=-5,5,51",
+     "--correctly-specified"],
 )
 
 

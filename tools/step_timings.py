@@ -15,10 +15,10 @@ Two set-ups, at the shapes of two benchmark workloads:
 Each set-up runs one step of train() by hand on fixed, seeded inputs
 (blob features from synthetic_blobs, images from perfbench's
 synthetic_images), then times every kernel of that step with timeit on
-the same inputs: network._forward, softmax, each loss's
-value_and_grad_probs (with its own label set-up, where train shares one
-set-up among the K losses), network._backward, adam_step and accuracy,
-which train runs once per epoch and model.  `step` is one train() epoch
+the same inputs: network._forward, softmax, divergence._label_terms
+(the label set-up train runs once per batch for all K losses), each
+loss's kernel LossSpec._value_and_grad on its result, network._backward,
+adam_step and accuracy, which train runs once per epoch and model.  `step` is one train() epoch
 of STEPS batches, divided by STEPS, train's own set-up included.  Each
 figure is the best of --repeat runs, in microseconds per call; a run
 makes as many calls as fit in --budget seconds, at least one.
@@ -93,17 +93,19 @@ def time_setup(name: str, repeat: int, budget: float) -> dict:
     labels = dataset.labels[:batch]
     pres, posts = network._forward(layers, acts, X)
     probs = divergence.softmax(posts[-1])
+    p_y, onehot = divergence._label_terms(labels, probs)
     grad_logits = np.empty(probs.shape, dtype=arch.dtype)
     for k, loss in enumerate(losses):
-        grad_logits[k] = loss.value_and_grad_probs(labels, probs[k])[1]
+        grad_logits[k] = loss._value_and_grad(probs[k], p_y[k], onehot)[1]
 
     kernels = {
         "_forward": lambda: network._forward(layers, acts, X),
         "softmax": lambda: divergence.softmax(posts[-1]),
+        "_label_terms": lambda: divergence._label_terms(labels, probs),
     }
     for k, loss in enumerate(losses):
         kernels[f"loss {loss.describe()}"] = (
-            lambda loss=loss, p=probs[k]: loss.value_and_grad_probs(labels, p))
+            lambda loss=loss, k=k: loss._value_and_grad(probs[k], p_y[k], onehot))
     kernels["_backward"] = lambda: network._backward(
         X, pres, posts, layers, acts, grad_logits, grads, want_input=False)
     kernels["adam_step"] = lambda: optimizer.adam_step(
