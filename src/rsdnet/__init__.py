@@ -19,7 +19,7 @@ from .network import (
     init_params,
 )
 from .optimizer import TrainConfig, accuracy, adam_step, train
-from .contamination import NoiseConfig, corrupt_labels, noisy_posterior
+from .contamination import corrupt_labels, noisy_posterior
 from .attacks import AttackConfig, adversarial_trainset, attack
 from .theory import (
     BoundGrid,

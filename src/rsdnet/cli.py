@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data_io
 from .attacks import BOX, AttackConfig, adversarial_trainset
-from .contamination import NoiseConfig, corrupt_labels
+from .contamination import corrupt_labels
 from .data_io import DataFormatError, Dataset
 from .divergence import LossSpec, clip_probs, make_tuning
 from .network import ArchitectureSpec, _one_blas_thread, _run_tasks, example_model
@@ -125,13 +125,13 @@ def resolve_arch(args) -> tuple[ArchitectureSpec, Dataset]:
     return arch, dataset
 
 
-def _surrogate_attack(args, dataset: Dataset, cfg: AttackConfig,
-                      init_seed: int, shuffle_seed: int,
-                      rows: np.ndarray | None = None) -> Dataset:
+def _surrogate_attack(dataset: Dataset, attack_cfg: AttackConfig,
+                      surrogate_cfg: TrainConfig, init_seed: int,
+                      shuffle_seed: int, rows: np.ndarray | None = None) -> Dataset:
     """dataset, or its rows given an index array, attacked through a
-    CCE-trained surrogate, which trains on those rows in place, has the
-    hidden layers and dtype of the surrogate-64 preset and is sized to the
-    data.
+    surrogate trained at surrogate_cfg, which trains on those rows in
+    place, has the hidden layers and dtype of the surrogate-64 preset and
+    is sized to the data.
 
     It takes no BLAS hold of its own.  cmd_attack calls it inside one, and
     train --attack from the tasks of network._run_tasks, whose caller holds
@@ -139,55 +139,51 @@ def _surrogate_attack(args, dataset: Dataset, cfg: AttackConfig,
     on a worker thread, would wait for that lock forever."""
     arch = replace(ARCH_PRESETS["surrogate-64"], input_dim=dataset.features.shape[1],
                    output_classes=dataset.num_classes)
-    [(params, _)] = train(
-        dataset, arch, init_seed,
-        TrainConfig(losses=(LossSpec(kind="cce"),), epochs=args.surrogate_epochs,
-                    batch_size=args.batch, shuffle_seed=shuffle_seed),
-        rows=rows,
-    )
-    return adversarial_trainset(params, arch, dataset, cfg, rows=rows)
+    [(params, _)] = train(dataset, arch, init_seed, surrogate_cfg, rows=rows,
+                          shuffle_seed=shuffle_seed)
+    return adversarial_trainset(params, arch, dataset, attack_cfg, rows=rows)
 
 
-def _attack_config(args, dataset: Dataset) -> AttackConfig:
-    """The attack flags as an AttackConfig, checked before any surrogate
-    trains; a dataset with a feature outside BOX raises DataFormatError
-    (tag outside_box): the attack would clamp it, not perturb it."""
+def _attack_config(args, dataset: Dataset) -> tuple[AttackConfig, TrainConfig]:
+    """The attack flags as an AttackConfig and the surrogate's CCE
+    TrainConfig, both checked before any surrogate trains; a dataset with
+    a feature outside BOX raises DataFormatError (tag outside_box): the
+    attack would clamp it, not perturb it."""
     cfg = AttackConfig(kind=args.attack, epsilon=args.epsilon,
                        step_size=args.step, max_iters=args.iters)
+    surrogate_cfg = TrainConfig(losses=(LossSpec(kind="cce"),),
+                                epochs=args.surrogate_epochs, batch_size=args.batch)
     lo, hi = BOX
     outside = np.count_nonzero((dataset.features < lo) | (dataset.features > hi))
     if outside:
         raise DataFormatError(
             "outside_box", f"{outside} of {dataset.features.size} features lie "
             f"outside the attack box [{lo:g}, {hi:g}]")
-    return cfg
+    return cfg, surrogate_cfg
 
 
 def _train_split(args, arch: ArchitectureSpec, dataset: Dataset, train_idx,
-                 fold: int, losses: tuple, attack_cfg: AttackConfig | None = None,
+                 fold: int, train_cfg: TrainConfig,
+                 attack: tuple[AttackConfig, TrainConfig] | None = None,
                  eval_rows=None):
-    """train's (params, metrics) pairs, one per loss, for the rows train_idx
-    of dataset: their labels corrupted at --eta and, given attack_cfg, their
-    features attacked through a surrogate.  Every seed is --seed plus an
-    offset per step and the fold.  Only the attacked rows are copied:
-    clean ones are trained on in place, as rows of the full matrix, by
-    the surrogate too.  Given eval_rows (no attack_cfg), each epoch scores
-    those rows of dataset, whose labels stay clean: corrupt_labels draws
-    only those of train_idx and keeps every other row's."""
-    train_ds, _ = corrupt_labels(dataset, NoiseConfig(eta=args.eta,
-                                                      seed=args.seed + 1000 + fold),
+    """train's (params, metrics) pairs, one per loss of train_cfg, for the
+    rows train_idx of dataset: their labels corrupted at --eta and, given
+    attack (_attack_config's pair), their features attacked through a
+    surrogate.  Every seed is --seed plus an offset per step and the fold.
+    Only the attacked rows are copied: clean ones are trained on in place,
+    as rows of the full matrix, by the surrogate too.  Given eval_rows (no
+    attack), each epoch scores those rows of dataset, whose labels stay
+    clean: corrupt_labels draws only those of train_idx and keeps every
+    other row's."""
+    train_ds, _ = corrupt_labels(dataset, args.eta, args.seed + 1000 + fold,
                                  rows=train_idx)
     rows = train_idx
-    if attack_cfg is not None:
-        train_ds = _surrogate_attack(args, train_ds, attack_cfg, args.seed + 2000 + fold,
+    if attack is not None:
+        train_ds = _surrogate_attack(train_ds, *attack, args.seed + 2000 + fold,
                                      args.seed + 3000 + fold, rows=train_idx)
         rows = None
-    return train(
-        train_ds, arch, args.seed + fold,
-        TrainConfig(losses=losses, epochs=args.epochs, batch_size=args.batch,
-                    shuffle_seed=args.seed + 100 + fold),
-        eval_rows=eval_rows, rows=rows,
-    )
+    return train(train_ds, arch, args.seed + fold, train_cfg, eval_rows=eval_rows,
+                 rows=rows, shuffle_seed=args.seed + 100 + fold)
 
 
 # ---------------------------------------------------------------------------
@@ -198,28 +194,29 @@ def _train_split(args, arch: ArchitectureSpec, dataset: Dataset, train_idx,
 def cmd_train(args) -> int:
     """k-fold cross-validation.  Every fold, with or without --attack, is
     a task of _run_tasks, so the bits do not depend on the number of
-    workers."""
+    workers.  Every setting is checked before the first fold starts."""
     arch, dataset = resolve_arch(args)
     loss = parse_loss(args.loss)
-    attack_cfg = _attack_config(args, dataset) if args.attack else None
+    train_cfg = TrainConfig(losses=(loss,), epochs=args.epochs, batch_size=args.batch)
+    attack = _attack_config(args, dataset) if args.attack else None
     folds = data_io.make_folds(dataset.n, args.folds, args.seed)
 
     def run_fold(fold: int):
         train_idx, val_idx = folds[fold]
-        [(params, _)] = _train_split(args, arch, dataset, train_idx, fold, (loss,),
-                                     attack_cfg)
+        [(params, _)] = _train_split(args, arch, dataset, train_idx, fold, train_cfg,
+                                     attack)
         clean = accuracy(params, arch, dataset, rows=val_idx)
         adv = None
-        if attack_cfg is not None:  # white-box: against the trained model
+        if attack is not None:  # white-box: against the trained model
             adv = accuracy(params, arch, adversarial_trainset(
-                params, arch, dataset, attack_cfg, rows=val_idx))
+                params, arch, dataset, attack[0], rows=val_idx))
         return params, _result_row(args, loss, str(fold), clean, adv)
 
     saved, records = zip(*_run_tasks(run_fold, len(folds)))
     clean = [rec["clean_accuracy"] for rec in records]
     adv = [rec["adv_accuracy"] for rec in records]
     records = [*records, _result_row(args, loss, "mean", float(np.mean(clean)),
-                                     float(np.mean(adv)) if attack_cfg else None)]
+                                     float(np.mean(adv)) if attack else None)]
     data_io.write_results(records, args.out)
     # one row per fold; .npy is byte-reproducible, unlike zip containers
     np.save(args.out + ".params.npy", np.stack(saved))
@@ -267,7 +264,10 @@ def cmd_influence(args) -> int:
             raise CliError(f"--theta needs finite entries, got {args.theta!r}")
     else:
         theta = np.ones(model.n_params)
-    lo, hi, count = args.grid.split(",")
+    try:
+        lo, hi, count = args.grid.split(",")
+    except ValueError:
+        raise CliError(f"--grid needs MIN,MAX,COUNT, got {args.grid!r}") from None
     lo, hi, count = float(lo), float(hi), int(count)
     if count < 1:
         raise CliError(f"--grid needs a count of at least 1, got {args.grid!r}")
@@ -279,9 +279,15 @@ def cmd_influence(args) -> int:
     if args.correctly_specified:
         def p_star_fn(xs):
             return clip_probs(model.probs(theta, xs))
-    curves = influence_function(
-        model, theta, tuning, x_grid,
-        default_feature_sample(args.sample_size, args.seed), p_star_fn)
+    # the finiteness check below is the one report of an overflow
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        curves = influence_function(
+            model, theta, tuning, x_grid,
+            default_feature_sample(args.sample_size, args.seed), p_star_fn)
+    finite = np.isfinite(curves).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(
+            f"non-finite influence value at x_t = {x_grid[~finite][0]:g}")
     # one row per (grid point, parameter), grid-point-major
     data_io.write_csv(args.out, ("x_t", "param_index", "value"), (
         np.repeat(x_grid, model.n_params),
@@ -293,15 +299,16 @@ def cmd_influence(args) -> int:
 
 def cmd_epochs(args) -> int:
     arch, dataset = resolve_arch(args)
-    losses = tuple(parse_loss(text) for text in args.loss)
+    train_cfg = TrainConfig(losses=tuple(parse_loss(text) for text in args.loss),
+                            epochs=args.epochs, batch_size=args.batch)
     # one fixed 3:1 train/test split, trained as fold 0 in one lockstep run:
     # every model has the same init and batch order
     perm = np.random.default_rng(args.seed).permutation(dataset.n)
     cut = (3 * dataset.n) // 4
-    trained = _train_split(args, arch, dataset, perm[:cut], 0, losses,
+    trained = _train_split(args, arch, dataset, perm[:cut], 0, train_cfg,
                            eval_rows=perm[cut:])
     rows = [(loss.describe(), *row)
-            for loss, (_, metrics) in zip(losses, trained) for row in metrics]
+            for loss, (_, metrics) in zip(train_cfg.losses, trained) for row in metrics]
     header = ("loss", "epoch", "train_loss", "test_accuracy")
     data_io.write_csv(args.out, header,
                       [[row[i] for row in rows] for i in range(len(header))])
@@ -310,8 +317,7 @@ def cmd_epochs(args) -> int:
 
 def cmd_corrupt(args) -> int:
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
-    corrupted, mask = corrupt_labels(dataset,
-                                     NoiseConfig(eta=args.eta, seed=args.seed))
+    corrupted, mask = corrupt_labels(dataset, args.eta, args.seed)
     data_io.dump_dataset(corrupted, args.out + ".features.csv",
                          args.out + ".labels.csv", flip_mask=mask)
     return EXIT_OK
@@ -327,9 +333,10 @@ def cmd_attack(args) -> int:
     The pool re-enters the hold on this thread (_blas_lock is an RLock).
     The hold lives here, not in _surrogate_attack: see its docstring."""
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
-    cfg = _attack_config(args, dataset)
+    attack_cfg, surrogate_cfg = _attack_config(args, dataset)
     with _one_blas_thread():
-        attacked = _surrogate_attack(args, dataset, cfg, args.seed, args.seed + 100)
+        attacked = _surrogate_attack(dataset, attack_cfg, surrogate_cfg, args.seed,
+                                     args.seed + 100)
     data_io.dump_dataset(attacked, args.out + ".features.csv",
                          args.out + ".labels.csv")
     return EXIT_OK

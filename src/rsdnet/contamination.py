@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data_io import Dataset
@@ -14,18 +12,9 @@ def _check_eta(eta: float):
         raise ValueError(f"eta must lie in [0, 1), got {eta}")
 
 
-@dataclass(frozen=True)
-class NoiseConfig:
-    eta: float
-    seed: int
-
-    def __post_init__(self):
-        _check_eta(self.eta)
-
-
-def corrupt_labels(dataset: Dataset, cfg: NoiseConfig,
+def corrupt_labels(dataset: Dataset, eta: float, seed: int,
                    rows: np.ndarray | None = None) -> tuple[Dataset, np.ndarray]:
-    """Flip each label independently with probability eta.
+    """Flip each label independently with probability eta, drawn from seed.
 
     A flipped label is replaced by a uniform draw over the J-1 other
     classes.  The RNG stream is consumed in a fixed order (all flip
@@ -33,13 +22,15 @@ def corrupt_labels(dataset: Dataset, cfg: NoiseConfig,
     regardless of how callers iterate.  Given rows, an index array, only
     those rows' labels are drawn, with the bits of the same call on a copy
     of those rows, and the mask has one entry per row of rows; the other
-    labels are kept.  The features are shared, not copied.
+    labels are kept.  The features are shared, not copied.  Raises
+    ValueError unless eta lies in [0, 1), at eta = 0 too.
     """
+    _check_eta(eta)
     J = dataset.num_classes
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     labels = dataset.labels if rows is None else dataset.labels[rows]
     n = len(labels)
-    flip = rng.random(n) < cfg.eta
+    flip = rng.random(n) < eta
     # draw over J-1 offsets and shift past the original class
     offsets = rng.integers(1, J, size=n)
     new_labels = labels.copy()

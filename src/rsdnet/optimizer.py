@@ -62,7 +62,6 @@ class TrainConfig:
     losses: tuple[LossSpec, ...]
     epochs: int
     batch_size: int = 128
-    shuffle_seed: int = 0
 
     def __post_init__(self):
         if not (isinstance(self.losses, tuple) and self.losses
@@ -105,7 +104,7 @@ def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset,
 
 def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
           train_cfg: TrainConfig, eval_rows: np.ndarray | None = None,
-          rows: np.ndarray | None = None):
+          rows: np.ndarray | None = None, shuffle_seed: int = 0):
     """Mini-batch Adam training at the fixed ADAM_* hyperparameters of one
     model per loss in train_cfg.losses; returns one (params, per-epoch
     metrics) pair per loss, in order.
@@ -116,8 +115,8 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     as a whole.
 
     The models start from the same init_params(arch, init_seed) and see
-    the same batches: each epoch reshuffles the example order from a
-    per-epoch derived seed and visits every example exactly once; the last
+    the same batches: each epoch reshuffles the example order from the
+    seed shuffle_seed + epoch and visits every example exactly once; the last
     short batch is kept.  Metrics rows are (epoch, mean train loss, test
     accuracy), the test accuracy that of accuracy on the eval_rows of
     dataset, or nan without eval_rows.
@@ -165,7 +164,7 @@ def train(dataset: Dataset, arch: ArchitectureSpec, init_seed: int,
     # the per-epoch finiteness check below reports a diverged model
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for epoch in range(1, train_cfg.epochs + 1):
-            order = np.random.default_rng(train_cfg.shuffle_seed + epoch).permutation(n)
+            order = np.random.default_rng(shuffle_seed + epoch).permutation(n)
             if rows is not None:
                 order = rows[order]
             loss_sums = [0.0] * len(losses)

@@ -198,29 +198,33 @@ def subset(dataset, idx):
                    num_classes=dataset.num_classes)
 
 
-def subset_train(dataset, rows, noise, arch, init_seed, train_cfg):
+def subset_train(dataset, rows, eta, noise_seed, arch, init_seed, train_cfg,
+                 shuffle_seed=0):
     """train on a copy of the rows of dataset, their labels corrupted by
-    corrupt_labels at the NoiseConfig noise: the path that copied each
+    corrupt_labels at eta and noise_seed: the path that copied each
     fold's training rows before train could gather them in place."""
-    noisy, _ = corrupt_labels(subset(dataset, rows), noise)
-    return train(noisy, arch, init_seed, train_cfg)
+    noisy, _ = corrupt_labels(subset(dataset, rows), eta, noise_seed)
+    return train(noisy, arch, init_seed, train_cfg, shuffle_seed=shuffle_seed)
 
 
-def attack_fold(dataset, train_idx, val_idx, noise, arch, init_seed, train_cfg,
-                surrogate, surrogate_seed, surrogate_cfg, attack_cfg):
+def attack_fold(dataset, train_idx, val_idx, eta, noise_seed, arch, init_seed,
+                train_cfg, shuffle_seed, surrogate, surrogate_seed, surrogate_cfg,
+                surrogate_shuffle_seed, attack_cfg):
     """One `train --attack` fold on copies of its rows: the training rows'
-    labels corrupted by corrupt_labels at the NoiseConfig noise, a
+    labels corrupted by corrupt_labels at eta and noise_seed, a
     surrogate of architecture surrogate trained on them, those rows
     attacked through it in one attack call, the model trained on the
     attacked copy, and its validation rows attacked against the model.
     Returns the model's params, its clean accuracy on the validation rows
     and its accuracy on their attacked copy (reference_accuracy both)."""
-    noisy, _ = corrupt_labels(subset(dataset, train_idx), noise)
-    [(surrogate_params, _)] = train(noisy, surrogate, surrogate_seed, surrogate_cfg)
+    noisy, _ = corrupt_labels(subset(dataset, train_idx), eta, noise_seed)
+    [(surrogate_params, _)] = train(noisy, surrogate, surrogate_seed, surrogate_cfg,
+                                    shuffle_seed=surrogate_shuffle_seed)
     attacked = Dataset(features=attack(surrogate_params, surrogate, noisy.features,
                                        noisy.labels, attack_cfg),
                        labels=noisy.labels, num_classes=noisy.num_classes)
-    [(params, _)] = train(attacked, arch, init_seed, train_cfg)
+    [(params, _)] = train(attacked, arch, init_seed, train_cfg,
+                          shuffle_seed=shuffle_seed)
     val = subset(dataset, val_idx)
     adv_val = Dataset(features=attack(params, arch, val.features, val.labels,
                                       attack_cfg),

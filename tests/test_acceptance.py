@@ -11,7 +11,7 @@ import numpy as np
 
 from rsdnet.attacks import AttackConfig, adversarial_trainset, attack
 from rsdnet.cli import ARCH_PRESETS, main as cli_main
-from rsdnet.contamination import NoiseConfig, corrupt_labels
+from rsdnet.contamination import corrupt_labels
 from rsdnet.data_io import posterior_example1, read_idx
 from rsdnet.divergence import (
     InvalidTuningError,
@@ -349,13 +349,13 @@ class TestCriterion6LabelNoiseTrend:
             # one lockstep run: the pair shares init, batch order and data
             trained = train(ds, arch, 8,
                             TrainConfig(losses=losses, epochs=epochs,
-                                        batch_size=128, shuffle_seed=4))
+                                        batch_size=128), shuffle_seed=4)
             return [accuracy(params, arch, test_ds) for params, _ in trained]
 
         clean_cce, clean_sd = fit(train_ds, (
             LossSpec(kind="cce"),
             LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8))))
-        noisy, _ = corrupt_labels(train_ds, NoiseConfig(eta=0.4, seed=11))
+        noisy, _ = corrupt_labels(train_ds, 0.4, 11)
         noisy_cce, noisy_sd = fit(noisy, (
             LossSpec(kind="cce"),
             LossSpec(kind="sd", tuning=make_tuning(0.05, -1.0))))
@@ -370,13 +370,13 @@ class TestCriterion6LabelNoiseTrend:
             # one lockstep run: the pair shares init, batch order and data
             trained = train(ds, arch, 8,
                             TrainConfig(losses=losses, epochs=epochs,
-                                        batch_size=32, shuffle_seed=4))
+                                        batch_size=32), shuffle_seed=4)
             return [accuracy(params, arch, test_ds) for params, _ in trained]
 
         clean_cce, clean_sd = fit(train_ds, (
             LossSpec(kind="cce"),
             LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8))), 200)
-        noisy, _ = corrupt_labels(train_ds, NoiseConfig(eta=0.4, seed=11))
+        noisy, _ = corrupt_labels(train_ds, 0.4, 11)
         noisy_cce, noisy_sd = fit(noisy, (
             LossSpec(kind="cce"),
             LossSpec(kind="sd", tuning=make_tuning(0.05, -1.0))), 600)
@@ -406,8 +406,8 @@ class TestCriterion7Attacks:
         ds = blobs(300, 0, spread=0.08)
         [(params, _)] = train(ds, arch, 0,
                               TrainConfig(losses=(LossSpec(kind="cce"),),
-                                          epochs=60, batch_size=32,
-                                          shuffle_seed=1))
+                                          epochs=60, batch_size=32),
+                              shuffle_seed=1)
         ok = True
 
         eps = 0.2

@@ -27,7 +27,7 @@ def trained_model():
     ds = blobs(300, 0, spread=0.08)
     [(params, _)] = train(ds, ARCH, 0,
                           TrainConfig(losses=(LossSpec(kind="cce"),), epochs=60,
-                                      batch_size=32, shuffle_seed=1))
+                                      batch_size=32), shuffle_seed=1)
     return params, ds
 
 

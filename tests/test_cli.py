@@ -25,7 +25,6 @@ from rsdnet.cli import (
 from rsdnet.data_io import (Dataset, dump_dataset, load_dataset,
                             synthetic_blobs, synthetic_example1, write_idx)
 
-from rsdnet.contamination import NoiseConfig
 from rsdnet.data_io import make_folds
 from rsdnet.optimizer import TrainConfig, accuracy
 
@@ -278,10 +277,10 @@ class TestTrainFolds:
         for fold, (train_idx, val_idx) in enumerate(
                 make_folds(ds.n, folds, self.SEED)):
             [(params, _)] = subset_train(
-                ds, train_idx, NoiseConfig(eta=self.ETA, seed=self.SEED + 1000 + fold),
+                ds, train_idx, self.ETA, self.SEED + 1000 + fold,
                 arch, self.SEED + fold,
-                TrainConfig(losses=(loss,), epochs=self.EPOCHS,
-                            batch_size=self.BATCH, shuffle_seed=self.SEED + 100 + fold))
+                TrainConfig(losses=(loss,), epochs=self.EPOCHS, batch_size=self.BATCH),
+                self.SEED + 100 + fold)
             results.append((params, accuracy(params, arch, subset(ds, val_idx))))
         return results
 
@@ -362,13 +361,15 @@ class TestTrainFolds:
         surrogate = replace(cli.ARCH_PRESETS["surrogate-64"], dtype=np.float32)
         return [attack_fold(
             ds, train_idx, val_idx,
-            NoiseConfig(eta=self.ETA, seed=self.SEED + 1000 + fold),
+            self.ETA, self.SEED + 1000 + fold,
             arch, self.SEED + fold,
             TrainConfig(losses=(parse_loss(self.LOSS),), epochs=self.EPOCHS,
-                        batch_size=self.BATCH, shuffle_seed=self.SEED + 100 + fold),
+                        batch_size=self.BATCH),
+            self.SEED + 100 + fold,
             surrogate, self.SEED + 2000 + fold,
             TrainConfig(losses=(parse_loss("cce"),), epochs=self.EPOCHS,
-                        batch_size=self.BATCH, shuffle_seed=self.SEED + 3000 + fold),
+                        batch_size=self.BATCH),
+            self.SEED + 3000 + fold,
             self.ATTACK) for fold, (train_idx, val_idx)
             in enumerate(make_folds(ds.n, self.FOLDS, self.SEED))]
 
@@ -518,8 +519,8 @@ class TestTrainFolds:
                              ids=["epochs", "batch"])
     def test_bad_flags_raised_in_the_folds_exit_2(self, tmp_path, monkeypatch,
                                                   flags):
-        # each fold rejects the flag, fold 1 on the pool's worker thread;
-        # the caller re-raises it and main maps it to its exit code
+        # the flag is rejected before the pool starts, so no worker thread
+        # sees it; main maps it to its exit code
         unhandled = []
         monkeypatch.setattr(network, "_usable_cores", lambda: 2)
         monkeypatch.setattr(threading, "excepthook", unhandled.append)
@@ -527,6 +528,35 @@ class TestTrainFolds:
                     "--n", 30, "--loss", "cce", *flags])
         assert code == EXIT_BAD_FLAGS
         assert unhandled == []
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestSettingsCheckedBeforeTraining:
+    """Every training command builds its TrainConfigs, and so checks
+    --epochs, --batch and --surrogate-epochs, before anything trains: with
+    --attack, before any fold's surrogate trains and attacks."""
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--epochs", 0],
+        ["train", "--batch", 0],
+        ["train", "--attack", "pgd", "--surrogate-epochs", 1, "--epochs", 0],
+        ["train", "--attack", "pgd", "--surrogate-epochs", 1, "--batch", 0],
+        ["train", "--attack", "pgd", "--surrogate-epochs", 0],
+        ["epochs", "--loss", "cce", "--epochs", 0],
+        ["epochs", "--loss", "cce", "--batch", 0],
+        ["attack", "--attack", "pgd", "--surrogate-epochs", 0],
+    ], ids=["train-epochs", "train-batch", "train-attack-epochs",
+            "train-attack-batch", "train-attack-surrogate-epochs", "epochs-epochs",
+            "epochs-batch", "attack-surrogate-epochs"])
+    def test_bad_setting_exits_2_before_training(self, tmp_path, monkeypatch, argv):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before checking the settings")
+
+        monkeypatch.setattr(cli, "train", no_training)
+        command, *flags = argv
+        code = run([command, "--seed", 0, "--out", tmp_path / "out", "--n", 20,
+                    *flags])
+        assert code == EXIT_BAD_FLAGS
         assert list(tmp_path.iterdir()) == []
 
 
@@ -845,17 +875,29 @@ class TestInfluenceCommand:
         assert np.isfinite(other).all()
         assert paths[0].read_bytes() != paths[2].read_bytes()
 
-    def test_saturated_logit_gives_finite_rows(self, tmp_path):
+    def test_saturated_logit_gives_finite_rows(self, tmp_path, capsys):
         # the logit 2e308 overflows to inf, where the class-1 probability
         # is 1 and the curve 0
         out = tmp_path / "if.csv"
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            code = run(["influence", "--seed", 0, "--out", out, "--model", "M1",
-                        "--beta", 0.5, "--lambda", -0.5, "--theta", "0,2",
-                        "--grid=1e308,1e308,1"])
+        code = run(["influence", "--seed", 0, "--out", out, "--model", "M1",
+                    "--beta", 0.5, "--lambda", -0.5, "--theta", "0,2",
+                    "--grid=1e308,1e308,1"])
         assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
         data = np.genfromtxt(out, delimiter=",", skip_header=1)
         assert data.shape == (2, 3) and np.isfinite(data).all()
+
+    def test_non_finite_curve_exits_4_without_output(self, tmp_path, capsys):
+        # M2's hidden units overflow at x_t = 1e308 and the curve is nan;
+        # the one report is main's numeric failure line, with no numpy warning
+        out = tmp_path / "if.csv"
+        code = run(["influence", "--seed", 0, "--out", out, "--model", "M2",
+                    "--beta", 0.5, "--lambda", -0.5, "--theta", "1,1,1,1,1,10,1",
+                    "--grid=1e308,1e308,1"])
+        assert code == EXIT_NUMERIC
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric failure: non-finite influence value at x_t = 1e+308"]
 
     def test_inadmissible_tuning(self, tmp_path):
         out = str(tmp_path / "if.csv")
@@ -872,13 +914,24 @@ class TestInfluenceCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["0,1,0", "0,1,-2", "nan,1,3", "0,inf,3",
-                                      "-1e308,1e308,3", "0,1", "0,1,x"])
+                                      "-1e308,1e308,3", "0,1", "0,1,x", "1,2",
+                                      "1,2,3,4"])
     def test_bad_grid_exits_2_without_output(self, tmp_path, grid):
         out = tmp_path / "if.csv"
         code = run(["influence", "--seed", 0, "--out", out, "--model", "M1",
                     "--beta", 0.5, "--lambda", -0.5, f"--grid={grid}"])
         assert code == EXIT_BAD_FLAGS
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1,2", "1,2,3,4"])
+    def test_grid_of_other_than_three_values_names_the_flag(self, tmp_path, capsys,
+                                                            grid):
+        code = run(["influence", "--seed", 0, "--out", tmp_path / "if.csv",
+                    "--model", "M1", "--beta", 0.5, "--lambda", -0.5,
+                    f"--grid={grid}"])
+        assert code == EXIT_BAD_FLAGS
+        assert capsys.readouterr().err == (
+            f"error: --grid needs MIN,MAX,COUNT, got '{grid}'\n")
 
 
 class TestEpochsCommand:
@@ -936,10 +989,11 @@ class TestEpochsCommand:
         for epoch in range(1, epochs + 1):
             # the first epochs of a longer run are a shorter run
             trained = subset_train(
-                ds, perm[:cut], NoiseConfig(eta=eta, seed=seed + 1000),
+                ds, perm[:cut], eta, seed + 1000,
                 arch, seed,
                 TrainConfig(losses=tuple(map(parse_loss, losses)), epochs=epoch,
-                            batch_size=batch, shuffle_seed=seed + 100))
+                            batch_size=batch),
+                seed + 100)
             for cells_of_loss, (params, _) in zip(want, trained):
                 cells_of_loss.append(f"{accuracy(params, arch, held_out):.6g}")
         assert cells == [cell for cells_of_loss in want for cell in cells_of_loss]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rsdnet.contamination import NoiseConfig, corrupt_labels, noisy_posterior
+from rsdnet.contamination import corrupt_labels, noisy_posterior
 from rsdnet.data_io import Dataset
 
 from reference import subset
@@ -19,13 +19,13 @@ def make_dataset(n, J, seed=0):
 class TestCorruptLabels:
     def test_eta_zero_is_identity(self):
         ds = make_dataset(200, 5)
-        corrupted, mask = corrupt_labels(ds, NoiseConfig(eta=0.0, seed=1))
+        corrupted, mask = corrupt_labels(ds, 0.0, 1)
         np.testing.assert_array_equal(corrupted.labels, ds.labels)
         assert not mask.any()
 
     def test_flipped_labels_always_change(self):
         ds = make_dataset(5000, 3)
-        corrupted, mask = corrupt_labels(ds, NoiseConfig(eta=0.5, seed=2))
+        corrupted, mask = corrupt_labels(ds, 0.5, 2)
         assert mask.any()
         assert np.all(corrupted.labels[mask] != ds.labels[mask])
         np.testing.assert_array_equal(corrupted.labels[~mask], ds.labels[~mask])
@@ -35,7 +35,7 @@ class TestCorruptLabels:
     def test_flip_rate(self):
         n, eta = 20000, 0.4
         ds = make_dataset(n, 10)
-        _, mask = corrupt_labels(ds, NoiseConfig(eta=eta, seed=3))
+        _, mask = corrupt_labels(ds, eta, 3)
         # binomial: mean n*eta, sd sqrt(n*eta*(1-eta)); allow 4 sigma
         assert abs(mask.sum() - n * eta) < 4 * np.sqrt(n * eta * (1 - eta))
 
@@ -44,7 +44,7 @@ class TestCorruptLabels:
         n, J = 30000, 4
         ds = Dataset(features=np.zeros((n, 1)),
                      labels=np.zeros(n, dtype=np.intp), num_classes=J)
-        corrupted, mask = corrupt_labels(ds, NoiseConfig(eta=1.0 - 1e-12, seed=4))
+        corrupted, mask = corrupt_labels(ds, 1.0 - 1e-12, 4)
         counts = np.bincount(corrupted.labels[mask], minlength=J)
         assert counts[0] == 0
         expected = mask.sum() / (J - 1)
@@ -54,16 +54,16 @@ class TestCorruptLabels:
 
     def test_deterministic(self):
         ds = make_dataset(500, 6)
-        a, ma = corrupt_labels(ds, NoiseConfig(eta=0.3, seed=5))
-        b, mb = corrupt_labels(ds, NoiseConfig(eta=0.3, seed=5))
+        a, ma = corrupt_labels(ds, 0.3, 5)
+        b, mb = corrupt_labels(ds, 0.3, 5)
         np.testing.assert_array_equal(a.labels, b.labels)
         np.testing.assert_array_equal(ma, mb)
-        c, _ = corrupt_labels(ds, NoiseConfig(eta=0.3, seed=6))
+        c, _ = corrupt_labels(ds, 0.3, 6)
         assert not np.array_equal(a.labels, c.labels)
 
     def test_features_shared(self):
         ds = make_dataset(50, 2)
-        corrupted, _ = corrupt_labels(ds, NoiseConfig(eta=0.2, seed=7))
+        corrupted, _ = corrupt_labels(ds, 0.2, 7)
         assert corrupted.features is ds.features
 
     def test_rows_draw_as_their_subset(self):
@@ -71,9 +71,8 @@ class TestCorruptLabels:
         # labels and the features are kept as they are
         ds = make_dataset(300, 4)
         rows = np.sort(np.random.default_rng(8).permutation(300)[:170])
-        cfg = NoiseConfig(eta=0.4, seed=9)
-        corrupted, mask = corrupt_labels(ds, cfg, rows=rows)
-        want, want_mask = corrupt_labels(subset(ds, rows), cfg)
+        corrupted, mask = corrupt_labels(ds, 0.4, 9, rows=rows)
+        want, want_mask = corrupt_labels(subset(ds, rows), 0.4, 9)
         np.testing.assert_array_equal(mask, want_mask)
         np.testing.assert_array_equal(corrupted.labels[rows], want.labels)
         others = np.setdiff1d(np.arange(300), rows)
@@ -81,10 +80,10 @@ class TestCorruptLabels:
         assert corrupted.features is ds.features
 
     def test_eta_validation(self):
-        # NoiseConfig and noisy_posterior share one check, which NaN fails
+        # corrupt_labels and noisy_posterior share one check, which NaN fails
         for eta in (-0.1, 1.0, np.nan):
             with pytest.raises(ValueError, match="eta must lie"):
-                NoiseConfig(eta=eta, seed=0)
+                corrupt_labels(make_dataset(5, 2), eta, 0)
             with pytest.raises(ValueError, match="eta must lie"):
                 noisy_posterior(np.array([0.3, 0.7]), eta)
 
@@ -119,7 +118,7 @@ class TestNoisyPosterior:
         rng = np.random.default_rng(9)
         labels = rng.choice(J, size=n, p=[0.5, 0.3, 0.2]).astype(np.intp)
         ds = Dataset(features=np.zeros((n, 1)), labels=labels, num_classes=J)
-        corrupted, _ = corrupt_labels(ds, NoiseConfig(eta=eta, seed=10))
+        corrupted, _ = corrupt_labels(ds, eta, 10)
         observed = np.bincount(corrupted.labels, minlength=J) / n
         expected = noisy_posterior(np.array([0.5, 0.3, 0.2]), eta)
         np.testing.assert_allclose(observed, expected, atol=0.01)

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from reference import (blobs, overlapping_images, reference_accuracy,
                        same_bits, subset, subset_train, textbook_adam)
 from rsdnet.cli import ARCH_PRESETS
-from rsdnet.contamination import NoiseConfig, corrupt_labels
+from rsdnet.contamination import corrupt_labels
 from rsdnet.data_io import BLOB_SPREAD, Dataset, make_folds, synthetic_blobs
 from rsdnet.divergence import LossSpec, make_tuning
 from rsdnet.network import ArchitectureSpec, backward, forward, init_params
@@ -123,8 +123,9 @@ class TestTrain:
     def test_learns_separable_blobs(self):
         ds = blobs(300, 0, spread=0.08)
         cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=60,
-                          batch_size=32, shuffle_seed=1)
-        [(params, metrics)] = train(ds, TOY, 0, cfg, eval_rows=np.arange(ds.n))
+                          batch_size=32)
+        [(params, metrics)] = train(ds, TOY, 0, cfg, eval_rows=np.arange(ds.n),
+                                    shuffle_seed=1)
         assert accuracy(params, TOY, ds) >= 0.97
         assert len(metrics) == 60
         # loss should decrease substantially from the first epoch
@@ -134,17 +135,16 @@ class TestTrain:
     def test_sd_loss_also_learns(self):
         ds = blobs(300, 0, spread=0.08)
         spec = LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8))
-        cfg = TrainConfig(losses=(spec,), epochs=60, batch_size=32,
-                          shuffle_seed=1)
-        [(params, _)] = train(ds, TOY, 0, cfg)
+        cfg = TrainConfig(losses=(spec,), epochs=60, batch_size=32)
+        [(params, _)] = train(ds, TOY, 0, cfg, shuffle_seed=1)
         assert accuracy(params, TOY, ds) >= 0.97
 
     def test_deterministic(self):
         ds = synthetic_blobs(100, seed=2)
         cfg = TrainConfig(losses=(LossSpec(kind="cce"),), epochs=5,
-                          batch_size=16, shuffle_seed=7)
-        [(p1, m1)] = train(ds, TOY, 3, cfg, eval_rows=np.arange(ds.n))
-        [(p2, m2)] = train(ds, TOY, 3, cfg, eval_rows=np.arange(ds.n))
+                          batch_size=16)
+        [(p1, m1)] = train(ds, TOY, 3, cfg, eval_rows=np.arange(ds.n), shuffle_seed=7)
+        [(p2, m2)] = train(ds, TOY, 3, cfg, eval_rows=np.arange(ds.n), shuffle_seed=7)
         np.testing.assert_array_equal(p1, p2)
         assert m1 == m2
 
@@ -194,12 +194,11 @@ class TestTrain:
               else overlapping_images(300, seed=6))
         cfg = TrainConfig(losses=(LossSpec(kind="cce"),
                                   LossSpec(kind="sd", tuning=make_tuning(0.1, -0.8))),
-                          epochs=2, batch_size=32, shuffle_seed=9)
+                          epochs=2, batch_size=32)
         for fold, (rows, _) in enumerate(make_folds(ds.n, 3, seed=4)):
-            noise = NoiseConfig(eta=0.3, seed=fold)
-            noisy, _ = corrupt_labels(ds, noise, rows=rows)
-            got = train(noisy, arch, fold, cfg, rows=rows)
-            want = subset_train(ds, rows, noise, arch, fold, cfg)
+            noisy, _ = corrupt_labels(ds, 0.3, fold, rows=rows)
+            got = train(noisy, arch, fold, cfg, rows=rows, shuffle_seed=9)
+            want = subset_train(ds, rows, 0.3, fold, arch, fold, cfg, shuffle_seed=9)
             for (p, m), (p_want, m_want) in zip(got, want, strict=True):
                 same_bits(p, p_want)
                 assert np.array_equal(m, m_want, equal_nan=True)  # nan accuracy
@@ -268,17 +267,17 @@ class TestAccuracy:
             accuracy(init_params(TOY, 0), TOY, empty)
 
 
-def reference_train(dataset, arch, init_seed, loss, cfg, eval_set):
+def reference_train(dataset, arch, init_seed, loss, cfg, eval_set, shuffle_seed):
     """train() of one model with this loss, spelled out with the public
     pure functions and the textbook Adam step, one call each; cfg gives
-    the epochs, batch size and shuffle seed."""
+    the epochs and batch size."""
     params = init_params(arch, init_seed)
     m, v = np.zeros_like(params), np.zeros_like(params)
     metrics = []
     n = dataset.n
     t = 0
     for epoch in range(1, cfg.epochs + 1):
-        order = np.random.default_rng(cfg.shuffle_seed + epoch).permutation(n)
+        order = np.random.default_rng(shuffle_seed + epoch).permutation(n)
         loss_sum = 0.0
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
@@ -333,25 +332,24 @@ class TestFusedTrain:
     def test_matches_reference_bit_for_bit(self, arch, loss):
         ds = blob_split(arch)
         # batch 16 over 50 examples leaves a short final batch of 2
-        cfg = TrainConfig(losses=(loss,), epochs=3, batch_size=16,
-                          shuffle_seed=2)
+        cfg = TrainConfig(losses=(loss,), epochs=3, batch_size=16)
         [(params, metrics)] = train(ds, arch, 4, cfg, eval_rows=EVAL_ROWS,
-                                    rows=TRAIN_ROWS)
+                                    rows=TRAIN_ROWS, shuffle_seed=2)
         ref_params, ref_metrics = reference_train(
-            subset(ds, TRAIN_ROWS), arch, 4, loss, cfg, subset(ds, EVAL_ROWS))
+            subset(ds, TRAIN_ROWS), arch, 4, loss, cfg, subset(ds, EVAL_ROWS), 2)
         assert np.array_equal(params, ref_params)
         assert np.array_equal(np.array(metrics), np.array(ref_metrics))
 
     @FUSED_ARCHS
     def test_lockstep_matches_each_loss_alone(self, arch):
         ds = blob_split(arch)
-        cfg = TrainConfig(losses=tuple(FUSED_LOSSES), epochs=3, batch_size=16,
-                          shuffle_seed=2)
-        trained = train(ds, arch, 4, cfg, eval_rows=EVAL_ROWS, rows=TRAIN_ROWS)
+        cfg = TrainConfig(losses=tuple(FUSED_LOSSES), epochs=3, batch_size=16)
+        trained = train(ds, arch, 4, cfg, eval_rows=EVAL_ROWS, rows=TRAIN_ROWS,
+                        shuffle_seed=2)
         assert len(trained) == len(FUSED_LOSSES)
         for loss, (params, metrics) in zip(FUSED_LOSSES, trained):
             ref_params, ref_metrics = reference_train(
-                subset(ds, TRAIN_ROWS), arch, 4, loss, cfg, subset(ds, EVAL_ROWS))
+                subset(ds, TRAIN_ROWS), arch, 4, loss, cfg, subset(ds, EVAL_ROWS), 2)
             assert np.array_equal(params, ref_params), loss.describe()
             assert np.array_equal(np.array(metrics), np.array(ref_metrics))
 

@@ -22,6 +22,7 @@ def test_output_digests_are_the_same_on_a_rerun():
     assert set(first) == {
         "attack.features.csv", "attack.labels.csv", "bound.csv",
         "corrupt.features.csv", "corrupt.labels.csv", "epochs.csv",
+        "epochs-idx.csv",
         "corrupt-example1.features.csv", "corrupt-example1.labels.csv",
         "images.idx", "labels.idx", "influence.csv", "influence-m1.csv",
         *(f"train-{kind}.csv{ext}" for kind in ("attack", "blobs", "csv", "idx")

@@ -8,17 +8,16 @@ Run from the repository root, once per tree, and compare the two prints:
     diff parent.json change.json
 
 The commands run in-process, in order, through cli.main of the rsdnet
-package under --src, in a fresh temporary directory: `epochs` on blobs,
-`train` on blobs, on an IDX pair and on a CSV dump, `train --attack`,
-`attack`, `corrupt` on blobs and on example 1 (whose labels are drawn
-from posterior_example1), `bound`, and `influence` on M2 and, correctly
-specified, on M1 (whose reference is the model's own prob1).  The IDX
-pair holds IMAGE_ROWS of perfbench's synthetic_images (seed 1), written
-by the tree's own write_idx; the CSV dump is the output of the first
-`corrupt`.  Every file left in the directory, inputs included, is
-digested, keyed by its name; a command that exits non-zero stops the
-run.  Reruns on one tree print the
-same JSON.
+package under --src, in a fresh temporary directory: `epochs` on blobs
+and on an IDX pair, `train` on blobs, on the IDX pair and on a CSV dump,
+`train --attack`, `attack`, `corrupt` on blobs and on example 1 (whose
+labels are drawn from posterior_example1), `bound`, and `influence` on
+M2 and, correctly specified, on M1 (whose reference is the model's own
+prob1).  The IDX pair holds IMAGE_ROWS of perfbench's synthetic_images
+(seed 1), written by the tree's own write_idx; the CSV dump is the
+output of the first `corrupt`.  Every file left in the directory, inputs
+included, is digested, keyed by its name; a command that exits non-zero
+stops the run.  Reruns on one tree print the same JSON.
 """
 
 from __future__ import annotations
@@ -43,6 +42,9 @@ COMMANDS = (
      "--arch", "blob-mlp", "--eta", "0.4", "--epochs", "3", "--batch", "32",
      "--loss", "cce", "--loss", "mae", "--loss", "gce:0.7", "--loss", "tcce:0.2",
      "--loss", "sd:0.1,-0.8", "--loss", "sd:0.5,-0.5"],
+    ["epochs", "--seed", "4", "--out", "epochs-idx.csv", "--dataset", IMAGES,
+     "--arch", "mnist-mlp", "--eta", "0.3", "--epochs", "2", "--batch", "64",
+     "--loss", "cce", "--loss", "sd:0.1,-0.8"],
     ["train", "--seed", "5", "--out", "train-blobs.csv", "--n", "400",
      "--arch", "blob-mlp", "--eta", "0.2", "--epochs", "3", "--batch", "32",
      "--loss", "sd:0.5,-0.5"],
