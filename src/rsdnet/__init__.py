@@ -5,7 +5,6 @@ from .divergence import (
     LossSpec,
     TuningPair,
     conditional_sd_risk,
-    loss_bounds,
     make_tuning,
     sd_loss,
     softmax,

@@ -50,10 +50,6 @@ ARCH_PRESETS = {
 LOSS_GRAMMAR = "cce | mae | gce:Q | tcce:D | sd:BETA,LAMBDA"
 
 
-class CliError(ValueError):
-    """A bad flag value; main maps it, like any ValueError, to exit 2."""
-
-
 def parse_loss(text: str) -> LossSpec:
     """The loss a --loss value names; LOSS_GRAMMAR is the only spelling."""
     kind, sep, arg = text.partition(":")
@@ -68,8 +64,8 @@ def parse_loss(text: str) -> LossSpec:
         if kind in ("cce", "mae") and not sep:
             return LossSpec(kind=kind)
     except ValueError as exc:
-        raise CliError(f"bad loss spec {text!r}: {exc}") from exc
-    raise CliError(f"unknown loss spec {text!r}; expected {LOSS_GRAMMAR}")
+        raise ValueError(f"bad loss spec {text!r}: {exc}") from exc
+    raise ValueError(f"unknown loss spec {text!r}; expected {LOSS_GRAMMAR}")
 
 
 def load_dataset_arg(text: str, n: int, seed: int,
@@ -84,7 +80,7 @@ def load_dataset_arg(text: str, n: int, seed: int,
     """
     if text in ("blobs", "example1"):
         if n < 1:
-            raise CliError(f"--n must be at least 1, got {n}")
+            raise ValueError(f"--n must be at least 1, got {n}")
         make = data_io.synthetic_blobs if text == "blobs" else data_io.synthetic_example1
         return make(n, seed)
     kind, _, arg = text.partition(":")
@@ -94,7 +90,7 @@ def load_dataset_arg(text: str, n: int, seed: int,
     elif kind == "csv" and len(paths) == 2:
         dataset = data_io.load_dataset(paths[0], paths[1], num_classes)
     else:
-        raise CliError(f"unknown dataset selector: {text!r}")
+        raise ValueError(f"unknown dataset selector: {text!r}")
     if dataset.n == 0:
         raise DataFormatError("empty", f"{text}: the dataset has no examples")
     return dataset
@@ -108,7 +104,7 @@ def resolve_arch(args) -> tuple[ArchitectureSpec, Dataset]:
     try:
         arch = ARCH_PRESETS[args.arch]
     except KeyError:
-        raise CliError(f"unknown architecture preset: {args.arch!r}") from None
+        raise ValueError(f"unknown architecture preset: {args.arch!r}") from None
     dataset = load_dataset_arg(args.dataset, args.n, args.seed, arch.output_classes)
     if arch.input_dim != dataset.features.shape[1]:
         raise DataFormatError(
@@ -258,23 +254,29 @@ def cmd_bound(args) -> int:
 def cmd_influence(args) -> int:
     tuning = make_tuning(args.beta, args.lam)
     model = example_model(args.model)
-    if args.theta:
-        theta = np.array([float(v) for v in args.theta.split(",")])
+    if args.theta is not None:
+        try:
+            theta = np.array([float(v) for v in args.theta.split(",")])
+        except ValueError:
+            raise ValueError(f"--theta needs a comma list of numbers, "
+                             f"got {args.theta!r}") from None
         if not np.isfinite(theta).all():
-            raise CliError(f"--theta needs finite entries, got {args.theta!r}")
+            raise ValueError(f"--theta needs finite entries, got {args.theta!r}")
     else:
         theta = np.ones(model.n_params)
     try:
         lo, hi, count = args.grid.split(",")
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
-        raise CliError(f"--grid needs MIN,MAX,COUNT, got {args.grid!r}") from None
-    lo, hi, count = float(lo), float(hi), int(count)
+        raise ValueError(f"--grid needs MIN,MAX,COUNT, got {args.grid!r}") from None
+    if args.sample_size < 1:
+        raise ValueError(f"--sample-size must be at least 1, got {args.sample_size}")
     if count < 1:
-        raise CliError(f"--grid needs a count of at least 1, got {args.grid!r}")
+        raise ValueError(f"--grid needs a count of at least 1, got {args.grid!r}")
     with np.errstate(over="ignore", invalid="ignore"):
         x_grid = np.linspace(lo, hi, count)
     if not np.isfinite(x_grid).all():
-        raise CliError(f"--grid needs finite points, got {args.grid!r}")
+        raise ValueError(f"--grid needs finite points, got {args.grid!r}")
     p_star_fn = None
     if args.correctly_specified:
         def p_star_fn(xs):
@@ -462,15 +464,15 @@ def _read_config(path, args) -> dict:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise CliError(f"bad config line: {line!r}")
+            raise ValueError(f"bad config line: {line!r}")
         key, value = key.strip(), value.strip()
         dest = key.replace("-", "_")
         if dest in ("command", "config", "func") or not hasattr(args, dest):
-            raise CliError(f"unknown config key: {key!r}")
+            raise ValueError(f"unknown config key: {key!r}")
         current = getattr(args, dest)
         if isinstance(current, list):
-            raise CliError(f"config key {key!r} is a repeatable flag; "
-                           "give it on the command line")
+            raise ValueError(f"config key {key!r} is a repeatable flag; "
+                             "give it on the command line")
         if isinstance(current, bool):
             value = value.lower() in ("1", "true", "yes")
         config[dest] = value

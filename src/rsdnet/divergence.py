@@ -208,16 +208,6 @@ def _risk_terms(p, p_star, t: TuningPair):
     )
 
 
-def loss_bounds(t: TuningPair, J: int) -> tuple[float, float]:
-    """Lower and upper bounds on sum_j sd_loss(e_j, p) over the simplex."""
-    if J < 2:
-        raise ValueError("J must be at least 2")
-    c = (1.0 + t.beta) / (t.a * t.b)
-    lower = J ** (1.0 - t.beta) / t.a - c * max(1.0, J ** (1.0 - t.b)) + J * J / t.b
-    upper = J / t.a - c * min(1.0, J ** (1.0 - t.b)) + J * J / t.b
-    return lower, upper
-
-
 # ---------------------------------------------------------------------------
 # Baseline losses
 # ---------------------------------------------------------------------------

@@ -82,6 +82,19 @@ def tcce_mean(labels, probs, delta):
     return float(np.sort(per)[:n - n_drop].mean())
 
 
+def loss_bounds(t, J):
+    """(C_L, C_U): the lower and upper bounds on sum_j sd_loss(e_j, p) over
+    the J-class simplex at the tuning pair t, the constants of the
+    excess-risk bound eta (C_U - C_L) / (J - 1 - J eta) of Ghosh, Kumar &
+    Sastry 2017."""
+    if J < 2:
+        raise ValueError("J must be at least 2")
+    c = (1.0 + t.beta) / (t.a * t.b)
+    lower = J ** (1.0 - t.beta) / t.a - c * max(1.0, J ** (1.0 - t.b)) + J * J / t.b
+    upper = J / t.a - c * min(1.0, J ** (1.0 - t.b)) + J * J / t.b
+    return lower, upper
+
+
 def glorot_params(arch, seed):
     """Flat parameters: per layer, N(0, 2/(fan_in+fan_out)) weights of shape
     (fan_in, fan_out), row-major, from one generator, then a zero bias."""

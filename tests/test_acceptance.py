@@ -20,7 +20,6 @@ from rsdnet.divergence import (
     conditional_sd_risk,
     make_tuning,
     sd_loss,
-    loss_bounds,
     softmax,
 )
 from rsdnet.network import (
@@ -40,7 +39,7 @@ from rsdnet.theory import (
     psi,
 )
 
-from reference import blobs, subset
+from reference import blobs, loss_bounds, subset
 
 
 def report(capfd, criterion, ok):

@@ -18,7 +18,6 @@ from rsdnet.cli import (
     EXIT_BAD_FLAGS,
     EXIT_NUMERIC,
     EXIT_OK,
-    CliError,
     main,
     parse_loss,
 )
@@ -44,7 +43,7 @@ class TestParseLoss:
         assert spec.tuning.lam == -0.8
 
     def test_sd_without_tuning(self):
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError, match="bad loss spec"):
             parse_loss("sd")
 
     def test_baselines(self):
@@ -54,16 +53,16 @@ class TestParseLoss:
         assert parse_loss("tcce:0.2").delta == 0.2
 
     def test_inadmissible_pair_rejected(self):
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError, match="bad loss spec"):
             parse_loss("sd:0.0,0.0")
 
     def test_unknown(self):
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError, match="unknown loss spec"):
             parse_loss("focal")
 
     @pytest.mark.parametrize("text", ["cce:", "mae:", "cce:0.7", "mae:x"])
     def test_baseline_with_a_colon_rejected(self, text):
-        with pytest.raises(CliError):
+        with pytest.raises(ValueError, match="unknown loss spec"):
             parse_loss(text)
 
 
@@ -923,15 +922,43 @@ class TestInfluenceCommand:
         assert code == EXIT_BAD_FLAGS
         assert not out.exists()
 
-    @pytest.mark.parametrize("grid", ["1,2", "1,2,3,4"])
+    @pytest.mark.parametrize("grid", ["1,2", "1,2,3,4", "0,1,2.5", "a,1,3"])
     def test_grid_of_other_than_three_values_names_the_flag(self, tmp_path, capsys,
                                                             grid):
         code = run(["influence", "--seed", 0, "--out", tmp_path / "if.csv",
                     "--model", "M1", "--beta", 0.5, "--lambda", -0.5,
                     f"--grid={grid}"])
         assert code == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == []
         assert capsys.readouterr().err == (
             f"error: --grid needs MIN,MAX,COUNT, got '{grid}'\n")
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--theta=1,x", "--theta needs a comma list of numbers, got '1,x'"),
+        ("--theta=1,,2", "--theta needs a comma list of numbers, got '1,,2'"),
+        # an empty --theta= is malformed, not the default all-ones theta
+        ("--theta=", "--theta needs a comma list of numbers, got ''"),
+        ("--sample-size=0", "--sample-size must be at least 1, got 0"),
+        ("--sample-size=-1", "--sample-size must be at least 1, got -1"),
+    ], ids=["theta-not-a-number", "theta-empty-entry", "theta-empty",
+            "sample-size-zero", "sample-size-negative"])
+    def test_malformed_value_names_the_flag(self, tmp_path, capsys, flag, message):
+        code = run(["influence", "--seed", 0, "--out", tmp_path / "if.csv",
+                    "--model", "M1", "--beta", 0.5, "--lambda", -0.5, flag])
+        assert code == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_empty_theta_in_a_config_file_names_the_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("theta=\n")
+        code = run(["influence", "--seed", 0, "--out", tmp_path / "if.csv",
+                    "--model", "M1", "--beta", 0.5, "--lambda", -0.5,
+                    "--config", cfg])
+        assert code == EXIT_BAD_FLAGS
+        assert list(tmp_path.iterdir()) == [cfg]
+        assert capsys.readouterr().err == (
+            "error: --theta needs a comma list of numbers, got ''\n")
 
 
 class TestEpochsCommand:

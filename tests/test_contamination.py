@@ -52,6 +52,27 @@ class TestCorruptLabels:
         chi2 = ((counts[1:] - expected) ** 2 / expected).sum()
         assert chi2 < 30
 
+    @pytest.mark.parametrize("eta", [0.0, 0.2, 0.4, 0.6])
+    @pytest.mark.parametrize("J", [2, 3, 10])
+    def test_noisy_accuracy_is_affine_in_clean_accuracy(self, J, eta):
+        # fixed predictions of clean accuracy a score
+        # eta/(J-1) + a (1 - J eta/(J-1)) on average on the noisy labels:
+        # a right prediction keeps its label with probability 1 - eta, and a
+        # wrong one is the flip's draw with probability eta/(J-1)
+        n = 100_000
+        ds = make_dataset(n, J, seed=J)
+        q = eta / (J - 1)
+        for seed, right in enumerate((0, n // 3, 3 * n // 4, n)):
+            preds = ds.labels.copy()
+            preds[right:] = (preds[right:] + 1) % J
+            a = right / n
+            noisy, _ = corrupt_labels(ds, eta, seed)
+            got = np.mean(preds == noisy.labels)
+            # the sd of a mean of n Bernoulli draws, a n of them at
+            # 1 - eta and the rest at q; allow 4 sigma
+            sd = np.sqrt((a * eta * (1 - eta) + (1 - a) * q * (1 - q)) / n)
+            assert abs(got - (q + a * (1 - J * q))) <= 4 * sd + 1e-12
+
     def test_deterministic(self):
         ds = make_dataset(500, 6)
         a, ma = corrupt_labels(ds, 0.3, 5)

@@ -17,14 +17,14 @@ from rsdnet.divergence import (
     _sigmoid,
     clip_probs,
     conditional_sd_risk,
-    loss_bounds,
     make_tuning,
     sd_loss,
     softmax,
 )
 
-from reference import (cce_loss, gce_loss, mae_loss, reference_clip_probs,
-                       same_bits, tcce_mean, textbook_softmax)
+from reference import (cce_loss, gce_loss, loss_bounds, mae_loss,
+                       reference_clip_probs, same_bits, tcce_mean,
+                       textbook_softmax)
 
 
 def random_simplex(rng, n, J):

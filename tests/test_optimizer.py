@@ -353,6 +353,25 @@ class TestFusedTrain:
             assert np.array_equal(params, ref_params), loss.describe()
             assert np.array_equal(np.array(metrics), np.array(ref_metrics))
 
+    @pytest.mark.parametrize("losses", [FUSED_LOSSES[:1], FUSED_LOSSES[2:5]],
+                             ids=["K=1", "K=3"])
+    @pytest.mark.parametrize("arch", [ARCH_PRESETS["blob-mlp"], TOY],
+                             ids=["blob-mlp", "tanh"])
+    def test_shorter_run_is_a_prefix_of_a_longer_one(self, arch, losses):
+        # early stopping rests on this: a run of E epochs writes the first
+        # E metrics rows of a longer run at the same seeds, so the epoch a
+        # longer run picks is reproduced by a run of that many epochs
+        ds = blob_split(arch)
+
+        def metrics(epochs):
+            cfg = TrainConfig(losses=tuple(losses), epochs=epochs, batch_size=16)
+            return [m for _, m in train(ds, arch, 4, cfg, eval_rows=EVAL_ROWS,
+                                        rows=TRAIN_ROWS, shuffle_seed=2)]
+
+        for short, long in zip(metrics(3), metrics(7), strict=True):
+            assert len(long) == 7
+            same_bits(np.array(short), np.array(long[:3]))
+
     def test_overflow_raises_naming_the_epoch(self):
         ds = synthetic_blobs(40, seed=0)
         ds = Dataset(features=ds.features * 1e200, labels=ds.labels,

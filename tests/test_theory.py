@@ -10,8 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from rsdnet.contamination import noisy_posterior
 from rsdnet.data_io import posterior_example1
 from rsdnet.divergence import (PROB_CLIP, InvalidTuningError, _risk_terms,
-                               conditional_sd_risk, loss_bounds, make_tuning,
-                               sd_loss)
+                               conditional_sd_risk, make_tuning, sd_loss)
 from rsdnet.network import example_model
 from rsdnet.theory import (
     BoundGrid,
@@ -30,7 +29,8 @@ from rsdnet.theory import (
     simplex_grid,
 )
 
-from reference import reference_calibration_check, runner_up_quadratic
+from reference import (loss_bounds, reference_calibration_check,
+                       runner_up_quadratic)
 from test_divergence import admissible_tunings
 
 

@@ -18,7 +18,16 @@ def test_output_digests_are_the_same_on_a_rerun():
 
     first = digests()
     assert first == digests()
-    # every command's outputs, and the IDX pair it reads
+    # every command's outputs, the IDX pair it reads, and the exit code and
+    # stderr of each failing command
+    errors = {
+        "unknown-loss", "bad-loss", "n-zero", "unknown-dataset", "unknown-arch",
+        "config-bad-line", "config-unknown-key", "config-repeatable-key",
+        "grid-arity", "grid-not-a-number", "grid-count", "grid-non-finite",
+        "theta-non-finite", "theta-not-a-number", "theta-empty",
+        "sample-size-zero", "features-outside-the-box", "missing-csv",
+        "influence-overflow",
+    }
     assert set(first) == {
         "attack.features.csv", "attack.labels.csv", "bound.csv",
         "corrupt.features.csv", "corrupt.labels.csv", "epochs.csv",
@@ -27,7 +36,12 @@ def test_output_digests_are_the_same_on_a_rerun():
         "images.idx", "labels.idx", "influence.csv", "influence-m1.csv",
         *(f"train-{kind}.csv{ext}" for kind in ("attack", "blobs", "csv", "idx")
           for ext in ("", ".params.npy")),
+        *(f"error {name}" for name in errors),
     }
+    # one stderr line each, and every failing exit code
+    failures = [first[f"error {name}"] for name in errors]
+    assert all(len(f["stderr"]) == 1 for f in failures)
+    assert {f["exit"] for f in failures} == {2, 3, 4}
 
 
 def test_step_timings_time_every_kernel_of_both_setups():

@@ -17,13 +17,21 @@ prob1).  The IDX pair holds IMAGE_ROWS of perfbench's synthetic_images
 (seed 1), written by the tree's own write_idx; the CSV dump is the
 output of the first `corrupt`.  Every file left in the directory, inputs
 included, is digested, keyed by its name; a command that exits non-zero
-stops the run.  Reruns on one tree print the same JSON.
+stops the run.
+
+Then each of a fixed list of failing commands, ERRORS, runs in the same
+directory, and its exit code and stderr lines are printed under the key
+"error NAME": the error contract, at least one command per exit code
+2, 3 and 4, and one per message of a bad flag value.  Their paths are
+relative to the directory, so reruns on one tree print the same JSON.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -71,6 +79,46 @@ COMMANDS = (
      "--correctly-specified"],
 )
 
+# the config files the ERRORS read, written after the outputs are digested
+CONFIGS = {
+    "bad-line.cfg": "epochs 2\n",
+    "unknown-key.cfg": "learning_rate=0.1\n",
+    "repeatable.cfg": "loss=cce\n",
+    "unknown-arch.cfg": "arch=nonsense\n",
+}
+TRAIN = ["train", "--seed", "0", "--out", "error.csv", "--loss", "cce"]
+INFLUENCE = ["influence", "--seed", "0", "--out", "error.csv", "--model", "M1",
+             "--beta", "0.5", "--lambda=-0.5"]
+ERRORS = {
+    # exit 2: a bad flag value or config file
+    "unknown-loss": TRAIN[:-1] + ["focal"],
+    "bad-loss": TRAIN[:-1] + ["sd:0.0,0.0"],
+    "n-zero": TRAIN + ["--n", "0"],
+    "unknown-dataset": TRAIN + ["--dataset", "nonsense"],
+    "unknown-arch": TRAIN + ["--config", "unknown-arch.cfg"],
+    "config-bad-line": TRAIN + ["--config", "bad-line.cfg"],
+    "config-unknown-key": TRAIN + ["--config", "unknown-key.cfg"],
+    "config-repeatable-key": ["epochs", "--seed", "0", "--out", "error.csv",
+                              "--loss", "mae", "--config", "repeatable.cfg"],
+    "grid-arity": INFLUENCE + ["--grid=1,2"],
+    "grid-not-a-number": INFLUENCE + ["--grid=0,1,2.5"],
+    "grid-count": INFLUENCE + ["--grid=0,1,0"],
+    "grid-non-finite": INFLUENCE + ["--grid=-1e308,1e308,3"],
+    "theta-non-finite": INFLUENCE + ["--theta=nan,1"],
+    "theta-not-a-number": INFLUENCE + ["--theta=1,x"],
+    "theta-empty": INFLUENCE + ["--theta="],
+    "sample-size-zero": INFLUENCE + ["--sample-size=0"],
+    # exit 3: bad data
+    "features-outside-the-box": ["attack", "--seed", "0", "--out", "error",
+                                 "--dataset", "example1", "--n", "50",
+                                 "--attack", "fgsm", "--epsilon", "0.1"],
+    "missing-csv": TRAIN + ["--dataset", "csv:missing.features.csv,missing.labels.csv"],
+    # exit 4: a numeric failure
+    "influence-overflow": ["influence", "--seed", "0", "--out", "error.csv",
+                           "--model", "M2", "--beta", "0.5", "--lambda=-0.5",
+                           "--theta", "1,1,1,1,1,10,1", "--grid=1e308,1e308,1"],
+}
+
 
 def digests(src: Path) -> dict:
     sys.path.insert(0, str(src.resolve()))
@@ -91,8 +139,16 @@ def digests(src: Path) -> dict:
                 code = cli.main(argv)
                 if code != 0:
                     raise SystemExit(f"{' '.join(argv)} exited {code}")
-            return {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
-                    for name in sorted(os.listdir("."))}
+            report = {name: hashlib.sha256(Path(name).read_bytes()).hexdigest()
+                      for name in sorted(os.listdir("."))}
+            for name, text in CONFIGS.items():
+                Path(name).write_text(text, encoding="utf-8")
+            for name, argv in ERRORS.items():
+                with contextlib.redirect_stderr(io.StringIO()) as err:
+                    code = cli.main(argv)
+                report[f"error {name}"] = {"exit": code,
+                                           "stderr": err.getvalue().splitlines()}
+            return report
         finally:
             os.chdir(cwd)
 
