@@ -13,13 +13,9 @@ once per call; each step then runs _input_gradient, the kernel
 input_gradient also wraps.
 
 adversarial_trainset attacks its ATTACK_BATCH-row blocks as the tasks of
-network._run_tasks, each writing its rows into one shared output; that
-docstring says on which threads they run and how OpenBLAS is held.  Rows
+network._run_tasks, each writing its rows into one shared output.  Rows
 are attacked independently, so the bits are those of attacking the blocks
-one at a time on one BLAS thread, whatever the number of workers or the
-thread count OpenBLAS would pick.  Where no OpenBLAS thread setter is
-found, one worker attacks the blocks in turn, at OpenBLAS's own thread
-count.
+one at a time, whatever the number of workers.
 """
 
 from __future__ import annotations

@@ -68,6 +68,14 @@ def parse_loss(text: str) -> LossSpec:
     raise ValueError(f"unknown loss spec {text!r}; expected {LOSS_GRAMMAR}")
 
 
+def _at_least(least: int, **flags: int) -> None:
+    """Refuse the first flag, given by its dest, whose value is below least."""
+    for dest, value in flags.items():
+        if value < least:
+            raise ValueError(f"--{dest.replace('_', '-')} must be at least "
+                             f"{least}, got {value}")
+
+
 def load_dataset_arg(text: str, n: int, seed: int,
                      num_classes: int | None = None) -> Dataset:
     """Resolve a --dataset selector.
@@ -79,8 +87,7 @@ def load_dataset_arg(text: str, n: int, seed: int,
     raises DataFormatError (tag empty).
     """
     if text in ("blobs", "example1"):
-        if n < 1:
-            raise ValueError(f"--n must be at least 1, got {n}")
+        _at_least(1, n=n)
         make = data_io.synthetic_blobs if text == "blobs" else data_io.synthetic_example1
         return make(n, seed)
     kind, _, arg = text.partition(":")
@@ -129,24 +136,27 @@ def _surrogate_attack(dataset: Dataset, attack_cfg: AttackConfig,
     place, has the hidden layers and dtype of the surrogate-64 preset and
     is sized to the data.
 
-    It takes no BLAS hold of its own.  cmd_attack calls it inside one, and
-    train --attack from the tasks of network._run_tasks, whose caller holds
-    network._blas_lock until every worker has stopped: a hold taken here,
-    on a worker thread, would wait for that lock forever."""
+    The surrogate trains and attacks inside one _one_blas_thread hold, at
+    one BLAS thread as train's folds do.  So no OpenBLAS worker, woken by
+    the training, spins on a core the attack's pool needs, and the
+    attacked bits are those of one BLAS thread whatever the core count."""
     arch = replace(ARCH_PRESETS["surrogate-64"], input_dim=dataset.features.shape[1],
                    output_classes=dataset.num_classes)
-    [(params, _)] = train(dataset, arch, init_seed, surrogate_cfg, rows=rows,
-                          shuffle_seed=shuffle_seed)
-    return adversarial_trainset(params, arch, dataset, attack_cfg, rows=rows)
+    with _one_blas_thread():
+        [(params, _)] = train(dataset, arch, init_seed, surrogate_cfg, rows=rows,
+                              shuffle_seed=shuffle_seed)
+        return adversarial_trainset(params, arch, dataset, attack_cfg, rows=rows)
 
 
 def _attack_config(args, dataset: Dataset) -> tuple[AttackConfig, TrainConfig]:
     """The attack flags as an AttackConfig and the surrogate's CCE
-    TrainConfig, both checked before any surrogate trains; a dataset with
-    a feature outside BOX raises DataFormatError (tag outside_box): the
-    attack would clamp it, not perturb it."""
+    TrainConfig, both checked before any surrogate trains (the caller has
+    checked --batch); a dataset with a feature outside BOX raises
+    DataFormatError (tag outside_box): the attack would clamp it, not
+    perturb it."""
     cfg = AttackConfig(kind=args.attack, epsilon=args.epsilon,
                        step_size=args.step, max_iters=args.iters)
+    _at_least(1, surrogate_epochs=args.surrogate_epochs)
     surrogate_cfg = TrainConfig(losses=(LossSpec(kind="cce"),),
                                 epochs=args.surrogate_epochs, batch_size=args.batch)
     lo, hi = BOX
@@ -193,8 +203,13 @@ def cmd_train(args) -> int:
     workers.  Every setting is checked before the first fold starts."""
     arch, dataset = resolve_arch(args)
     loss = parse_loss(args.loss)
+    _at_least(1, epochs=args.epochs, batch=args.batch)
     train_cfg = TrainConfig(losses=(loss,), epochs=args.epochs, batch_size=args.batch)
     attack = _attack_config(args, dataset) if args.attack else None
+    _at_least(2, folds=args.folds)
+    if args.folds > dataset.n:
+        raise ValueError(f"--folds must be at most {dataset.n}, the number of "
+                         f"examples, got {args.folds}")
     folds = data_io.make_folds(dataset.n, args.folds, args.seed)
 
     def run_fold(fold: int):
@@ -237,6 +252,8 @@ def _result_row(args, loss: LossSpec, fold: str, clean, adv):
 
 
 def cmd_bound(args) -> int:
+    _at_least(2, classes=args.classes)
+    _at_least(1, resolution=args.resolution)
     grid = bound_grid(args.eta, args.classes,
                       (args.beta_min, args.beta_max),
                       (args.lambda_min, args.lambda_max),
@@ -262,6 +279,9 @@ def cmd_influence(args) -> int:
                              f"got {args.theta!r}") from None
         if not np.isfinite(theta).all():
             raise ValueError(f"--theta needs finite entries, got {args.theta!r}")
+        if theta.size != model.n_params:
+            raise ValueError(f"--theta needs {model.n_params} entries for "
+                             f"{args.model}, got {theta.size}")
     else:
         theta = np.ones(model.n_params)
     try:
@@ -269,8 +289,7 @@ def cmd_influence(args) -> int:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ValueError(f"--grid needs MIN,MAX,COUNT, got {args.grid!r}") from None
-    if args.sample_size < 1:
-        raise ValueError(f"--sample-size must be at least 1, got {args.sample_size}")
+    _at_least(1, sample_size=args.sample_size)
     if count < 1:
         raise ValueError(f"--grid needs a count of at least 1, got {args.grid!r}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -301,6 +320,7 @@ def cmd_influence(args) -> int:
 
 def cmd_epochs(args) -> int:
     arch, dataset = resolve_arch(args)
+    _at_least(1, epochs=args.epochs, batch=args.batch)
     train_cfg = TrainConfig(losses=tuple(parse_loss(text) for text in args.loss),
                             epochs=args.epochs, batch_size=args.batch)
     # one fixed 3:1 train/test split, trained as fold 0 in one lockstep run:
@@ -326,19 +346,12 @@ def cmd_corrupt(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    """The --dataset attacked through _surrogate_attack, dumped.
-
-    The surrogate trains and attacks inside one _one_blas_thread hold, at
-    one BLAS thread as train's folds do.  So no OpenBLAS worker, woken by
-    the training, spins on a core the attack's pool needs, and the
-    attacked bits are those of one BLAS thread whatever the core count.
-    The pool re-enters the hold on this thread (_blas_lock is an RLock).
-    The hold lives here, not in _surrogate_attack: see its docstring."""
+    """The --dataset attacked through _surrogate_attack, dumped."""
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
+    _at_least(1, batch=args.batch)
     attack_cfg, surrogate_cfg = _attack_config(args, dataset)
-    with _one_blas_thread():
-        attacked = _surrogate_attack(dataset, attack_cfg, surrogate_cfg, args.seed,
-                                     args.seed + 100)
+    attacked = _surrogate_attack(dataset, attack_cfg, surrogate_cfg, args.seed,
+                                 args.seed + 100)
     data_io.dump_dataset(attacked, args.out + ".features.csv",
                          args.out + ".labels.csv")
     return EXIT_OK

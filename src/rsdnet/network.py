@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import os
+import sys
 import threading
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -252,42 +253,44 @@ def backward(trace: ForwardTrace, params: np.ndarray, arch: ArchitectureSpec,
 
 @cache
 def _openblas_threads():
-    """(get, set) of the thread count of the OpenBLAS numpy has loaded, or
-    None where no such library exports them."""
+    """(get, set) of the thread count of the OpenBLAS numpy links, or None
+    where no such library exports them.  They are looked up through
+    numpy's core extension module (numpy._core on numpy 2, numpy.core on
+    1.x), whose symbol lookup also searches the libraries it links, under
+    the names of scipy-openblas (numpy 2's wheels), of openblas64_ (numpy
+    1.x's wheels) and of a plain OpenBLAS build."""
+    core = (sys.modules.get("numpy._core._multiarray_umath")
+            or sys.modules.get("numpy.core._multiarray_umath"))
     try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
+        lib = ctypes.CDLL(core.__file__)
+    except (AttributeError, OSError):  # no such module, or not a library
         return None
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get, set_ in (("scipy_openblas_get_num_threads64_",
-                           "scipy_openblas_set_num_threads64_"),
-                          ("openblas_get_num_threads", "openblas_set_num_threads")):
-            if hasattr(lib, get) and hasattr(lib, set_):
-                getter, setter = getattr(lib, get), getattr(lib, set_)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                return getter, setter
+    for get, set_ in (("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                      ("openblas_get_num_threads", "openblas_set_num_threads")):
+        if hasattr(lib, get) and hasattr(lib, set_):
+            getter, setter = getattr(lib, get), getattr(lib, set_)
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
     return None
 
 
 _blas_lock = threading.RLock()
+_task_state = threading.local()  # .running: this thread is running a task
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Hold OpenBLAS at one thread inside the block, which receives whether
     it could, and restore its count on leaving.  Callers in other threads
-    wait their turn: each pool already runs on every core, and so does an
-    `attack` command, which holds it while its surrogate trains."""
+    wait their turn, as each pool already runs on every core.  Inside a
+    task of _run_tasks it passes straight through: the pool's caller holds
+    OpenBLAS at one thread until every task has ended."""
     blas = _openblas_threads()
-    if blas is None:
-        yield False
+    if blas is None or getattr(_task_state, "running", False):
+        yield blas is not None
         return
     get, set_ = blas
     with _blas_lock:
@@ -300,11 +303,11 @@ def _one_blas_thread():
 
 
 def _usable_cores() -> int:
-    """Cores this process may run on, from which _run_tasks sizes its pool."""
-    return len(os.sched_getaffinity(0))
-
-
-_task_state = threading.local()  # .running: this thread is running a task
+    """Cores this process may run on, from which _run_tasks sizes its pool:
+    its CPU affinity where the OS has one (not macOS), else every core."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _run_tasks(task: Callable[[int], object], n: int) -> list:
@@ -323,14 +326,7 @@ def _run_tasks(task: Callable[[int], object], n: int) -> list:
     The first exception a task raises is raised here once every worker
     has stopped, as is one raised in the caller while it waits (Ctrl-C);
     a worker stops before its next task once any has failed.  A call made
-    from inside a task runs its own tasks in turn on that task's thread,
-    without taking _blas_lock, which the outer call's caller holds until
-    its workers have stopped.
-
-    So every fold of `train`, with or without --attack, is a task of one
-    pool, and the attacks of a fold, nested in its task, attack their
-    blocks in turn on its thread; the `attack` command's blocks are the
-    tasks of a pool of their own.
+    from inside a task runs its own tasks in turn on that task's thread.
     """
     if getattr(_task_state, "running", False):
         return [task(i) for i in range(n)]

@@ -146,7 +146,7 @@ class TestTrainCommand:
         code = run(["train", "--seed", 0, "--out", out, "--n", 30,
                     "--epochs", 1, "--folds", folds])
         assert code == EXIT_BAD_FLAGS
-        assert "need 2 <= folds <= n" in capsys.readouterr().err
+        assert "--folds must be at least 2" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "epochs"])
@@ -535,19 +535,21 @@ class TestSettingsCheckedBeforeTraining:
     --epochs, --batch and --surrogate-epochs, before anything trains: with
     --attack, before any fold's surrogate trains and attacks."""
 
-    @pytest.mark.parametrize("argv", [
-        ["train", "--epochs", 0],
-        ["train", "--batch", 0],
-        ["train", "--attack", "pgd", "--surrogate-epochs", 1, "--epochs", 0],
-        ["train", "--attack", "pgd", "--surrogate-epochs", 1, "--batch", 0],
-        ["train", "--attack", "pgd", "--surrogate-epochs", 0],
-        ["epochs", "--loss", "cce", "--epochs", 0],
-        ["epochs", "--loss", "cce", "--batch", 0],
-        ["attack", "--attack", "pgd", "--surrogate-epochs", 0],
+    @pytest.mark.parametrize("argv, flag", [
+        (["train", "--epochs", 0], "epochs"),
+        (["train", "--batch", 0], "batch"),
+        (["train", "--attack", "pgd", "--surrogate-epochs", 1, "--epochs", 0], "epochs"),
+        (["train", "--attack", "pgd", "--surrogate-epochs", 1, "--batch", 0], "batch"),
+        (["train", "--attack", "pgd", "--surrogate-epochs", 0], "surrogate-epochs"),
+        (["epochs", "--loss", "cce", "--epochs", 0], "epochs"),
+        (["epochs", "--loss", "cce", "--batch", 0], "batch"),
+        (["attack", "--attack", "pgd", "--surrogate-epochs", 0], "surrogate-epochs"),
+        (["attack", "--attack", "fgsm", "--batch", 0], "batch"),
     ], ids=["train-epochs", "train-batch", "train-attack-epochs",
             "train-attack-batch", "train-attack-surrogate-epochs", "epochs-epochs",
-            "epochs-batch", "attack-surrogate-epochs"])
-    def test_bad_setting_exits_2_before_training(self, tmp_path, monkeypatch, argv):
+            "epochs-batch", "attack-surrogate-epochs", "attack-batch"])
+    def test_bad_setting_exits_2_before_training(self, tmp_path, monkeypatch,
+                                                 capsys, argv, flag):
         def no_training(*args, **kwargs):
             raise AssertionError("trained before checking the settings")
 
@@ -557,6 +559,34 @@ class TestSettingsCheckedBeforeTraining:
                     *flags])
         assert code == EXIT_BAD_FLAGS
         assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err == f"error: --{flag} must be at least 1, got 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["bound", "--eta", 0.1, "--classes", 1], "--classes must be at least 2, got 1"),
+    (["bound", "--eta", 0.1, "--resolution", 0],
+     "--resolution must be at least 1, got 0"),
+    (["train", "--n", 40, "--folds", 1], "--folds must be at least 2, got 1"),
+    (["train", "--n", 40, "--folds", 41],
+     "--folds must be at most 40, the number of examples, got 41"),
+    (["influence", "--model", "M1", "--beta", 0.5, "--lambda", -0.5,
+      "--theta=1,1,1"], "--theta needs 2 entries for M1, got 3"),
+    (["train", "--n", 0], "--n must be at least 1, got 0"),
+], ids=["classes-one", "resolution-zero", "folds-one", "folds-above-n",
+        "theta-count", "n-zero"])
+def test_a_bad_numeric_flag_names_itself(tmp_path, monkeypatch, capsys, argv,
+                                         message):
+    # refused by the CLI before anything trains or is written; the
+    # settings TrainConfig checks are in TestSettingsCheckedBeforeTraining
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the flags")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    command, *flags = argv
+    code = run([command, "--seed", 0, "--out", tmp_path / "out", *flags])
+    assert code == EXIT_BAD_FLAGS
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestNetworkDtype:

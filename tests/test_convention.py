@@ -6,7 +6,8 @@ itself, nothing else.
 One worker pool: threads are started, and OpenBLAS's thread count is set,
 only by network's pool helper (_openblas_threads, _one_blas_thread and
 _run_tasks), so every parallel caller shares its BLAS hold, its failure
-handling and its bit guarantees.
+handling and its bit guarantees.  It finds OpenBLAS through numpy: no
+module reads /proc, which only Linux has.
 
 One calling convention: a single example is a batch of one.
 
@@ -101,6 +102,12 @@ def test_threads_and_blas_counts_only_in_the_pool():
         "import threading\nimport multiprocessing\n"
         "def f():\n    threading.Thread()\n")) == [
         (2, None, "multiprocessing"), (4, "f", "Thread")]
+
+
+def test_no_module_reads_proc():
+    src = Path(rsdnet.__file__).parent
+    assert [path.name for path in sorted(src.glob("*.py"))
+            if "/proc/" in path.read_text()] == []
 
 
 ALLOWED_IMPORTS = {"numpy", "rsdnet"} | sys.stdlib_module_names

@@ -1,8 +1,11 @@
 """Tests for the feed-forward engine, its worker pool and the closed-form
 example models."""
 
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +382,61 @@ class TestWorkerPool:
             assert [c for t, c in ran_on if t is thread] == [1, 1, 1]
         assert len(ran_on) == 6
         assert blas_count() == 2
+
+    def test_a_hold_inside_a_task_neither_waits_nor_changes_the_count(
+            self, blas_count, monkeypatch):
+        # the pool's caller holds OpenBLAS at one thread until every task
+        # has ended, so a task's own hold passes straight through
+        monkeypatch.setattr(network, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(network, "_blas_lock", threading.RLock())
+        results, seen = [], []
+
+        def task(i):
+            with network._one_blas_thread() as held:
+                seen.append((threading.current_thread(), held, blas_count()))
+            return i
+
+        runner = threading.Thread(
+            target=lambda: results.append(network._run_tasks(task, 2)),
+            daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+        assert not runner.is_alive(), "a task's hold waited for the pool's"
+        assert results == [[0, 1]]
+        assert len({t for t, _, _ in seen}) == 2
+        assert [(held, count) for _, held, count in seen] == [(True, 1)] * 2
+        assert blas_count() == 2
+
+    @pytest.mark.parametrize("cpus, cores", [(3, 3), (None, 1)])
+    def test_without_an_affinity_call_the_pool_counts_every_core(
+            self, blas_count, monkeypatch, cpus, cores):
+        # macOS has no os.sched_getaffinity; there a found setter sizes the
+        # pool from os.cpu_count(), which may not know the count (None)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert network._usable_cores() == cores
+        seen = []
+
+        def task(i):
+            seen.append((threading.current_thread(), blas_count()))
+            return i
+
+        assert network._run_tasks(task, 2 * cores) == list(range(2 * cores))
+        assert len({t for t, _ in seen}) == cores
+        assert {c for _, c in seen} == {1}
+        assert blas_count() == 2
+
+    def test_the_lookup_reads_numpys_live_openblas(self):
+        # OpenBLAS reads OPENBLAS_NUM_THREADS as numpy loads it, and caps a
+        # count above the core count, so 1 is the count every machine keeps
+        if network._openblas_threads() is None:
+            pytest.skip("numpy's BLAS exports no OpenBLAS thread setter")
+        src = str(Path(network.__file__).parent.parent)
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        run = subprocess.run(
+            [sys.executable, "-c",
+             "from rsdnet import network; print(network._openblas_threads()[0]())"],
+            env=env, capture_output=True, text=True, check=True, timeout=60)
+        assert run.stdout == "1\n"

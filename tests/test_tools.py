@@ -26,7 +26,8 @@ def test_output_digests_are_the_same_on_a_rerun():
         "grid-arity", "grid-not-a-number", "grid-count", "grid-non-finite",
         "theta-non-finite", "theta-not-a-number", "theta-empty",
         "sample-size-zero", "features-outside-the-box", "missing-csv",
-        "influence-overflow",
+        "influence-overflow", "classes-one", "resolution-zero", "folds-one",
+        "theta-count", "epochs-zero", "surrogate-epochs-zero",
     }
     assert set(first) == {
         "attack.features.csv", "attack.labels.csv", "bound.csv",

@@ -89,6 +89,7 @@ CONFIGS = {
 TRAIN = ["train", "--seed", "0", "--out", "error.csv", "--loss", "cce"]
 INFLUENCE = ["influence", "--seed", "0", "--out", "error.csv", "--model", "M1",
              "--beta", "0.5", "--lambda=-0.5"]
+BOUND = ["bound", "--seed", "0", "--out", "error.csv", "--eta", "0.1"]
 ERRORS = {
     # exit 2: a bad flag value or config file
     "unknown-loss": TRAIN[:-1] + ["focal"],
@@ -108,6 +109,12 @@ ERRORS = {
     "theta-not-a-number": INFLUENCE + ["--theta=1,x"],
     "theta-empty": INFLUENCE + ["--theta="],
     "sample-size-zero": INFLUENCE + ["--sample-size=0"],
+    "classes-one": BOUND + ["--classes", "1"],
+    "resolution-zero": BOUND + ["--resolution", "0"],
+    "folds-one": TRAIN + ["--n", "40", "--folds", "1"],
+    "theta-count": INFLUENCE + ["--theta=1,1,1"],
+    "epochs-zero": TRAIN + ["--epochs", "0"],
+    "surrogate-epochs-zero": TRAIN + ["--attack", "fgsm", "--surrogate-epochs", "0"],
     # exit 3: bad data
     "features-outside-the-box": ["attack", "--seed", "0", "--out", "error",
                                  "--dataset", "example1", "--n", "50",
