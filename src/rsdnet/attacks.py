@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .divergence import _cce_grad_logits, _check_labels, _one_hot, softmax
+from .divergence import _check_labels, _one_hot, softmax
 from .network import (ArchitectureSpec, _as_inputs, _backward, _forward,
                       _model_layers, _run_tasks)
 
@@ -68,9 +68,8 @@ def _input_gradient(layers, acts, X: np.ndarray, onehot: np.ndarray,
     one-hot labels, through the layer views and activation names, written
     into out where given.  Trusts its inputs."""
     pres, posts = _forward(layers, acts, X)
-    grad_logits = _cce_grad_logits(softmax(posts[-1]), onehot)
-    # undo the batch averaging: per-example input gradients
-    grad_logits *= X.shape[0]
+    grad_logits = softmax(posts[-1])  # a new float64 array
+    grad_logits -= onehot  # each example's CCE gradient, not averaged
     return _backward(X, pres, posts, layers, acts,
                      grad_logits.astype(X.dtype, copy=False), out=out)
 

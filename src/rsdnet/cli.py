@@ -48,32 +48,53 @@ ARCH_PRESETS = {
 
 
 LOSS_GRAMMAR = "cce | mae | gce:Q | tcce:D | sd:BETA,LAMBDA"
+# the spelling of each loss that takes numbers
+LOSS_FORMS = {"gce": "gce:Q", "tcce": "tcce:D", "sd": "sd:BETA,LAMBDA"}
 
 
 def parse_loss(text: str) -> LossSpec:
     """The loss a --loss value names; LOSS_GRAMMAR is the only spelling."""
     kind, sep, arg = text.partition(":")
+    if kind in ("cce", "mae") and not sep:
+        return LossSpec(kind=kind)
+    if kind not in LOSS_FORMS:
+        raise ValueError(f"unknown loss spec {text!r}; expected {LOSS_GRAMMAR}")
+    try:
+        values = [float(v) for v in arg.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != LOSS_FORMS[kind].count(",") + 1:
+        raise ValueError(f"bad loss spec {text!r}: expected {LOSS_FORMS[kind]}")
     try:
         if kind == "sd":
-            b, _, l = arg.partition(",")
-            return LossSpec(kind="sd", tuning=make_tuning(float(b), float(l)))
+            return LossSpec(kind="sd", tuning=make_tuning(*values))
         if kind == "gce":
-            return LossSpec(kind="gce", q=float(arg))
-        if kind == "tcce":
-            return LossSpec(kind="tcce", delta=float(arg))
-        if kind in ("cce", "mae") and not sep:
-            return LossSpec(kind=kind)
+            return LossSpec(kind="gce", q=values[0])
+        return LossSpec(kind="tcce", delta=values[0])
     except ValueError as exc:
         raise ValueError(f"bad loss spec {text!r}: {exc}") from exc
-    raise ValueError(f"unknown loss spec {text!r}; expected {LOSS_GRAMMAR}")
+
+
+def _flag_rule(holds: bool, flag: str, rule: str, value) -> None:
+    """Refuse the value of --flag unless holds, naming the flag and rule."""
+    if not holds:
+        raise ValueError(f"--{flag} must {rule}, got {value}")
 
 
 def _at_least(least: int, **flags: int) -> None:
     """Refuse the first flag, given by its dest, whose value is below least."""
     for dest, value in flags.items():
-        if value < least:
-            raise ValueError(f"--{dest.replace('_', '-')} must be at least "
-                             f"{least}, got {value}")
+        _flag_rule(value >= least, dest.replace("_", "-"), f"be at least {least}",
+                   value)
+
+
+def _check_eta(eta: float, classes: int | None = None) -> None:
+    """Refuse an --eta outside [0, 1) or, given the --classes count J, outside
+    [0, (J-1)/J), where the excess-risk bound is defined.  NaN fails both."""
+    bound = 1.0 if classes is None else (classes - 1) / classes
+    rule = ("lie in [0, 1)" if classes is None else
+            f"lie in [0, (J-1)/J) = [0, {bound:g}) for --classes {classes}")
+    _flag_rule(0.0 <= eta < bound, "eta", rule, eta)
 
 
 def load_dataset_arg(text: str, n: int, seed: int,
@@ -154,9 +175,12 @@ def _attack_config(args, dataset: Dataset) -> tuple[AttackConfig, TrainConfig]:
     checked --batch); a dataset with a feature outside BOX raises
     DataFormatError (tag outside_box): the attack would clamp it, not
     perturb it."""
+    _flag_rule(0.0 <= args.epsilon < np.inf, "epsilon",
+               "be finite and at least 0", args.epsilon)
+    _flag_rule(0.0 < args.step < np.inf, "step", "be finite and above 0", args.step)
+    _at_least(1, iters=args.iters, surrogate_epochs=args.surrogate_epochs)
     cfg = AttackConfig(kind=args.attack, epsilon=args.epsilon,
                        step_size=args.step, max_iters=args.iters)
-    _at_least(1, surrogate_epochs=args.surrogate_epochs)
     surrogate_cfg = TrainConfig(losses=(LossSpec(kind="cce"),),
                                 epochs=args.surrogate_epochs, batch_size=args.batch)
     lo, hi = BOX
@@ -205,11 +229,11 @@ def cmd_train(args) -> int:
     loss = parse_loss(args.loss)
     _at_least(1, epochs=args.epochs, batch=args.batch)
     train_cfg = TrainConfig(losses=(loss,), epochs=args.epochs, batch_size=args.batch)
+    _check_eta(args.eta)
     attack = _attack_config(args, dataset) if args.attack else None
     _at_least(2, folds=args.folds)
-    if args.folds > dataset.n:
-        raise ValueError(f"--folds must be at most {dataset.n}, the number of "
-                         f"examples, got {args.folds}")
+    _flag_rule(args.folds <= dataset.n, "folds",
+               f"be at most {dataset.n}, the number of examples", args.folds)
     folds = data_io.make_folds(dataset.n, args.folds, args.seed)
 
     def run_fold(fold: int):
@@ -253,6 +277,7 @@ def _result_row(args, loss: LossSpec, fold: str, clean, adv):
 
 def cmd_bound(args) -> int:
     _at_least(2, classes=args.classes)
+    _check_eta(args.eta, args.classes)
     _at_least(1, resolution=args.resolution)
     grid = bound_grid(args.eta, args.classes,
                       (args.beta_min, args.beta_max),
@@ -323,10 +348,14 @@ def cmd_epochs(args) -> int:
     _at_least(1, epochs=args.epochs, batch=args.batch)
     train_cfg = TrainConfig(losses=tuple(parse_loss(text) for text in args.loss),
                             epochs=args.epochs, batch_size=args.batch)
+    _check_eta(args.eta)
     # one fixed 3:1 train/test split, trained as fold 0 in one lockstep run:
     # every model has the same init and batch order
-    perm = np.random.default_rng(args.seed).permutation(dataset.n)
     cut = (3 * dataset.n) // 4
+    if cut == 0:
+        raise ValueError(f"the 3:1 train/test split of {dataset.n} example "
+                         "leaves no training row; epochs needs at least 2 examples")
+    perm = np.random.default_rng(args.seed).permutation(dataset.n)
     trained = _train_split(args, arch, dataset, perm[:cut], 0, train_cfg,
                            eval_rows=perm[cut:])
     rows = [(loss.describe(), *row)
@@ -339,6 +368,7 @@ def cmd_epochs(args) -> int:
 
 def cmd_corrupt(args) -> int:
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
+    _check_eta(args.eta)
     corrupted, mask = corrupt_labels(dataset, args.eta, args.seed)
     data_io.dump_dataset(corrupted, args.out + ".features.csv",
                          args.out + ".labels.csv", flip_mask=mask)

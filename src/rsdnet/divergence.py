@@ -145,15 +145,6 @@ def _sd_values(p: np.ndarray, p_y: np.ndarray, t: TuningPair) -> np.ndarray:
     ) / t.a
 
 
-def _sd_grad_probs(p: np.ndarray, onehot: np.ndarray, t: TuningPair) -> np.ndarray:
-    """Gradient of sd_loss with respect to the (n, J) probs p, at the
-    (n, J) one-hot labels; LossSpec chains it through softmax."""
-    pc = clip_probs(p)
-    return (1.0 + t.beta) / t.a * (
-        np.power(pc, t.beta) - onehot * np.power(pc, t.b - 1.0)
-    )
-
-
 def sd_loss(labels, probs, t: TuningPair):
     """Per-example S-divergence loss between one-hot labels and probs.
 
@@ -171,12 +162,6 @@ def sd_loss(labels, probs, t: TuningPair):
     p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     labels = _check_labels(labels, *p.shape)
     return _sd_values(p, p[np.arange(p.shape[0]), labels], t)
-
-
-def _chain_softmax(grad_p: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Pull a gradient in probs back through softmax to the logits."""
-    inner = np.add.reduce(grad_p * p, axis=-1, keepdims=True)
-    return p * (grad_p - inner)
 
 
 def conditional_sd_risk(p_star, probs, t: TuningPair):
@@ -217,22 +202,16 @@ def _cce_values(p_y: np.ndarray) -> np.ndarray:
     return -np.log(clip_probs(p_y))
 
 
-def _cce_grad_logits(probs: np.ndarray, onehot: np.ndarray) -> np.ndarray:
-    """Gradient of the batch-mean CCE with respect to the logits, from the
-    (n, J) softmax rows and one-hot labels: (probs - onehot) / n."""
-    return (probs - onehot) / probs.shape[0]
-
-
-def _trimmed_mean(per: np.ndarray, delta: float) -> tuple[float, np.ndarray]:
-    """Mean of per without its ceil(delta * n) largest entries, at most n - 1
-    of them, and the mask of the entries kept."""
+def _trimmed(per: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """per without its ceil(delta * n) largest entries, at most n - 1 of
+    them, and the mask of the entries kept."""
     n = per.shape[0]
     n_drop = min(int(np.ceil(delta * n)), n - 1)
     # unsorted when nothing is dropped, as the summation order sets the bits
     order = np.argsort(per) if n_drop > 0 else np.arange(n)
     keep = np.ones(n, dtype=bool)
     keep[order[n - n_drop:]] = False
-    return float(np.add.reduce(per[order[: n - n_drop]]) / (n - n_drop)), keep
+    return per[order[: n - n_drop]], keep
 
 
 # ---------------------------------------------------------------------------
@@ -299,25 +278,39 @@ class LossSpec:
         """value_and_grad_logits' kernel, which train runs for each model of
         a batch: from the (n, J) probs = softmax(logits), their labelled
         entries p_y and the (n, J) one-hot labels, which _label_terms sets
-        up once for all models.  Trusts its inputs."""
-        n = probs.shape[0]
-        if self.kind == "sd":
-            per = _sd_values(probs, p_y, self.tuning)
-            grad_p = _sd_grad_probs(probs, onehot, self.tuning)
-            return float(np.add.reduce(per) / n), _chain_softmax(grad_p, probs) / n
+        up once for all models.  Trusts its inputs.
+
+        Every kind's gradient is a per-example label weight times the CCE
+        gradient probs - onehot, over n (the kept count for tcce): 1 for
+        cce, 2 p_y for mae, p_y**q for gce, (1+beta)/A * p_y**B for sd and
+        the kept mask for tcce, a power p_y**c taken as p_y * pc_y**(c-1)
+        with pc = clip_probs(probs).  sd adds a term free of the label,
+        (1+beta)/A * probs * (pc**beta - sum_j probs_j * pc_j**beta)."""
+        n, weight, free = probs.shape[0], None, None
         if self.kind == "cce":
-            return (float(np.add.reduce(_cce_values(p_y)) / n),
-                    _cce_grad_logits(probs, onehot))
-        if self.kind == "mae":
-            grad = _chain_softmax(1.0 - 2.0 * onehot, probs) / n
-            return float(np.add.reduce(2.0 * (1.0 - p_y)) / n), grad
-        if self.kind == "gce":
+            per = _cce_values(p_y)
+        elif self.kind == "tcce":
+            # the trimmed mean's gradient: a dropped example weighs 0
+            per, weight = _trimmed(_cce_values(p_y), self.delta)
+            n = per.shape[0]
+        elif self.kind == "mae":
+            per, weight = 2.0 * (1.0 - p_y), 2.0 * p_y
+        elif self.kind == "gce":
             pc = clip_probs(p_y)
             per = (1.0 - np.power(pc, self.q)) / self.q
-            grad_p = -onehot * np.power(pc, self.q - 1.0)[:, None]
-            return float(np.add.reduce(per) / n), _chain_softmax(grad_p, probs) / n
-        # tcce: gradient of the trimmed mean; dropped examples contribute 0
-        per = _cce_values(p_y)
-        agg, keep = _trimmed_mean(per, self.delta)
-        grad = (probs - onehot) * keep[:, None] / np.add.reduce(keep)
-        return agg, grad
+            weight = p_y * np.power(pc, self.q - 1.0)
+        else:
+            t = self.tuning
+            per = _sd_values(probs, p_y, t)
+            scale = (1.0 + t.beta) / t.a
+            weight = scale * p_y * np.power(clip_probs(p_y), t.b - 1.0)
+            pb = np.power(clip_probs(probs), t.beta)
+            free = scale * probs * (pb - np.add.reduce(probs * pb, axis=-1,
+                                                       keepdims=True))
+        grad = probs - onehot
+        if weight is not None:
+            grad *= weight[:, None]
+        if free is not None:
+            grad += free
+        grad /= n
+        return float(np.add.reduce(per) / n), grad

@@ -16,7 +16,6 @@ from rsdnet.data_io import posterior_example1, read_idx
 from rsdnet.divergence import (
     InvalidTuningError,
     LossSpec,
-    _sd_grad_probs,
     conditional_sd_risk,
     make_tuning,
     sd_loss,
@@ -39,7 +38,8 @@ from rsdnet.theory import (
     psi,
 )
 
-from reference import blobs, loss_bounds, subset
+from reference import (blobs, cce_loss, gce_loss, loss_bounds, mae_loss, subset,
+                       tcce_mean)
 
 
 def report(capfd, criterion, ok):
@@ -84,20 +84,42 @@ class TestCriterion1Gradients:
         h = 1e-6
         worst = 0.0
 
-        # LossSpec's kernel for the loss gradient in the probabilities;
-        # each case is a batch of one
-        for case in range(1000):
-            t = tunings[case % len(tunings)]
-            J = int(rng.integers(2, 6))
-            p = (0.05 + 0.9 * random_simplex(rng, 1, J))[0]
-            y = int(rng.integers(0, J))
-            an = _sd_grad_probs(p[None], np.eye(J)[[y]], t)[0]
-            fd = np.zeros(J)
-            for j in range(J):
-                up, dn = p.copy(), p.copy()
-                up[j] += h
-                dn[j] -= h
-                fd[j] = (sd_loss(y, up, t)[0] - sd_loss(y, dn, t)[0]) / (2 * h)
+        # LossSpec's logit gradient of every baseline kind, against central
+        # differences of the kind's reference batch-mean loss through
+        # softmax, on batches of one to four rows; cases are redrawn as
+        # below, and for tcce where a step of h could reorder the losses
+        # around the trimming cut
+        def baseline(kind):
+            """A LossSpec of kind and its reference batch-mean loss."""
+            if kind == "gce":
+                q = rng.uniform(0.05, 1.0)
+                return LossSpec(kind="gce", q=q), lambda y, p: gce_loss(y, p, q).mean()
+            if kind == "tcce":
+                d = rng.uniform(0.0, 0.9)
+                return LossSpec(kind="tcce", delta=d), lambda y, p: tcce_mean(y, p, d)
+            per = {"cce": cce_loss, "mae": mae_loss}[kind]
+            return LossSpec(kind=kind), lambda y, p: per(y, p).mean()
+
+        done = 0
+        while done < 1000:
+            kind = ("cce", "mae", "gce", "tcce")[done % 4]
+            spec, mean_loss = baseline(kind)
+            n, J = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+            z = rng.normal(0.0, 2.0, (n, J))
+            y = rng.integers(0, J, n)
+            an = spec.value_and_grad_logits(y, z)[1]
+            gaps = np.diff(np.sort(cce_loss(y, softmax(z))))
+            if np.linalg.norm(an) < 1e-4 or (kind == "tcce" and (gaps < 1e-3).any()):
+                continue
+            done += 1
+            fd = np.zeros((n, J))
+            for i in range(n):
+                for j in range(J):
+                    up, dn = z.copy(), z.copy()
+                    up[i, j] += h
+                    dn[i, j] -= h
+                    fd[i, j] = (mean_loss(y, softmax(up))
+                                - mean_loss(y, softmax(dn))) / (2 * h)
             worst = max(worst, rel_err(fd, an))
 
         # LossSpec's loss gradient in the logits, the one training runs; a

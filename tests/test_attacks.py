@@ -65,9 +65,14 @@ class TestInputGradient:
         X = rng.uniform(0, 1, (6, 2))
         y = rng.integers(0, arch.output_classes, 6)
         trace = forward(params, arch, X)
-        _, grad_logits = cce.value_and_grad_logits(y, trace.logits)
-        _, expected = backward(trace, params, arch, grad_logits * 6)
+        # each example's CCE logit gradient, softmax minus the one-hot label
+        per_example = trace.probs - np.eye(arch.output_classes)[y]
+        _, expected = backward(trace, params, arch, per_example)
         assert np.array_equal(input_gradient(params, arch, X, y), expected)
+        # which is the batch mean's gradient times the batch size, up to
+        # the rounding of the division and the product
+        _, grad_logits = cce.value_and_grad_logits(y, trace.logits)
+        np.testing.assert_allclose(grad_logits * 6, per_example, rtol=0, atol=1e-15)
         # a single example is a batch of one
         single = forward(params, arch, X[2])
         _, g1 = cce.value_and_grad_logits(y[2], single.logits)

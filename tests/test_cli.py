@@ -46,6 +46,16 @@ class TestParseLoss:
         with pytest.raises(ValueError, match="bad loss spec"):
             parse_loss("sd")
 
+    @pytest.mark.parametrize("text, form", [
+        ("sd:0.5,", "sd:BETA,LAMBDA"),
+        ("sd:0.1,-0.8,1", "sd:BETA,LAMBDA"), ("gce:", "gce:Q"),
+        ("gce:0.5,0.5", "gce:Q"), ("tcce:x", "tcce:D"),
+    ])
+    def test_a_missing_or_stray_number_names_the_form(self, text, form):
+        with pytest.raises(ValueError) as info:
+            parse_loss(text)
+        assert str(info.value) == f"bad loss spec {text!r}: expected {form}"
+
     def test_baselines(self):
         assert parse_loss("cce").kind == "cce"
         assert parse_loss("mae").kind == "mae"
@@ -572,8 +582,26 @@ class TestSettingsCheckedBeforeTraining:
     (["influence", "--model", "M1", "--beta", 0.5, "--lambda", -0.5,
       "--theta=1,1,1"], "--theta needs 2 entries for M1, got 3"),
     (["train", "--n", 0], "--n must be at least 1, got 0"),
+    (["attack", "--attack", "pgd", "--iters", 0], "--iters must be at least 1, got 0"),
+    (["train", "--attack", "pgd", "--epsilon", "nan"],
+     "--epsilon must be finite and at least 0, got nan"),
+    (["attack", "--attack", "pgd", "--step", 0],
+     "--step must be finite and above 0, got 0.0"),
+    (["bound", "--eta", 0.95],
+     "--eta must lie in [0, (J-1)/J) = [0, 0.9) for --classes 10, got 0.95"),
+    (["bound", "--eta", 0.5, "--classes", 2],
+     "--eta must lie in [0, (J-1)/J) = [0, 0.5) for --classes 2, got 0.5"),
+    (["train", "--eta", 1], "--eta must lie in [0, 1), got 1.0"),
+    (["epochs", "--loss", "cce", "--eta", 1], "--eta must lie in [0, 1), got 1.0"),
+    (["corrupt", "--eta", 1], "--eta must lie in [0, 1), got 1.0"),
+    (["epochs", "--loss", "cce", "--n", 1], "the 3:1 train/test split of 1 "
+     "example leaves no training row; epochs needs at least 2 examples"),
+    (["epochs", "--loss", "sd:0.5"],
+     "bad loss spec 'sd:0.5': expected sd:BETA,LAMBDA"),
 ], ids=["classes-one", "resolution-zero", "folds-one", "folds-above-n",
-        "theta-count", "n-zero"])
+        "theta-count", "n-zero", "iters-zero", "epsilon-nan", "step-zero",
+        "bound-eta", "bound-eta-two-classes", "train-eta", "epochs-eta",
+        "corrupt-eta", "epochs-one-row", "sd-without-lambda"])
 def test_a_bad_numeric_flag_names_itself(tmp_path, monkeypatch, capsys, argv,
                                          message):
     # refused by the CLI before anything trains or is written; the

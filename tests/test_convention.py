@@ -31,7 +31,6 @@ from rsdnet.attacks import input_gradient
 from rsdnet.data_io import posterior_example1
 from rsdnet.divergence import (
     LossSpec,
-    _sd_grad_probs,
     conditional_sd_risk,
     make_tuning,
     sd_loss,
@@ -171,9 +170,6 @@ def test_sd_loss_and_its_gradients(data, J, t):
     batch = sd_loss(labels, probs, t)
     assert_row_of_batch(sd_loss(labels[i:i + 1], probs[i:i + 1], t), batch, i)
     assert_row_of_batch(sd_loss(int(labels[i]), probs[i], t), batch, i)
-    onehot = np.eye(J)[labels]
-    assert_row_of_batch(_sd_grad_probs(probs[i:i + 1], onehot[i:i + 1], t),
-                        _sd_grad_probs(probs, onehot, t), i)
     # LossSpec's gradient is of the batch mean: a row of n is one's over n
     spec = LossSpec(kind="sd", tuning=t)
     batch = spec.value_and_grad_logits(labels, logits)[1]

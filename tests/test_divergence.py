@@ -13,7 +13,6 @@ from rsdnet.divergence import (
     InvalidTuningError,
     LossSpec,
     _label_terms,
-    _sd_grad_probs,
     _sigmoid,
     clip_probs,
     conditional_sd_risk,
@@ -149,29 +148,9 @@ class TestSdLoss:
 
     def test_beta_one_grads(self):
         t = make_tuning(1.0, 0.0)
-        g = _sd_grad_probs(np.array([[0.5, 0.5]]), np.array([[1.0, 0.0]]), t)
-        assert g.shape == (1, 2)
-        np.testing.assert_allclose(g, [[-1.0, 1.0]])
         _, gz = LossSpec(kind="sd", tuning=t).value_and_grad_logits(0, np.array([0.0, 0.0]))
         assert gz.shape == (1, 2)
         np.testing.assert_allclose(gz, [[-0.5, 0.5]])
-
-    def test_grad_probs_finite_difference(self):
-        rng = np.random.default_rng(2)
-        h = 1e-6
-        for t in admissible_grid():
-            p = 0.05 + 0.9 * random_simplex(rng, 3, 3)
-            labels = rng.integers(0, 3, 3)
-            an = _sd_grad_probs(p, np.eye(3)[labels], t)
-            fd = np.zeros_like(p)
-            for i in range(p.shape[0]):
-                for j in range(p.shape[1]):
-                    up, dn = p.copy(), p.copy()
-                    up[i, j] += h
-                    dn[i, j] -= h
-                    fd[i, j] = (sd_loss(labels, up, t)[i]
-                                - sd_loss(labels, dn, t)[i]) / (2 * h)
-            np.testing.assert_allclose(fd, an, rtol=1e-5, atol=1e-7)
 
     def test_grad_logits_finite_difference(self):
         rng = np.random.default_rng(3)
@@ -526,7 +505,10 @@ class TestSdIsWeightedGce:
     """sd_loss is (1+beta)/A times GCE with q = B (Zhang & Sabuncu 2018,
     GCE_q(p_y) = (1 - p_y**q) / q) plus a term free of the label, and its
     logit gradient is the CCE gradient weighted by (1+beta)/A * p_y**B
-    plus a label-free one: SD down-weights a label by its probability."""
+    plus a label-free one: SD down-weights a label by its probability.
+    Every other kind's logit gradient is the CCE gradient weighted alone:
+    by 1 for cce, 2 p_y for mae, p_y**q for gce and the kept mask, over
+    the kept share, for tcce."""
 
     @given(case=sd_batches())
     def test_value_identity(self, case):
@@ -541,24 +523,45 @@ class TestSdIsWeightedGce:
         got = sd_loss(labels, p, t)
         assert np.all(np.abs(got - want) <= 1e-14 * scale), (got, want)
 
-    @given(case=sd_batches())
-    def test_gradient_identity(self, case):
+    @given(case=sd_batches(), q=st.floats(0.0, 1.0, exclude_min=True),
+           delta=st.floats(0.0, 0.9))
+    def test_gradient_identity(self, case, q, delta):
         t, labels, p = case
         n, J = p.shape
         rows = np.arange(n)
-        # every power of p clipped as _sd_grad_probs clips it; unclipped,
-        # the weight is p_y**B and the free term p * (p**beta - sum p**(1+beta))
+        p_y = p[rows, labels]
+        # every negative power of p clipped as the kernel clips it; unclipped,
+        # sd's weight is p_y**B and its free term p * (p**beta - sum p**(1+beta))
         pc = clip_probs(p)
-        weight = p[rows, labels] * np.power(pc[rows, labels], t.b - 1.0)
         onehot = np.zeros((n, J))
         onehot[rows, labels] = 1.0
+        scale = (1.0 + t.beta) / t.a
         pb = np.power(pc, t.beta)
-        free = p * (pb - (p * pb).sum(axis=1, keepdims=True))
-        want = (1.0 + t.beta) / t.a * (weight[:, None] * (p - onehot) + free) / n
-        _, got = kernel(LossSpec(kind="sd", tuning=t), labels, p)
-        # every term of the gradient is at most (1+beta)/A in size
-        np.testing.assert_allclose(got, want, rtol=0,
-                                   atol=1e-14 * (1.0 + t.beta) / t.a)
+        # (spec, weight, label-free term, size bound of the gradient's terms)
+        cases = [
+            (LossSpec(kind="cce"), np.ones(n), 0.0, 1.0),
+            (LossSpec(kind="mae"), 2.0 * p_y, 0.0, 2.0),
+            (LossSpec(kind="gce", q=q), p_y * np.power(pc[rows, labels], q - 1.0),
+             0.0, 1.0),
+            (LossSpec(kind="sd", tuning=t),
+             scale * p_y * np.power(pc[rows, labels], t.b - 1.0),
+             scale * p * (pb - (p * pb).sum(axis=1, keepdims=True)), scale),
+        ]
+        # tcce keeps the rows below its cut, unless a tie at the cut leaves
+        # the choice to the sort
+        cce = -np.log(clip_probs(p_y))
+        ranked = np.sort(cce)
+        n_drop = min(int(np.ceil(delta * n)), n - 1)
+        if n_drop == 0 or ranked[n - n_drop - 1] < ranked[n - n_drop]:
+            keep = cce <= ranked[n - n_drop - 1]
+            kept = keep.sum()
+            cases.append((LossSpec(kind="tcce", delta=delta), keep * n / kept, 0.0,
+                          n / kept))
+        for spec, weight, free, size in cases:
+            want = (weight[:, None] * (p - onehot) + free) / n
+            _, got = kernel(spec, labels, p)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * size,
+                                       err_msg=spec.describe())
 
 
 def edge_floats(dtype):

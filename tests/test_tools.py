@@ -27,7 +27,9 @@ def test_output_digests_are_the_same_on_a_rerun():
         "theta-non-finite", "theta-not-a-number", "theta-empty",
         "sample-size-zero", "features-outside-the-box", "missing-csv",
         "influence-overflow", "classes-one", "resolution-zero", "folds-one",
-        "theta-count", "epochs-zero", "surrogate-epochs-zero",
+        "theta-count", "epochs-zero", "surrogate-epochs-zero", "iters-zero",
+        "epsilon-nan", "step-zero", "bound-eta", "train-eta", "epochs-eta",
+        "corrupt-eta", "epochs-one-row", "sd-without-lambda",
     }
     assert set(first) == {
         "attack.features.csv", "attack.labels.csv", "bound.csv",

@@ -52,7 +52,7 @@ COMMANDS = (
      "--loss", "sd:0.1,-0.8", "--loss", "sd:0.5,-0.5"],
     ["epochs", "--seed", "4", "--out", "epochs-idx.csv", "--dataset", IMAGES,
      "--arch", "mnist-mlp", "--eta", "0.3", "--epochs", "2", "--batch", "64",
-     "--loss", "cce", "--loss", "sd:0.1,-0.8"],
+     "--loss", "cce", "--loss", "mae", "--loss", "gce:0.7", "--loss", "sd:0.1,-0.8"],
     ["train", "--seed", "5", "--out", "train-blobs.csv", "--n", "400",
      "--arch", "blob-mlp", "--eta", "0.2", "--epochs", "3", "--batch", "32",
      "--loss", "sd:0.5,-0.5"],
@@ -115,6 +115,17 @@ ERRORS = {
     "theta-count": INFLUENCE + ["--theta=1,1,1"],
     "epochs-zero": TRAIN + ["--epochs", "0"],
     "surrogate-epochs-zero": TRAIN + ["--attack", "fgsm", "--surrogate-epochs", "0"],
+    "iters-zero": TRAIN + ["--attack", "pgd", "--iters", "0"],
+    "epsilon-nan": TRAIN + ["--attack", "pgd", "--epsilon", "nan"],
+    "step-zero": TRAIN + ["--attack", "pgd", "--step", "0"],
+    "bound-eta": BOUND[:-1] + ["0.95"],
+    "train-eta": TRAIN + ["--eta", "1"],
+    "epochs-eta": ["epochs", "--seed", "0", "--out", "error.csv", "--loss", "cce",
+                   "--eta", "1"],
+    "corrupt-eta": ["corrupt", "--seed", "0", "--out", "error", "--eta", "1"],
+    "epochs-one-row": ["epochs", "--seed", "0", "--out", "error.csv", "--loss", "cce",
+                       "--n", "1"],
+    "sd-without-lambda": TRAIN[:-1] + ["sd:0.5"],
     # exit 3: bad data
     "features-outside-the-box": ["attack", "--seed", "0", "--out", "error",
                                  "--dataset", "example1", "--n", "50",
