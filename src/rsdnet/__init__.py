@@ -3,6 +3,7 @@
 from .divergence import (
     InvalidTuningError,
     LossSpec,
+    ParameterError,
     TuningPair,
     conditional_sd_risk,
     make_tuning,

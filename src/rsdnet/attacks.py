@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .divergence import _check_labels, _one_hot, softmax
+from .divergence import _check_labels, _one_hot, _require, softmax
 from .network import (ArchitectureSpec, _as_inputs, _backward, _forward,
                       _model_layers, _run_tasks)
 
@@ -54,11 +54,14 @@ class AttackConfig:
     def __post_init__(self):
         if self.kind not in ("fgsm", "pgd"):
             raise ValueError(f"unknown attack kind: {self.kind}")
-        # NaN fails every comparison
-        if not (0 <= self.epsilon < math.inf and 0 < self.step_size < math.inf
-                and self.max_iters >= 1):
-            raise ValueError("invalid attack hyperparameters: need a finite "
-                             "epsilon >= 0, a finite step > 0 and iters >= 1")
+        # NaN fails every comparison; FGSM's one step has size epsilon
+        _require(0 <= self.epsilon < math.inf, "epsilon",
+                 "must be finite and at least 0", self.epsilon)
+        if self.kind == "pgd":
+            _require(0 < self.step_size < math.inf, "step_size",
+                     "must be finite and above 0", self.step_size)
+            _require(self.max_iters >= 1, "max_iters", "must be at least 1",
+                     self.max_iters)
 
 
 def _input_gradient(layers, acts, X: np.ndarray, onehot: np.ndarray,

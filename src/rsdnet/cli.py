@@ -19,9 +19,9 @@ import numpy as np
 
 from . import data_io
 from .attacks import BOX, AttackConfig, adversarial_trainset
-from .contamination import corrupt_labels
+from .contamination import check_eta, corrupt_labels
 from .data_io import DataFormatError, Dataset
-from .divergence import LossSpec, clip_probs, make_tuning
+from .divergence import LossSpec, ParameterError, _require, clip_probs, make_tuning
 from .network import ArchitectureSpec, _one_blas_thread, _run_tasks, example_model
 from .optimizer import TrainConfig, accuracy, train
 from .theory import bound_grid, default_feature_sample, influence_function
@@ -75,26 +75,15 @@ def parse_loss(text: str) -> LossSpec:
         raise ValueError(f"bad loss spec {text!r}: {exc}") from exc
 
 
-def _flag_rule(holds: bool, flag: str, rule: str, value) -> None:
-    """Refuse the value of --flag unless holds, naming the flag and rule."""
-    if not holds:
-        raise ValueError(f"--{flag} must {rule}, got {value}")
+# the library parameters whose flags have other names; every other
+# ParameterError name is a flag dest
+FLAGS = {"J": "--classes", "k": "--folds", "batch_size": "--batch",
+         "step_size": "--step", "max_iters": "--iters"}
 
 
-def _at_least(least: int, **flags: int) -> None:
-    """Refuse the first flag, given by its dest, whose value is below least."""
-    for dest, value in flags.items():
-        _flag_rule(value >= least, dest.replace("_", "-"), f"be at least {least}",
-                   value)
-
-
-def _check_eta(eta: float, classes: int | None = None) -> None:
-    """Refuse an --eta outside [0, 1) or, given the --classes count J, outside
-    [0, (J-1)/J), where the excess-risk bound is defined.  NaN fails both."""
-    bound = 1.0 if classes is None else (classes - 1) / classes
-    rule = ("lie in [0, 1)" if classes is None else
-            f"lie in [0, (J-1)/J) = [0, {bound:g}) for --classes {classes}")
-    _flag_rule(0.0 <= eta < bound, "eta", rule, eta)
+def flag(name: str) -> str:
+    """The flag a ParameterError's parameter name stands for."""
+    return FLAGS.get(name, "--" + name.replace("_", "-"))
 
 
 def load_dataset_arg(text: str, n: int, seed: int,
@@ -108,7 +97,7 @@ def load_dataset_arg(text: str, n: int, seed: int,
     raises DataFormatError (tag empty).
     """
     if text in ("blobs", "example1"):
-        _at_least(1, n=n)
+        _require(n >= 1, "n", "must be at least 1", n)
         make = data_io.synthetic_blobs if text == "blobs" else data_io.synthetic_example1
         return make(n, seed)
     kind, _, arg = text.partition(":")
@@ -171,18 +160,19 @@ def _surrogate_attack(dataset: Dataset, attack_cfg: AttackConfig,
 
 def _attack_config(args, dataset: Dataset) -> tuple[AttackConfig, TrainConfig]:
     """The attack flags as an AttackConfig and the surrogate's CCE
-    TrainConfig, both checked before any surrogate trains (the caller has
-    checked --batch); a dataset with a feature outside BOX raises
-    DataFormatError (tag outside_box): the attack would clamp it, not
-    perturb it."""
-    _flag_rule(0.0 <= args.epsilon < np.inf, "epsilon",
-               "be finite and at least 0", args.epsilon)
-    _flag_rule(0.0 < args.step < np.inf, "step", "be finite and above 0", args.step)
-    _at_least(1, iters=args.iters, surrogate_epochs=args.surrogate_epochs)
+    TrainConfig, both checked before any surrogate trains; the surrogate's
+    epochs are --surrogate-epochs.  A dataset with a feature outside BOX
+    raises DataFormatError (tag outside_box): the attack would clamp it,
+    not perturb it."""
     cfg = AttackConfig(kind=args.attack, epsilon=args.epsilon,
                        step_size=args.step, max_iters=args.iters)
-    surrogate_cfg = TrainConfig(losses=(LossSpec(kind="cce"),),
-                                epochs=args.surrogate_epochs, batch_size=args.batch)
+    try:
+        surrogate_cfg = TrainConfig(losses=(LossSpec(kind="cce"),),
+                                    epochs=args.surrogate_epochs, batch_size=args.batch)
+    except ParameterError as exc:
+        if exc.name == "epochs":
+            exc.name = "surrogate_epochs"
+        raise
     lo, hi = BOX
     outside = np.count_nonzero((dataset.features < lo) | (dataset.features > hi))
     if outside:
@@ -227,13 +217,9 @@ def cmd_train(args) -> int:
     workers.  Every setting is checked before the first fold starts."""
     arch, dataset = resolve_arch(args)
     loss = parse_loss(args.loss)
-    _at_least(1, epochs=args.epochs, batch=args.batch)
     train_cfg = TrainConfig(losses=(loss,), epochs=args.epochs, batch_size=args.batch)
-    _check_eta(args.eta)
+    check_eta(args.eta)
     attack = _attack_config(args, dataset) if args.attack else None
-    _at_least(2, folds=args.folds)
-    _flag_rule(args.folds <= dataset.n, "folds",
-               f"be at most {dataset.n}, the number of examples", args.folds)
     folds = data_io.make_folds(dataset.n, args.folds, args.seed)
 
     def run_fold(fold: int):
@@ -276,9 +262,6 @@ def _result_row(args, loss: LossSpec, fold: str, clean, adv):
 
 
 def cmd_bound(args) -> int:
-    _at_least(2, classes=args.classes)
-    _check_eta(args.eta, args.classes)
-    _at_least(1, resolution=args.resolution)
     grid = bound_grid(args.eta, args.classes,
                       (args.beta_min, args.beta_max),
                       (args.lambda_min, args.lambda_max),
@@ -304,9 +287,6 @@ def cmd_influence(args) -> int:
                              f"got {args.theta!r}") from None
         if not np.isfinite(theta).all():
             raise ValueError(f"--theta needs finite entries, got {args.theta!r}")
-        if theta.size != model.n_params:
-            raise ValueError(f"--theta needs {model.n_params} entries for "
-                             f"{args.model}, got {theta.size}")
     else:
         theta = np.ones(model.n_params)
     try:
@@ -314,7 +294,6 @@ def cmd_influence(args) -> int:
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ValueError(f"--grid needs MIN,MAX,COUNT, got {args.grid!r}") from None
-    _at_least(1, sample_size=args.sample_size)
     if count < 1:
         raise ValueError(f"--grid needs a count of at least 1, got {args.grid!r}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -345,10 +324,9 @@ def cmd_influence(args) -> int:
 
 def cmd_epochs(args) -> int:
     arch, dataset = resolve_arch(args)
-    _at_least(1, epochs=args.epochs, batch=args.batch)
     train_cfg = TrainConfig(losses=tuple(parse_loss(text) for text in args.loss),
                             epochs=args.epochs, batch_size=args.batch)
-    _check_eta(args.eta)
+    check_eta(args.eta)
     # one fixed 3:1 train/test split, trained as fold 0 in one lockstep run:
     # every model has the same init and batch order
     cut = (3 * dataset.n) // 4
@@ -368,7 +346,6 @@ def cmd_epochs(args) -> int:
 
 def cmd_corrupt(args) -> int:
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
-    _check_eta(args.eta)
     corrupted, mask = corrupt_labels(dataset, args.eta, args.seed)
     data_io.dump_dataset(corrupted, args.out + ".features.csv",
                          args.out + ".labels.csv", flip_mask=mask)
@@ -378,7 +355,6 @@ def cmd_corrupt(args) -> int:
 def cmd_attack(args) -> int:
     """The --dataset attacked through _surrogate_attack, dumped."""
     dataset = load_dataset_arg(args.dataset, args.n, args.seed)
-    _at_least(1, batch=args.batch)
     attack_cfg, surrogate_cfg = _attack_config(args, dataset)
     attacked = _surrogate_attack(dataset, attack_cfg, surrogate_cfg, args.seed,
                                  args.seed + 100)
@@ -535,7 +511,11 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = build_parser(_read_config(args.config, args)).parse_args(argv)
+        _require(args.seed >= 0, "seed", "must be at least 0", args.seed)
         return args.func(args)
+    except ParameterError as exc:
+        print(f"error: {exc.render(flag)}", file=sys.stderr)
+        return EXIT_BAD_FLAGS
     except (DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_DATA

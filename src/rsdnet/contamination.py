@@ -5,11 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from .data_io import Dataset
+from .divergence import _require
 
 
-def _check_eta(eta: float):
-    if not 0.0 <= eta < 1.0:  # NaN fails it too
-        raise ValueError(f"eta must lie in [0, 1), got {eta}")
+def check_eta(eta: float, J: int | None = None) -> None:
+    """Raise ParameterError unless the noise level eta lies in [0, 1) or,
+    given the class count J (at least 2), in [0, (J-1)/J), where the
+    excess-risk bound is defined.  NaN fails both."""
+    if J is None:
+        _require(0.0 <= eta < 1.0, "eta", "must lie in [0, 1)", eta)
+        return
+    _require(J >= 2, "J", "must be at least 2", J)
+    _require(0.0 <= eta < (J - 1) / J, "eta",
+             f"must lie in [0, (J-1)/J) = [0, {(J - 1) / J:g})", eta, J=J)
 
 
 def corrupt_labels(dataset: Dataset, eta: float, seed: int,
@@ -23,9 +31,9 @@ def corrupt_labels(dataset: Dataset, eta: float, seed: int,
     those rows' labels are drawn, with the bits of the same call on a copy
     of those rows, and the mask has one entry per row of rows; the other
     labels are kept.  The features are shared, not copied.  Raises
-    ValueError unless eta lies in [0, 1), at eta = 0 too.
+    ParameterError unless eta lies in [0, 1), at eta = 0 too.
     """
-    _check_eta(eta)
+    check_eta(eta)
     J = dataset.num_classes
     rng = np.random.default_rng(seed)
     labels = dataset.labels if rows is None else dataset.labels[rows]
@@ -46,7 +54,7 @@ def corrupt_labels(dataset: Dataset, eta: float, seed: int,
 def noisy_posterior(p_star, eta: float) -> np.ndarray:
     """(1-eta) p* + eta (1-p*)/(J-1), applied per class."""
     p_star = np.asarray(p_star, dtype=np.float64)
-    _check_eta(eta)
+    check_eta(eta)
     if p_star.ndim == 0 or p_star.shape[-1] < 2:
         raise ValueError(f"J, the length of p*'s last axis, must be at least "
                          f"2, got p* of shape {p_star.shape}")

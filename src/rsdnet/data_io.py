@@ -21,7 +21,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .divergence import _sigmoid
+from .divergence import _require, _sigmoid
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -196,13 +196,14 @@ def synthetic_blobs(n: int, seed: int) -> Dataset:
 
 def make_folds(n: int, k: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The k (train indices, validation indices) pairs of a random
-    partition of [0, n) into k >= 2 folds, sizes differing by <= 1.
+    partition of [0, n) into k folds, sizes differing by <= 1; a k
+    outside [2, n] raises ParameterError.
 
     Fold i validates on part i and trains on the other parts; both index
     arrays are sorted.
     """
-    if not 2 <= k <= n:
-        raise ValueError(f"need 2 <= folds <= n, got {k} folds for n = {n}")
+    _require(k >= 2, "k", "must be at least 2", k)
+    _require(k <= n, "k", f"must be at most {n}, the number of examples", k)
     perm = np.random.default_rng(seed).permutation(n)
     parts = [np.sort(part) for part in np.array_split(perm, k)]
     return [(np.sort(np.concatenate(parts[:i] + parts[i + 1:])), parts[i])

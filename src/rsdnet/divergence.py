@@ -33,6 +33,29 @@ class InvalidTuningError(ValueError):
         self.reason = reason
 
 
+class ParameterError(ValueError):
+    """A parameter outside its rule: its name, the rule it breaks (such as
+    "must be at least 1") and its value, with given, the parameters the
+    rule depends on, by name.  render(label) names each parameter by
+    label(name); str names it by itself."""
+
+    def __init__(self, name: str, rule: str, value, **given):
+        super().__init__(name, rule, value)
+        self.name, self.rule, self.value, self.given = name, rule, value, given
+
+    def render(self, label=str) -> str:
+        given = "".join(f" for {label(name)} {v}" for name, v in self.given.items())
+        return f"{label(self.name)} {self.rule}{given}, got {self.value}"
+
+    __str__ = render
+
+
+def _require(holds: bool, name: str, rule: str, value, **given) -> None:
+    """Raise ParameterError(name, rule, value, **given) unless holds."""
+    if not holds:
+        raise ParameterError(name, rule, value, **given)
+
+
 @dataclass(frozen=True)
 class TuningPair:
     """Admissible tuning pair with its derived constants a and b."""

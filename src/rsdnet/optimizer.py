@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data_io import Dataset
-from .divergence import LossSpec, _label_terms, softmax
+from .divergence import LossSpec, _label_terms, _require, softmax
 from .network import (ArchitectureSpec, _backward, _forward, forward,
                       init_params, unflatten)
 
@@ -57,7 +57,8 @@ def adam_step(t: int, params: np.ndarray, grad: np.ndarray, m: np.ndarray,
 @dataclass(frozen=True)
 class TrainConfig:
     """Training settings shared by the models trained in one train() call;
-    losses names each model's loss, one model per entry."""
+    losses names each model's loss, one model per entry.  epochs or
+    batch_size below 1 raises ParameterError."""
 
     losses: tuple[LossSpec, ...]
     epochs: int
@@ -67,8 +68,9 @@ class TrainConfig:
         if not (isinstance(self.losses, tuple) and self.losses
                 and all(isinstance(loss, LossSpec) for loss in self.losses)):
             raise ValueError("losses must be a non-empty tuple of LossSpec")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        _require(self.epochs >= 1, "epochs", "must be at least 1", self.epochs)
+        _require(self.batch_size >= 1, "batch_size", "must be at least 1",
+                 self.batch_size)
 
 
 def accuracy(params: np.ndarray, arch: ArchitectureSpec, dataset: Dataset,

@@ -36,19 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from .contamination import check_eta
 from .data_io import posterior_example1
-from .divergence import TuningPair, _admissibility, _risk_terms, clip_probs
+from .divergence import TuningPair, _admissibility, _require, _risk_terms, clip_probs
 from .network import ExampleModel
 
 RELU_KINK_TOL = 1e-6
 PINV_RCOND = 1e-10
-
-
-def _check_eta(eta: float, J: int) -> None:
-    if J < 2:
-        raise ValueError(f"J must be at least 2, got {J}")
-    if not 0.0 <= eta < (J - 1) / J:
-        raise ValueError(f"eta must lie in [0, (J-1)/J), got {eta}")
 
 
 def _bound(beta, a, b, eta: float, J: int):
@@ -62,7 +56,7 @@ def _bound(beta, a, b, eta: float, J: int):
 
 def excess_risk_bound(t: TuningPair, eta: float, J: int) -> float:
     """Upper bound on the clean-risk gap of the noise-trained minimizer."""
-    _check_eta(eta, J)
+    check_eta(eta, J)
     return float(_bound(t.beta, t.a, t.b, eta, J))
 
 
@@ -79,13 +73,13 @@ def bound_grid(eta: float, J: int, beta_range=(0.0, 1.0),
     """Evaluate the excess-risk bound over a (beta, lambda) grid.
 
     Grid points outside the admissible set are marked, not evaluated.
-    eta, J, the resolution (at least 1) and the axis points (finite: a
-    span beyond the float range overflows inside linspace) are checked
-    before any point is evaluated.
+    eta and J (check_eta), the resolution (at least 1) and the axis
+    points (finite: a span beyond the float range overflows inside
+    linspace) are checked before any point is evaluated; a ParameterError
+    names a bad eta, J or resolution.
     """
-    _check_eta(eta, J)
-    if resolution < 1:
-        raise ValueError(f"need a resolution of at least 1, got {resolution}")
+    check_eta(eta, J)
+    _require(resolution >= 1, "resolution", "must be at least 1", resolution)
     with np.errstate(over="ignore", invalid="ignore"):
         betas = np.linspace(beta_range[0], beta_range[1], resolution)
         lambdas = np.linspace(lambda_range[0], lambda_range[1], resolution)
@@ -107,9 +101,11 @@ def bound_grid(eta: float, J: int, beta_range=(0.0, 1.0),
 # ---------------------------------------------------------------------------
 
 
-def default_feature_sample(n: int = 100, seed: int = 0) -> np.ndarray:
-    """Standard-normal stand-in for the feature distribution expectation."""
-    return np.random.default_rng(seed).standard_normal(n)
+def default_feature_sample(sample_size: int = 100, seed: int = 0) -> np.ndarray:
+    """Standard-normal stand-in for the feature distribution expectation,
+    of sample_size (at least 1) points."""
+    _require(sample_size >= 1, "sample_size", "must be at least 1", sample_size)
+    return np.random.default_rng(seed).standard_normal(sample_size)
 
 
 def _reference(p_star_fn, xs: np.ndarray) -> np.ndarray:
@@ -202,13 +198,13 @@ def influence_function(model: ExampleModel, theta, t: TuningPair, x_grid,
     on the sample and once on x_grid; None means the example-1 posterior.
     Uses the minimum-norm solution: -pinv(Psi) @ psi(x_t) with an SVD
     cutoff of max(singular) * 1e-10; the kernel element is taken as 0.
-    A singular-value decomposition failure propagates as LinAlgError.
+    A singular-value decomposition failure propagates as LinAlgError, and
+    a theta of other than n_params entries raises ParameterError.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    if theta.shape != (model.n_params,):
-        raise ValueError(
-            f"{model.name} expects {model.n_params} parameters, got {theta.shape}"
-        )
+    _require(theta.shape == (model.n_params,), "theta",
+             f"needs {model.n_params} entries for {model.name}",
+             theta.size if theta.ndim == 1 else theta.shape)
     big = big_psi(model, theta, t, feature_sample, p_star_fn)
     big_pinv = np.linalg.pinv(big, rcond=PINV_RCOND)
     rows = psi(model, theta, t, x_grid, p_star_fn)

@@ -215,6 +215,10 @@ class TestPlumbing:
         for kind in ("fgsm", "pgd"):
             for field in ("epsilon", "step_size"):
                 for value in (np.nan, np.inf):
+                    if (kind, field) == ("fgsm", "step_size"):
+                        # FGSM's one step has size epsilon: step_size is unread
+                        AttackConfig(kind=kind, **{"epsilon": 0.1, field: value})
+                        continue
                     with pytest.raises(ValueError, match="finite"):
                         AttackConfig(kind=kind, **{"epsilon": 0.1, field: value})
 

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
+import ast
 import csv
 import os
 import subprocess
@@ -594,6 +596,9 @@ class TestSettingsCheckedBeforeTraining:
     (["train", "--eta", 1], "--eta must lie in [0, 1), got 1.0"),
     (["epochs", "--loss", "cce", "--eta", 1], "--eta must lie in [0, 1), got 1.0"),
     (["corrupt", "--eta", 1], "--eta must lie in [0, 1), got 1.0"),
+    (["train", "--seed", -1], "--seed must be at least 0, got -1"),
+    # bound reads no seed, yet refuses a negative one as every command does
+    (["bound", "--eta", 0.1, "--seed", -1], "--seed must be at least 0, got -1"),
     (["epochs", "--loss", "cce", "--n", 1], "the 3:1 train/test split of 1 "
      "example leaves no training row; epochs needs at least 2 examples"),
     (["epochs", "--loss", "sd:0.5"],
@@ -601,7 +606,8 @@ class TestSettingsCheckedBeforeTraining:
 ], ids=["classes-one", "resolution-zero", "folds-one", "folds-above-n",
         "theta-count", "n-zero", "iters-zero", "epsilon-nan", "step-zero",
         "bound-eta", "bound-eta-two-classes", "train-eta", "epochs-eta",
-        "corrupt-eta", "epochs-one-row", "sd-without-lambda"])
+        "corrupt-eta", "seed-negative", "bound-seed-negative", "epochs-one-row",
+        "sd-without-lambda"])
 def test_a_bad_numeric_flag_names_itself(tmp_path, monkeypatch, capsys, argv,
                                          message):
     # refused by the CLI before anything trains or is written; the
@@ -615,6 +621,49 @@ def test_a_bad_numeric_flag_names_itself(tmp_path, monkeypatch, capsys, argv,
     assert code == EXIT_BAD_FLAGS
     assert list(tmp_path.iterdir()) == []
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# a command that raises a ParameterError of each name: every name that
+# cli.FLAGS maps and every name that renders as itself
+PARAMETER_ERRORS = {
+    "J": ["bound", "--eta", 0.1, "--classes", 1],
+    "k": ["train", "--n", 40, "--folds", 1],
+    "batch_size": ["epochs", "--loss", "cce", "--batch", 0],
+    "step_size": ["attack", "--attack", "pgd", "--step", 0],
+    "max_iters": ["train", "--attack", "pgd", "--iters", 0],
+    "eta": ["corrupt", "--eta", 1],
+    "epochs": ["train", "--epochs", 0],
+    "surrogate_epochs": ["attack", "--attack", "fgsm", "--surrogate-epochs", 0],
+    "epsilon": ["attack", "--attack", "fgsm", "--epsilon", -1],
+    "resolution": ["bound", "--eta", 0.1, "--resolution", 0],
+    "theta": ["influence", "--model", "M1", "--beta", 0.5, "--lambda", -0.5,
+              "--theta=1,1,1"],
+    "sample_size": ["influence", "--model", "M1", "--beta", 0.5, "--lambda", -0.5,
+                    "--sample-size", 0],
+    "n": ["train", "--n", 0],
+    "seed": ["bound", "--eta", 0.1, "--seed", -1],
+}
+
+
+def test_every_parameter_error_names_a_flag_of_its_command(tmp_path, capsys):
+    # every name a library or cli rule passes to _require, and the
+    # surrogate's epochs, which cli renames
+    src = Path(rsdnet.__file__).parent
+    required = {call.args[1].value for path in src.glob("*.py")
+                for call in ast.walk(ast.parse(path.read_text()))
+                if isinstance(call, ast.Call)
+                and getattr(call.func, "id", None) == "_require"}
+    assert set(PARAMETER_ERRORS) == required | {"surrogate_epochs"}
+    assert set(cli.FLAGS) <= required
+    [subparsers] = [action for action in cli.build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)]
+    for name, (command, *flags) in PARAMETER_ERRORS.items():
+        flag = cli.flag(name)
+        assert flag in subparsers.choices[command]._option_string_actions, name
+        code = run([command, "--seed", 0, "--out", tmp_path / "out", *flags])
+        assert code == EXIT_BAD_FLAGS
+        assert capsys.readouterr().err.startswith(f"error: {flag} "), name
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestNetworkDtype:
@@ -1195,6 +1244,28 @@ class TestAttackCommand:
                     "--surrogate-epochs", 1] + flags)
         assert code == EXIT_BAD_FLAGS
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, outputs", [
+        (["attack"], ["out.features.csv", "out.labels.csv"]),
+        (["train", "--folds", 2, "--epochs", 1, "--loss", "cce"],
+         ["out", "out.params.npy"]),
+    ], ids=["attack", "train"])
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    def test_fgsm_reads_neither_step_nor_iters(self, tmp_path, command, outputs, via):
+        # FGSM's one step has size epsilon, whatever --step and --iters say
+        config = tmp_path / "unread.cfg"
+        config.write_text("step=0\niters=0\n")
+        unread = {"flags": ["--step", 0, "--iters", 0], "config": ["--config", config]}
+        for tag, extra in (("default", []), ("unread", unread[via])):
+            (tmp_path / tag).mkdir()
+            code = run([command[0], "--seed", 0, "--out", tmp_path / tag / "out",
+                        "--n", 40, *command[1:], "--attack", "fgsm",
+                        "--epsilon", 0.1, "--surrogate-epochs", 1, "--batch", 16,
+                        *extra])
+            assert code == EXIT_OK
+        for name in outputs:
+            assert ((tmp_path / "default" / name).read_bytes()
+                    == (tmp_path / "unread" / name).read_bytes()), name
 
 
 class TestAttackBlasHold:

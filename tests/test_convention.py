@@ -9,6 +9,10 @@ _run_tasks), so every parallel caller shares its BLAS hold, its failure
 handling and its bit guarantees.  It finds OpenBLAS through numpy: no
 module reads /proc, which only Linux has.
 
+One statement of each parameter rule: the library checks each admissible
+range of a parameter in one place, and a value outside it raises
+ParameterError with the parameter's name, the rule and the value.
+
 One calling convention: a single example is a batch of one.
 
 Every function below takes a batch and returns one row per example, and
@@ -23,21 +27,26 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 import rsdnet
 
-from rsdnet.attacks import input_gradient
-from rsdnet.data_io import posterior_example1
+from rsdnet.attacks import AttackConfig, input_gradient
+from rsdnet.contamination import check_eta, corrupt_labels, noisy_posterior
+from rsdnet.data_io import make_folds, posterior_example1, synthetic_blobs
 from rsdnet.divergence import (
     LossSpec,
+    ParameterError,
     conditional_sd_risk,
     make_tuning,
     sd_loss,
     softmax,
 )
 from rsdnet.network import ArchitectureSpec, example_model, forward, init_params
-from rsdnet.theory import psi
+from rsdnet.optimizer import TrainConfig
+from rsdnet.theory import (bound_grid, default_feature_sample, excess_risk_bound,
+                           influence_function, psi)
 
 ARCHS = (
     ArchitectureSpec(3, ((6, "tanh"),), 3),
@@ -138,6 +147,54 @@ def test_the_library_imports_only_numpy_and_the_standard_library():
         "import os, scipy.linalg\nfrom . import network\n"
         "from numpy.linalg import pinv\nfrom torch import nn\n")) == [
         (1, "scipy.linalg"), (4, "torch")]
+
+
+CCE = (LossSpec(kind="cce"),)
+# a call that breaks each rule: (call, name, value, given)
+BROKEN_RULES = {
+    "eta": (lambda: check_eta(-0.1), "eta", -0.1, {}),
+    "eta-of-J": (lambda: check_eta(0.5, 2), "eta", 0.5, {"J": 2}),
+    "J": (lambda: check_eta(0.1, 1), "J", 1, {}),
+    "corrupt_labels-eta": (lambda: corrupt_labels(synthetic_blobs(10, 0), 1.0, 0),
+                           "eta", 1.0, {}),
+    "noisy_posterior-eta": (lambda: noisy_posterior([0.5, 0.5], 1.0), "eta", 1.0, {}),
+    "excess_risk_bound-eta": (
+        lambda: excess_risk_bound(make_tuning(0.5, -0.5), 0.9, 10), "eta", 0.9,
+        {"J": 10}),
+    "bound_grid-J": (lambda: bound_grid(0.1, 1), "J", 1, {}),
+    "bound_grid-resolution": (lambda: bound_grid(0.1, 10, resolution=0),
+                              "resolution", 0, {}),
+    "epochs": (lambda: TrainConfig(losses=CCE, epochs=0), "epochs", 0, {}),
+    "batch_size": (lambda: TrainConfig(losses=CCE, epochs=1, batch_size=0),
+                   "batch_size", 0, {}),
+    "epsilon": (lambda: AttackConfig(kind="fgsm", epsilon=np.inf),
+                "epsilon", np.inf, {}),
+    "step_size": (lambda: AttackConfig(kind="pgd", epsilon=0.1, step_size=0.0),
+                  "step_size", 0.0, {}),
+    "max_iters": (lambda: AttackConfig(kind="pgd", epsilon=0.1, max_iters=0),
+                  "max_iters", 0, {}),
+    "k-below-2": (lambda: make_folds(10, 1, 0), "k", 1, {}),
+    "k-above-n": (lambda: make_folds(3, 4, 0), "k", 4, {}),
+    "theta": (lambda: influence_function(
+        example_model("M1"), np.ones(3), make_tuning(0.5, -0.5), [0.0],
+        default_feature_sample()), "theta", 3, {}),
+    "sample_size": (lambda: default_feature_sample(0), "sample_size", 0, {}),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_RULES.values(), ids=list(BROKEN_RULES))
+def test_a_broken_rule_raises_a_parameter_error(case):
+    call, name, value, given = case
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert isinstance(info.value, ValueError)
+    assert (info.value.name, info.value.value, info.value.given) == (name, value, given)
+
+
+def test_a_parameter_error_names_each_parameter_by_its_label():
+    exc = ParameterError("eta", "must lie in [0, 0.5)", 0.75, J=2)
+    assert str(exc) == "eta must lie in [0, 0.5) for J 2, got 0.75"
+    assert exc.render(str.upper) == "ETA must lie in [0, 0.5) for J 2, got 0.75"
 
 
 @st.composite

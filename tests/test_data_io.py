@@ -291,7 +291,7 @@ class TestFolds:
 
     def test_one_fold_rejected(self):
         # one fold leaves no training data for it
-        with pytest.raises(ValueError, match="need 2 <= folds"):
+        with pytest.raises(ValueError, match="k must be at least 2"):
             make_folds(10, 1, seed=0)
 
 

@@ -29,7 +29,7 @@ def test_output_digests_are_the_same_on_a_rerun():
         "influence-overflow", "classes-one", "resolution-zero", "folds-one",
         "theta-count", "epochs-zero", "surrogate-epochs-zero", "iters-zero",
         "epsilon-nan", "step-zero", "bound-eta", "train-eta", "epochs-eta",
-        "corrupt-eta", "epochs-one-row", "sd-without-lambda",
+        "corrupt-eta", "epochs-one-row", "sd-without-lambda", "seed-negative",
     }
     assert set(first) == {
         "attack.features.csv", "attack.labels.csv", "bound.csv",
@@ -67,3 +67,28 @@ def test_step_timings_time_every_kernel_of_both_setups():
     assert set(mnist["us_per_call"]) == kernels | {"loss sd(0.1,-0.8)"}
     for setup in setups.values():
         assert all(us > 0 for us in setup["us_per_call"].values())
+
+
+def src_lines(src: Path) -> dict:
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_lines.py"), "--src", str(src)],
+        capture_output=True, text=True, check=True, timeout=60)
+    return json.loads(run.stdout)
+
+
+def test_src_lines_counts_code_without_blanks_comments_or_docstrings(tmp_path):
+    (tmp_path / "rsdnet").mkdir()
+    (tmp_path / "rsdnet" / "m.py").write_text(
+        '"""A module."""\n\n# a comment\nX = 1  # kept\n\n\ndef f():\n'
+        '    """Two\n    lines."""\n    return """a string,\nnot a docstring"""\n')
+    count = {"lines": 11, "code": 4}
+    assert src_lines(tmp_path) == {"modules": {"m.py": count}, "total": count}
+
+
+def test_src_lines_counts_every_module_of_this_tree():
+    report = src_lines(ROOT / "src")
+    package = ROOT / "src" / "rsdnet"
+    assert set(report["modules"]) == {path.name for path in package.glob("*.py")}
+    assert report["total"] == {
+        key: sum(count[key] for count in report["modules"].values())
+        for key in ("lines", "code")}

@@ -126,6 +126,7 @@ ERRORS = {
     "epochs-one-row": ["epochs", "--seed", "0", "--out", "error.csv", "--loss", "cce",
                        "--n", "1"],
     "sd-without-lambda": TRAIN[:-1] + ["sd:0.5"],
+    "seed-negative": BOUND[:2] + ["-1"] + BOUND[3:],
     # exit 3: bad data
     "features-outside-the-box": ["attack", "--seed", "0", "--out", "error",
                                  "--dataset", "example1", "--n", "50",
