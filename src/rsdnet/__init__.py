@@ -1,7 +1,6 @@
 """Robust divergence-based training for small neural classifiers."""
 
 from .divergence import (
-    InvalidTuningError,
     LossSpec,
     ParameterError,
     TuningPair,

@@ -8,14 +8,19 @@ from .data_io import Dataset
 from .divergence import _require
 
 
+def _check_classes(J: int) -> None:
+    """Raise ParameterError unless the class count J is at least 2."""
+    _require(J >= 2, "J", "must be at least 2", J)
+
+
 def check_eta(eta: float, J: int | None = None) -> None:
     """Raise ParameterError unless the noise level eta lies in [0, 1) or,
-    given the class count J (at least 2), in [0, (J-1)/J), where the
+    given the class count J (_check_classes), in [0, (J-1)/J), where the
     excess-risk bound is defined.  NaN fails both."""
     if J is None:
         _require(0.0 <= eta < 1.0, "eta", "must lie in [0, 1)", eta)
         return
-    _require(J >= 2, "J", "must be at least 2", J)
+    _check_classes(J)
     _require(0.0 <= eta < (J - 1) / J, "eta",
              f"must lie in [0, (J-1)/J) = [0, {(J - 1) / J:g})", eta, J=J)
 
@@ -52,11 +57,10 @@ def corrupt_labels(dataset: Dataset, eta: float, seed: int,
 
 
 def noisy_posterior(p_star, eta: float) -> np.ndarray:
-    """(1-eta) p* + eta (1-p*)/(J-1), applied per class."""
+    """(1-eta) p* + eta (1-p*)/(J-1), applied per class: J is the length
+    of p*'s last axis, 1 for a scalar p*."""
     p_star = np.asarray(p_star, dtype=np.float64)
     check_eta(eta)
-    if p_star.ndim == 0 or p_star.shape[-1] < 2:
-        raise ValueError(f"J, the length of p*'s last axis, must be at least "
-                         f"2, got p* of shape {p_star.shape}")
-    J = p_star.shape[-1]
+    J = np.atleast_1d(p_star).shape[-1]
+    _check_classes(J)
     return (1.0 - eta) * p_star + eta / (J - 1) * (1.0 - p_star)

@@ -2,9 +2,11 @@
 
 The family is indexed by a pair (beta, lambda) with derived constants
 A = 1 + lambda*(1-beta) and B = beta - lambda*(1-beta).  Only pairs with
-A > 0 and B > 0 are admissible; the beta = 1 line collapses to the squared
-L2 distance for every lambda.  In float64 "positive" means at least
-MIN_CONSTANT, 2**53 times the smallest normal number (about 2e-292).
+beta in [0, 1], A > 0 and B > 0 are admissible: make_tuning raises a
+ParameterError named beta, or named lambda given beta, for any other.  The
+beta = 1 line collapses to the squared L2 distance for every lambda.  In
+float64 "positive" means at least MIN_CONSTANT, 2**53 times the smallest
+normal number (about 2e-292).
 A + B = 1 + beta, so both are below 2 and every sd_loss value is below
 (1 + J)/MIN_CONSTANT: a batch of n values sums to a finite number for n*J
 up to 2**52.  At the smallest normal number itself the per-example
@@ -23,14 +25,6 @@ import numpy as np
 PROB_CLIP = 1e-7
 
 MIN_CONSTANT = float(np.finfo(np.float64).tiny) * 2**53
-
-
-class InvalidTuningError(ValueError):
-    """Rejected (beta, lambda) pair, with a machine-readable reason tag."""
-
-    def __init__(self, reason: str, message: str):
-        super().__init__(message)
-        self.reason = reason
 
 
 class ParameterError(ValueError):
@@ -69,40 +63,31 @@ class TuningPair:
 def _admissibility(beta, lam):
     """(A, B, rules) of (beta, lambda), elementwise on arrays too.
 
-    rules are make_tuning's admissibility rules in the order it checks
-    them, as (reason tag, whether the rule holds) pairs.
+    rules are whether each of make_tuning's rules holds, in the order it
+    checks them: beta in [0, 1], A positive, B positive, where positive
+    means at least MIN_CONSTANT.  A NaN or infinite lambda fails A's rule
+    or B's (at beta = 1, A = 1 + inf*0 is NaN).
     """
     a = 1.0 + lam * (1.0 - beta)
     b = beta - lam * (1.0 - beta)
-    return a, b, (
-        ("beta_out_of_range", np.isfinite(beta) & np.isfinite(lam)
-         & (beta >= 0.0) & (beta <= 1.0)),
-        ("a_nonpositive", a >= MIN_CONSTANT),
-        ("b_nonpositive", b >= MIN_CONSTANT),
-    )
-
-
-_REJECTIONS = {
-    "beta_out_of_range": "beta must lie in [0, 1], got {beta}",
-    "a_nonpositive": "A = 1 + lambda*(1-beta) = {a} must be positive",
-    "b_nonpositive": "B = beta - lambda*(1-beta) = {b} must be positive",
-}
+    return a, b, ((beta >= 0.0) & (beta <= 1.0), a >= MIN_CONSTANT,
+                  b >= MIN_CONSTANT)
 
 
 def make_tuning(beta: float, lam: float) -> TuningPair:
     """Validate (beta, lambda) and compute the derived constants.
 
-    Raises InvalidTuningError with reason tag ``beta_out_of_range``,
-    ``a_nonpositive`` or ``b_nonpositive`` for pairs outside the
-    admissible set.
+    Raises ParameterError named beta outside [0, 1], and named lambda,
+    given beta, where A or B is not positive.
     """
     beta = float(beta)
     lam = float(lam)
-    a, b, rules = _admissibility(beta, lam)
-    for reason, holds in rules:
-        if not holds:
-            raise InvalidTuningError(
-                reason, _REJECTIONS[reason].format(beta=beta, a=a, b=b))
+    a, b, (beta_ok, a_ok, b_ok) = _admissibility(beta, lam)
+    _require(beta_ok, "beta", "must lie in [0, 1]", beta)
+    _require(a_ok, "lambda", "must make A = 1 + lambda*(1-beta) positive", lam,
+             beta=beta)
+    _require(b_ok, "lambda", "must make B = beta - lambda*(1-beta) positive", lam,
+             beta=beta)
     return TuningPair(beta=beta, lam=lam, a=a, b=b)
 
 
@@ -260,10 +245,12 @@ class LossSpec:
     def __post_init__(self):
         if self.kind == "sd" and self.tuning is None:
             raise ValueError("sd loss requires a TuningPair")
-        if self.kind == "gce" and (self.q is None or not 0.0 < self.q <= 1.0):
-            raise ValueError("gce loss requires q in (0, 1]")
-        if self.kind == "tcce" and (self.delta is None or not 0.0 <= self.delta < 1.0):
-            raise ValueError("tcce loss requires delta in [0, 1)")
+        if self.kind == "gce":
+            _require(self.q is not None and 0.0 < self.q <= 1.0, "q",
+                     "must lie in (0, 1]", self.q)
+        if self.kind == "tcce":
+            _require(self.delta is not None and 0.0 <= self.delta < 1.0, "delta",
+                     "must lie in [0, 1)", self.delta)
         if self.kind not in ("sd", "cce", "mae", "gce", "tcce"):
             raise ValueError(f"unknown loss kind: {self.kind}")
         for name, owner in (("tuning", "sd"), ("q", "gce"), ("delta", "tcce")):

@@ -88,7 +88,7 @@ def bound_grid(eta: float, J: int, beta_range=(0.0, 1.0),
                          f"lambda {lambda_range} at resolution {resolution}")
     beta, lam = np.meshgrid(betas, lambdas, indexing="ij")
     a, b, rules = _admissibility(beta, lam)
-    admissible = np.logical_and.reduce([holds for _, holds in rules])
+    admissible = np.logical_and.reduce(rules)
     values = np.full((resolution, resolution), np.nan)
     values[admissible] = _bound(beta[admissible], a[admissible],
                                 b[admissible], eta, J)
@@ -101,10 +101,15 @@ def bound_grid(eta: float, J: int, beta_range=(0.0, 1.0),
 # ---------------------------------------------------------------------------
 
 
+def _check_sample_size(sample_size: int) -> None:
+    """Raise ParameterError unless a feature sample holds at least 1 point."""
+    _require(sample_size >= 1, "sample_size", "must be at least 1", sample_size)
+
+
 def default_feature_sample(sample_size: int = 100, seed: int = 0) -> np.ndarray:
     """Standard-normal stand-in for the feature distribution expectation,
-    of sample_size (at least 1) points."""
-    _require(sample_size >= 1, "sample_size", "must be at least 1", sample_size)
+    of sample_size points (_check_sample_size)."""
+    _check_sample_size(sample_size)
     return np.random.default_rng(seed).standard_normal(sample_size)
 
 
@@ -178,8 +183,7 @@ def big_psi(model: ExampleModel, theta, t: TuningPair, feature_sample,
     """
     theta = np.asarray(theta, dtype=np.float64)
     sample = _nudge_off_kinks(model, theta, np.asarray(feature_sample, dtype=np.float64))
-    if sample.size == 0:
-        raise ValueError("feature sample must be non-empty")
+    _check_sample_size(sample.size)
     u, du = _weights(model, theta, sample, t, _reference(p_star_fn, sample))
     g1 = model.grad_prob1(theta, sample)
     h1 = model.hess_prob1(theta, sample)

@@ -14,8 +14,8 @@ from rsdnet.cli import ARCH_PRESETS, main as cli_main
 from rsdnet.contamination import corrupt_labels
 from rsdnet.data_io import posterior_example1, read_idx
 from rsdnet.divergence import (
-    InvalidTuningError,
     LossSpec,
+    ParameterError,
     conditional_sd_risk,
     make_tuning,
     sd_loss,
@@ -57,7 +57,7 @@ def tuning_grid(n=20):
         for lam in (-1.0, -0.8, -0.5, -0.25, 0.0, 0.5, 1.0):
             try:
                 pairs.append(make_tuning(beta, lam))
-            except InvalidTuningError:
+            except ParameterError:
                 continue
     step = max(1, len(pairs) // n)
     out = pairs[::step][:n]
@@ -272,10 +272,11 @@ class TestCriterion4ExcessRiskBound:
                 vals = []
                 for beta in betas:
                     try:
-                        vals.append(excess_risk_bound(make_tuning(beta, lam),
-                                                      eta, 10))
-                    except InvalidTuningError:
+                        t = make_tuning(beta, lam)
+                    except ParameterError:
                         vals.append(np.nan)
+                        continue
+                    vals.append(excess_risk_bound(t, eta, 10))
                 v = np.array(vals)
                 finite = v[np.isfinite(v)]
                 if not np.all(np.diff(finite) <= 1e-9):

@@ -642,6 +642,16 @@ PARAMETER_ERRORS = {
                     "--sample-size", 0],
     "n": ["train", "--n", 0],
     "seed": ["bound", "--eta", 0.1, "--seed", -1],
+    "beta": ["influence", "--model", "M1", "--beta", 1.5, "--lambda", -0.5],
+    "lambda": ["influence", "--model", "M1", "--beta", 0.5, "--lambda", "nan"],
+}
+# a loss spec of --loss that raises a ParameterError of each name of its
+# parameters, which the message names inside the spec
+LOSS_PARAMETER_ERRORS = {
+    "q": "gce:1.5",
+    "delta": "tcce:1",
+    "beta": "sd:1.5,0",
+    "lambda": "sd:0.5,inf",
 }
 
 
@@ -653,7 +663,8 @@ def test_every_parameter_error_names_a_flag_of_its_command(tmp_path, capsys):
                 for call in ast.walk(ast.parse(path.read_text()))
                 if isinstance(call, ast.Call)
                 and getattr(call.func, "id", None) == "_require"}
-    assert set(PARAMETER_ERRORS) == required | {"surrogate_epochs"}
+    assert set(PARAMETER_ERRORS) | set(LOSS_PARAMETER_ERRORS) == required | {
+        "surrogate_epochs"}
     assert set(cli.FLAGS) <= required
     [subparsers] = [action for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)]
@@ -663,6 +674,11 @@ def test_every_parameter_error_names_a_flag_of_its_command(tmp_path, capsys):
         code = run([command, "--seed", 0, "--out", tmp_path / "out", *flags])
         assert code == EXIT_BAD_FLAGS
         assert capsys.readouterr().err.startswith(f"error: {flag} "), name
+    for name, spec in LOSS_PARAMETER_ERRORS.items():
+        code = run(["train", "--seed", 0, "--out", tmp_path / "out", "--loss", spec])
+        assert code == EXIT_BAD_FLAGS
+        assert capsys.readouterr().err.startswith(
+            f"error: bad loss spec {spec!r}: {name} "), name
     assert list(tmp_path.iterdir()) == []
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from rsdnet.contamination import corrupt_labels, noisy_posterior
 from rsdnet.data_io import Dataset
+from rsdnet.divergence import ParameterError
 
 from reference import subset
 
@@ -126,8 +127,10 @@ class TestNoisyPosterior:
 
     @pytest.mark.parametrize("p_star", [[1.0], np.zeros((3, 0)), 1.0])
     def test_fewer_than_two_classes_rejected(self, p_star):
-        with pytest.raises(ValueError, match="must be at least 2, got p"):
+        # J is the length of the last axis, 1 for a scalar
+        with pytest.raises(ParameterError) as err:
             noisy_posterior(p_star, 0.2)
+        assert err.value.name == "J" and err.value.value < 2
 
     def test_eta_zero_identity(self):
         p = np.array([0.3, 0.7])

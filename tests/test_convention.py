@@ -45,8 +45,8 @@ from rsdnet.divergence import (
 )
 from rsdnet.network import ArchitectureSpec, example_model, forward, init_params
 from rsdnet.optimizer import TrainConfig
-from rsdnet.theory import (bound_grid, default_feature_sample, excess_risk_bound,
-                           influence_function, psi)
+from rsdnet.theory import (big_psi, bound_grid, default_feature_sample,
+                           excess_risk_bound, influence_function, psi)
 
 ARCHS = (
     ArchitectureSpec(3, ((6, "tanh"),), 3),
@@ -179,6 +179,15 @@ BROKEN_RULES = {
         example_model("M1"), np.ones(3), make_tuning(0.5, -0.5), [0.0],
         default_feature_sample()), "theta", 3, {}),
     "sample_size": (lambda: default_feature_sample(0), "sample_size", 0, {}),
+    "big_psi-sample_size": (lambda: big_psi(
+        example_model("M1"), np.ones(2), make_tuning(0.5, -0.5), [], None),
+        "sample_size", 0, {}),
+    "noisy_posterior-J": (lambda: noisy_posterior([1.0], 0.1), "J", 1, {}),
+    "beta": (lambda: make_tuning(1.5, 0.0), "beta", 1.5, {}),
+    "lambda-A": (lambda: make_tuning(0.5, -2.5), "lambda", -2.5, {"beta": 0.5}),
+    "lambda-B": (lambda: make_tuning(0.5, 3.0), "lambda", 3.0, {"beta": 0.5}),
+    "q": (lambda: LossSpec(kind="gce", q=1.5), "q", 1.5, {}),
+    "delta": (lambda: LossSpec(kind="tcce", delta=1.0), "delta", 1.0, {}),
 }
 
 

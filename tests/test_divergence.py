@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 from rsdnet.divergence import (
     MIN_CONSTANT,
     PROB_CLIP,
-    InvalidTuningError,
     LossSpec,
+    ParameterError,
     _label_terms,
     _sigmoid,
     clip_probs,
@@ -39,7 +39,7 @@ def admissible_grid():
         for lam in (-1.0, -0.8, -0.5, 0.0, 0.5, 1.0):
             try:
                 pairs.append(make_tuning(beta, lam))
-            except InvalidTuningError:
+            except ParameterError:
                 continue
     return pairs
 
@@ -57,7 +57,7 @@ class TestTuning:
             lam = rng.uniform(-2.0, 2.0)
             try:
                 t = make_tuning(beta, lam)
-            except InvalidTuningError:
+            except ParameterError:
                 continue
             assert t.a + t.b == pytest.approx(1.0 + beta, abs=1e-12)
 
@@ -67,20 +67,33 @@ class TestTuning:
             assert t.a == pytest.approx(1.0)
             assert t.b == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("beta,lam,reason", [
-        (0.0, 0.0, "b_nonpositive"),
-        (0.0, -1.0, "a_nonpositive"),
-        (1.5, 0.0, "beta_out_of_range"),
-        (-0.1, 0.0, "beta_out_of_range"),
-        (0.5, 3.0, "b_nonpositive"),
-        (0.5, -2.5, "a_nonpositive"),
+    @pytest.mark.parametrize("beta,lam,name", [
+        (0.0, 0.0, "lambda"),     # B = 0
+        (0.0, -1.0, "lambda"),    # A = 0
+        (1.5, 0.0, "beta"),
+        (-0.1, 0.0, "beta"),
+        (0.5, 3.0, "lambda"),     # B < 0
+        (0.5, -2.5, "lambda"),    # A < 0
         # B positive but subnormal: (1 + beta)/B overflows
-        (1e-320, 0.0, "b_nonpositive"),
+        (1e-320, 0.0, "lambda"),
     ])
-    def test_rejections(self, beta, lam, reason):
-        with pytest.raises(InvalidTuningError) as err:
+    def test_rejections(self, beta, lam, name):
+        with pytest.raises(ParameterError) as err:
             make_tuning(beta, lam)
-        assert err.value.reason == reason
+        given = {} if name == "beta" else {"beta": beta}
+        assert (err.value.name, err.value.value, err.value.given) == (
+            name, {"beta": beta, "lambda": lam}[name], given)
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_is_blamed_on_lambda(self, beta, lam):
+        # at beta = 1, A = 1 + inf*0 is NaN: lambda fails A's rule, while
+        # beta lies in [0, 1]
+        with pytest.raises(ParameterError) as err:
+            make_tuning(beta, lam)
+        assert err.value.name == "lambda"
+        assert err.value.value == lam or math.isnan(err.value.value) and math.isnan(lam)
+        assert err.value.given == {"beta": beta}
 
     def test_sd_loss_finite_at_the_admissibility_floor(self):
         # at B = MIN_CONSTANT the per-example constant J*A/B and a batch
@@ -91,9 +104,9 @@ class TestTuning:
         value, grad = LossSpec(kind="sd", tuning=t).value_and_grad_logits(
             np.arange(64) % 4, z)
         assert np.isfinite(value) and np.isfinite(grad).all()
-        with pytest.raises(InvalidTuningError) as err:
+        with pytest.raises(ParameterError) as err:
             make_tuning(0.0, -float(np.finfo(np.float64).tiny))
-        assert err.value.reason == "b_nonpositive"
+        assert str(err.value).startswith("lambda must make B = ")
 
     @given(beta=st.floats(-0.5, 1.5) | st.sampled_from([math.nan, math.inf, -math.inf]),
            lam=st.floats(-5.0, 5.0) | st.sampled_from([math.nan, math.inf, -math.inf]))
@@ -101,23 +114,26 @@ class TestTuning:
     @example(beta=0.5, lam=1.0)    # B = 0
     @example(beta=2.0, lam=-5.0)   # every rule fails
     @example(beta=5e-324, lam=0.0)  # B subnormal
+    @example(beta=1.0, lam=math.inf)  # A = 1 + inf*0 is NaN
     def test_reason_tag_is_first_failing_rule(self, beta, lam):
+        # the error names beta outside [0, 1], else lambda where A or B
+        # falls below MIN_CONSTANT, with the rule of A before that of B
         a = 1.0 + lam * (1.0 - beta)
         b = beta - lam * (1.0 - beta)
-        if not (math.isfinite(beta) and math.isfinite(lam) and 0.0 <= beta <= 1.0):
-            expected = "beta_out_of_range"
-        elif a < MIN_CONSTANT:
-            expected = "a_nonpositive"
-        elif b < MIN_CONSTANT:
-            expected = "b_nonpositive"
+        if not 0.0 <= beta <= 1.0:
+            expected = ("beta", "must lie in [0, 1]")
+        elif not a >= MIN_CONSTANT:
+            expected = ("lambda", "must make A = 1 + lambda*(1-beta) positive")
+        elif not b >= MIN_CONSTANT:
+            expected = ("lambda", "must make B = beta - lambda*(1-beta) positive")
         else:
             t = make_tuning(beta, lam)
             assert t.a > 0 and t.b > 0
             assert (t.a, t.b) == (a, b)
             return
-        with pytest.raises(InvalidTuningError) as err:
+        with pytest.raises(ParameterError) as err:
             make_tuning(beta, lam)
-        assert err.value.reason == expected
+        assert (err.value.name, err.value.rule) == expected
 
 
 class TestSdLoss:
@@ -177,7 +193,7 @@ def admissible_tunings(draw, lam=st.floats(-3.0, 3.0)):
     lam = draw(lam)
     try:
         return make_tuning(beta, lam)
-    except InvalidTuningError:
+    except ParameterError:
         assume(False)
 
 
@@ -468,9 +484,9 @@ class TestLossSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             LossSpec(kind="sd")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match=r"^q must lie in \(0, 1\], got 2.0$"):
             LossSpec(kind="gce", q=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match=r"^delta must lie in \[0, 1\), got 1.0$"):
             LossSpec(kind="tcce", delta=1.0)
         with pytest.raises(ValueError):
             LossSpec(kind="nll")

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rsdnet.contamination import noisy_posterior
 from rsdnet.data_io import posterior_example1
-from rsdnet.divergence import (PROB_CLIP, InvalidTuningError, _risk_terms,
+from rsdnet.divergence import (PROB_CLIP, ParameterError, _risk_terms,
                                conditional_sd_risk, make_tuning, sd_loss)
 from rsdnet.network import example_model
 from rsdnet.theory import (
@@ -127,7 +127,7 @@ class TestBoundGrid:
             for j, lam in enumerate(grid.lambdas):
                 try:
                     t = make_tuning(beta, lam)
-                except InvalidTuningError:
+                except ParameterError:
                     assert not grid.admissible[i, j]
                     assert np.isnan(grid.values[i, j])
                     continue

@@ -1,9 +1,12 @@
 """The scripts under tools/ run on this tree."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -30,6 +33,7 @@ def test_output_digests_are_the_same_on_a_rerun():
         "theta-count", "epochs-zero", "surrogate-epochs-zero", "iters-zero",
         "epsilon-nan", "step-zero", "bound-eta", "train-eta", "epochs-eta",
         "corrupt-eta", "epochs-one-row", "sd-without-lambda", "seed-negative",
+        "influence-beta", "influence-lambda-nan", "gce-q", "tcce-delta",
     }
     assert set(first) == {
         "attack.features.csv", "attack.labels.csv", "bound.csv",
@@ -81,8 +85,11 @@ def test_src_lines_counts_code_without_blanks_comments_or_docstrings(tmp_path):
     (tmp_path / "rsdnet" / "m.py").write_text(
         '"""A module."""\n\n# a comment\nX = 1  # kept\n\n\ndef f():\n'
         '    """Two\n    lines."""\n    return """a string,\nnot a docstring"""\n')
+    (tmp_path / "rsdnet" / "__init__.py").write_text("")
     count = {"lines": 11, "code": 4}
-    assert src_lines(tmp_path) == {"modules": {"m.py": count}, "total": count}
+    assert src_lines(tmp_path) == {
+        "modules": {"__init__.py": {"lines": 0, "code": 0}, "m.py": count},
+        "total": count}
 
 
 def test_src_lines_counts_every_module_of_this_tree():
@@ -92,3 +99,44 @@ def test_src_lines_counts_every_module_of_this_tree():
     assert report["total"] == {
         key: sum(count[key] for count in report["modules"].values())
         for key in ("lines", "code")}
+
+
+# each tool's command line, with the --src it is given last
+TOOL_ARGS = {
+    "output_digests.py": [],
+    "src_lines.py": [],
+    "step_timings.py": ["--repeat", "1", "--budget", "0.001"],
+    "train_attack_bench.py": ["run", "--images", "x.idx", "--labels", "y.idx"],
+}
+
+
+def run_tool(tool: str, src: Path) -> subprocess.CompletedProcess:
+    # with this tree's src on PYTHONPATH, where a tool that ignored --src
+    # would find an rsdnet all the same
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / tool), *TOOL_ARGS[tool], "--src", str(src)],
+        capture_output=True, text=True, env=env, timeout=300)
+
+
+@pytest.mark.parametrize("tool", sorted(TOOL_ARGS))
+def test_a_tool_refuses_a_src_without_the_package(tmp_path, tool):
+    for src in (tmp_path / "missing", ROOT / "src" / "rsdnet"):
+        run = run_tool(tool, src)
+        assert run.returncode != 0 and run.stdout == ""
+        assert run.stderr.startswith(f"error: --src {src} holds no rsdnet/"), tool
+
+
+@pytest.mark.parametrize("tool", ["output_digests.py", "step_timings.py",
+                                  "train_attack_bench.py"])
+def test_a_tool_refuses_an_rsdnet_imported_from_elsewhere(tmp_path, tool):
+    # a package under --src that hands the import over to the rsdnet on
+    # PYTHONPATH
+    (tmp_path / "rsdnet").mkdir()
+    (tmp_path / "rsdnet" / "__init__.py").write_text(
+        f"import sys\nsys.path.remove({str(tmp_path.resolve())!r})\n"
+        "del sys.modules['rsdnet']\nimport rsdnet\n")
+    run = run_tool(tool, tmp_path)
+    assert run.returncode != 0 and run.stdout == ""
+    assert run.stderr.startswith(
+        f"error: imported rsdnet from {ROOT.resolve() / 'src' / 'rsdnet'}, "), tool

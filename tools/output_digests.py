@@ -19,6 +19,9 @@ output of the first `corrupt`.  Every file left in the directory, inputs
 included, is digested, keyed by its name; a command that exits non-zero
 stops the run.
 
+--src must hold the rsdnet package, and the run stops unless the rsdnet
+it imports is that one (srctree).
+
 Then each of a fixed list of failing commands, ERRORS, runs in the same
 directory, and its exit code and stderr lines are printed under the key
 "error NAME": the error contract, at least one command per exit code
@@ -39,6 +42,8 @@ import tempfile
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave the trees as checked out
+
+import srctree  # noqa: E402  (after the bytecode switch)
 
 REPO = Path(__file__).resolve().parent.parent
 IMAGES = "idx:images.idx,labels.idx"
@@ -127,6 +132,10 @@ ERRORS = {
                        "--n", "1"],
     "sd-without-lambda": TRAIN[:-1] + ["sd:0.5"],
     "seed-negative": BOUND[:2] + ["-1"] + BOUND[3:],
+    "influence-beta": INFLUENCE[:-2] + ["1.5", "--lambda=-0.5"],
+    "influence-lambda-nan": INFLUENCE[:-1] + ["--lambda=nan"],
+    "gce-q": TRAIN[:-1] + ["gce:1.5"],
+    "tcce-delta": TRAIN[:-1] + ["tcce:1"],
     # exit 3: bad data
     "features-outside-the-box": ["attack", "--seed", "0", "--out", "error",
                                  "--dataset", "example1", "--n", "50",
@@ -140,7 +149,7 @@ ERRORS = {
 
 
 def digests(src: Path) -> dict:
-    sys.path.insert(0, str(src.resolve()))
+    srctree.import_rsdnet(src)
     sys.path.insert(0, str(REPO / "perfbench"))
     from rsdnet import cli
     from rsdnet.data_io import Dataset, write_idx

@@ -21,6 +21,8 @@ import json
 import tokenize
 from pathlib import Path
 
+import srctree
+
 # tokens that hold no code by themselves
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
@@ -48,7 +50,7 @@ def counts(text: str) -> dict:
 
 def report(src: Path) -> dict:
     modules = {path.name: counts(path.read_text(encoding="utf-8"))
-               for path in sorted((src / "rsdnet").glob("*.py"))}
+               for path in sorted(srctree.package(src).glob("*.py"))}
     total = {key: sum(c[key] for c in modules.values()) for key in ("lines", "code")}
     return {"modules": modules, "total": total}
 

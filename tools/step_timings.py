@@ -41,6 +41,8 @@ from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave the trees as checked out
 
+import srctree  # noqa: E402  (after the bytecode switch)
+
 REPO = Path(__file__).resolve().parent.parent
 STEPS = 20
 
@@ -139,7 +141,7 @@ def main() -> None:
     parser.add_argument("--budget", type=float, default=0.05,
                         help="seconds of calls per timed run")
     args = parser.parse_args()
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    srctree.import_rsdnet(args.src)
     from rsdnet.network import _one_blas_thread
     with _one_blas_thread():
         setups = {name: time_setup(name, args.repeat, args.budget)

@@ -37,6 +37,8 @@ from pathlib import Path
 
 sys.dont_write_bytecode = True  # leave the trees as checked out
 
+import srctree  # noqa: E402  (after the bytecode switch)
+
 REPO = Path(__file__).resolve().parent.parent
 
 
@@ -80,7 +82,7 @@ def sha256(path: Path) -> str:
 
 
 def run_once(args) -> None:
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    srctree.import_rsdnet(args.src)
     import numpy  # noqa: F401  (imported before the clock starts)
     from rsdnet import cli, network
 
